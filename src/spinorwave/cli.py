@@ -180,7 +180,8 @@ def em(config_path: str, out_path: str) -> None:
               help="JSON config; see docs/formats.md for the schema.")
 @click.option("--out", "out_path", type=str, required=True,
               help="Spectrum CSV output path.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="Accepted and ignored; modes run one after another.")
 @click.option("--verbose", is_flag=True, default=False)
 def cosmo(config_path: str, out_path: str, jobs: int, verbose: bool) -> None:
     """Integrate the conformal-time mode equation and write the spectrum."""
@@ -188,7 +189,7 @@ def cosmo(config_path: str, out_path: str, jobs: int, verbose: bool) -> None:
 
     config = _load_json(config_path)
     try:
-        rows, csv_text = spectrum_from_config(config, jobs=max(1, jobs))
+        rows, csv_text = spectrum_from_config(config)
     except (ConfigError, DomainError) as exc:
         _fail_usage(str(exc))
     pathlib.Path(out_path).write_text(csv_text, encoding="utf-8")

@@ -17,7 +17,6 @@ from .modes import (
     positive_frequency_data,
     wronskian_drift,
 )
-from .rungekutta import IntegrationResult, integrate
 from .spectrum import (
     SPECTRUM_HEADER,
     SpectrumRow,
@@ -28,14 +27,12 @@ from .spectrum import (
 )
 
 __all__ = [
-    "IntegrationResult",
     "ModeSolution",
     "ModeSpec",
     "SPECTRUM_HEADER",
     "ScaleFactorModel",
     "SpectrumRow",
     "de_sitter",
-    "integrate",
     "integrate_mode",
     "k_grid_from_config",
     "matter",

@@ -11,13 +11,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ..errors import ConfigError, DomainError
 
 
 @dataclass(frozen=True)
 class ScaleFactorModel:
+    """a(eta) and its derivatives.  Each callable takes a float or an array
+    of eta; a constant one may return a float for an array."""
+
     kind: str
     a: Callable[[float], float]
     a_prime: Callable[[float], float]
@@ -74,7 +76,7 @@ def de_sitter(hubble: float = 1.0) -> ScaleFactorModel:
         "de_sitter",
         lambda eta: -1.0 / (hubble * eta),
         lambda eta: 1.0 / (hubble * eta * eta),
-        lambda eta: -2.0 / (hubble * eta ** 3),
+        lambda eta: -2.0 / (hubble * eta * eta * eta),
         (-math.inf, 0.0),
         {"H": hubble},
     )
@@ -82,7 +84,10 @@ def de_sitter(hubble: float = 1.0) -> ScaleFactorModel:
 
 def tabulated(eta_samples, a_samples) -> ScaleFactorModel:
     """C^2 cubic-spline interpolation of sampled a(eta) (natural cubic,
-    local interpolation error O(h^4))."""
+    local interpolation error O(h^4)).  The spline must stay positive
+    between the knots as well as at them."""
+    from scipy.interpolate import CubicSpline  # costs ~0.5 s of import time
+
     eta_samples = np.asarray(eta_samples, dtype=float)
     a_samples = np.asarray(a_samples, dtype=float)
     if eta_samples.ndim != 1 or eta_samples.size < 4:
@@ -92,16 +97,27 @@ def tabulated(eta_samples, a_samples) -> ScaleFactorModel:
     if np.any(a_samples <= 0):
         raise ConfigError("tabulated a(eta) must be positive")
     spline = CubicSpline(eta_samples, a_samples)
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
+    roots = spline.roots(extrapolate=False)
+    if roots.size:
+        raise ConfigError("tabulated a(eta) is not positive between the knots "
+                          f"(zero at eta={roots[0]:.6g})")
     return ScaleFactorModel(
         "tabulated",
-        lambda eta: float(spline(eta)),
-        lambda eta: float(d1(eta)),
-        lambda eta: float(d2(eta)),
+        _evaluator(spline),
+        _evaluator(spline.derivative(1)),
+        _evaluator(spline.derivative(2)),
         (float(eta_samples[0]), float(eta_samples[-1])),
         {"n": int(eta_samples.size)},
     )
+
+
+def _evaluator(poly):
+    """A spline as a model callable: float for a float, array for an array."""
+    def evaluate(eta):
+        value = poly(eta)
+        return float(value) if np.ndim(value) == 0 else value
+
+    return evaluate
 
 
 _FACTORIES = {

@@ -5,8 +5,12 @@ Writing the field as f(eta) exp(i k x) componentwise, the equation
 
     f'' + 2 (a'/a) f' + (k^2 + 2 a''/a) f = 0,
 
-equivalently u'' + (k^2 + a''/a) u = 0 for u = a f, whose Wronskian is
-exactly conserved and serves as the integration-quality diagnostic.
+equivalently u'' + (k^2 + a''/a) u = 0 for u = a f.  The solver propagates
+(u, u') with the fourth-order Magnus method on two Gauss points (Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470 (2009)).  Each step is the closed-form
+exponential of a traceless 2x2 matrix, so every step has determinant 1 and
+the Wronskian is conserved to round-off; the accuracy signal is the
+step-doubling estimate reported as ``ModeSolution.error_estimate``.
 """
 
 from __future__ import annotations
@@ -16,13 +20,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, GridError
+from ..errors import ConfigError, GridError, IntegrationError
 from .models import ScaleFactorModel
-from .rungekutta import integrate
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 DEFAULT_SAMPLES = 201
+
+# Gauss-Legendre nodes on [0, 1] and the weight of the commutator term of
+# the fourth-order Magnus expansion.
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_COMMUTATOR = math.sqrt(3.0) / 12.0
+
+# Substep control.  An interval whose error estimate misses its share of the
+# tolerance gets SAFETY * (estimate / share)^(1/4) times as many substeps
+# (the local error of n substeps falls as n^-4), at most MAX_GROWTH times as
+# many per pass, because a single coarse substep can be far outside the
+# asymptotic regime.
+_SAFETY = 1.1
+_MAX_GROWTH = 8.0
+# Per-interval estimates at this level are round-off; asking for less could
+# never be met.
+_ROUNDOFF = 1e-14
+# A mode needing more coarse substeps than this fails; numpy evaluates at
+# most CHUNK substeps at a time, which bounds memory whatever the count.
+_MAX_SUBSTEPS = 2**20
+_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -49,12 +72,19 @@ class ModeSpec:
 
 @dataclass(frozen=True)
 class ModeSolution:
+    """Sampled mode.  ``steps`` counts the Magnus substeps of the returned
+    solution.  ``error_estimate`` bounds its relative error in
+    (u, u'/omega), with u = a f and omega^2 = max(|k^2 + a''/a|,
+    (eta1 - eta0)^-2): the sum over the sample intervals of the undivided
+    step-doubling difference, each against half as many substeps."""
+
     k: float
     eta: np.ndarray
     f: np.ndarray
     f_prime: np.ndarray
     wronskian_drift: float
     steps: int
+    error_estimate: float = 0.0
 
     def __post_init__(self):
         if np.any(np.diff(self.eta) <= 0):
@@ -82,45 +112,176 @@ def positive_frequency_data(model: ScaleFactorModel, k: float, eta0: float) -> t
     return complex(f0), complex(df0)
 
 
-# Local steps are controlled at a hundredth of the requested tolerances so
-# that endpoint values and the Wronskian diagnostic land within roughly ten
-# times the request over desk-scale ranges (global error accumulates over
-# hundreds of accepted steps).
-_CONTROL_FACTOR = 1e-2
-
-
 def integrate_mode(model: ScaleFactorModel, spec: ModeSpec) -> ModeSolution:
-    """Integrate the first-order system for (f, f') over [eta0, eta1]."""
+    """Integrate the mode over [eta0, eta1] and sample f, f' at ``samples``
+    equally spaced points.
+
+    The relative error of (u, u'/omega) is held to about rtol + atol/|state
+    at eta0|, shared out over the sample intervals in proportion to their
+    length.  Raises :class:`IntegrationError` with the start of the first
+    unresolved interval as ``last_eta`` when that takes more than
+    ``_MAX_SUBSTEPS`` substeps.
+    """
     spec.validate(model)
     if spec.ic_kind == "positive_frequency":
         f0, df0 = positive_frequency_data(model, spec.k, spec.eta0)
     else:
         f0, df0 = complex(spec.f0), complex(spec.df0)
 
+    eta = np.linspace(spec.eta0, spec.eta1, spec.samples)
     k2 = spec.k * spec.k
+    a = _evaluate(model.a, eta)
+    ap = _evaluate(model.a_prime, eta)
+    omega = np.sqrt(np.maximum(np.abs(k2 + _evaluate(model.a_second, eta) / a),
+                               (spec.eta1 - spec.eta0) ** -2))
+    u0 = a[0] * f0
+    du0 = ap[0] * f0 + a[0] * df0
+    size0 = math.hypot(abs(u0), abs(du0) / omega[0])
+    tol = spec.rtol + spec.atol / size0 if size0 > 0 else math.inf
 
-    def rhs(eta: float, y: np.ndarray) -> np.ndarray:
-        a = model.a(eta)
-        damping = 2.0 * model.a_prime(eta) / a
-        omega2 = k2 + 2.0 * model.a_second(eta) / a
-        return np.array([y[1], -damping * y[1] - omega2 * y[0]], dtype=complex)
+    propagators, error, steps = _interval_propagators(
+        model, k2, eta, np.maximum(omega[:-1], omega[1:]), tol)
+    u, du = _propagate(propagators, u0, du0, eta)
+    f = u / a
+    fp = (du - ap * f) / a
+    drift = _self_wronskian_drift(model, eta, f, fp)
+    return ModeSolution(spec.k, eta, f, fp, drift, steps, error)
 
-    eta_samples = np.linspace(spec.eta0, spec.eta1, spec.samples)
-    result = integrate(
-        rhs, spec.eta0, np.array([f0, df0], dtype=complex), eta_samples,
-        rtol=spec.rtol * _CONTROL_FACTOR, atol=spec.atol * _CONTROL_FACTOR,
-    )
-    f = result.y[:, 0]
-    fp = result.y[:, 1]
-    drift = _self_wronskian_drift(model, eta_samples, f, fp)
-    return ModeSolution(spec.k, eta_samples, f, fp, drift, result.steps)
+
+def _evaluate(fn, eta: np.ndarray) -> np.ndarray:
+    """A model callable on an array of eta; constant callables broadcast."""
+    return np.broadcast_to(np.asarray(fn(eta), dtype=float), eta.shape)
+
+
+def _interval_propagators(model: ScaleFactorModel, k2: float, eta: np.ndarray,
+                          omega: np.ndarray, tol: float):
+    """Propagator of every sample interval, as rows (m00, m01, m10, m11) of
+    shape (4, n); the sum of the local error estimates; the substep count.
+
+    Interval i takes n_i coarse substeps and 2 n_i fine ones, and the fine
+    product is its propagator.  Its local error estimate is the infinity
+    norm of the fine-minus-coarse product in the (u, u'/omega_i) scaling,
+    a bound on the relative change it makes to any state; n_i grows until
+    the estimate is within the interval's share of ``tol``.
+    """
+    widths = np.diff(eta)
+    share = np.maximum(tol * widths / (eta[-1] - eta[0]), _ROUNDOFF)
+    counts = np.ones(widths.size, dtype=np.int64)
+    fine = np.empty((4, widths.size))
+    local = np.empty(widths.size)
+    todo = np.arange(widths.size)
+    while todo.size:
+        n = counts[todo]
+        starts = np.tile(eta[todo], 2)
+        products = _products(model, k2, starts, np.tile(widths[todo], 2),
+                             np.concatenate([n, 2 * n]))
+        fine[:, todo] = products[:, todo.size:]
+        diff = np.abs(products[:, todo.size:] - products[:, :todo.size])
+        scale = omega[todo]
+        error = np.maximum(diff[0] + diff[1] * scale, diff[2] / scale + diff[3])
+        local[todo] = error
+        missed = ~(error <= share[todo])          # NaN misses too
+        todo, n = todo[missed], n[missed]
+        growth = np.fmin(_SAFETY * (error[missed] / share[todo]) ** 0.25, _MAX_GROWTH)
+        counts[todo] = np.maximum(np.ceil(n * growth), n + 1)
+        if counts.sum() > _MAX_SUBSTEPS:
+            raise IntegrationError(
+                f"tolerance not met within {_MAX_SUBSTEPS} substeps",
+                last_eta=float(eta[todo[0]]))
+    return fine, float(local.sum()), 2 * int(counts.sum())
+
+
+def _products(model: ScaleFactorModel, k2: float, starts: np.ndarray,
+              widths: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Product of counts[i] equal Magnus steps across [starts[i],
+    starts[i] + widths[i]] for every i, evaluated CHUNK substeps at a time."""
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    parts, owners = [], []
+    # A singular a''/a overflows cosh; the resulting inf and NaN entries
+    # fail the error test downstream.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, int(offsets[-1]), _CHUNK):
+            index = np.arange(lo, min(lo + _CHUNK, int(offsets[-1])))
+            owner = np.searchsorted(offsets, index, side="right") - 1
+            h = widths[owner] / counts[owner]
+            t = starts[owner] + (index - offsets[owner]) * h
+            product, owner = _run_products(_magnus_steps(model, k2, t, h), owner)
+            parts.append(product)
+            owners.append(owner)
+        return _run_products(np.concatenate(parts, axis=1), np.concatenate(owners))[0]
+
+
+def _magnus_steps(model: ScaleFactorModel, k2: float, t: np.ndarray,
+                  h: np.ndarray) -> np.ndarray:
+    """exp(Omega) for the steps [t, t + h], as rows (m00, m01, m10, m11).
+
+    Omega = [[alpha, h], [-beta, -alpha]] with beta = h (k^2 + (q1 + q2)/2),
+    alpha = (sqrt 3 / 12) h^2 (q2 - q1) and q = a''/a at the Gauss points.
+    Omega^2 = d I with d = alpha^2 - h beta, so exp(Omega) = C I + S Omega
+    with C = cos, S = sin(r)/r (r = sqrt(-d)), or cosh and sinh(r)/r when
+    d > 0.
+    """
+    x1, x2 = t + _GAUSS[0] * h, t + _GAUSS[1] * h
+    q1 = _evaluate(model.a_second, x1) / _evaluate(model.a, x1)
+    q2 = _evaluate(model.a_second, x2) / _evaluate(model.a, x2)
+    alpha = _COMMUTATOR * h * h * (q2 - q1)
+    beta = h * (k2 + 0.5 * (q1 + q2))
+    d = alpha * alpha - h * beta
+    r = np.sqrt(np.abs(d))
+    oscillating = d <= 0.0
+    c = np.where(oscillating, np.cos(r), np.cosh(r))
+    s = np.where(oscillating, np.sinc(r / np.pi), np.sinh(r) / np.where(oscillating, 1.0, r))
+    return np.stack([c + s * alpha, s * h, -s * beta, c - s * alpha])
+
+
+def _run_products(m: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered product of each run of equal ``owner`` among the matrices
+    (columns of rows m00, m01, m10, m11), later factors on the left, by
+    pairwise reduction: each pass multiplies neighbours within a run and
+    halves every run."""
+    first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    length = np.diff(np.r_[first, owner.size])
+    pos = np.arange(owner.size) - np.repeat(first, length)
+    length = np.repeat(length, length)
+    while length.max() > 1:
+        lead = np.flatnonzero(pos % 2 == 0)
+        has_next = pos[lead] + 1 < length[lead]
+        paired = lead[has_next]
+        reduced = m[:, lead]
+        reduced[:, has_next] = _multiply(m[:, paired + 1], m[:, paired])
+        m, owner = reduced, owner[lead]
+        pos, length = pos[lead] // 2, (length[lead] + 1) // 2
+    return m, owner
+
+
+def _multiply(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Columnwise 2x2 products b a."""
+    b00, b01, b10, b11 = b
+    a00, a01, a10, a11 = a
+    return np.stack([b00 * a00 + b01 * a10, b00 * a01 + b01 * a11,
+                     b10 * a00 + b11 * a10, b10 * a01 + b11 * a11])
+
+
+def _propagate(propagators: np.ndarray, u0: complex, du0: complex,
+               eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u') at every sample, one pass through the interval propagators."""
+    u, du = u0, du0
+    path = [(u, du)]
+    for a, b, c, d in propagators.T.tolist():
+        u, du = a * u + b * du, c * u + d * du
+        path.append((u, du))
+    path = np.array(path)
+    finite = np.isfinite(path).all(axis=1)
+    if not finite.all():
+        raise IntegrationError("solution overflowed",
+                               last_eta=float(eta[max(np.argmin(finite) - 1, 0)]))
+    return path[:, 0], path[:, 1]
 
 
 def _u_and_uprime(model: ScaleFactorModel, eta: np.ndarray, f: np.ndarray,
                   fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array([model.a(e) for e in eta])
-    ap = np.array([model.a_prime(e) for e in eta])
-    return a * f, ap * f + a * fp
+    a = _evaluate(model.a, eta)
+    return a * f, _evaluate(model.a_prime, eta) * f + a * fp
 
 
 def _drift(w: np.ndarray) -> float:

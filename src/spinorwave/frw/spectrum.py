@@ -9,7 +9,6 @@ stop the remaining ones.  The CSV schema is fixed:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +93,9 @@ def spectrum(model: ScaleFactorModel, k_values: np.ndarray, eta0: float,
              eta1: float, ic: dict | None = None, rtol: float = DEFAULT_RTOL,
              atol: float = DEFAULT_ATOL, samples: int = 201,
              jobs: int = 1) -> list[SpectrumRow]:
-    """Integrate every mode and collect the endpoint table, ordered by k."""
+    """Integrate every mode and collect the endpoint table, ordered by k.
+
+    ``jobs`` is accepted and ignored: modes run one after another."""
     ic = ic or {"kind": "positive_frequency"}
     kind = ic.get("kind", "positive_frequency")
     if kind == "explicit":
@@ -114,10 +115,7 @@ def spectrum(model: ScaleFactorModel, k_values: np.ndarray, eta0: float,
     ]
     for spec in specs:
         spec.validate(model)
-    if jobs <= 1 or len(specs) <= 1:
-        return [_one_row(model, spec) for spec in specs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda s: _one_row(model, s), specs))
+    return [_one_row(model, spec) for spec in specs]
 
 
 def render_csv(rows: list[SpectrumRow]) -> str:
@@ -125,7 +123,8 @@ def render_csv(rows: list[SpectrumRow]) -> str:
 
 
 def spectrum_from_config(config: dict, jobs: int = 1) -> tuple[list[SpectrumRow], str]:
-    """Run the documented JSON config; returns (rows, csv_text)."""
+    """Run the documented JSON config; returns (rows, csv_text).  ``jobs`` is
+    accepted and ignored."""
     for key in ("model", "k_grid", "eta"):
         if key not in config:
             raise ConfigError(f"config missing {key!r}")
@@ -146,6 +145,5 @@ def spectrum_from_config(config: dict, jobs: int = 1) -> tuple[list[SpectrumRow]
         rtol=float(tol.get("rel", DEFAULT_RTOL)),
         atol=float(tol.get("abs", DEFAULT_ATOL)),
         samples=int(config.get("samples", 201)),
-        jobs=jobs,
     )
     return rows, render_csv(rows)

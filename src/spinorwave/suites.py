@@ -54,6 +54,13 @@ class SuiteResult:
         }
 
 
+def _worse(worst: float, error) -> float:
+    """The larger of two errors; a NaN or infinite error is infinite, so it
+    fails every tolerance (max() would keep ``worst`` past a NaN)."""
+    error = float(error)
+    return max(worst, error) if math.isfinite(error) else math.inf
+
+
 def _result(name: str, max_error: float, tol: float, detail: str = "") -> SuiteResult:
     return SuiteResult(name, bool(max_error < tol), float(max_error), tol, detail)
 
@@ -62,13 +69,13 @@ def _suite_eps_algebra(rng: np.random.Generator) -> SuiteResult:
     conv = default_convention()
     worst = 0.0
     delta = np.einsum("ab,cb->ac", conv.eps_up, conv.eps_low)
-    worst = max(worst, float(np.max(np.abs(delta - np.eye(2)))))
-    worst = max(worst, abs(np.einsum("ab,ab->", conv.eps_up, conv.eps_low) - 2.0))
+    worst = _worse(worst, float(np.max(np.abs(delta - np.eye(2)))))
+    worst = _worse(worst, abs(np.einsum("ab,ab->", conv.eps_up, conv.eps_low) - 2.0))
     for _ in range(50):
         xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        worst = max(worst, float(np.max(np.abs(conv.lower_vector(conv.raise_vector(xi)) - xi))))
+        worst = _worse(worst, float(np.max(np.abs(conv.lower_vector(conv.raise_vector(xi)) - xi))))
     s = random_spinor(spinor_signature("uuu"), rng)
-    worst = max(worst, s.symmetrize((0, 1, 2), antisym=True).max_abs())
+    worst = _worse(worst, s.symmetrize((0, 1, 2), antisym=True).max_abs())
     return _result("eps-algebra", worst, 1e-14)
 
 
@@ -80,7 +87,7 @@ def _suite_decomposition(rng: np.random.Generator) -> SuiteResult:
         sym = 0.5 * (theta + theta.T)
         trace = np.einsum("CB,CB->", np.asarray(conv.eps_up), theta)
         recon = sym + 0.5 * np.asarray(conv.eps_low) * trace
-        worst = max(worst, float(np.max(np.abs(theta - recon))))
+        worst = _worse(worst, float(np.max(np.abs(theta - recon))))
     return _result("decomposition", worst, 1e-14)
 
 
@@ -88,10 +95,10 @@ def _suite_conjugation(rng: np.random.Generator) -> SuiteResult:
     worst = 0.0
     for _ in range(25):
         s = random_spinor(spinor_signature("uUpP"), rng)
-        worst = max(worst, (s.conjugate().conjugate() - s).max_abs())
+        worst = _worse(worst, (s.conjugate().conjugate() - s).max_abs())
         c1 = s.contract(0, 1).conjugate()
         c2 = s.conjugate().contract(0, 1)
-        worst = max(worst, (c1 - c2).max_abs())
+        worst = _worse(worst, (c1 - c2).max_abs())
     return _result("conjugation", worst, 1e-14)
 
 
@@ -104,7 +111,7 @@ def _suite_index_displacement(rng: np.random.Generator, draws: int = 1000) -> Su
         phi = np.einsum("BX,AX->AB", np.asarray(default_convention().eps_up), phi_low)
         dphi = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
         direct, rearranged = aff.covariant_derivative_forms(phi, theta, dphi)
-        worst = max(worst, float(np.max(np.abs(direct - rearranged))))
+        worst = _worse(worst, float(np.max(np.abs(direct - rearranged))))
     return _result("index-displacement", worst, 1e-12, f"{draws} draws")
 
 
@@ -124,26 +131,26 @@ def _suite_affinity_metric(rng: np.random.Generator) -> SuiteResult:
     worst = 0.0
     flat = ConnectingObjects.flat()
     zero_sym = aff.affinity_from_metric(flat, np.zeros((4, 4, 4)), np.zeros((4, 4, 2, 2)))
-    worst = max(worst, float(np.max(np.abs(zero_sym))))
+    worst = _worse(worst, float(np.max(np.abs(zero_sym))))
     objects, dg, ds = _conformal_family(1.0, 0.3, 0.7)
     sym = aff.affinity_from_metric(objects, dg, ds)
-    worst = max(worst, float(np.max(np.abs(sym - np.transpose(sym, (0, 2, 1))))))
+    worst = _worse(worst, float(np.max(np.abs(sym - np.transpose(sym, (0, 2, 1))))))
     affinity = aff.SpinAffinity.from_symmetric_part(sym)
-    worst = max(worst, affinity.split_residual())
-    worst = max(worst, aff.metric_compatibility_residual(objects, dg, ds, affinity))
+    worst = _worse(worst, affinity.split_residual())
+    worst = _worse(worst, aff.metric_compatibility_residual(objects, dg, ds, affinity))
     return _result("affinity-metric", worst, 1e-12)
 
 
 def _suite_connecting(rng: np.random.Generator) -> SuiteResult:
     worst = 0.0
     co = ConnectingObjects.flat()
-    worst = max(worst, float(np.max(np.abs(co.metric - MINKOWSKI))))
+    worst = _worse(worst, float(np.max(np.abs(co.metric - MINKOWSKI))))
     for _ in range(50):
         v = rng.standard_normal(4)
         m = co.vector_to_spinor(v)
-        worst = max(worst, float(np.max(np.abs(co.spinor_to_vector(m) - v))))
+        worst = _worse(worst, float(np.max(np.abs(co.spinor_to_vector(m) - v))))
     cc = ConnectingObjects.conformal(2.5)
-    worst = max(worst, float(np.max(np.abs(cc.metric - 6.25 * MINKOWSKI))))
+    worst = _worse(worst, float(np.max(np.abs(cc.metric - 6.25 * MINKOWSKI))))
     return _result("connecting-objects", worst, 1e-12)
 
 
@@ -152,9 +159,9 @@ def _suite_bivector_roundtrip(rng: np.random.Generator) -> SuiteResult:
     raw = rng.standard_normal((100, 4, 4))
     F = BivectorField(raw - np.swapaxes(raw, -1, -2))
     wf = spinors_from_bivector(F)
-    worst = max(worst, float(np.max(np.abs(wf.phi_conj - np.conj(wf.phi)))))
+    worst = _worse(worst, float(np.max(np.abs(wf.phi_conj - np.conj(wf.phi)))))
     back = bivector_from_spinors(wf)
-    worst = max(worst, float(np.max(np.abs(back.values - F.values))))
+    worst = _worse(worst, float(np.max(np.abs(back.values - F.values))))
     return _result("bivector-roundtrip", worst, 1e-12, "100 draws")
 
 
@@ -167,7 +174,7 @@ def _suite_duality(rng: np.random.Generator) -> SuiteResult:
     )
     wf_rot = spinors_from_bivector(rotated)
     expected = np.exp(-1j * math.pi / 2) * wf.phi
-    worst = float(np.max(np.abs(wf_rot.phi - expected)))
+    worst = _worse(0.0, np.max(np.abs(wf_rot.phi - expected)))
     return _result("duality-rotation", worst, 1e-12, "theta = pi/2")
 
 
@@ -176,7 +183,7 @@ def _suite_massless(rng: np.random.Generator) -> SuiteResult:
     k = null_wavevector(alpha)
     wf = plane_wave_wavefunction(alpha, k)
     pts = rng.standard_normal((60, 4))
-    worst = massless_residual(wf, pts)
+    worst = _worse(0.0, massless_residual(wf, pts))
     # negative control: a non-null wave must be rejected loudly
     k_bad = k + np.array([0.5, 0.0, 0.0, 0.0])
     wf_bad = plane_wave_wavefunction(alpha, k_bad)
@@ -192,7 +199,7 @@ def _suite_gauge_invariance(rng: np.random.Generator) -> SuiteResult:
     gauge = pure_gauge_potential(k, scale=1.3)
     pts = rng.standard_normal((40, 4))
     F = field_from_potential(gauge, pts)
-    worst = float(np.max(np.abs(F.values)))
+    worst = _worse(0.0, np.max(np.abs(F.values)))
     wave = plane_wave_potential(np.array([0.0, 1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]))
     F1 = field_from_potential(wave, pts)
     shifted = lambda x: wave.value(x) + gauge.value(x)
@@ -200,7 +207,7 @@ def _suite_gauge_invariance(rng: np.random.Generator) -> SuiteResult:
     from .em import AnalyticPotential
 
     F2 = field_from_potential(AnalyticPotential(shifted, shifted_grad), pts)
-    worst = max(worst, float(np.max(np.abs(F1.values - F2.values))))
+    worst = _worse(worst, float(np.max(np.abs(F1.values - F2.values))))
     return _result("gauge-invariance", worst, 1e-12)
 
 
@@ -211,8 +218,8 @@ def _suite_trace_free(rng: np.random.Generator) -> SuiteResult:
         raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         wf = PhotonWaveFunction.physical(0.5 * (raw + raw.T))
         T = stress_energy(wf).values
-        worst = max(worst, float(np.max(np.abs(T - T.T))))
-        worst = max(worst, abs(float(np.einsum("ab,ab->", np.linalg.inv(MINKOWSKI), T))))
+        worst = _worse(worst, float(np.max(np.abs(T - T.T))))
+        worst = _worse(worst, abs(float(np.einsum("ab,ab->", np.linalg.inv(MINKOWSKI), T))))
         density = float(t @ T @ t)
         if density < -1e-12:
             return SuiteResult("trace-free", False, abs(density), 1e-12,
@@ -231,7 +238,7 @@ def _suite_symbolic_numeric(rng: np.random.Generator) -> SuiteResult:
     for _ in range(100):
         theta = random_spinor(spinor_signature("uu"), rng)
         value = component_eval(diff, {"theta": theta}, table)
-        worst = max(worst, value.max_abs())
+        worst = _worse(worst, value.max_abs())
     # graviton-coupling contraction against a direct nested loop
     expr = parser.parse_expression("2 Psi_{A D}^{B C} phi_{C}^{D}")
     eps_up = np.asarray(default_convention().eps_up)
@@ -256,7 +263,7 @@ def _suite_symbolic_numeric(rng: np.random.Generator) -> SuiteResult:
                             phi_mixed += phi.data[C, u] * eps_up[D, u]
                         acc += 2.0 * psi_mixed * phi_mixed
                 want[A, B] = acc
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        worst = _worse(worst, float(np.max(np.abs(got - want))))
     return _result("symbolic-numeric", worst, 1e-10, "nested-loop oracle")
 
 

@@ -90,6 +90,20 @@ class TestCheck:
         assert result.returncode == 1
         assert "12345" in result.stderr  # offending seed echoed
 
+    def test_nan_error_fails_suite(self, monkeypatch):
+        from spinorwave import suites
+
+        real = suites.aff.covariant_derivative_forms
+
+        def nan_forms(*args):
+            direct, rearranged = real(*args)
+            return np.full_like(direct, np.nan), rearranged
+
+        monkeypatch.setattr(suites.aff, "covariant_derivative_forms", nan_forms)
+        [result] = suites.run_suites(12345, ["index-displacement"])
+        assert result.passed is False
+        assert result.max_error == float("inf")
+
 
 class TestEm:
     def test_roundtrip_through_both_directions(self, tmp_path):
@@ -147,6 +161,18 @@ class TestCosmo:
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
         assert run_cli("cosmo", "--config", str(cfg), "--out", str(tmp_path / "x.csv")).returncode == 2
+
+    def test_tabulated_dip_below_zero_exits_2(self, tmp_path):
+        # positive at every knot, but the spline dips to about -0.18 between
+        bad = dict(COSMO_CONFIG)
+        bad["model"] = {"kind": "tabulated",
+                        "params": {"eta": [1, 2, 3, 4, 5], "a": [1, 1e-3, 1, 1e-3, 1]}}
+        bad["eta"] = {"start": 1.5, "end": 4.5}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        result = run_cli("cosmo", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert result.returncode == 2
+        assert "between the knots" in result.stderr
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Scale-factor models, the mode equation, the integrator, and spectra."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,21 @@ from spinorwave.frw import (
 )
 
 RNG = np.random.default_rng(11)
+
+
+def _reference_u(model, k, eta, rtol):
+    """u = a f and u' at ``eta`` for positive-frequency data at eta[0], from
+    scipy's DOP853, which shares no code with the Magnus solver."""
+    from scipy.integrate import solve_ivp
+
+    u0 = np.exp(-1j * k * eta[0]) / math.sqrt(2.0 * k)
+
+    def rhs(e, y):
+        return [y[1], -(k * k + model.a_second(e) / model.a(e)) * y[0]]
+
+    sol = solve_ivp(rhs, (eta[0], eta[-1]), [u0, -1j * k * u0], method="DOP853",
+                    t_eval=eta, rtol=rtol, atol=1e-16)
+    return sol.y[0], sol.y[1]
 
 
 class TestRicciScalar:
@@ -227,15 +243,42 @@ class TestIntegrateMode:
             wronskian_drift(s1, s2, m)
 
     def test_tolerance_halving_monotone(self):
-        m = radiation()
+        # the Magnus steps are exact for radiation (a'' = 0), so its error is
+        # round-off at every tolerance; on de Sitter the error must fall
+        # strictly with the tolerance
+        rad, ds = radiation(), de_sitter(1.0)
         errors = []
         for rtol in (1e-6, 5e-7, 2.5e-7):
-            sol = integrate_mode(
-                m, ModeSpec(k=1.0, eta0=1.0, eta1=10.0, rtol=rtol, atol=rtol * 1e-3)
-            )
+            spec = {"k": 1.0, "rtol": rtol, "atol": rtol * 1e-3}
+            sol = integrate_mode(rad, ModeSpec(eta0=1.0, eta1=10.0, **spec))
             exact = np.exp(-1j * sol.eta) / np.sqrt(2.0) / sol.eta
-            errors.append(float(np.max(np.abs(sol.f - exact) / np.abs(exact))))
+            assert np.max(np.abs(sol.f - exact) / np.abs(exact)) < 1e-12
+            sol = integrate_mode(ds, ModeSpec(eta0=-10.0, eta1=-0.1, **spec))
+            u_ref, _ = _reference_u(ds, 1.0, sol.eta, rtol=1e-12)
+            f_ref = u_ref / ds.a(sol.eta)
+            errors.append(float(np.max(np.abs(sol.f - f_ref) / np.abs(f_ref))))
         assert errors[0] > errors[1] > errors[2]
+
+    def test_error_estimate_bounds_measured_error(self):
+        # relative error of (u, u'/omega) as documented on ModeSolution, against
+        # DOP853 at scipy's tightest tolerance
+        knots = np.linspace(0.9, 10.1, 24)
+        kinked = tabulated(knots, knots * (1.0 + 0.05 * np.sin(0.7 * knots)))
+        for model, eta0, eta1 in ((de_sitter(1.0), -10.0, -0.1), (matter(1.0), 1.0, 10.0),
+                                  (kinked, 1.0, 10.0)):
+            eta = np.linspace(eta0, eta1, 201)
+            a, ap = model.a(eta), model.a_prime(eta)
+            for k in (0.3, 3.0, 30.0):
+                u_ref, du_ref = _reference_u(model, k, eta, rtol=3e-14)
+                omega = np.sqrt(np.maximum(
+                    np.abs(k * k + model.a_second(eta) / a), (eta1 - eta0) ** -2))
+                for rtol in (1e-6, 1e-9):
+                    sol = integrate_mode(model, ModeSpec(k, eta0, eta1, rtol=rtol))
+                    u, du = a * sol.f, ap * sol.f + a * sol.f_prime
+                    measured = np.max(np.hypot(np.abs(u - u_ref), np.abs(du - du_ref) / omega)
+                                      / np.hypot(np.abs(u_ref), np.abs(du_ref) / omega))
+                    assert measured <= sol.error_estimate, (model.kind, k, rtol)
+                    assert sol.error_estimate <= rtol, (model.kind, k, rtol)
 
     def test_invalid_specs_rejected(self):
         m = radiation()
@@ -246,16 +289,25 @@ class TestIntegrateMode:
 
     def test_blowup_raises_with_last_good_point(self):
         from spinorwave.errors import IntegrationError
-        from spinorwave.frw.rungekutta import integrate
+        from spinorwave.frw import ScaleFactorModel
 
-        def rhs(t, y):
-            return y / (1.0 - t) ** 2  # non-integrable blow-up at t = 1
-
+        # a = (pole - eta)^-2 has a''/a = 6/(pole - eta)^2, which is not
+        # integrable at the pole: the mode's phase diverges there, so no
+        # substep count resolves the interval that contains it
+        pole = 2.305
+        model = ScaleFactorModel(
+            "pole",
+            lambda eta: (pole - eta) ** -2.0,
+            lambda eta: 2.0 * (pole - eta) ** -3.0,
+            lambda eta: 6.0 * (pole - eta) ** -4.0,
+            (0.0, 5.0),
+        )
+        start = time.perf_counter()
         with pytest.raises(IntegrationError) as info:
-            integrate(rhs, 0.0, np.array([1.0 + 0j]), np.array([2.0]),
-                      rtol=1e-9, atol=1e-12, max_steps=20000)
+            integrate_mode(model, ModeSpec(k=1.0, eta0=1.0, eta1=3.0))
+        assert time.perf_counter() - start < 20.0
         assert info.value.last_eta is not None
-        assert info.value.last_eta <= 1.0
+        assert 1.0 <= info.value.last_eta <= pole
 
     def test_failed_mode_marks_row_and_continues(self, monkeypatch):
         import importlib
@@ -363,6 +415,8 @@ class TestSpectrum:
             k_grid_from_config({"min": -1.0, "max": 2.0, "count": 4})
         with pytest.raises(ConfigError):
             model_from_config({"kind": "warp-drive"})
+        with pytest.raises(ConfigError, match="between the knots"):
+            tabulated([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 1e-3, 1.0, 1e-3, 1.0])
         with pytest.raises(DomainError):
             spectrum_from_config(
                 {
