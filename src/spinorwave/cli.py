@@ -27,11 +27,14 @@ def _fail_usage(message: str) -> "NoReturn":
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            config = json.load(handle)
     except OSError as exc:
         _fail_usage(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         _fail_usage(f"malformed JSON in {path}: {exc}")
+    if not isinstance(config, dict):
+        _fail_usage(f"config {path} must be a JSON object")
+    return config
 
 
 def _dump_json(payload: dict) -> str:
@@ -56,7 +59,7 @@ def verify(config_path: str | None, out_dir: str | None, verbose: bool) -> None:
     if config_path is not None:
         config = _load_json(config_path)
         identities_path = config.get("identities")
-        if identities_path is None:
+        if not isinstance(identities_path, str):
             _fail_usage("verify config needs an 'identities' path")
         try:
             text = pathlib.Path(identities_path).read_text(encoding="utf-8")
@@ -108,10 +111,9 @@ def verify(config_path: str | None, out_dir: str | None, verbose: bool) -> None:
               help="Run only the named suite(s).")
 @click.option("--out", "out_path", type=str, default=None,
               help="Write the JSON report here instead of stdout.")
-@click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--verbose", is_flag=True, default=False)
 def check(seed: int, suite_names: tuple[str, ...], out_path: str | None,
-          jobs: int, verbose: bool) -> None:
+          verbose: bool) -> None:
     """Run the seeded property suites over the concrete spinor algebra."""
     from .suites import SUITES, run_suites
 
@@ -156,7 +158,8 @@ def em(config_path: str, out_path: str) -> None:
     config = _load_json(config_path)
     direction = config.get("direction")
     input_path = config.get("input")
-    if direction not in ("to_spinor", "to_bivector") or not input_path:
+    if direction not in ("to_spinor", "to_bivector") or not isinstance(input_path, str) \
+            or not input_path:
         _fail_usage("em config needs direction (to_spinor|to_bivector) and input")
     try:
         text = pathlib.Path(input_path).read_text(encoding="utf-8")
@@ -193,7 +196,9 @@ def cosmo(config_path: str, out_path: str, jobs: int, verbose: bool) -> None:
     except (ConfigError, DomainError) as exc:
         _fail_usage(str(exc))
     pathlib.Path(out_path).write_text(csv_text, encoding="utf-8")
-    failed = [row.k for row in rows if row.status != "ok"]
+    failed = [row for row in rows if row.status != "ok"]
+    for row in failed:
+        click.echo(f"k={row.k!r}: {row.failure}", err=True)
     if verbose:
         click.echo(f"{len(rows)} modes, {len(failed)} failed")
     sys.exit(1 if failed else 0)

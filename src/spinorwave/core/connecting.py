@@ -8,13 +8,14 @@ and the inverse objects by ``1/a``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DegenerateMetricError
 from .convention import CONVENTION
-from .indices import IndexKind, IndexSignature, Slot, Variance
+from .indices import IndexKind, IndexSignature, Slot, Variance, permutation_sign
 from .spinor import ComponentSpinor
 
 _PAULI = [
@@ -71,10 +72,6 @@ class ConnectingObjects:
         s = np.stack(_PAULI) / np.sqrt(2.0) * scale
         return cls.from_matrices(s)
 
-    @property
-    def conformal_factor_squared(self) -> float:
-        return float(self.metric[0, 0])
-
     # -- conversions ----------------------------------------------------------
 
     def vector_to_spinor(self, v: np.ndarray, variance: Variance = Variance.UP) -> np.ndarray:
@@ -122,26 +119,6 @@ class ConnectingObjects:
 def levi_civita4() -> np.ndarray:
     """Totally antisymmetric world tensor with eps_{0123} = +1."""
     eps = np.zeros((4, 4, 4, 4))
-    for perm, sign in _perms4():
-        eps[perm] = sign
+    for perm in itertools.permutations(range(4)):
+        eps[perm] = permutation_sign(perm)
     return eps
-
-
-def _perms4():
-    import itertools
-
-    base = (0, 1, 2, 3)
-    for perm in itertools.permutations(base):
-        sign = 1.0
-        seen = [False] * 4
-        for start in range(4):
-            if seen[start]:
-                continue
-            j, length = start, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        yield perm, sign

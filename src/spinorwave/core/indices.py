@@ -1,7 +1,9 @@
-"""Index bookkeeping for concrete spinor/world component arrays.
+"""Index kinds, variances and slot bookkeeping for spinor/world indices.
 
 Spinor slots have dimension 2, world slots dimension 4.  A signature is an
 ordered list of slots; component data is stored row-major over the slots.
+The kinds, variances and permutation signs defined here are shared by the
+component algebra and the abstract-index expression engine.
 """
 
 from __future__ import annotations
@@ -27,7 +29,25 @@ class Variance(Enum):
         return Variance.DOWN if self is Variance.UP else Variance.UP
 
 
-_DIMENSION = {IndexKind.UNPRIMED: 2, IndexKind.PRIMED: 2, IndexKind.WORLD: 4}
+DIMENSION = {IndexKind.UNPRIMED: 2, IndexKind.PRIMED: 2, IndexKind.WORLD: 4}
+
+
+def permutation_sign(perm: tuple[int, ...]) -> int:
+    """+1 for an even permutation of ``range(len(perm))``, -1 for an odd one
+    (a cycle of even length is an odd number of transpositions)."""
+    sign, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        j, length = start, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
 
 _CONJUGATE_KIND = {
     IndexKind.UNPRIMED: IndexKind.PRIMED,
@@ -43,7 +63,7 @@ class Slot:
 
     @property
     def dimension(self) -> int:
-        return _DIMENSION[self.kind]
+        return DIMENSION[self.kind]
 
     @property
     def conjugate(self) -> "Slot":

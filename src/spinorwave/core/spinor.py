@@ -7,13 +7,14 @@ and never mutate their inputs, so values are safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ContractionError, IndexPlacementError
 from .convention import CONVENTION, MetricSpinorConvention
-from .indices import IndexKind, IndexSignature, Slot, Variance
+from .indices import IndexKind, IndexSignature, Slot, Variance, permutation_sign
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,9 @@ class ComponentSpinor:
             axes = axes_base[:]
             for dest, src in zip(positions, perm):
                 axes[dest] = positions[src]
-            sign = 1.0
-            if antisym:
-                sign = _parity(perm)
+            sign = permutation_sign(perm) if antisym else 1
             acc = acc + sign * np.transpose(self.data, axes)
-        return ComponentSpinor(self.signature, acc / _factorial(n))
+        return ComponentSpinor(self.signature, acc / math.factorial(n))
 
     def conjugate(self) -> "ComponentSpinor":
         """Complex conjugation; swaps unprimed and primed slot kinds in place."""
@@ -138,30 +137,6 @@ class ComponentSpinor:
         return self.signature == other.signature and bool(
             np.allclose(self.data, other.data, rtol=0.0, atol=atol)
         )
-
-
-def _parity(perm: tuple[int, ...]) -> float:
-    sign = 1.0
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def random_spinor(signature: IndexSignature, rng: np.random.Generator) -> ComponentSpinor:

@@ -74,6 +74,28 @@ def field_from_potential(potential: AnalyticPotential, points: np.ndarray) -> Bi
     return BivectorField(grad - np.swapaxes(grad, -1, -2))
 
 
+def _central_gradient(values: np.ndarray, spacing: float) -> np.ndarray:
+    """Second-order central differences over the four grid axes of
+    ``values`` (shape (nt, nx, ny, nz, ...)), stacked as axis 4 of the result
+    (shape (nt, nx, ny, nz, 4, ...)).  Boundary samples carry zeros; so does
+    a singleton axis, along which the field is taken as constant."""
+    grid = values.shape[:4]
+    d = np.zeros(grid + (4,) + values.shape[4:], dtype=values.dtype)
+    for axis in range(4):
+        if grid[axis] == 1:
+            continue
+        if grid[axis] < 3:
+            raise GridError(f"axis {axis} too small for the central stencil")
+
+        def along(sl: slice) -> tuple[slice, ...]:
+            return tuple(sl if n == axis else slice(None) for n in range(4))
+
+        d[along(slice(1, -1)) + (axis,)] = (
+            values[along(slice(2, None))] - values[along(slice(0, -2))]
+        ) / (2.0 * spacing)
+    return d
+
+
 def field_from_potential_grid(values: np.ndarray, spacing: float) -> BivectorField:
     """Central-difference F on a uniform 4-d grid of Phi samples.
 
@@ -84,21 +106,7 @@ def field_from_potential_grid(values: np.ndarray, spacing: float) -> BivectorFie
     values = np.asarray(values, dtype=float)
     if values.ndim != 5 or values.shape[-1] != 4:
         raise GridError("grid potential must have shape (nt,nx,ny,nz,4)")
-    grad = np.zeros(values.shape[:-1] + (4, 4))
-    for axis in range(4):
-        if values.shape[axis] < 3:
-            if values.shape[axis] == 1:
-                continue  # degenerate axis: field constant along it
-            raise GridError(f"axis {axis} too small for the central stencil")
-        d = np.zeros_like(values)
-        sl_p = [slice(None)] * 4
-        sl_m = [slice(None)] * 4
-        sl_c = [slice(None)] * 4
-        sl_p[axis] = slice(2, None)
-        sl_m[axis] = slice(0, -2)
-        sl_c[axis] = slice(1, -1)
-        d[tuple(sl_c)] = (values[tuple(sl_p)] - values[tuple(sl_m)]) / (2.0 * spacing)
-        grad[..., axis, :] = d
+    grad = _central_gradient(values, spacing)
     return BivectorField(grad - np.swapaxes(grad, -1, -2))
 
 
@@ -139,15 +147,18 @@ def plane_wave_wavefunction(alpha: np.ndarray, wavevector: np.ndarray) -> Analyt
     return AnalyticWaveFunction(phi, dphi)
 
 
-def massless_residual(wf: AnalyticWaveFunction, points: np.ndarray,
-                      objects: ConnectingObjects = _FLAT) -> float:
-    """Max-norm of nabla^{AB'} phi_A^B over the sample points (flat space)."""
-    x = np.asarray(points, dtype=float)
-    d = wf.dphi(x)  # (..., a, A, B) = d_a phi_{AB}
+def _massless_operator(d: np.ndarray, objects: ConnectingObjects) -> np.ndarray:
+    """nabla^{AB'} phi_A^B from d_a phi_{AB} of shape (..., 4, 2, 2)."""
     # d_{CD'} phi = S^a_{CD'} d_a phi; raise to nabla^{AB'} and contract into
     # the mixed wave function phi_A^B = eps^{BX} phi_{AX}
     d_spinor = np.einsum("aCD,...aAB->...CDAB", objects.s_inv, d)
-    res = np.einsum("AC,ED,BX,...CDAX->...EB", _E_UP, _E_UP, _E_UP, d_spinor)
+    return np.einsum("AC,ED,BX,...CDAX->...EB", _E_UP, _E_UP, _E_UP, d_spinor)
+
+
+def massless_residual(wf: AnalyticWaveFunction, points: np.ndarray,
+                      objects: ConnectingObjects = _FLAT) -> float:
+    """Max-norm of nabla^{AB'} phi_A^B over the sample points (flat space)."""
+    res = _massless_operator(wf.dphi(np.asarray(points, dtype=float)), objects)
     return float(np.max(np.abs(res))) if res.size else 0.0
 
 
@@ -161,23 +172,6 @@ def massless_residual_grid(phi_values: np.ndarray, spacing: float,
     phi_values = np.asarray(phi_values, dtype=complex)
     if phi_values.ndim != 6 or phi_values.shape[-2:] != (2, 2):
         raise GridError("grid wave function must have shape (nt,nx,ny,nz,2,2)")
-    grid = phi_values.shape[:4]
-    d = np.zeros(grid + (4, 2, 2), dtype=complex)
-    for axis in range(4):
-        if grid[axis] < 3:
-            if grid[axis] == 1:
-                continue
-            raise GridError(f"axis {axis} too small for the central stencil")
-        sl_p = [slice(None)] * 4
-        sl_m = [slice(None)] * 4
-        sl_c = [slice(None)] * 4
-        sl_p[axis] = slice(2, None)
-        sl_m[axis] = slice(0, -2)
-        sl_c[axis] = slice(1, -1)
-        d[tuple(sl_c) + (axis,)] = (
-            phi_values[tuple(sl_p)] - phi_values[tuple(sl_m)]
-        ) / (2.0 * spacing)
-    d_spinor = np.einsum("aCD,...aAB->...CDAB", objects.s_inv, d)
-    res = np.einsum("AC,ED,BX,...CDAX->...EB", _E_UP, _E_UP, _E_UP, d_spinor)
-    core = res[interior(grid)]
+    res = _massless_operator(_central_gradient(phi_values, spacing), objects)
+    core = res[interior(phi_values.shape[:4])]
     return float(np.max(np.abs(core))) if core.size else 0.0

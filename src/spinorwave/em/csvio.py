@@ -69,14 +69,17 @@ def read_bivector_csv(text: str) -> tuple[np.ndarray, BivectorField]:
 
 
 def _read_rows(text: str, header: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != header:
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != header:
         raise ConfigError(f"expected header {header!r}")
     width = len(header.split(","))
     data = []
-    for n, line in enumerate(lines[1:], start=2):
+    for n, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != width:
             raise ConfigError(f"line {n}: expected {width} columns")
-        data.append([float(c) for c in cells])
+        try:
+            data.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ConfigError(f"line {n}: {exc}") from exc
     return np.asarray(data, dtype=float) if data else np.zeros((0, width))

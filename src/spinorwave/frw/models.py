@@ -88,10 +88,17 @@ def tabulated(eta_samples, a_samples) -> ScaleFactorModel:
     between the knots as well as at them."""
     from scipy.interpolate import CubicSpline  # costs ~0.5 s of import time
 
-    eta_samples = np.asarray(eta_samples, dtype=float)
-    a_samples = np.asarray(a_samples, dtype=float)
+    try:
+        eta_samples = np.asarray(eta_samples, dtype=float)
+        a_samples = np.asarray(a_samples, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"tabulated samples must be numbers: {exc}") from exc
     if eta_samples.ndim != 1 or eta_samples.size < 4:
         raise ConfigError("tabulated model needs at least 4 samples")
+    if a_samples.shape != eta_samples.shape:
+        raise ConfigError("tabulated eta and a need the same number of samples")
+    if not (np.isfinite(eta_samples).all() and np.isfinite(a_samples).all()):
+        raise ConfigError("tabulated samples must be finite")
     if np.any(np.diff(eta_samples) <= 0):
         raise ConfigError("tabulated eta samples must be strictly increasing")
     if np.any(a_samples <= 0):
@@ -128,6 +135,8 @@ _FACTORIES = {
 
 
 def model_from_config(config: dict) -> ScaleFactorModel:
+    if not isinstance(config, dict) or not isinstance(config.get("params", {}), dict):
+        raise ConfigError("model must be an object {kind, params} with object params")
     kind = config.get("kind")
     params = config.get("params", {})
     if kind == "tabulated":
@@ -135,7 +144,7 @@ def model_from_config(config: dict) -> ScaleFactorModel:
             return tabulated(params["eta"], params["a"])
         except KeyError as exc:
             raise ConfigError(f"tabulated model missing {exc.args[0]!r}") from exc
-    factory = _FACTORIES.get(kind)
+    factory = _FACTORIES.get(kind) if isinstance(kind, str) else None
     if factory is None:
         raise ConfigError(f"unknown model kind {kind!r}")
     try:

@@ -67,6 +67,11 @@ class ModeSpec:
             raise ConfigError(f"unknown initial-condition kind {self.ic_kind!r}")
         if self.samples < 2:
             raise ConfigError("need at least 2 sample points")
+        if not all(0 <= tol < math.inf for tol in (self.rtol, self.atol)):
+            raise ConfigError(f"tolerances must be finite and nonnegative, "
+                              f"got rel={self.rtol!r}, abs={self.atol!r}")
+        if self.rtol == 0 and self.atol == 0:
+            raise ConfigError("tol.rel and tol.abs cannot both be zero")
         model.check_range(self.eta0, self.eta1)
 
 

@@ -29,6 +29,7 @@ class SpectrumRow:
     energy_proxy: float
     wronskian_drift: float
     status: str
+    failure: str = ""   # why and where a failed mode stopped; not in the CSV
 
     def render(self) -> str:
         if self.status != "ok":
@@ -76,8 +77,9 @@ def k_grid_from_config(config: dict) -> np.ndarray:
 def _one_row(model: ScaleFactorModel, spec: ModeSpec) -> SpectrumRow:
     try:
         sol = integrate_mode(model, spec)
-    except IntegrationError:
-        return SpectrumRow(spec.k, spec.eta1, 0j, math.nan, math.nan, math.nan, "failed")
+    except IntegrationError as exc:
+        return SpectrumRow(spec.k, spec.eta1, 0j, math.nan, math.nan, math.nan, "failed",
+                           f"{exc} (last_eta={exc.last_eta!r})")
     f_end = complex(sol.f[-1])
     fp_end = complex(sol.f_prime[-1])
     a_end = model.a(spec.eta1)
@@ -91,11 +93,8 @@ def _one_row(model: ScaleFactorModel, spec: ModeSpec) -> SpectrumRow:
 
 def spectrum(model: ScaleFactorModel, k_values: np.ndarray, eta0: float,
              eta1: float, ic: dict | None = None, rtol: float = DEFAULT_RTOL,
-             atol: float = DEFAULT_ATOL, samples: int = 201,
-             jobs: int = 1) -> list[SpectrumRow]:
-    """Integrate every mode and collect the endpoint table, ordered by k.
-
-    ``jobs`` is accepted and ignored: modes run one after another."""
+             atol: float = DEFAULT_ATOL, samples: int = 201) -> list[SpectrumRow]:
+    """Integrate every mode and collect the endpoint table, ordered by k."""
     ic = ic or {"kind": "positive_frequency"}
     kind = ic.get("kind", "positive_frequency")
     if kind == "explicit":
@@ -122,12 +121,14 @@ def render_csv(rows: list[SpectrumRow]) -> str:
     return "\n".join([SPECTRUM_HEADER] + [row.render() for row in rows]) + "\n"
 
 
-def spectrum_from_config(config: dict, jobs: int = 1) -> tuple[list[SpectrumRow], str]:
-    """Run the documented JSON config; returns (rows, csv_text).  ``jobs`` is
-    accepted and ignored."""
+def spectrum_from_config(config: dict) -> tuple[list[SpectrumRow], str]:
+    """Run the documented JSON config; returns (rows, csv_text)."""
     for key in ("model", "k_grid", "eta"):
         if key not in config:
             raise ConfigError(f"config missing {key!r}")
+    for key in ("tol", "ic"):
+        if not isinstance(config.get(key) or {}, dict):
+            raise ConfigError(f"config {key!r} must be an object")
     model = model_from_config(config["model"])
     ks = k_grid_from_config(config["k_grid"])
     try:
@@ -135,15 +136,13 @@ def spectrum_from_config(config: dict, jobs: int = 1) -> tuple[list[SpectrumRow]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad eta range: {exc}") from exc
     model.check_range(eta0, eta1)
-    tol = config.get("tol", {})
-    rows = spectrum(
-        model,
-        ks,
-        eta0,
-        eta1,
-        ic=config.get("ic"),
-        rtol=float(tol.get("rel", DEFAULT_RTOL)),
-        atol=float(tol.get("abs", DEFAULT_ATOL)),
-        samples=int(config.get("samples", 201)),
-    )
+    tol = config.get("tol") or {}
+    try:
+        rtol = float(tol.get("rel", DEFAULT_RTOL))
+        atol = float(tol.get("abs", DEFAULT_ATOL))
+        samples = int(config.get("samples", 201))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad tol or samples: {exc}") from exc
+    rows = spectrum(model, ks, eta0, eta1, ic=config.get("ic"), rtol=rtol, atol=atol,
+                    samples=samples)
     return rows, render_csv(rows)

@@ -16,10 +16,12 @@ vanishes identically.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
+from ..core.indices import DIMENSION, IndexKind, Variance, permutation_sign
 from ..errors import UnsupportedExpressionError
-from .expr import DIMENSION, Expr, Factor, Idx, IndexKind, Term, Variance
+from .expr import Expr, Factor, Idx, Term
 from .kernels import Displacement, KernelTable
 
 _EPS_NUM = ((0, 1), (-1, 0))
@@ -42,21 +44,6 @@ def _is_operator(factor: Factor, table: KernelTable) -> bool:
 # -- symmetrization groups ----------------------------------------------------
 
 
-def _permutation_parity(perm: tuple[int, ...]) -> int:
-    sign, seen = 1, [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        j, length = start, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def expand_groups(term: Term) -> list[Term]:
     """Replace every symmetrization group by its signed permutation average."""
     if not term.groups:
@@ -66,7 +53,7 @@ def expand_groups(term: Term) -> list[Term]:
     labels = [term.factors[f].indices[s] for f, s in positions]
     out = []
     for perm in itertools.permutations(range(n)):
-        sign = _permutation_parity(perm) if mode == "antisym" else 1
+        sign = permutation_sign(perm) if mode == "antisym" else 1
         factors = list(term.factors)
         for (f, s), src in zip(positions, perm):
             indices = list(factors[f].indices)
@@ -74,16 +61,9 @@ def expand_groups(term: Term) -> list[Term]:
             factors[f] = Factor(factors[f].kernel, tuple(indices))
         out.extend(
             expand_groups(
-                Term(term.coeff * Fraction(sign, _fact(n)), tuple(factors), rest)
+                Term(term.coeff * Fraction(sign, math.factorial(n)), tuple(factors), rest)
             )
         )
-    return out
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
     return out
 
 
@@ -118,7 +98,7 @@ def sort_kernel_slots(term: Term, table: KernelTable, skip: set[int] | None = No
                 return None
             order = sorted(range(len(group)), key=lambda i: labels[i])
             if order != list(range(len(group))):
-                coeff *= _permutation_parity(tuple(order))
+                coeff *= permutation_sign(order)
                 new = [indices[group[i]] for i in order]
                 for slot, idx in zip(group, new):
                     indices[slot] = idx
@@ -239,6 +219,21 @@ def _factor_key(factor: Factor) -> tuple:
     return (factor.kernel, tuple((i.up, i.name) for i in factor.indices))
 
 
+def _term_key(term: Term) -> tuple:
+    """Like-term key: the ordered factors with their labels, coefficient aside."""
+    return tuple(_factor_key(f) for f in term.factors)
+
+
+def _collect_like_terms(terms) -> dict[tuple, tuple[Fraction, Term]]:
+    """Term key -> (summed coefficient, first term with that key)."""
+    collected: dict[tuple, tuple[Fraction, Term]] = {}
+    for term in terms:
+        key = _term_key(term)
+        coeff, first = collected.get(key, (0, term))
+        collected[key] = (coeff + term.coeff, first)
+    return collected
+
+
 def normal_order(term: Term, table: KernelTable) -> Term:
     """Constants first; fields sorted within each operator scope (groups must
     already be expanded)."""
@@ -261,6 +256,9 @@ def normal_order(term: Term, table: KernelTable) -> Term:
     return Term(term.coeff, tuple(constants + ordered))
 
 
+_LABEL_TAG = {IndexKind.UNPRIMED: "!U", IndexKind.PRIMED: "!P", IndexKind.WORLD: "!w"}
+
+
 def rename_dummies(term: Term) -> Term:
     dummies = term.dummy_names()
     mapping: dict[str, str] = {}
@@ -272,8 +270,7 @@ def rename_dummies(term: Term) -> Term:
             if idx.name in dummies:
                 if idx.name not in mapping:
                     counter += 1
-                    tag = {IndexKind.UNPRIMED: "!U", IndexKind.PRIMED: "!P", IndexKind.WORLD: "!w"}
-                    name = f"{tag[idx.kind]}{counter}"
+                    name = f"{_LABEL_TAG[idx.kind]}{counter}"
                     if idx.kind is IndexKind.PRIMED:
                         name += "'"
                     mapping[idx.name] = name
@@ -284,9 +281,6 @@ def rename_dummies(term: Term) -> Term:
     return Term(term.coeff, tuple(factors), term.groups)
 
 
-_LABEL_TAG = {IndexKind.UNPRIMED: "!U", IndexKind.PRIMED: "!P", IndexKind.WORLD: "!w"}
-
-
 def _rename_with(term: Term, mapping: dict[str, str]) -> Term:
     factors = []
     for factor in term.factors:
@@ -295,12 +289,6 @@ def _rename_with(term: Term, mapping: dict[str, str]) -> Term:
         )
         factors.append(Factor(factor.kernel, indices))
     return Term(term.coeff, tuple(factors), term.groups)
-
-
-def _term_key(term: Term) -> tuple:
-    return tuple(
-        (f.kernel, tuple((i.up, i.name) for i in f.indices)) for f in term.factors
-    )
 
 
 def _normalize_term(term: Term, table: KernelTable) -> Term:
@@ -379,7 +367,7 @@ def _canonical_component(kernel, values: tuple[int, ...]) -> tuple[tuple[int, ..
         if len(set(sub)) != len(sub):
             return None
         order = tuple(sorted(range(len(sub)), key=lambda i: sub[i]))
-        sign *= _permutation_parity(order)
+        sign *= permutation_sign(order)
         for slot, v in zip(group, sorted(sub)):
             vals[slot] = v
     return tuple(vals), sign
@@ -462,14 +450,7 @@ def canonicalize(expr: Expr, table: KernelTable) -> Expr:
         if term2 is None:
             continue
         cleaned.append(_normalize_term(term2, table))
-    collected: dict[tuple, tuple[Fraction, Term]] = {}
-    for term in cleaned:
-        key = tuple((f.kernel, tuple((i.up, i.name) for i in f.indices)) for f in term.factors)
-        if key in collected:
-            coeff, kept = collected[key]
-            collected[key] = (coeff + term.coeff, kept)
-        else:
-            collected[key] = (term.coeff, term)
+    collected = _collect_like_terms(cleaned)
     result = []
     for key in sorted(collected):
         coeff, term = collected[key]
@@ -488,7 +469,8 @@ def canonicalize(expr: Expr, table: KernelTable) -> Expr:
 def light_fold(expr: Expr, table: KernelTable) -> Expr:
     """Group-preserving cleanup between rewrite steps: kernel-symmetry sort,
     delta/epsilon elimination and like-term collection for groupless terms."""
-    kept: list[Term] = []
+    grouped: list[Term] = []
+    plain: list[Term] = []
     for term in expr.terms:
         skip = {f for mode, positions in term.groups for f, _ in positions}
         term2 = sort_kernel_slots(term, table, skip=skip)
@@ -498,24 +480,10 @@ def light_fold(expr: Expr, table: KernelTable) -> Expr:
         if term2 is None:
             continue
         if term2.groups:
-            kept.append(term2)
+            grouped.append(term2)
         else:
-            kept.append(rename_dummies(term2))
-    collected: dict[tuple, tuple[Fraction, Term]] = {}
-    out: list[Term] = []
-    for term in kept:
-        if term.groups:
-            out.append(term)
-            continue
-        key = tuple(
-            (f.kernel, tuple((i.up, i.name) for i in f.indices)) for f in term.factors
-        )
-        if key in collected:
-            coeff, kept_term = collected[key]
-            collected[key] = (coeff + term.coeff, kept_term)
-        else:
-            collected[key] = (term.coeff, term)
-    for key, (coeff, term) in collected.items():
-        if coeff != 0:
-            out.append(term.with_coeff(coeff))
-    return Expr(tuple(out))
+            plain.append(rename_dummies(term2))
+    collected = _collect_like_terms(plain).values()
+    return Expr(tuple(grouped) + tuple(
+        term.with_coeff(coeff) for coeff, term in collected if coeff != 0
+    ))

@@ -16,7 +16,6 @@ import importlib.resources
 from dataclasses import dataclass
 
 from ..errors import ParseError
-from .expr import Expr
 from .kernels import KernelTable
 from .parse import Parser
 from .rewrite import RewriteRule, VerificationReport, verify_identity
@@ -135,8 +134,3 @@ def run_identity_cases(cases: list[IdentityCase]) -> list[VerificationReport]:
 def shipped_corpus_text(which: str = "identities") -> str:
     resource = importlib.resources.files("spinorwave.symbolic") / "data" / f"{which}.txt"
     return resource.read_text(encoding="utf-8")
-
-
-def corpus_expr(text: str, table: KernelTable | None = None) -> Expr:
-    parser = Parser(table or KernelTable())
-    return parser.parse_expression(text)

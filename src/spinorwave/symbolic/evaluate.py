@@ -14,19 +14,12 @@ import itertools
 import numpy as np
 
 from ..core.convention import CONVENTION
-from ..core.indices import IndexKind as CoreKind
-from ..core.indices import IndexSignature, Slot, Variance as CoreVariance
+from ..core.indices import DIMENSION, IndexSignature, Slot
 from ..core.spinor import ComponentSpinor
 from ..errors import UnsupportedExpressionError
 from .canon import expand_groups
-from .expr import DIMENSION, Expr, IndexKind
+from .expr import Expr
 from .kernels import KernelTable
-
-_CORE_KIND = {
-    IndexKind.UNPRIMED: CoreKind.UNPRIMED,
-    IndexKind.PRIMED: CoreKind.PRIMED,
-    IndexKind.WORLD: CoreKind.WORLD,
-}
 
 
 def _auto_bindings() -> dict[str, np.ndarray]:
@@ -52,13 +45,7 @@ def component_eval(expr: Expr, bindings: dict[str, ComponentSpinor | complex],
     free = expr.free_indices()
     free_names = sorted(free)
     out_sig = IndexSignature(
-        tuple(
-            Slot(
-                _CORE_KIND[free[name].kind],
-                CoreVariance.UP if free[name].up else CoreVariance.DOWN,
-            )
-            for name in free_names
-        )
+        tuple(Slot(free[name].kind, free[name].variance) for name in free_names)
     )
     out = np.zeros(out_sig.shape, dtype=complex)
 

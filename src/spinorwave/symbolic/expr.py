@@ -10,26 +10,9 @@ gymnastics the rewrite rules encode).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 
-
-class IndexKind(Enum):
-    UNPRIMED = "unprimed"
-    PRIMED = "primed"
-    WORLD = "world"
-
-
-class Variance(Enum):
-    UP = "up"
-    DOWN = "down"
-
-    @property
-    def opposite(self) -> "Variance":
-        return Variance.DOWN if self is Variance.UP else Variance.UP
-
-
-DIMENSION = {IndexKind.UNPRIMED: 2, IndexKind.PRIMED: 2, IndexKind.WORLD: 4}
+from ..core.indices import IndexKind, Variance
 
 
 def kind_of_label(label: str) -> IndexKind:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ..core.indices import IndexKind, Slot, Variance, spinor_signature
 from ..errors import ParseError
-from .expr import IndexKind, Variance
 
 
 class Displacement(Enum):
@@ -24,15 +24,9 @@ class Displacement(Enum):
 
 
 @dataclass(frozen=True)
-class KernelSlot:
-    kind: IndexKind
-    variance: Variance
-
-
-@dataclass(frozen=True)
 class Kernel:
     name: str
-    slots: tuple[KernelSlot, ...]
+    slots: tuple[Slot, ...]
     weight: tuple[int, int] = (0, 0)
     sym_groups: tuple[tuple[int, ...], ...] = ()       # totally symmetric sets
     antisym_groups: tuple[tuple[int, ...], ...] = ()   # antisymmetric pairs
@@ -45,15 +39,7 @@ class Kernel:
         return len(self.slots)
 
 
-def _slot(kind: IndexKind, up: bool) -> KernelSlot:
-    return KernelSlot(kind, Variance.UP if up else Variance.DOWN)
-
-
-_U = _slot(IndexKind.UNPRIMED, False)
-_UU = _slot(IndexKind.UNPRIMED, True)
-_P = _slot(IndexKind.PRIMED, False)
-_PU = _slot(IndexKind.PRIMED, True)
-_W = _slot(IndexKind.WORLD, False)
+_U, _UU, _P, _PU, _W = spinor_signature("uUpPw").slots
 
 
 def _builtin_kernels() -> dict[str, Kernel]:
@@ -122,7 +108,7 @@ class KernelTable:
         name = f"eps_{'up' if up else 'lo'}{'_p' if primed else ''}"
         return self.kernels[name]
 
-    def auto_register(self, name: str, slots: tuple[KernelSlot, ...]) -> Kernel:
+    def auto_register(self, name: str, slots: tuple[Slot, ...]) -> Kernel:
         """Unknown kernels become generic: template = first written position."""
         kernel = Kernel(name, slots)
         self.kernels[name] = kernel

@@ -25,9 +25,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ..core.indices import IndexKind, Slot, Variance
 from ..errors import ParseError
-from .expr import Expr, Factor, Idx, IndexKind, Term, Variance
-from .kernels import Displacement, KernelSlot, KernelTable
+from .expr import Expr, Factor, Idx, Term
+from .kernels import Displacement, KernelTable
 from .weights import validate_expr
 
 _TOKEN_RE = re.compile(
@@ -240,7 +241,7 @@ class Parser:
             return
         kernel = table.get(name)
         if kernel is None:
-            slots = tuple(KernelSlot(i.kind, i.variance) for i in indices)
+            slots = tuple(Slot(i.kind, i.variance) for i in indices)
             kernel = table.auto_register(name, slots)
         if len(indices) != kernel.rank:
             raise ParseError(

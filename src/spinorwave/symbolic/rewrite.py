@@ -11,11 +11,14 @@ inside the matched region.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
+from ..core.indices import IndexKind, permutation_sign
 from ..errors import IdentityError, WeightError
 from .canon import canonicalize, light_fold
-from .expr import Expr, Factor, Idx, IndexKind, Term
+from .expr import Expr, Factor, Idx, Term
 from .kernels import KernelTable
 from .weights import expr_weight, free_signature
 
@@ -60,24 +63,6 @@ def _split(term: Term, table: KernelTable) -> tuple[list[int], list[int]]:
     return word, consts
 
 
-import itertools as _itertools
-
-
-def _permutation_sign(perm: tuple[int, ...]) -> int:
-    sign, seen = 1, [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        j, length = start, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _pattern_arrangements(factor: Factor, table: KernelTable):
     """All index arrangements of a pattern factor allowed by the kernel's
     declared symmetries, with the associated sign."""
@@ -90,11 +75,11 @@ def _pattern_arrangements(factor: Factor, table: KernelTable):
     ]:
         new = []
         for indices, sign in arrangements:
-            for perm in _itertools.permutations(range(len(group))):
+            for perm in itertools.permutations(range(len(group))):
                 out = list(indices)
                 for slot, src in zip(group, perm):
                     out[slot] = indices[group[src]]
-                s = _permutation_sign(perm) if antisym else 1
+                s = permutation_sign(perm) if antisym else 1
                 new.append((tuple(out), sign * s))
         arrangements = new
     # deterministic, unique
@@ -219,16 +204,15 @@ def _groups_match(pattern, term, host_inside, mapping, matched_factors,
     return pattern_groups == host_groups
 
 
-_FRESH = [0]
-
-
-def _freshen(name: str, kind: IndexKind) -> str:
-    _FRESH[0] += 1
-    new = f"~r{_FRESH[0]}"
+def _freshen(kind: IndexKind, fresh: Iterator[int]) -> str:
+    new = f"~r{next(fresh)}"
     return new + "'" if kind is IndexKind.PRIMED else new
 
 
-def apply_match(term: Term, rule: RewriteRule, match: Match, table: KernelTable) -> list[Term]:
+def apply_match(term: Term, rule: RewriteRule, match: Match, table: KernelTable,
+                fresh: Iterator[int]) -> list[Term]:
+    """Replace the matched factors by the rule's replacement; replacement
+    dummies get labels ``~r<n>`` numbered from ``fresh``."""
     host_word, host_consts = _split(term, table)
     i, j = match.word_slice
     seg_positions = [host_word[k] for k in range(i, j)]
@@ -250,7 +234,7 @@ def apply_match(term: Term, rule: RewriteRule, match: Match, table: KernelTable)
             for idx in factor.indices:
                 name = local.get(idx.name)
                 if name is None:
-                    name = _freshen(idx.name, idx.kind)
+                    name = _freshen(idx.kind, fresh)
                     local[idx.name] = name
                 indices.append(Idx(name, idx.kind, idx.up))
             new_factors.append(Factor(factor.kernel, tuple(indices)))
@@ -306,6 +290,7 @@ class VerificationReport:
 def apply_rules(expr: Expr, rules: list[RewriteRule], table: KernelTable,
                 max_steps: int = 200) -> tuple[Expr, list[TraceStep]]:
     trace: list[TraceStep] = []
+    fresh = itertools.count(1)
     expr = light_fold(expr, table)
     seen: set[tuple] = set()
     for step in range(1, max_steps + 1):
@@ -321,7 +306,7 @@ def apply_rules(expr: Expr, rules: list[RewriteRule], table: KernelTable,
         if hit is None:
             break
         rule, ti, term, match = hit
-        new_terms = apply_match(term, rule, match, table)
+        new_terms = apply_match(term, rule, match, table, fresh)
         expr = Expr(expr.terms[:ti] + tuple(new_terms) + expr.terms[ti + 1 :])
         expr = light_fold(expr, table)
         trace.append(TraceStep(step, rule.name, ti, len(expr.terms)))

@@ -2,12 +2,14 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 
 CMD = [sys.executable, "-m", "spinorwave.cli"]
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(*args, env_extra=None):
@@ -158,9 +160,60 @@ class TestCosmo:
         assert run_cli("cosmo", "--config", str(cfg), "--out", str(tmp_path / "x.csv")).returncode == 2
 
     def test_malformed_config_exits_2(self, tmp_path):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text("{not json")
-        assert run_cli("cosmo", "--config", str(cfg), "--out", str(tmp_path / "x.csv")).returncode == 2
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("t,x,y,z,F01,F02,F03,F12,F13,F23\n"
+                           "0,0,0,0,1,2,3,4,5,6\n\n"
+                           "0,0,0,0,1,2,three,4,5,6\n")
+        cases = [
+            ("cosmo", "{not json", "malformed JSON"),
+            ("em", "[1, 2]", "JSON object"),
+            ("em", json.dumps({"direction": "to_spinor", "input": str(bad_csv)}), "line 4"),
+            ("verify", json.dumps({"identities": 5}), "identities"),
+            ("cosmo", json.dumps(dict(COSMO_CONFIG, model="radiation")), "model"),
+            ("cosmo", json.dumps(dict(COSMO_CONFIG, tol={"rel": -1})), "tolerances"),
+            ("cosmo", json.dumps(dict(COSMO_CONFIG, tol={"rel": float("inf")})), "tolerances"),
+            ("cosmo", json.dumps(dict(COSMO_CONFIG, tol={"rel": 0, "abs": 0})), "both be zero"),
+        ]
+        for n, (command, text, reason) in enumerate(cases):
+            cfg = tmp_path / f"bad{n}.json"
+            cfg.write_text(text)
+            args = [command, "--config", str(cfg)]
+            if command != "verify":
+                args += ["--out", str(tmp_path / f"x{n}")]
+            result = run_cli(*args)
+            assert result.returncode == 2, (text, result.stderr)
+            [line] = result.stderr.splitlines()
+            assert line.startswith("error: ") and reason in line, (text, line)
+
+    def test_failed_mode_reason_on_stderr(self, tmp_path, monkeypatch):
+        import importlib
+
+        from click.testing import CliRunner
+
+        from spinorwave.cli import main
+        from spinorwave.errors import IntegrationError
+
+        spectrum_mod = importlib.import_module("spinorwave.frw.spectrum")
+
+        def failing(model, spec):
+            raise IntegrationError("tolerance not met", last_eta=2.5)
+
+        monkeypatch.setattr(spectrum_mod, "integrate_mode", failing)
+        cfg = tmp_path / "cosmo.json"
+        cfg.write_text(json.dumps(
+            dict(COSMO_CONFIG, k_grid={"min": 0.5, "max": 2.0, "count": 2})))
+        out = tmp_path / "spectrum.csv"
+        result = CliRunner().invoke(main, ["cosmo", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            "k=0.5: tolerance not met (last_eta=2.5)\n"
+            "k=2.0: tolerance not met (last_eta=2.5)\n"
+        )
+        assert out.read_text() == (
+            "k,eta_end,re_f,im_f,abs_f2,energy_proxy,wronskian_drift,status\n"
+            "0.5,6.0,nan,nan,nan,nan,nan,failed\n"
+            "2.0,6.0,nan,nan,nan,nan,nan,failed\n"
+        )
 
     def test_tabulated_dip_below_zero_exits_2(self, tmp_path):
         # positive at every knot, but the spline dips to about -0.18 between
@@ -192,6 +245,24 @@ class TestDeterminism:
         a = run_cli("check", "--seed", "777")
         b = run_cli("check", "--seed", "777")
         assert a.stdout == b.stdout
+
+    def test_verify_matches_golden_outputs(self, tmp_path):
+        """``verify --out`` on both shipped corpora reproduces the saved
+        report and trace files byte for byte (the rewrite engine works in
+        exact rational arithmetic, so the bytes are platform independent)."""
+        from spinorwave.symbolic import shipped_corpus_text
+
+        corpus = tmp_path / "negative.txt"
+        corpus.write_text(shipped_corpus_text("identities_negative"))
+        config = tmp_path / "negative.json"
+        config.write_text(json.dumps({"identities": str(corpus)}))
+        for name, args, code in (("shipped", [], 0), ("negative", ["--config", str(config)], 1)):
+            out = tmp_path / name
+            assert run_cli("verify", *args, "--out", str(out)).returncode == code
+            golden = GOLDEN / name
+            assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+            for expected in golden.iterdir():
+                assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name
 
     def test_verify_bytes_stable(self, tmp_path):
         outs = []

@@ -286,6 +286,10 @@ class TestIntegrateMode:
             integrate_mode(m, ModeSpec(k=-1.0, eta0=1.0, eta1=2.0))
         with pytest.raises(DomainError):
             integrate_mode(m, ModeSpec(k=1.0, eta0=-1.0, eta1=2.0))
+        for rtol, atol in ((-1.0, 1e-12), (1e-9, -1e-12), (math.nan, 1e-12),
+                           (1e-9, math.inf), (0.0, 0.0)):
+            with pytest.raises(ConfigError):
+                integrate_mode(m, ModeSpec(k=1.0, eta0=1.0, eta1=2.0, rtol=rtol, atol=atol))
 
     def test_blowup_raises_with_last_good_point(self):
         from spinorwave.errors import IntegrationError
@@ -395,9 +399,9 @@ class TestSpectrum:
             "k_grid": {"min": 0.5, "max": 5.0, "count": 8, "spacing": "log"},
             "eta": {"start": 1.0, "end": 4.0},
         }
-        _, csv1 = spectrum_from_config(config, jobs=1)
-        _, csv2 = spectrum_from_config(config, jobs=4)
-        _, csv3 = spectrum_from_config(config, jobs=1)
+        _, csv1 = spectrum_from_config(config)
+        _, csv2 = spectrum_from_config(config)
+        _, csv3 = spectrum_from_config(config)
         assert csv1 == csv2 == csv3
 
     def test_energy_proxy_formula(self):
@@ -417,6 +421,14 @@ class TestSpectrum:
             model_from_config({"kind": "warp-drive"})
         with pytest.raises(ConfigError, match="between the knots"):
             tabulated([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 1e-3, 1.0, 1e-3, 1.0])
+        for params in ({"eta": [1, 2, 3, 4], "a": [1, 2, 3, "x"]},
+                       {"eta": [1, 2, 3, 4], "a": [1, 2, math.inf, 4]},
+                       {"eta": [1, 2, 3, 4], "a": [1, 2, 3]}):
+            with pytest.raises(ConfigError):
+                model_from_config({"kind": "tabulated", "params": params})
+        for model in ("radiation", {"kind": ["radiation"]}, {"kind": "matter", "params": [1]}):
+            with pytest.raises(ConfigError):
+                model_from_config(model)
         with pytest.raises(DomainError):
             spectrum_from_config(
                 {

@@ -73,6 +73,14 @@ class TestShippedCorpus:
 
         assert run() == run()
 
+    def test_verification_independent_of_process_history(self):
+        for corpus in ("identities", "identities_negative"):
+            cases = parse_identity_file(shipped_corpus_text(corpus))
+            alone = [run_identity_cases([case])[0] for case in cases]
+            after_corpus = run_identity_cases(cases)
+            assert alone == after_corpus
+            assert [r.render() for r in alone] == [r.render() for r in after_corpus]
+
     def test_wave_equation_uses_the_full_chain(self):
         reports = run_identity_cases(parse_identity_file(shipped_corpus_text("identities")))
         wave = next(r for r in reports if r.name == "wave_equation")

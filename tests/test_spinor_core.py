@@ -1,6 +1,8 @@
 """Concrete epsilon-formalism algebra: contraction, displacement, symmetry,
 conjugation, connecting objects, and the spin affinity."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,11 +18,13 @@ from spinorwave.core import (
     Variance,
     affinity_from_metric,
     covariant_derivative_forms,
+    levi_civita4,
     metric_compatibility_residual,
     random_spinor,
     spinor_signature,
 )
 from spinorwave.core.connecting import _PAULI
+from spinorwave.core.indices import permutation_sign
 from spinorwave.errors import (
     ContractionError,
     DegenerateMetricError,
@@ -168,6 +172,25 @@ class TestConnectingObjects:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateMetricError):
             ConnectingObjects.from_matrices(np.zeros((4, 2, 2)))
+
+
+class TestPermutationSign:
+    def test_matches_inversion_parity(self):
+        for n in range(7):
+            for perm in itertools.permutations(range(n)):
+                inversions = sum(
+                    perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+                )
+                assert permutation_sign(perm) == (-1) ** inversions, perm
+
+    def test_levi_civita4_is_permutation_determinant(self):
+        eps = levi_civita4()
+        for index in itertools.product(range(4), repeat=4):
+            if len(set(index)) < 4:
+                assert eps[index] == 0.0, index
+            else:
+                det = np.linalg.det(np.eye(4)[list(index)])
+                assert eps[index] == np.rint(det), index
 
 
 class TestSpinAffinity:
