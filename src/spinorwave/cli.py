@@ -111,9 +111,7 @@ def verify(config_path: str | None, out_dir: str | None, verbose: bool) -> None:
               help="Run only the named suite(s).")
 @click.option("--out", "out_path", type=str, default=None,
               help="Write the JSON report here instead of stdout.")
-@click.option("--verbose", is_flag=True, default=False)
-def check(seed: int, suite_names: tuple[str, ...], out_path: str | None,
-          verbose: bool) -> None:
+def check(seed: int, suite_names: tuple[str, ...], out_path: str | None) -> None:
     """Run the seeded property suites over the concrete spinor algebra."""
     from .suites import SUITES, run_suites
 

@@ -8,9 +8,13 @@ scopes), renames dummies canonically and collects like terms.
 Dimension-2 facts that relate differently wired epsilon products (the
 three-term epsilon shuffle) are not reachable by those local rewrites, so
 the zero decision is completed by an exact expansion over all component
-assignments with rational coefficients and opaque kernel symbols.  An
-expression canonicalizes to literal zero precisely when that expansion
-vanishes identically.
+assignments with opaque kernel symbols.  Under one assignment every factor
+of a group-expanded term is +1, -1 or 0 (metric spinors, deltas, and kernel
+components sorted by their declared symmetries), so the expansion sums
+integer sign counts per symbol and weights them once by the term's rational
+coefficient.  An expression canonicalizes to literal zero precisely when
+that expansion vanishes identically; ``canonicalize`` expands each collected
+term once and decides the whole result from the sum of those expansions.
 """
 
 from __future__ import annotations
@@ -373,59 +377,74 @@ def _canonical_component(kernel, values: tuple[int, ...]) -> tuple[tuple[int, ..
     return tuple(vals), sign
 
 
+def _sign_counts(term: Term, table: KernelTable, fresh: list[int]) -> dict[tuple, int]:
+    """Symbol -> integer sign count of one group-free term, coefficient aside.
+
+    Every factor is a metric spinor, a delta or a symmetry-sorted kernel
+    component, so each assignment adds +1, -1 or nothing to one symbol.
+    """
+    term = _expand_operator_displacement(term, table, fresh)
+    kinds = {idx.name: idx.kind for _, idx in term.all_indices()}
+    labels = sorted(kinds)
+    position = {label: n for n, label in enumerate(labels)}
+    constant_plan, op_plan, field_plan = [], [], []
+    for factor in term.factors:
+        kernel = table.get(factor.kernel)
+        where = tuple(position[idx.name] for idx in factor.indices)
+        if kernel.constant:
+            numbers = _EPS_NUM if factor.kernel in _EPS_FAMILY else _DELTA_NUM
+            constant_plan.append((numbers, *where))
+        elif kernel.operator:
+            op_plan.append((factor.kernel, where))
+        else:
+            # a field component is told apart by the operators acting on it
+            field_plan.append((len(op_plan), kernel, where))
+    free = sorted(term.free_indices())
+    free_slots = [position[label] for label in free]
+    counts: dict[tuple, int] = {}
+    for value in itertools.product(*(range(DIMENSION[kinds[l]]) for l in labels)):
+        sign = 1
+        for numbers, i, j in constant_plan:
+            sign *= numbers[value[i]][value[j]]
+        if not sign:
+            continue
+        fields = []
+        for scope, kernel, where in field_plan:
+            canon = _canonical_component(kernel, tuple(value[s] for s in where))
+            if canon is None:
+                break
+            sign *= canon[1]
+            fields.append((scope, kernel.name, canon[0]))
+        else:
+            symbol = (
+                tuple((name, tuple(value[s] for s in where)) for name, where in op_plan),
+                tuple(sorted(fields)),
+                tuple((label, value[s]) for label, s in zip(free, free_slots)),
+            )
+            counts[symbol] = counts.get(symbol, 0) + sign
+    return counts
+
+
+def _accumulate(acc: dict[tuple, Fraction], symbol: tuple, value: Fraction) -> None:
+    """Add ``value`` at ``symbol``; a first value is stored as is, which
+    saves a Fraction addition to zero per new symbol."""
+    previous = acc.get(symbol)
+    acc[symbol] = value if previous is None else previous + value
+
+
 def component_map(expr: Expr, table: KernelTable) -> dict[tuple, Fraction]:
-    """Exact multilinear expansion: symbol -> rational coefficient."""
+    """Exact multilinear expansion: symbol -> rational coefficient.
+
+    Integer sign counts are summed per group-expanded term and weighted
+    once by the term's rational coefficient.
+    """
     acc: dict[tuple, Fraction] = {}
     fresh = [0]
     for raw in expr.terms:
         for term in expand_groups(raw):
-            term = _expand_operator_displacement(term, table, fresh)
-            labels = sorted({idx.name for _, idx in term.all_indices()})
-            kinds = {}
-            for _, idx in term.all_indices():
-                kinds[idx.name] = idx.kind
-            free = set(term.free_indices())
-            dims = [DIMENSION[kinds[l]] for l in labels]
-            for assignment in itertools.product(*(range(d) for d in dims)):
-                value = dict(zip(labels, assignment))
-                coeff = term.coeff
-                ops: list[tuple] = []
-                fields: list[tuple] = []
-                scope = 0
-                dead = False
-                for factor in term.factors:
-                    kernel = table.get(factor.kernel)
-                    vals = tuple(value[i.name] for i in factor.indices)
-                    if kernel.constant:
-                        if factor.kernel in ("eps_lo", "eps_lo_p"):
-                            num = _EPS_NUM[vals[0]][vals[1]]
-                        elif factor.kernel in ("eps_up", "eps_up_p"):
-                            num = _EPS_NUM[vals[0]][vals[1]]
-                        else:
-                            num = _DELTA_NUM[vals[0]][vals[1]]
-                        if num == 0:
-                            dead = True
-                            break
-                        coeff *= num
-                    elif kernel.operator:
-                        ops.append((factor.kernel, vals))
-                        scope += 1
-                    else:
-                        canon = _canonical_component(kernel, vals)
-                        if canon is None:
-                            dead = True
-                            break
-                        cvals, sign = canon
-                        coeff *= sign
-                        fields.append((scope, factor.kernel, cvals))
-                if dead or coeff == 0:
-                    continue
-                symbol = (
-                    tuple(ops),
-                    tuple(sorted(fields)),
-                    tuple(sorted((l, value[l]) for l in free)),
-                )
-                acc[symbol] = acc.get(symbol, Fraction(0)) + coeff
+            for symbol, count in _sign_counts(term, table, fresh).items():
+                if count:
+                    _accumulate(acc, symbol, term.coeff * count)
     return {k: v for k, v in acc.items() if v != 0}
 
 
@@ -452,18 +471,23 @@ def canonicalize(expr: Expr, table: KernelTable) -> Expr:
         cleaned.append(_normalize_term(term2, table))
     collected = _collect_like_terms(cleaned)
     result = []
+    total: dict[tuple, Fraction] = {}
     for key in sorted(collected):
         coeff, term = collected[key]
         if coeff == 0:
             continue
         candidate = term.with_coeff(coeff)
-        if is_identically_zero(Expr((candidate,)), table):
+        # the expansion is additive: the sum of the surviving terms' maps
+        # decides whether the whole result vanishes
+        components = component_map(Expr((candidate,)), table)
+        if not components:
             continue
         result.append(candidate)
-    final = Expr(tuple(result))
-    if final.terms and is_identically_zero(final, table):
+        for symbol, value in components.items():
+            _accumulate(total, symbol, value)
+    if not any(total.values()):
         return Expr.zero()
-    return final
+    return Expr(tuple(result))
 
 
 def light_fold(expr: Expr, table: KernelTable) -> Expr:

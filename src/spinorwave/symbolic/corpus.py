@@ -114,11 +114,13 @@ def _parse_directive(line: str, lineno: int) -> dict:
 
 def run_identity_cases(cases: list[IdentityCase]) -> list[VerificationReport]:
     """Verify each case with a fresh kernel table (auto-registered generic
-    kernels stay scoped to their own identity)."""
+    kernels stay scoped to their own identity).  The rules name builtin
+    kernels only and leave the table they are parsed with unchanged, so
+    they are parsed once for all cases."""
     reports: list[VerificationReport] = []
+    rules = builtin_rules(KernelTable())
     for case in cases:
         table = KernelTable()
-        rules = builtin_rules(table)
         parser = Parser(table)
         unknown = [r for r in case.rule_names if r not in rules]
         if unknown:

@@ -87,6 +87,13 @@ class TestCheck:
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("check", "--suite", "nonsense").returncode == 2
 
+    def test_unknown_options_are_usage_errors(self):
+        # check reads neither option, so it accepts neither
+        for option in (["--verbose"], ["--jobs", "2"]):
+            result = run_cli("check", *option)
+            assert result.returncode == 2, option
+            assert f"No such option '{option[0]}'" in result.stderr
+
     def test_corrupted_epsilon_hook_fails(self):
         result = run_cli("check", env_extra={"SPINORWAVE_BREAK_EPS": "1"})
         assert result.returncode == 1
@@ -247,16 +254,22 @@ class TestDeterminism:
         assert a.stdout == b.stdout
 
     def test_verify_matches_golden_outputs(self, tmp_path):
-        """``verify --out`` on both shipped corpora reproduces the saved
-        report and trace files byte for byte (the rewrite engine works in
-        exact rational arithmetic, so the bytes are platform independent)."""
+        """``verify --out`` on both shipped corpora and on the derivative-free
+        kernel sums in ``golden/kernel_sums.txt`` (decided by the exact
+        component expansion, three of them mutants with printed residuals)
+        reproduces the saved report and trace files byte for byte (the
+        rewrite engine works in exact rational arithmetic, so the bytes are
+        platform independent)."""
         from spinorwave.symbolic import shipped_corpus_text
 
         corpus = tmp_path / "negative.txt"
         corpus.write_text(shipped_corpus_text("identities_negative"))
         config = tmp_path / "negative.json"
         config.write_text(json.dumps({"identities": str(corpus)}))
-        for name, args, code in (("shipped", [], 0), ("negative", ["--config", str(config)], 1)):
+        sums = tmp_path / "kernel_sums.json"
+        sums.write_text(json.dumps({"identities": str(GOLDEN / "kernel_sums.txt")}))
+        for name, args, code in (("shipped", [], 0), ("negative", ["--config", str(config)], 1),
+                                 ("kernel_sums", ["--config", str(sums)], 1)):
             out = tmp_path / name
             assert run_cli("verify", *args, "--out", str(out)).returncode == code
             golden = GOLDEN / name

@@ -27,6 +27,14 @@ class TestRuleValidation:
         for rule in rules.values():
             rule.validate(table)
 
+    def test_parsing_rules_leaves_a_fresh_table_unchanged(self):
+        # run_identity_cases parses the rules once and uses them with each
+        # identity's own fresh table, which relies on this
+        table = KernelTable()
+        before = dict(table.kernels)
+        builtin_rules(table)
+        assert table.kernels == before
+
     def test_weight_violating_rule_rejected(self):
         # theta carries weight (0,0), so its raised form differs from phi's
         table, _, parser = setup_engine()

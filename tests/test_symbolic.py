@@ -1,23 +1,30 @@
 """Parser, weight bookkeeping, canonicalizer, and numeric evaluation."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorwave.core.spinor import ComponentSpinor, random_spinor
-from spinorwave.core.indices import spinor_signature
+from spinorwave.core.indices import IndexSignature, permutation_sign, spinor_signature
 from spinorwave.errors import (
     ParseError,
     UnsupportedExpressionError,
     WeightError,
 )
 from spinorwave.symbolic import (
+    Expr,
     KernelTable,
     Parser,
     canonicalize,
     component_eval,
+    component_map,
     expr_weight,
+    is_identically_zero,
 )
 
 RNG = np.random.default_rng(99)
@@ -140,6 +147,68 @@ class TestCanonicalize:
         assert out.is_zero
 
 
+def entrywise_sum(*maps):
+    total = {}
+    for m in maps:
+        for symbol, value in m.items():
+            total[symbol] = total.get(symbol, 0) + value
+    return {symbol: value for symbol, value in total.items() if value != 0}
+
+
+class TestComponentMap:
+    """The exact expansion behind the zero decision: symbol -> coefficient,
+    a symbol being (operators, sorted field components, free values)."""
+
+    def test_additive_with_zero_entries_dropped(self):
+        table, parser = fresh()
+        a = parser.parse_expression("2 Ua_{A B} Vb_{C} - 1/3 eps_{A B} Ua_{D}^{D} Vb_{C}")
+        b = parser.parse_expression("- 2 Ua_{A B} Vb_{C} + 5/7 Ua_{B A} Vb_{C}")
+        map_a, map_b = component_map(a, table), component_map(b, table)
+        total = component_map(a + b, table)
+        assert total == entrywise_sum(map_a, map_b)
+        # the 2 Ua_{A B} Vb_{C} entries cancel and are dropped
+        assert len(total) < len(map_a) + len(map_b)
+        assert all(value != 0 for value in total.values())
+
+    def test_symmetrization_groups_match_hand_expansion(self):
+        table, parser = fresh()
+        grouped = parser.parse_expression("3 Ua_{(A} Vb_{B} Tc_{C)}")
+        hand = parser.parse_expression(" + ".join(
+            f"1/2 Ua_{{{p}}} Vb_{{{q}}} Tc_{{{r}}}" for p, q, r in itertools.permutations("ABC")
+        ))
+        assert component_map(grouped, table) == component_map(hand, table)
+        grouped = parser.parse_expression("Ua_{[A} Vb_{B]} Tc_{C}")
+        hand = parser.parse_expression("1/2 Ua_{A} Vb_{B} Tc_{C} - 1/2 Ua_{B} Vb_{A} Tc_{C}")
+        assert component_map(grouped, table) == component_map(hand, table)
+
+    def test_epsilon_shuffle_maps_to_empty(self):
+        table, parser = fresh()
+        shuffle = parser.parse_expression(
+            "eps_{A B} Ua_{C} + eps_{B C} Ua_{A} + eps_{C A} Ua_{B}"
+        )
+        assert component_map(shuffle, table) == {}
+        assert is_identically_zero(shuffle, table)
+        assert not is_identically_zero(Expr(shuffle.terms[:2]), table)
+
+    def test_small_terms_by_hand(self):
+        table, parser = fresh()
+        assert component_map(parser.parse_expression("2/3 eps_{A B} Ua_{C}"), table) == {
+            ((), ((0, "Ua", (c,)),), (("A", a), ("B", b), ("C", c))): Fraction(2, 3) * sign
+            for a, b, sign in ((0, 1, 1), (1, 0, -1))
+            for c in (0, 1)
+        }
+        # phi is symmetric: both orders of a mixed component are one symbol
+        assert component_map(parser.parse_expression("phi_{B A}"), table) == {
+            ((), ((0, "phi", (min(a, b), max(a, b))),), (("A", a), ("B", b))): Fraction(1)
+            for a in (0, 1)
+            for b in (0, 1)
+        }
+        # a field records how many operators act on it
+        assert component_map(parser.parse_expression("-1/4 Box R"), table) == {
+            ((("Box", ()),), ((1, "R", ()),), ()): Fraction(-1, 4)
+        }
+
+
 class TestComponentEval:
     def test_eps_contraction_value(self):
         table, parser = fresh()
@@ -187,3 +256,141 @@ class TestComponentEval:
         expr = parser.parse_expression("Box phi_{A}^{B}")
         with pytest.raises(UnsupportedExpressionError, match="operator"):
             component_eval(expr, {"phi": ComponentSpinor.zeros(spinor_signature("uu"))}, table)
+
+
+# -- differential test against the numeric oracle ------------------------------
+#
+# A generated case is a derivative-free sum of terms over one base product X
+# of generic kernels (free labels A-C written down, dummies D-G).  Each
+# rewrite below turns X into terms that sum to zero in dimension 2; a case
+# adds one or two of them with random rational weights, and a mutant then
+# perturbs one coefficient.  The test does not trust that construction: it
+# asserts that canonicalize returns zero exactly when the expression
+# evaluates to about zero on random complex components.
+
+
+def _render_term(coeff, factors, groups=()):
+    """``+ c K_{..}^{..} ...``; ``groups`` are (mode, first, stop) runs of
+    occurrences in written order, bracketed inside the index blocks."""
+    opens = {first: "(" if mode == "sym" else "[" for mode, first, _ in groups}
+    closes = {stop - 1: ")" if mode == "sym" else "]" for mode, _, stop in groups}
+    parts, n = [], 0
+    for name, indices in factors:
+        blocks = []
+        for label, up in indices:
+            item = opens.get(n, "") + label + closes.get(n, "")
+            if blocks and blocks[-1][0] == up:
+                blocks[-1][1].append(item)
+            else:
+                blocks.append((up, [item]))
+            n += 1
+        parts.append(name + "".join(
+            f"{'^' if up else '_'}{{{' '.join(items)}}}" for up, items in blocks
+        ))
+    return f"{'-' if coeff < 0 else '+'} {abs(coeff)} {' '.join(parts)}"
+
+
+def _with_labels(factors, changes):
+    """Copy of ``factors`` with occurrence n (written order) set to changes[n]."""
+    out, n = [], 0
+    for name, indices in factors:
+        new = []
+        for occurrence in indices:
+            new.append(changes.get(n, occurrence))
+            n += 1
+        out.append((name, new))
+    return out
+
+
+def _vanishing_terms(draw, factors):
+    """(coeff, factors, groups) terms that sum to zero, built from X."""
+    occurrences = [occ for _, indices in factors for occ in indices]
+    down = [n for n, (_, up) in enumerate(occurrences) if not up]
+    # runs of two or three consecutive down occurrences, for groups
+    runs = [(a, b) for a in range(len(occurrences)) for b in (a + 2, a + 3)
+            if b <= len(occurrences) and all(n in down for n in range(a, b))]
+    choices = ["lower", "delta"] + ["swap"] * (len(down) >= 2) + ["group"] * bool(runs)
+    kind = draw(st.sampled_from(choices))
+    one = Fraction(1)
+    if kind == "lower":
+        # xi_P = xi^T eps_{T P}
+        n = draw(st.sampled_from(down))
+        label = occurrences[n][0]
+        lowered = _with_labels(factors, {n: ("T", True)})
+        return [(one, factors, ()),
+                (-one, lowered + [("eps", [("T", False), (label, False)])], ())]
+    if kind == "delta":
+        # xi_P = delta^T_P xi_T
+        n = draw(st.sampled_from(down))
+        label = occurrences[n][0]
+        renamed = _with_labels(factors, {n: ("T", False)})
+        return [(one, factors, ()),
+                (-one, [("delta", [("T", True), (label, False)])] + renamed, ())]
+    if kind == "swap":
+        # X_{..P..Q..} - X_{..Q..P..} = eps_{P Q} X_{..R..}^{..R..}
+        i, j = sorted(draw(st.lists(st.sampled_from(down), min_size=2, max_size=2, unique=True)))
+        p, q = occurrences[i][0], occurrences[j][0]
+        return [(one, factors, ()),
+                (-one, _with_labels(factors, {i: (q, False), j: (p, False)}), ()),
+                (-one, [("eps", [(p, False), (q, False)])]
+                 + _with_labels(factors, {i: ("R", False), j: ("R", True)}), ())]
+    # a (anti)symmetrization group over consecutive down occurrences equals
+    # its signed permutation average written out
+    first, stop = draw(st.sampled_from(runs))
+    mode = draw(st.sampled_from(["sym", "antisym"]))
+    size = stop - first
+    terms = [(one, factors, ((mode, first, stop),))]
+    for perm in itertools.permutations(range(size)):
+        sign = permutation_sign(perm) if mode == "antisym" else 1
+        changes = {first + m: occurrences[first + src] for m, src in enumerate(perm)}
+        terms.append((Fraction(-sign, math.factorial(size)), _with_labels(factors, changes), ()))
+    return terms
+
+
+@st.composite
+def differential_cases(draw):
+    ranks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    total = sum(ranks)
+    nfree = draw(st.sampled_from([n for n in range(4) if n <= total and (total - n) % 2 == 0]))
+    ndummy = (total - nfree) // 2
+    dummies = [d for d in "DEFG"[:ndummy] for _ in (0, 1)]
+    labels = draw(st.permutations(list("ABC"[:nfree]) + dummies))
+    first_up = dict(zip("DEFG", draw(st.lists(st.booleans(), min_size=ndummy, max_size=ndummy))))
+    seen, occurrences = set(), []
+    for label in labels:
+        # free labels are written down, a dummy once up and once down
+        occurrences.append((label, label in first_up and first_up[label] != (label in seen)))
+        seen.add(label)
+    factors, at = [], 0
+    for name, rank in zip(("Ka", "Kb"), ranks):
+        factors.append((name, occurrences[at:at + rank]))
+        at += rank
+    weights = st.sampled_from([Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2, 3)])
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        weight = draw(weights)
+        terms += [(weight * c, f, g) for c, f, g in _vanishing_terms(draw, factors)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(terms) - 1))
+        c, f, g = terms[k]
+        terms[k] = (c + draw(st.sampled_from([Fraction(1, 2), Fraction(-1), Fraction(2)])), f, g)
+    return " ".join(_render_term(*t) for t in terms if t[0] != 0) or "0"
+
+
+class TestOracleAgreement:
+    @settings(max_examples=60, deadline=None)
+    @given(text=differential_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_canonical_zero_iff_numeric_zero(self, text, seed):
+        table, parser = fresh()
+        expr = parser.parse_expression(text)
+        rng = np.random.default_rng(seed)
+        value = scale = 0.0
+        for _ in range(2):
+            bindings = {
+                name: random_spinor(IndexSignature(kernel.slots), rng)
+                for name, kernel in table.kernels.items() if name in ("Ka", "Kb")
+            }
+            value = max(value, component_eval(expr, bindings, table).max_abs())
+            for term in expr.terms:
+                scale = max(scale, component_eval(Expr((term,)), bindings, table).max_abs())
+        assert canonicalize(expr, table).is_zero == (value <= 1e-9 * scale), text
