@@ -38,12 +38,31 @@ class ScaleFactorModel:
         if not eta0 < eta1:
             raise ConfigError(f"eta range [{eta0}, {eta1}] is not increasing")
 
+    def check_values(self, *etas: float) -> None:
+        """Raise unless a > 0 and a, a', a'' are finite at each eta; finite
+        parameters can still overflow them (de Sitter with a denormal H)."""
+        for eta in etas:
+            values = (self.a(eta), self.a_prime(eta), self.a_second(eta))
+            if not (values[0] > 0 and all(map(math.isfinite, values))):
+                raise ConfigError(f"{self.kind} (a, a', a'') at eta={eta} is {values}: "
+                                  "a must be positive and all three finite")
+
+
+def _positive_finite(value, name: str) -> float:
+    """A model parameter as a float; it must be positive and finite."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if not 0 < number < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    return number
+
 
 def radiation(a0: float = 1.0) -> ScaleFactorModel:
     """a(eta) = a0 * eta on eta > 0; a'' = 0, so modes are exactly
     exp(-i k eta)/a."""
-    if a0 <= 0:
-        raise ConfigError("a0 must be positive")
+    a0 = _positive_finite(a0, "a0")
     return ScaleFactorModel(
         "radiation",
         lambda eta: a0 * eta,
@@ -56,8 +75,7 @@ def radiation(a0: float = 1.0) -> ScaleFactorModel:
 
 def matter(a0: float = 1.0) -> ScaleFactorModel:
     """a(eta) = a0 * eta^2 on eta > 0."""
-    if a0 <= 0:
-        raise ConfigError("a0 must be positive")
+    a0 = _positive_finite(a0, "a0")
     return ScaleFactorModel(
         "matter",
         lambda eta: a0 * eta * eta,
@@ -70,8 +88,7 @@ def matter(a0: float = 1.0) -> ScaleFactorModel:
 
 def de_sitter(hubble: float = 1.0) -> ScaleFactorModel:
     """a(eta) = -1/(H eta) on eta < 0; R = 12 H^2 identically."""
-    if hubble <= 0:
-        raise ConfigError("H must be positive")
+    hubble = _positive_finite(hubble, "H")
     return ScaleFactorModel(
         "de_sitter",
         lambda eta: -1.0 / (hubble * eta),
@@ -83,11 +100,10 @@ def de_sitter(hubble: float = 1.0) -> ScaleFactorModel:
 
 
 def tabulated(eta_samples, a_samples) -> ScaleFactorModel:
-    """C^2 cubic-spline interpolation of sampled a(eta) (natural cubic,
-    local interpolation error O(h^4)).  The spline must stay positive
-    between the knots as well as at them."""
-    from scipy.interpolate import CubicSpline  # costs ~0.5 s of import time
-
+    """Not-a-knot cubic spline through sampled a(eta): C^2, with a''' also
+    continuous at the second and the second-to-last knot; local
+    interpolation error O(h^4).  The spline must stay positive between the
+    knots as well as at them."""
     try:
         eta_samples = np.asarray(eta_samples, dtype=float)
         a_samples = np.asarray(a_samples, dtype=float)
@@ -103,26 +119,92 @@ def tabulated(eta_samples, a_samples) -> ScaleFactorModel:
         raise ConfigError("tabulated eta samples must be strictly increasing")
     if np.any(a_samples <= 0):
         raise ConfigError("tabulated a(eta) must be positive")
-    spline = CubicSpline(eta_samples, a_samples)
-    roots = spline.roots(extrapolate=False)
-    if roots.size:
-        raise ConfigError("tabulated a(eta) is not positive between the knots "
-                          f"(zero at eta={roots[0]:.6g})")
+    coeffs = _not_a_knot(eta_samples, a_samples)
+    _check_positive_between_knots(eta_samples, coeffs)
+    first = coeffs[:-1] * np.array([[3.0], [2.0], [1.0]])
+    second = first[:-1] * np.array([[2.0], [1.0]])
     return ScaleFactorModel(
         "tabulated",
-        _evaluator(spline),
-        _evaluator(spline.derivative(1)),
-        _evaluator(spline.derivative(2)),
+        _piecewise(eta_samples, coeffs),
+        _piecewise(eta_samples, first),
+        _piecewise(eta_samples, second),
         (float(eta_samples[0]), float(eta_samples[-1])),
         {"n": int(eta_samples.size)},
     )
 
 
-def _evaluator(poly):
-    """A spline as a model callable: float for a float, array for an array."""
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients, shape (4, n-1), of the not-a-knot cubic spline through
+    n >= 4 points: on [x[i], x[i+1]] it is sum_j c[j, i] (eta - x[i])^(3-j).
+
+    The knot slopes solve the tridiagonal system for them: interior rows
+    make a'' continuous, the two end rows make a''' continuous at x[1] and
+    x[-2].  A Thomas sweep solves it; that is LAPACK gtsv's elimination
+    whenever no row needs a pivot."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    lower = np.r_[dx[1:], x[-1] - x[-3]]              # row i + 1, column i
+    diag = np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]]
+    upper = np.r_[x[2] - x[0], dx[:-1]]               # row i, column i + 1
+    rhs = np.empty(x.size)
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+
+    lower, diag, upper, s = (v.tolist() for v in (lower, diag, upper, rhs))
+    for i in range(len(s) - 1):
+        factor = lower[i] / diag[i]
+        diag[i + 1] -= factor * upper[i]
+        s[i + 1] -= factor * s[i]
+    s[-1] /= diag[-1]
+    for i in range(len(s) - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+
+def _check_positive_between_knots(x: np.ndarray, coeffs: np.ndarray) -> None:
+    """Raise unless every piece is positive at its interior critical points,
+    the roots in (0, h) of 3 c0 s^2 + 2 c1 s + c2.  The knot values are
+    positive, so a piece can only reach zero through such a minimum."""
+    a, b, c = 3.0 * coeffs[0], 2.0 * coeffs[1], coeffs[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        roots = np.stack([q / a, c / q], axis=1)  # NaN or inf where there is none
+    inside = (roots > 0) & (roots < np.diff(x)[:, None])
+    piece = np.nonzero(inside)[0]
+    s = roots[inside]
+    values = _horner(coeffs, piece, s)
+    if np.any(values <= 0):
+        bad = np.argmax(values <= 0)
+        raise ConfigError("tabulated a(eta) is not positive between the knots "
+                          f"(a={values[bad]:.6g} at eta={x[piece[bad]] + s[bad]:.6g})")
+
+
+def _horner(coeffs: np.ndarray, piece, s):
+    """sum_j coeffs[j, piece] s^(m-j), highest power first."""
+    value = coeffs[0][piece]
+    for row in coeffs[1:]:
+        value *= s
+        value += row[piece]
+    return value
+
+
+def _piecewise(knots: np.ndarray, coeffs: np.ndarray):
+    """Piecewise polynomial on the knots as a model callable: a float for a
+    float, an array for an array.  The last piece is closed at knots[-1];
+    outside the knots the end pieces extend."""
+    interior = knots[1:-1]
+
     def evaluate(eta):
-        value = poly(eta)
-        return float(value) if np.ndim(value) == 0 else value
+        eta = np.asarray(eta, dtype=float)
+        piece = np.searchsorted(interior, eta, side="right")
+        value = _horner(coeffs, piece, eta - knots[piece])
+        return float(value) if value.ndim == 0 else value
 
     return evaluate
 

@@ -61,12 +61,19 @@ class ModeSpec:
     samples: int = DEFAULT_SAMPLES
 
     def validate(self, model: ScaleFactorModel) -> None:
-        if self.k <= 0:
-            raise ConfigError(f"k must be positive, got {self.k}")
+        if not 0 < self.k < math.inf:
+            raise ConfigError(f"k must be positive and finite, got {self.k}")
         if self.ic_kind not in ("positive_frequency", "explicit"):
             raise ConfigError(f"unknown initial-condition kind {self.ic_kind!r}")
         if self.samples < 2:
             raise ConfigError("need at least 2 sample points")
+        # Every sample interval takes at least one coarse substep.
+        if self.samples - 1 > _MAX_SUBSTEPS:
+            raise ConfigError(f"samples must be at most {_MAX_SUBSTEPS + 1}, "
+                              f"got {self.samples}")
+        if not np.isfinite([self.f0, self.df0]).all():
+            raise ConfigError(f"initial data must be finite, got f={self.f0!r}, "
+                              f"df={self.df0!r}")
         if not all(0 <= tol < math.inf for tol in (self.rtol, self.atol)):
             raise ConfigError(f"tolerances must be finite and nonnegative, "
                               f"got rel={self.rtol!r}, abs={self.atol!r}")

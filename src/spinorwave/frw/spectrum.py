@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigError, IntegrationError
 from .models import ScaleFactorModel, model_from_config
-from .modes import DEFAULT_ATOL, DEFAULT_RTOL, ModeSpec, integrate_mode
+from .modes import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_SAMPLES, ModeSpec, integrate_mode
 
 SPECTRUM_HEADER = "k,eta_end,re_f,im_f,abs_f2,energy_proxy,wronskian_drift,status"
 
@@ -55,10 +55,12 @@ class SpectrumRow:
 def k_grid_from_config(config: dict) -> np.ndarray:
     try:
         lo, hi = float(config["min"]), float(config["max"])
-        count = int(config["count"])
+        count = _integer(config["count"], "k_grid count")
         spacing = config.get("spacing", "lin")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad k_grid: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"k_grid min and max must be finite, got {lo!r}, {hi!r}")
     if count < 0:
         raise ConfigError("k_grid count must be nonnegative")
     if count == 0:
@@ -72,6 +74,16 @@ def k_grid_from_config(config: dict) -> np.ndarray:
     if spacing == "log":
         return np.geomspace(lo, hi, count)
     raise ConfigError(f"unknown k_grid spacing {spacing!r}")
+
+
+def _integer(value, what: str) -> int:
+    """A count from a config: an integer, or a float with an integral value."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
 
 
 def _one_row(model: ScaleFactorModel, spec: ModeSpec) -> SpectrumRow:
@@ -93,7 +105,7 @@ def _one_row(model: ScaleFactorModel, spec: ModeSpec) -> SpectrumRow:
 
 def spectrum(model: ScaleFactorModel, k_values: np.ndarray, eta0: float,
              eta1: float, ic: dict | None = None, rtol: float = DEFAULT_RTOL,
-             atol: float = DEFAULT_ATOL, samples: int = 201) -> list[SpectrumRow]:
+             atol: float = DEFAULT_ATOL, samples: int = DEFAULT_SAMPLES) -> list[SpectrumRow]:
     """Integrate every mode and collect the endpoint table, ordered by k."""
     ic = ic or {"kind": "positive_frequency"}
     kind = ic.get("kind", "positive_frequency")
@@ -114,6 +126,7 @@ def spectrum(model: ScaleFactorModel, k_values: np.ndarray, eta0: float,
     ]
     for spec in specs:
         spec.validate(model)
+    model.check_values(eta0, eta1)
     return [_one_row(model, spec) for spec in specs]
 
 
@@ -133,15 +146,15 @@ def spectrum_from_config(config: dict) -> tuple[list[SpectrumRow], str]:
     ks = k_grid_from_config(config["k_grid"])
     try:
         eta0, eta1 = float(config["eta"]["start"]), float(config["eta"]["end"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad eta range: {exc}") from exc
     model.check_range(eta0, eta1)
     tol = config.get("tol") or {}
     try:
         rtol = float(tol.get("rel", DEFAULT_RTOL))
         atol = float(tol.get("abs", DEFAULT_ATOL))
-        samples = int(config.get("samples", 201))
-    except (TypeError, ValueError) as exc:
+        samples = _integer(config.get("samples", DEFAULT_SAMPLES), "samples")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad tol or samples: {exc}") from exc
     rows = spectrum(model, ks, eta0, eta1, ic=config.get("ic"), rtol=rtol, atol=atol,
                     samples=samples)

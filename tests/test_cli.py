@@ -181,6 +181,24 @@ class TestCosmo:
             ("cosmo", json.dumps(dict(COSMO_CONFIG, tol={"rel": float("inf")})), "tolerances"),
             ("cosmo", json.dumps(dict(COSMO_CONFIG, tol={"rel": 0, "abs": 0})), "both be zero"),
         ]
+        # Non-finite or non-integral values, each rejected before any mode is
+        # integrated (json.dumps writes NaN and Infinity, which json.load reads).
+        nan, inf = float("nan"), float("inf")
+        grid = COSMO_CONFIG["k_grid"]
+        explicit = {"kind": "explicit", "f": [1.0, 0.0], "df": [0.0, 1.0]}
+        for changes, reason in (
+            ({"k_grid": dict(grid, max=inf)}, "finite"),
+            ({"k_grid": dict(grid, max=nan)}, "finite"),
+            ({"k_grid": dict(grid, count=2.7)}, "integer"),
+            ({"samples": 2.5}, "integer"),
+            ({"model": {"kind": "radiation", "params": {"a0": nan}}}, "a0"),
+            ({"model": {"kind": "matter", "params": {"a0": inf}}}, "a0"),
+            ({"model": {"kind": "de_sitter", "params": {"hubble": 1e-320}},
+              "eta": {"start": -5.0, "end": -1.0}}, "finite"),
+            ({"ic": dict(explicit, f=[nan, 0.0])}, "initial data"),
+            ({"ic": dict(explicit, df=[0.0, nan])}, "initial data"),
+        ):
+            cases.append(("cosmo", json.dumps(dict(COSMO_CONFIG, **changes)), reason))
         for n, (command, text, reason) in enumerate(cases):
             cfg = tmp_path / f"bad{n}.json"
             cfg.write_text(text)

@@ -24,6 +24,7 @@ from spinorwave.frw import (
     tabulated,
     wronskian_drift,
 )
+from spinorwave.frw.modes import _MAX_SUBSTEPS
 
 RNG = np.random.default_rng(11)
 
@@ -290,6 +291,18 @@ class TestIntegrateMode:
                            (1e-9, math.inf), (0.0, 0.0)):
             with pytest.raises(ConfigError):
                 integrate_mode(m, ModeSpec(k=1.0, eta0=1.0, eta1=2.0, rtol=rtol, atol=atol))
+        for k in (math.inf, math.nan):
+            with pytest.raises(ConfigError, match="finite"):
+                integrate_mode(m, ModeSpec(k=k, eta0=1.0, eta1=2.0))
+        for f0, df0 in ((complex(math.nan, 0.0), 1j), (1.0, complex(0.0, math.inf))):
+            with pytest.raises(ConfigError, match="initial data"):
+                integrate_mode(m, ModeSpec(1.0, 1.0, 2.0, "explicit", f0, df0))
+        # Each sample interval takes at least one of the _MAX_SUBSTEPS coarse
+        # substeps.  Only validated here: nothing is integrated or allocated.
+        ModeSpec(k=1.0, eta0=1.0, eta1=2.0, samples=_MAX_SUBSTEPS + 1).validate(m)
+        for samples in (_MAX_SUBSTEPS + 2, 100_000_000):
+            with pytest.raises(ConfigError, match="samples must be at most"):
+                ModeSpec(k=1.0, eta0=1.0, eta1=2.0, samples=samples).validate(m)
 
     def test_blowup_raises_with_last_good_point(self):
         from spinorwave.errors import IntegrationError
@@ -419,7 +432,8 @@ class TestSpectrum:
             k_grid_from_config({"min": -1.0, "max": 2.0, "count": 4})
         with pytest.raises(ConfigError):
             model_from_config({"kind": "warp-drive"})
-        with pytest.raises(ConfigError, match="between the knots"):
+        # positive at the knots; the first piece's minimum is -0.184 at eta 5/3
+        with pytest.raises(ConfigError, match=r"between the knots \(a=-0\.184 at eta=1\.66667\)"):
             tabulated([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 1e-3, 1.0, 1e-3, 1.0])
         for params in ({"eta": [1, 2, 3, 4], "a": [1, 2, 3, "x"]},
                        {"eta": [1, 2, 3, 4], "a": [1, 2, math.inf, 4]},
@@ -437,3 +451,94 @@ class TestSpectrum:
                     "eta": {"start": -5.0, "end": 1.0},
                 }
             )
+        assert k_grid_from_config({"min": 1.0, "max": 2.0, "count": 3.0}).size == 3
+        for grid in ({"min": 1.0, "max": math.inf, "count": 4},
+                     {"min": 1.0, "max": math.nan, "count": 4},
+                     {"min": math.nan, "max": 2.0, "count": 1},
+                     {"min": 1.0, "max": 2.0, "count": 2.7},
+                     {"min": 1.0, "max": 2.0, "count": math.inf},
+                     {"min": 1.0, "max": 2.0, "count": "many"}):
+            with pytest.raises(ConfigError):
+                k_grid_from_config(grid)
+        for kind, params in (("radiation", {"a0": math.nan}), ("matter", {"a0": math.inf}),
+                             ("radiation", {"a0": 10**400}), ("de_sitter", {"hubble": -1.0}),
+                             ("de_sitter", {"hubble": math.nan})):
+            with pytest.raises(ConfigError, match="positive and finite|a number"):
+                model_from_config({"kind": kind, "params": params})
+        # a = -1/(H eta) overflows to inf for a denormal H
+        with pytest.raises(ConfigError, match="finite"):
+            de_sitter(1e-320).check_values(-5.0, -1.0)
+        base = {"model": {"kind": "radiation"}, "eta": {"start": 1.0, "end": 2.0},
+                "k_grid": {"min": 1.0, "max": 2.0, "count": 2}}
+        for extra in ({"samples": 2.5}, {"samples": math.inf},
+                      {"ic": {"kind": "explicit", "f": [math.nan, 0.0], "df": [1.0, 0.0]}},
+                      {"ic": {"kind": "explicit", "f": [1.0, 0.0], "df": [0.0, math.nan]}}):
+            with pytest.raises(ConfigError):
+                spectrum_from_config(dict(base, **extra))
+
+
+class TestTabulatedSpline:
+    """The tabulated model against scipy's ``CubicSpline`` (not-a-knot, its
+    default), used here as an independent oracle only."""
+
+    @staticmethod
+    def _knot_sets():
+        rng = np.random.default_rng(2024)
+        for n in (4, 5, 24, 2000):
+            yield f"uniform-{n}", np.linspace(0.9, 10.1, n)
+        for n in (4, 6, 40, 300):
+            yield f"jittered-{n}", np.cumsum(rng.uniform(0.05, 1.0, n))
+
+    def test_matches_scipy_not_a_knot(self):
+        from scipy.interpolate import CubicSpline
+
+        worst = (0.0, "")
+        for name, knots in self._knot_sets():
+            a = 2.0 + np.sin(1.3 * knots) + 0.05 * knots ** 2
+            model = tabulated(knots, a)
+            oracle = CubicSpline(knots, a)
+            eta = np.concatenate([np.linspace(knots[0], knots[-1], 4001), knots])
+            for order, fn in enumerate((model.a, model.a_prime, model.a_second)):
+                expected = oracle(eta, order)
+                got = fn(eta)
+                scalar = fn(float(knots[-1]))
+                assert isinstance(scalar, float)
+                assert scalar == pytest.approx(oracle(knots[-1], order), rel=1e-12, abs=1e-12)
+                ratio = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+                worst = max(worst, (ratio, f"{name} derivative {order}"))
+        assert worst[0] <= 1e-12, worst
+
+    def test_small_positive_minimum_accepted(self):
+        # a quadratic the spline reproduces, with its minimum 1e-6 between
+        # knots (test_config_validation has one that dips below zero)
+        knots = np.linspace(1.0, 5.0, 9)
+        model = tabulated(knots, (knots - 2.6) ** 2 + 1e-6)
+        assert model.a(2.6) == pytest.approx(1e-6, rel=1e-6)
+        assert model.a(2.6) > 0
+
+    def test_no_scipy_import(self):
+        """Building and running a tabulated spectrum never imports scipy."""
+        import os
+        import subprocess
+        import sys
+
+        import spinorwave
+
+        script = (
+            "import sys\n"
+            "from spinorwave.frw import spectrum_from_config\n"
+            "knots = [1.0 + 0.5 * i for i in range(12)]\n"
+            "rows, _ = spectrum_from_config({\n"
+            "    'model': {'kind': 'tabulated',\n"
+            "              'params': {'eta': knots, 'a': [e * e for e in knots]}},\n"
+            "    'k_grid': {'min': 0.5, 'max': 2.0, 'count': 2},\n"
+            "    'eta': {'start': 1.5, 'end': 6.0}})\n"
+            "assert [row.status for row in rows] == ['ok', 'ok'], rows\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(spinorwave.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
