@@ -30,7 +30,7 @@ def _load_json(path: str) -> dict:
             config = json.load(handle)
     except OSError as exc:
         _fail_usage(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         _fail_usage(f"malformed JSON in {path}: {exc}")
     if not isinstance(config, dict):
         _fail_usage(f"config {path} must be a JSON object")

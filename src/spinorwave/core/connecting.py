@@ -34,9 +34,11 @@ def _reconstruct_metric(s: np.ndarray) -> np.ndarray:
     return np.einsum("AB,CD,aAC,bBD->ab", e, e, s, s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectingObjects:
-    """World-index family of 2x2 matrices ``S_a^{AA'}`` plus inverses."""
+    """World-index family of 2x2 matrices ``S_a^{AA'}`` plus inverses.
+
+    Instances compare and hash by identity, so caches can key on them."""
 
     s: np.ndarray        # (4, 2, 2): S_a^{AA'}
     s_inv: np.ndarray    # (4, 2, 2): S^a_{AA'}

@@ -4,82 +4,112 @@ Wave-function files:  t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_ph
 Bivector files:       t,x,y,z,F01,F02,F03,F12,F13,F23
 
 Floats are written with ``repr`` (shortest round-trip form), so identical
-data produces identical bytes.
+data produces identical bytes.  Every cell must be a finite number.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigError
-from .fields import BivectorField, PhotonWaveFunction
+from .fields import (
+    BivectorField,
+    PhotonWaveFunction,
+    bivector_from_pairs,
+    bivector_pairs,
+    symmetric_components,
+    symmetric_from_components,
+)
 
 WAVEFUNCTION_HEADER = "t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_phi11"
 BIVECTOR_HEADER = "t,x,y,z,F01,F02,F03,F12,F13,F23"
 
-_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# Rows parsed or rendered per bulk numpy call; bounds the transient lists of
+# cell strings and Python floats, which would otherwise set the peak memory.
+_CHUNK = 4096
 
 
 def write_wavefunction_csv(points: np.ndarray, wf: PhotonWaveFunction) -> str:
     points = np.asarray(points, dtype=float).reshape(-1, 4)
-    phi = wf.phi.reshape(-1, 2, 2)
-    lines = [WAVEFUNCTION_HEADER]
-    for p, m in zip(points, phi):
-        cells = [_fmt(v) for v in p]
-        for a, b in ((0, 0), (0, 1), (1, 1)):
-            cells.append(_fmt(m[a, b].real))
-            cells.append(_fmt(m[a, b].imag))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    phi = symmetric_components(wf.phi.reshape(-1, 2, 2))
+    cells = np.stack([phi.real, phi.imag], axis=-1).reshape(-1, 6)
+    return _render(WAVEFUNCTION_HEADER, np.hstack([points, cells]))
 
 
 def read_wavefunction_csv(text: str) -> tuple[np.ndarray, PhotonWaveFunction]:
     rows = _read_rows(text, WAVEFUNCTION_HEADER)
-    points = rows[:, :4]
-    phi = np.zeros((len(rows), 2, 2), dtype=complex)
-    phi[:, 0, 0] = rows[:, 4] + 1j * rows[:, 5]
-    phi[:, 0, 1] = rows[:, 6] + 1j * rows[:, 7]
-    phi[:, 1, 0] = phi[:, 0, 1]
-    phi[:, 1, 1] = rows[:, 8] + 1j * rows[:, 9]
-    return points, PhotonWaveFunction.physical(phi)
+    phi = symmetric_from_components(rows[:, 4::2] + 1j * rows[:, 5::2])
+    return rows[:, :4], PhotonWaveFunction.physical(phi)
 
 
 def write_bivector_csv(points: np.ndarray, field: BivectorField) -> str:
     points = np.asarray(points, dtype=float).reshape(-1, 4)
-    F = np.asarray(field.values.real, dtype=float).reshape(-1, 4, 4)
-    lines = [BIVECTOR_HEADER]
-    for p, m in zip(points, F):
-        cells = [_fmt(v) for v in p] + [_fmt(m[a, b]) for a, b in _PAIRS]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    pairs = bivector_pairs(field.values.real.reshape(-1, 4, 4))
+    return _render(BIVECTOR_HEADER, np.hstack([points, pairs]))
 
 
 def read_bivector_csv(text: str) -> tuple[np.ndarray, BivectorField]:
     rows = _read_rows(text, BIVECTOR_HEADER)
-    points = rows[:, :4]
-    F = np.zeros((len(rows), 4, 4))
-    for col, (a, b) in enumerate(_PAIRS, start=4):
-        F[:, a, b] = rows[:, col]
-        F[:, b, a] = -rows[:, col]
-    return points, BivectorField(F)
+    return rows[:, :4], BivectorField(bivector_from_pairs(rows[:, 4:]))
+
+
+def _render(header: str, table: np.ndarray) -> str:
+    """The header line, then one line per row of ``repr`` cells."""
+    line = ",".join(["%r"] * table.shape[1]) + "\n"
+    parts = [header + "\n"]
+    for start in range(0, len(table), _CHUNK):
+        block = table[start:start + _CHUNK]
+        parts.append(line * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _read_rows(text: str, header: str) -> np.ndarray:
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or lines[0][1] != header:
+    """The data rows under ``header`` as an (n, width) float array.
+
+    The bulk parse takes files without blank lines or bad cells; on anything
+    else the per-line parse returns the same array or names the bad line."""
+    width = header.count(",") + 1
+    lines = text.splitlines()
+    if lines and lines[0] == header:
+        rows = _parse_bulk(lines[1:], width)
+        if rows is not None:
+            return rows
+    return _read_rows_per_line(lines, header, width)
+
+
+def _parse_bulk(body: list[str], width: int) -> np.ndarray | None:
+    """``body`` as an (n, width) array of finite floats, or None when a line
+    has another width or a cell is not a finite number.  numpy applies
+    ``float()`` to each str, so the values match the per-line parse."""
+    rows = np.empty((len(body), width))
+    for start in range(0, len(body), _CHUNK):
+        try:
+            block = np.array([ln.split(",") for ln in body[start:start + _CHUNK]], dtype=float)
+        except ValueError:  # a ragged block or a cell float() rejects
+            return None
+        if block.shape[1:] != (width,):
+            return None
+        rows[start:start + len(block)] = block
+    return rows if np.isfinite(rows).all() else None
+
+
+def _read_rows_per_line(lines: list[str], header: str, width: int) -> np.ndarray:
+    numbered = [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]
+    if not numbered or numbered[0][1] != header:
         raise ConfigError(f"expected header {header!r}")
-    width = len(header.split(","))
     data = []
-    for n, line in lines[1:]:
+    for n, line in numbered[1:]:
         cells = line.split(",")
         if len(cells) != width:
             raise ConfigError(f"line {n}: expected {width} columns")
         try:
-            data.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError as exc:
             raise ConfigError(f"line {n}: {exc}") from exc
+        for cell, value in zip(cells, row):
+            if not math.isfinite(value):
+                raise ConfigError(f"line {n}: {cell!r} is not a finite number")
+        data.append(row)
     return np.asarray(data, dtype=float) if data else np.zeros((0, width))

@@ -8,6 +8,7 @@ that ``phi_AB = (1/2) F_{A C' B}^{C'}`` inverts the reconstruction
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,19 +35,6 @@ class BivectorField:
             raise BivectorError(f"trailing axes must be (4,4), got {arr.shape}")
         if not np.array_equal(arr, -np.swapaxes(arr, -1, -2)):
             raise BivectorError("bivector samples are not exactly antisymmetric")
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
-class PotentialField:
-    """World covector samples, shape (..., 4)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values)
-        if arr.shape[-1:] != (4,):
-            raise BivectorError(f"trailing axis must be (4,), got {arr.shape}")
         object.__setattr__(self, "values", arr)
 
 
@@ -85,35 +73,112 @@ class StressEnergy:
     values: np.ndarray
 
 
-def _to_spinor_pairs(F: np.ndarray, objects: ConnectingObjects) -> np.ndarray:
-    """F_ab -> F_{A A' B B'} via the inverse connecting objects."""
-    return np.einsum("aAC,bBD,...ab->...ACBD", objects.s_inv, objects.s_inv, F)
+# The six independent components F_ab, a < b, in CSV column order
+# (01, 02, 03, 12, 13, 23); the three of a symmetric 2x2 matrix (00, 01, 11),
+# and the place of each of its four entries among those three.
+_PAIR_ROW, _PAIR_COL = np.triu_indices(4, 1)
+_SYM_ROW, _SYM_COL = np.triu_indices(2)
+_SYM_AT = np.array([[0, 1], [1, 2]])
+
+
+def bivector_pairs(F: np.ndarray) -> np.ndarray:
+    """(..., 4, 4) -> (..., 6): F_01, F_02, F_03, F_12, F_13, F_23."""
+    return F[..., _PAIR_ROW, _PAIR_COL]
+
+
+def bivector_from_pairs(v: np.ndarray) -> np.ndarray:
+    """(..., 6) -> the exactly antisymmetric (..., 4, 4) with those pairs."""
+    F = np.zeros(v.shape[:-1] + (4, 4), dtype=v.dtype)
+    F[..., _PAIR_ROW, _PAIR_COL] = v
+    F[..., _PAIR_COL, _PAIR_ROW] = -v
+    return F
+
+
+def symmetric_components(m: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) -> (..., 3): m_00, m_01, m_11."""
+    return m[..., _SYM_ROW, _SYM_COL]
+
+
+def symmetric_from_components(v: np.ndarray) -> np.ndarray:
+    """(..., 3) -> the exactly symmetric (..., 2, 2) with those components."""
+    return v[..., _SYM_AT]
+
+
+def _extract(F: np.ndarray, objects: ConnectingObjects) -> tuple[np.ndarray, np.ndarray]:
+    """phi_AB = (1/2) F_{A C' B}^{C'} and its primed partner, symmetrized."""
+    Fs = np.einsum("aAC,bBD,...ab->...ACBD", objects.s_inv, objects.s_inv, F)
+    phi = 0.5 * np.einsum("...ACBD,CD->...AB", Fs, _E_UP)
+    conj = 0.5 * np.einsum("...ACBD,AB->...CD", Fs, _E_UP)
+    return (0.5 * (phi + np.swapaxes(phi, -1, -2)),
+            0.5 * (conj + np.swapaxes(conj, -1, -2)))
+
+
+def _reconstruct(phi: np.ndarray, conj: np.ndarray, objects: ConnectingObjects) -> np.ndarray:
+    """F_{AA'BB'} = eps_{A'B'} phi_{AB} + eps_{AB} conj_{A'B'}, in world
+    indices and antisymmetrized."""
+    Fs = (
+        np.einsum("CD,...AB->...ACBD", _E_LO, phi)
+        + np.einsum("AB,...CD->...ACBD", _E_LO, conj)
+    )
+    F = np.einsum("aAC,bBD,...ACBD->...ab", objects.s, objects.s, Fs)
+    return 0.5 * (F - np.swapaxes(F, -1, -2))
+
+
+_MAPS: "weakref.WeakKeyDictionary[ConnectingObjects, tuple[np.ndarray, np.ndarray]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _maps(objects: ConnectingObjects) -> tuple[np.ndarray, np.ndarray]:
+    """The two conversions as (6, 6) complex matrices acting on rows:
+    bivector pairs -> (phi, conj) components, and (phi, conj) components ->
+    bivector pairs.  Each is the image of the six basis vectors under
+    :func:`_extract` or :func:`_reconstruct`, so those stay the definition."""
+    maps = _MAPS.get(objects)
+    if maps is None:
+        phi, conj = _extract(bivector_from_pairs(np.eye(6)), objects)
+        to_spinor = np.concatenate(
+            [symmetric_components(phi), symmetric_components(conj)], axis=-1)
+        basis = symmetric_from_components(np.eye(3))
+        zero = np.zeros_like(basis)
+        to_bivector = bivector_pairs(np.concatenate(
+            [_reconstruct(basis, zero, objects), _reconstruct(zero, basis, objects)]))
+        maps = _MAPS[objects] = (to_spinor, to_bivector)
+    return maps
+
+
+def _apply(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``rows @ matrix``, summed in a fixed order with one numpy multiply and
+    one add per term.  A BLAS product may fuse or reorder these depending on
+    the library and the CPU, which would make the bytes of the output files
+    depend on the machine."""
+    out = rows[..., 0, None] * matrix[0]
+    for k in range(1, len(matrix)):
+        out += rows[..., k, None] * matrix[k]
+    return out
 
 
 def spinors_from_bivector(field: BivectorField,
                           objects: ConnectingObjects = _FLAT) -> PhotonWaveFunction:
     """Extract phi_{AB} (and the primed sector) from an antisymmetric F."""
-    F = field.values
-    Fs = _to_spinor_pairs(F, objects)
-    phi = 0.5 * np.einsum("...ACBD,CD->...AB", Fs, _E_UP)
-    conj = 0.5 * np.einsum("...ACBD,AB->...CD", Fs, _E_UP)
-    phi = 0.5 * (phi + np.swapaxes(phi, -1, -2))
-    conj = 0.5 * (conj + np.swapaxes(conj, -1, -2))
-    return PhotonWaveFunction(phi, conj)
+    v = _apply(bivector_pairs(field.values), _maps(objects)[0])
+    return PhotonWaveFunction(symmetric_from_components(v[..., :3]),
+                              symmetric_from_components(v[..., 3:]))
 
 
 def bivector_from_spinors(wf: PhotonWaveFunction,
                           objects: ConnectingObjects = _FLAT) -> BivectorField:
-    """F_{AA'BB'} = eps_{A'B'} phi_{AB} + eps_{AB} conj_{A'B'}, in world indices."""
-    Fs = (
-        np.einsum("CD,...AB->...ACBD", _E_LO, wf.phi)
-        + np.einsum("AB,...CD->...ACBD", _E_LO, wf.phi_conj)
-    )
-    F = np.einsum("aAC,bBD,...ACBD->...ab", objects.s, objects.s, Fs)
-    if np.max(np.abs(F.imag)) < 1e-13 * max(1.0, np.max(np.abs(F.real))):
-        F = F.real
-    F = 0.5 * (F - np.swapaxes(F, -1, -2))
-    return BivectorField(F)
+    """F_{AA'BB'} = eps_{A'B'} phi_{AB} + eps_{AB} conj_{A'B'}, in world indices.
+
+    The result is real when its imaginary part is round-off (below 1e-13 of
+    its largest entry, or of 1), as for a physical wave function."""
+    v = _apply(np.concatenate([symmetric_components(wf.phi),
+                               symmetric_components(wf.phi_conj)], axis=-1),
+               _maps(objects)[1])
+    if np.max(np.abs(v.imag), initial=0.0) < 1e-13 * max(
+            1.0, np.max(np.abs(v.real), initial=0.0)):
+        v = v.real
+    return BivectorField(bivector_from_pairs(v))
 
 
 def stress_energy(wf: PhotonWaveFunction,

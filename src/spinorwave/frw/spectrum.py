@@ -19,6 +19,11 @@ from .modes import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_SAMPLES, ModeSpec, integr
 
 SPECTRUM_HEADER = "k,eta_end,re_f,im_f,abs_f2,energy_proxy,wronskian_drift,status"
 
+# Largest k grid a config may ask for.  The grid and one spec per mode are
+# built before the first mode runs, and at about 1 ms per mode this many
+# modes already take about a minute.
+MAX_K_COUNT = 2**16
+
 
 @dataclass(frozen=True)
 class SpectrumRow:
@@ -61,8 +66,8 @@ def k_grid_from_config(config: dict) -> np.ndarray:
         raise ConfigError(f"bad k_grid: {exc}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"k_grid min and max must be finite, got {lo!r}, {hi!r}")
-    if count < 0:
-        raise ConfigError("k_grid count must be nonnegative")
+    if not 0 <= count <= MAX_K_COUNT:
+        raise ConfigError(f"k_grid count must be an integer from 0 to {MAX_K_COUNT}")
     if count == 0:
         return np.zeros(0)
     if count > 1 and not lo < hi:

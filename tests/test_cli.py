@@ -199,6 +199,26 @@ class TestCosmo:
             ({"ic": dict(explicit, df=[0.0, nan])}, "initial data"),
         ):
             cases.append(("cosmo", json.dumps(dict(COSMO_CONFIG, **changes)), reason))
+        cases.append(("cosmo", json.dumps(dict(COSMO_CONFIG, k_grid=dict(grid, count=2**16 + 1))),
+                      "from 0 to 65536"))
+        cases.append(("cosmo", json.dumps(dict(COSMO_CONFIG, k_grid=dict(grid, count=10**400))),
+                      "from 0 to 65536"))
+        cases.append(("cosmo", json.dumps(dict(COSMO_CONFIG, k_grid=dict(grid, count=7)))
+                      .replace('"count": 7', '"count": 1' + "0" * 5000), "malformed JSON"))
+        # Every CSV cell must be finite; the message names the file line
+        # (blank lines counted) and the first bad cell.
+        for name, header, rows, reason in (
+            ("nan_field", "t,x,y,z,F01,F02,F03,F12,F13,F23",
+             "0,0,0,0,1,2,3,4,5,6\n0,0,0,0,1,nan,3,4,5,6\n", "line 3: 'nan' is not a finite"),
+            ("inf_point", "t,x,y,z,F01,F02,F03,F12,F13,F23",
+             "\n0,0,-inf,0,1,2,3,4,5,6\n", "line 3: '-inf' is not a finite"),
+            ("inf_phi", "t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_phi11",
+             "0,0,0,0,1,0,0,0,0,0\n\n0,0,0,0,1,0,inf,0,0,0\n", "line 4: 'inf' is not a finite"),
+        ):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(f"{header}\n{rows}")
+            direction = "to_bivector" if name == "inf_phi" else "to_spinor"
+            cases.append(("em", json.dumps({"direction": direction, "input": str(path)}), reason))
         for n, (command, text, reason) in enumerate(cases):
             cfg = tmp_path / f"bad{n}.json"
             cfg.write_text(text)
@@ -294,6 +314,22 @@ class TestDeterminism:
             assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
             for expected in golden.iterdir():
                 assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name
+
+    def test_em_matches_golden_outputs(self, tmp_path):
+        """``em`` reproduces ``golden/em/`` byte for byte in both directions:
+        ``bivector.csv`` (200 rows from ``default_rng(200)``: points uniform
+        in [-1, 1), then F = R - R^T with R standard normal (200, 4, 4)) to
+        ``wavefunction.csv``, and that file back to ``roundtrip.csv``.  The
+        conversions sum their terms in a fixed order, so the bytes do not
+        depend on the BLAS build."""
+        golden = GOLDEN / "em"
+        for direction, source, target in (("to_spinor", "bivector.csv", "wavefunction.csv"),
+                                           ("to_bivector", "wavefunction.csv", "roundtrip.csv")):
+            cfg = tmp_path / f"{direction}.json"
+            cfg.write_text(json.dumps({"direction": direction, "input": str(golden / source)}))
+            out = tmp_path / target
+            assert run_cli("em", "--config", str(cfg), "--out", str(out)).returncode == 0
+            assert out.read_bytes() == (golden / target).read_bytes(), target
 
     def test_verify_bytes_stable(self, tmp_path):
         outs = []

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from spinorwave.core.connecting import MINKOWSKI
+from spinorwave.core.connecting import MINKOWSKI, ConnectingObjects
+from spinorwave.core.convention import EPS_LOW, EPS_UP
 from spinorwave.em import (
     BivectorField,
     PhotonWaveFunction,
@@ -30,7 +31,8 @@ from spinorwave.em import (
     write_bivector_csv,
     write_wavefunction_csv,
 )
-from spinorwave.errors import BivectorError, SpinorSymmetryError
+from spinorwave.em import csvio
+from spinorwave.errors import BivectorError, ConfigError, SpinorSymmetryError
 
 RNG = np.random.default_rng(7)
 
@@ -89,6 +91,65 @@ class TestConversions:
         )
         wf_rot = spinors_from_bivector(rotated)
         assert np.max(np.abs(wf_rot.phi - np.exp(-1j * theta) * wf.phi)) < 1e-12
+
+
+def einsum_spinors(F, objects):
+    """Reference: phi_AB = (1/2) F_{A C' B}^{C'} per sample, symmetrized."""
+    Fs = np.einsum("aAC,bBD,...ab->...ACBD", objects.s_inv, objects.s_inv, F)
+    phi = 0.5 * np.einsum("...ACBD,CD->...AB", Fs, EPS_UP)
+    conj = 0.5 * np.einsum("...ACBD,AB->...CD", Fs, EPS_UP)
+    return (0.5 * (phi + np.swapaxes(phi, -1, -2)),
+            0.5 * (conj + np.swapaxes(conj, -1, -2)))
+
+
+def einsum_bivector(phi, conj, objects):
+    """Reference: F_{AA'BB'} = eps_{A'B'} phi_{AB} + eps_{AB} conj_{A'B'} per
+    sample, in world indices and antisymmetrized."""
+    Fs = (np.einsum("CD,...AB->...ACBD", EPS_LOW, phi)
+          + np.einsum("AB,...CD->...ACBD", EPS_LOW, conj))
+    F = np.einsum("aAC,bBD,...ACBD->...ab", objects.s, objects.s, Fs)
+    return 0.5 * (F - np.swapaxes(F, -1, -2))
+
+
+class TestMatricesMatchEinsum:
+    """The fixed-matrix conversions against the per-sample einsum formulas;
+    the summation order differs, so they agree to round-off."""
+
+    OBJECTS = [ConnectingObjects.flat(), ConnectingObjects.conformal(2.5)]
+    SHAPES = [(), (7,), (3, 5)]
+
+    @staticmethod
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("objects", OBJECTS, ids=["flat", "conformal"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_to_spinor(self, objects, shape):
+        raw = RNG.standard_normal(shape + (4, 4))
+        F = raw - np.swapaxes(raw, -1, -2)
+        wf = spinors_from_bivector(BivectorField(F), objects)
+        phi, conj = einsum_spinors(F, objects)
+        assert wf.phi.shape == wf.phi_conj.shape == shape + (2, 2)
+        assert self.close(wf.phi, phi) and self.close(wf.phi_conj, conj)
+
+    @pytest.mark.parametrize("objects", OBJECTS, ids=["flat", "conformal"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_to_bivector(self, objects, shape):
+        def symmetric():
+            raw = RNG.standard_normal(shape + (2, 2)) + 1j * RNG.standard_normal(shape + (2, 2))
+            return raw + np.swapaxes(raw, -1, -2)
+
+        phi = symmetric()
+        physical = bivector_from_spinors(PhotonWaveFunction.physical(phi), objects).values
+        want = einsum_bivector(phi, np.conj(phi), objects)
+        assert physical.dtype == float and physical.shape == shape + (4, 4)
+        assert np.max(np.abs(want.imag)) < 1e-15 * np.max(np.abs(want.real))
+        assert self.close(physical, want.real)
+        # an independent primed sector gives a complex bivector
+        conj = symmetric()
+        general = bivector_from_spinors(PhotonWaveFunction(phi, conj), objects).values
+        assert general.dtype == complex
+        assert self.close(general, einsum_bivector(phi, conj, objects))
 
 
 class TestPotentials:
@@ -286,3 +347,46 @@ class TestCsv:
             "t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_phi11"
         )
         assert BIVECTOR_HEADER == "t,x,y,z,F01,F02,F03,F12,F13,F23"
+
+    def test_bulk_and_per_line_parse_agree(self):
+        from spinorwave.em import BIVECTOR_HEADER
+
+        pts = RNG.standard_normal((5000, 4))
+        text = write_bivector_csv(pts, random_bivectors(5000))
+        bulk = csvio._read_rows(text, BIVECTOR_HEADER)
+        per_line = csvio._read_rows_per_line(text.splitlines(), BIVECTOR_HEADER, 10)
+        assert bulk.shape == (5000, 10)
+        assert np.array_equal(bulk, per_line)
+        # blank lines send the parse down the per-line path, with equal rows
+        spaced = text.replace("\n", "\n\n", 3) + "\n  \n"
+        assert np.array_equal(csvio._read_rows(spaced, BIVECTOR_HEADER), bulk)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0,0,0,0,1,2,3,4,5", "line 6: expected 10 columns"),
+        ("0,0,0,0,1,2,3,4,5,6,7", "line 6: expected 10 columns"),
+        ("0,0,0,0,1,2,x,4,5,6", "line 6: could not convert string to float: 'x'"),
+        ("0,0,0,0,1,2,,4,5,6", "line 6: could not convert string to float: ''"),
+        ("0,nan,0,0,1,2,3,4,5,inf", "line 6: 'nan' is not a finite number"),
+        ("0,0,0,0,1,2,3,4,5,-Infinity", "line 6: '-Infinity' is not a finite number"),
+    ])
+    def test_bad_line_named_by_file_line(self, bad, message):
+        from spinorwave.em import BIVECTOR_HEADER
+
+        good = "0,0,0,0,1,2,3,4,5,6"
+        text = f"\n{BIVECTOR_HEADER}\n{good}\n\n{good}\n{bad}\n{good}\n"
+        with pytest.raises(ConfigError) as info:
+            read_bivector_csv(text)
+        assert str(info.value) == message
+
+    def test_header_only_file_in_both_directions(self):
+        from spinorwave.em import BIVECTOR_HEADER, WAVEFUNCTION_HEADER
+
+        pts, F = read_bivector_csv(BIVECTOR_HEADER + "\n")
+        assert pts.shape == (0, 4) and F.values.shape == (0, 4, 4)
+        out = write_wavefunction_csv(pts, spinors_from_bivector(F))
+        assert out == WAVEFUNCTION_HEADER + "\n"
+        pts, wf = read_wavefunction_csv(out)
+        assert pts.shape == (0, 4) and wf.phi.shape == (0, 2, 2)
+        assert write_bivector_csv(pts, bivector_from_spinors(wf)) == BIVECTOR_HEADER + "\n"
+        for header in (BIVECTOR_HEADER, WAVEFUNCTION_HEADER):
+            assert csvio._read_rows(header + "\n", header).shape == (0, 10)
