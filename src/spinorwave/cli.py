@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .errors import ConfigError, DomainError, ParseError, SpinorWaveError
+from .errors import ConfigError, DomainError, SpinorWaveError
 
 DEFAULT_SEED = 12345
 
@@ -24,13 +24,19 @@ def _fail_usage(message: str) -> "NoReturn":
     sys.exit(2)
 
 
-def _load_json(path: str) -> dict:
+def _read_text(path: str, what: str) -> str:
+    """The text of an input file, which must be UTF-8; exits 2 otherwise."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
-    except OSError as exc:
-        _fail_usage(f"cannot read config {path}: {exc}")
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        return pathlib.Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail_usage(f"cannot read {what} {path}: {exc}")
+
+
+def _load_json(path: str) -> dict:
+    text = _read_text(path, "config")
+    try:
+        config = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         _fail_usage(f"malformed JSON in {path}: {exc}")
     if not isinstance(config, dict):
         _fail_usage(f"config {path} must be a JSON object")
@@ -61,17 +67,14 @@ def verify(config_path: str | None, out_dir: str | None, verbose: bool) -> None:
         identities_path = config.get("identities")
         if not isinstance(identities_path, str):
             _fail_usage("verify config needs an 'identities' path")
-        try:
-            text = pathlib.Path(identities_path).read_text(encoding="utf-8")
-        except OSError as exc:
-            _fail_usage(f"cannot read identity file {identities_path}: {exc}")
+        text = _read_text(identities_path, "identity file")
     else:
         text = shipped_corpus_text("identities")
 
     try:
         cases = parse_identity_file(text)
         reports = run_identity_cases(cases)
-    except (ParseError, SpinorWaveError) as exc:
+    except SpinorWaveError as exc:
         _fail_usage(str(exc))
 
     entries = []
@@ -159,10 +162,7 @@ def em(config_path: str, out_path: str) -> None:
     if direction not in ("to_spinor", "to_bivector") or not isinstance(input_path, str) \
             or not input_path:
         _fail_usage("em config needs direction (to_spinor|to_bivector) and input")
-    try:
-        text = pathlib.Path(input_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        _fail_usage(f"cannot read input file {input_path}: {exc}")
+    text = _read_text(input_path, "input file")
     try:
         if direction == "to_spinor":
             points, field = read_bivector_csv(text)
@@ -170,7 +170,7 @@ def em(config_path: str, out_path: str) -> None:
         else:
             points, wf = read_wavefunction_csv(text)
             out_text = write_bivector_csv(points, bivector_from_spinors(wf))
-    except (ConfigError, SpinorWaveError) as exc:
+    except SpinorWaveError as exc:
         _fail_usage(str(exc))
     pathlib.Path(out_path).write_text(out_text, encoding="utf-8")
     sys.exit(0)

@@ -4,7 +4,6 @@ from .models import (
     ScaleFactorModel,
     de_sitter,
     matter,
-    model_from_config,
     radiation,
     ricci_scalar,
     tabulated,
@@ -21,6 +20,7 @@ from .spectrum import (
     SPECTRUM_HEADER,
     SpectrumRow,
     k_grid_from_config,
+    model_from_config,
     render_csv,
     spectrum,
     spectrum_from_config,

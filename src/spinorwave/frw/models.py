@@ -7,7 +7,7 @@ R(eta) = 6 a''(eta) / a(eta)^3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,6 @@ class ScaleFactorModel:
     a_prime: Callable[[float], float]
     a_second: Callable[[float], float]
     domain: tuple[float, float]          # open interval
-    params: dict = field(default_factory=dict)
 
     def check_eta(self, eta: float) -> None:
         lo, hi = self.domain
@@ -48,15 +47,11 @@ class ScaleFactorModel:
                                   "a must be positive and all three finite")
 
 
-def _positive_finite(value, name: str) -> float:
-    """A model parameter as a float; it must be positive and finite."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-    if not 0 < number < math.inf:
+def _positive_finite(value: float, name: str) -> float:
+    """A model parameter; it must be positive and finite."""
+    if not 0 < value < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-    return number
+    return value
 
 
 def radiation(a0: float = 1.0) -> ScaleFactorModel:
@@ -69,7 +64,6 @@ def radiation(a0: float = 1.0) -> ScaleFactorModel:
         lambda eta: a0,
         lambda eta: 0.0,
         (0.0, math.inf),
-        {"a0": a0},
     )
 
 
@@ -82,20 +76,18 @@ def matter(a0: float = 1.0) -> ScaleFactorModel:
         lambda eta: 2.0 * a0 * eta,
         lambda eta: 2.0 * a0,
         (0.0, math.inf),
-        {"a0": a0},
     )
 
 
 def de_sitter(hubble: float = 1.0) -> ScaleFactorModel:
     """a(eta) = -1/(H eta) on eta < 0; R = 12 H^2 identically."""
-    hubble = _positive_finite(hubble, "H")
+    hubble = _positive_finite(hubble, "hubble")
     return ScaleFactorModel(
         "de_sitter",
         lambda eta: -1.0 / (hubble * eta),
         lambda eta: 1.0 / (hubble * eta * eta),
         lambda eta: -2.0 / (hubble * eta * eta * eta),
         (-math.inf, 0.0),
-        {"H": hubble},
     )
 
 
@@ -104,11 +96,8 @@ def tabulated(eta_samples, a_samples) -> ScaleFactorModel:
     continuous at the second and the second-to-last knot; local
     interpolation error O(h^4).  The spline must stay positive between the
     knots as well as at them."""
-    try:
-        eta_samples = np.asarray(eta_samples, dtype=float)
-        a_samples = np.asarray(a_samples, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tabulated samples must be numbers: {exc}") from exc
+    eta_samples = np.asarray(eta_samples, dtype=float)
+    a_samples = np.asarray(a_samples, dtype=float)
     if eta_samples.ndim != 1 or eta_samples.size < 4:
         raise ConfigError("tabulated model needs at least 4 samples")
     if a_samples.shape != eta_samples.shape:
@@ -129,7 +118,6 @@ def tabulated(eta_samples, a_samples) -> ScaleFactorModel:
         _piecewise(eta_samples, first),
         _piecewise(eta_samples, second),
         (float(eta_samples[0]), float(eta_samples[-1])),
-        {"n": int(eta_samples.size)},
     )
 
 
@@ -207,32 +195,6 @@ def _piecewise(knots: np.ndarray, coeffs: np.ndarray):
         return float(value) if value.ndim == 0 else value
 
     return evaluate
-
-
-_FACTORIES = {
-    "radiation": radiation,
-    "matter": matter,
-    "de_sitter": de_sitter,
-}
-
-
-def model_from_config(config: dict) -> ScaleFactorModel:
-    if not isinstance(config, dict) or not isinstance(config.get("params", {}), dict):
-        raise ConfigError("model must be an object {kind, params} with object params")
-    kind = config.get("kind")
-    params = config.get("params", {})
-    if kind == "tabulated":
-        try:
-            return tabulated(params["eta"], params["a"])
-        except KeyError as exc:
-            raise ConfigError(f"tabulated model missing {exc.args[0]!r}") from exc
-    factory = _FACTORIES.get(kind) if isinstance(kind, str) else None
-    if factory is None:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    try:
-        return factory(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for {kind!r}: {exc}") from exc
 
 
 def ricci_scalar(model: ScaleFactorModel, eta: float) -> float:

@@ -80,6 +80,9 @@ class ModeSpec:
         if self.rtol == 0 and self.atol == 0:
             raise ConfigError("tol.rel and tol.abs cannot both be zero")
         model.check_range(self.eta0, self.eta1)
+        if not (np.diff(np.linspace(self.eta0, self.eta1, self.samples)) > 0).all():
+            raise ConfigError(f"eta range [{self.eta0!r}, {self.eta1!r}] is too narrow "
+                              f"for {self.samples} distinct samples")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Mode spectra: per-k endpoint values and the energy-density proxy.
 
+This is the only module that reads the ``cosmo`` JSON config; its readers
+check each field's JSON type once and hand typed values to the solver.
 Output rows are ordered by the k grid; failed modes are marked and do not
 stop the remaining ones.  The CSV schema is fixed:
 
@@ -14,10 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, IntegrationError
-from .models import ScaleFactorModel, model_from_config
+from .models import ScaleFactorModel, de_sitter, matter, radiation, tabulated
 from .modes import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_SAMPLES, ModeSpec, integrate_mode
 
 SPECTRUM_HEADER = "k,eta_end,re_f,im_f,abs_f2,energy_proxy,wronskian_drift,status"
+
+# Each model kind's factory and its params, in the factory's argument order.
+_FACTORIES = {
+    "radiation": (radiation, ("a0",)),
+    "matter": (matter, ("a0",)),
+    "de_sitter": (de_sitter, ("hubble",)),
+    "tabulated": (tabulated, ("eta", "a")),
+}
 
 # Largest k grid a config may ask for.  The grid and one spec per mode are
 # built before the first mode runs, and at about 1 ms per mode this many
@@ -57,13 +67,62 @@ class SpectrumRow:
         )
 
 
-def k_grid_from_config(config: dict) -> np.ndarray:
+def _number(value, what: str) -> float:
+    """A JSON number (int or float, not a bool or a string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
-        lo, hi = float(config["min"]), float(config["max"])
-        count = _integer(config["count"], "k_grid count")
-        spacing = config.get("spacing", "lin")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad k_grid: {exc}") from exc
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} must be a number within float range") from None
+
+
+def _numbers(value, what: str, length: int | None = None) -> list[float]:
+    """A JSON array of numbers, with exactly ``length`` items if given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f"{length} "
+        raise ConfigError(f"{what} must be an array of {size}numbers, got {value!r}")
+    return [_number(item, what) for item in value]
+
+
+def _integer(value, what: str) -> int:
+    """A count: a JSON integer, or a float with an integral value."""
+    if isinstance(value, int) and not isinstance(value, bool) \
+            or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _object(value, what: str, keys: tuple[str, ...] = ()) -> dict:
+    """A JSON object that holds every key in ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    for key in keys:
+        if key not in value:
+            raise ConfigError(f"{what} missing {key!r}")
+    return value
+
+
+def model_from_config(config) -> ScaleFactorModel:
+    """The scale-factor model of a config's ``model`` object."""
+    config = _object(config, "model")
+    kind = config.get("kind")
+    if not isinstance(kind, str) or kind not in _FACTORIES:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    factory, names = _FACTORIES[kind]
+    sampled = kind == "tabulated"  # two sample arrays, both required
+    params = _object(config.get("params", {}), "model.params", names if sampled else ())
+    if not params.keys() <= set(names):
+        raise ConfigError(f"{kind} params are {', '.join(names)}, got {', '.join(params)}")
+    read = _numbers if sampled else _number
+    return factory(*(read(params[key], f"model.params.{key}") for key in names if key in params))
+
+
+def k_grid_from_config(config) -> np.ndarray:
+    config = _object(config, "k_grid", ("min", "max", "count"))
+    lo, hi = _number(config["min"], "k_grid.min"), _number(config["max"], "k_grid.max")
+    count = _integer(config["count"], "k_grid.count")
+    spacing = config.get("spacing", "lin")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"k_grid min and max must be finite, got {lo!r}, {hi!r}")
     if not 0 <= count <= MAX_K_COUNT:
@@ -79,16 +138,6 @@ def k_grid_from_config(config: dict) -> np.ndarray:
     if spacing == "log":
         return np.geomspace(lo, hi, count)
     raise ConfigError(f"unknown k_grid spacing {spacing!r}")
-
-
-def _integer(value, what: str) -> int:
-    """A count from a config: an integer, or a float with an integral value."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
 
 
 def _one_row(model: ScaleFactorModel, spec: ModeSpec) -> SpectrumRow:
@@ -109,24 +158,12 @@ def _one_row(model: ScaleFactorModel, spec: ModeSpec) -> SpectrumRow:
 
 
 def spectrum(model: ScaleFactorModel, k_values: np.ndarray, eta0: float,
-             eta1: float, ic: dict | None = None, rtol: float = DEFAULT_RTOL,
-             atol: float = DEFAULT_ATOL, samples: int = DEFAULT_SAMPLES) -> list[SpectrumRow]:
+             eta1: float, ic_kind: str = "positive_frequency", f0: complex = 0j,
+             df0: complex = 0j, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+             samples: int = DEFAULT_SAMPLES) -> list[SpectrumRow]:
     """Integrate every mode and collect the endpoint table, ordered by k."""
-    ic = ic or {"kind": "positive_frequency"}
-    kind = ic.get("kind", "positive_frequency")
-    if kind == "explicit":
-        try:
-            f0 = complex(ic["f"][0], ic["f"][1])
-            df0 = complex(ic["df"][0], ic["df"][1])
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ConfigError(f"explicit initial data needs f=[re,im], df=[re,im]: {exc}") from exc
-    elif kind == "positive_frequency":
-        f0 = df0 = 0j
-    else:
-        raise ConfigError(f"unknown initial-condition kind {kind!r}")
-
     specs = [
-        ModeSpec(float(k), eta0, eta1, kind, f0, df0, rtol, atol, samples)
+        ModeSpec(float(k), eta0, eta1, ic_kind, f0, df0, rtol, atol, samples)
         for k in k_values
     ]
     for spec in specs:
@@ -141,26 +178,22 @@ def render_csv(rows: list[SpectrumRow]) -> str:
 
 def spectrum_from_config(config: dict) -> tuple[list[SpectrumRow], str]:
     """Run the documented JSON config; returns (rows, csv_text)."""
-    for key in ("model", "k_grid", "eta"):
-        if key not in config:
-            raise ConfigError(f"config missing {key!r}")
-    for key in ("tol", "ic"):
-        if not isinstance(config.get(key) or {}, dict):
-            raise ConfigError(f"config {key!r} must be an object")
+    config = _object(config, "config", ("model", "k_grid", "eta"))
     model = model_from_config(config["model"])
     ks = k_grid_from_config(config["k_grid"])
-    try:
-        eta0, eta1 = float(config["eta"]["start"]), float(config["eta"]["end"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad eta range: {exc}") from exc
+    eta = _object(config["eta"], "eta", ("start", "end"))
+    eta0, eta1 = _number(eta["start"], "eta.start"), _number(eta["end"], "eta.end")
     model.check_range(eta0, eta1)
-    tol = config.get("tol") or {}
-    try:
-        rtol = float(tol.get("rel", DEFAULT_RTOL))
-        atol = float(tol.get("abs", DEFAULT_ATOL))
-        samples = _integer(config.get("samples", DEFAULT_SAMPLES), "samples")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad tol or samples: {exc}") from exc
-    rows = spectrum(model, ks, eta0, eta1, ic=config.get("ic"), rtol=rtol, atol=atol,
-                    samples=samples)
+    ic = _object(config.get("ic", {}), "ic")
+    ic_kind = ic.get("kind", "positive_frequency")
+    f0 = df0 = 0j
+    if ic_kind == "explicit":
+        _object(ic, "ic", ("f", "df"))
+        f0 = complex(*_numbers(ic["f"], "ic.f", 2))
+        df0 = complex(*_numbers(ic["df"], "ic.df", 2))
+    tol = _object(config.get("tol", {}), "tol")
+    rows = spectrum(model, ks, eta0, eta1, ic_kind, f0, df0,
+                    rtol=_number(tol.get("rel", DEFAULT_RTOL), "tol.rel"),
+                    atol=_number(tol.get("abs", DEFAULT_ATOL), "tol.abs"),
+                    samples=_integer(config.get("samples", DEFAULT_SAMPLES), "samples"))
     return rows, render_csv(rows)

@@ -88,9 +88,6 @@ def operator_displacement_weight(kind: IndexKind, variance: Variance) -> tuple[i
     return (0, 0)
 
 
-ALIASES = {"M": "eps", "d": "partial"}
-
-
 @dataclass
 class KernelTable:
     """Builtin kernels plus expression-scoped auto-registered generics."""

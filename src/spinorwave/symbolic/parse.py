@@ -178,13 +178,15 @@ class Parser:
         return expr, stop + 1
 
     def _parse_rational(self, tokens: list[_Token], at: int) -> tuple[Fraction, int]:
-        num = int(tokens[at].value)
-        at += 1
-        if tokens[at].kind == "/":
-            if tokens[at + 1].kind != "num":
-                raise ParseError("expected denominator", tokens[at + 1].pos)
-            return Fraction(num, int(tokens[at + 1].value)), at + 2
-        return Fraction(num), at
+        stop = at + 1
+        if tokens[stop].kind == "/":
+            if tokens[stop + 1].kind != "num":
+                raise ParseError("expected denominator", tokens[stop + 1].pos)
+            stop += 2
+        try:
+            return Fraction("".join(t.value for t in tokens[at:stop])), stop
+        except (ValueError, ZeroDivisionError) as exc:  # too many digits, or n/0
+            raise ParseError(f"bad rational: {exc}", tokens[at].pos) from None
 
     # -- factors -------------------------------------------------------------------
 

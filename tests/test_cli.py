@@ -1,12 +1,19 @@
 """End-to-end CLI behavior: exit codes, reports, file outputs, determinism."""
 
+import copy
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinorwave.cli import main
 
 CMD = [sys.executable, "-m", "spinorwave.cli"]
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -219,6 +226,13 @@ class TestCosmo:
             path.write_text(f"{header}\n{rows}")
             direction = "to_bivector" if name == "inf_phi" else "to_spinor"
             cases.append(("em", json.dumps({"direction": direction, "input": str(path)}), reason))
+        # Input files must be UTF-8.
+        latin = tmp_path / "latin1.txt"
+        latin.write_bytes("eps^{A B} eps_{A B} == 2  # \xe9\n".encode("latin-1"))
+        cases.append(("verify", json.dumps({"identities": str(latin)}),
+                      "cannot read identity file"))
+        cases.append(("em", json.dumps({"direction": "to_spinor", "input": str(latin)}),
+                      "cannot read input file"))
         for n, (command, text, reason) in enumerate(cases):
             cfg = tmp_path / f"bad{n}.json"
             cfg.write_text(text)
@@ -233,9 +247,6 @@ class TestCosmo:
     def test_failed_mode_reason_on_stderr(self, tmp_path, monkeypatch):
         import importlib
 
-        from click.testing import CliRunner
-
-        from spinorwave.cli import main
         from spinorwave.errors import IntegrationError
 
         spectrum_mod = importlib.import_module("spinorwave.frw.spectrum")
@@ -271,6 +282,136 @@ class TestCosmo:
         result = run_cli("cosmo", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 2
         assert "between the knots" in result.stderr
+
+    def test_deeply_nested_json_exits_2(self, tmp_path):
+        # nesting beyond the recursion limit makes json raise RecursionError
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        result = CliRunner().invoke(main, ["cosmo", "--config", str(cfg),
+                                           "--out", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: malformed JSON")
+
+
+# Values put in place of a config field by the fuzz tests below: every JSON
+# type, non-finite and out-of-range numbers.  None of them is a valid count
+# or sample number larger than the ones in the base configs.
+HOSTILE = [True, False, "x", "1e-6", None, [], {}, float("nan"), float("inf"), -1, 2.7,
+           10**400]
+
+# The documented configs, shrunk where a mode count sets the run time.
+COSMO_BASES = [
+    COSMO_CONFIG,
+    {"model": {"kind": "de_sitter", "params": {"hubble": 1.0}},
+     "k_grid": {"min": 0.5, "max": 2.0, "count": 3, "spacing": "lin"},
+     "eta": {"start": -5.0, "end": -1.0},
+     "ic": {"kind": "explicit", "f": [0.4, 0.1], "df": [-0.3, 0.7]},
+     "samples": 21},
+    {"model": {"kind": "tabulated",
+               "params": {"eta": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                          "a": [1.0, 4.0, 9.0, 16.0, 25.0, 36.0]}},
+     "k_grid": {"min": 0.5, "max": 1.0, "count": 2},
+     "eta": {"start": 1.5, "end": 5.5},
+     "tol": {"rel": 1e-6, "abs": 1e-9},
+     "samples": 11},
+]
+BIVECTOR_HEADER = "t,x,y,z,F01,F02,F03,F12,F13,F23"
+WAVEFUNCTION_HEADER = "t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_phi11"
+CELLS = ["0", "1.5", "-2e-3", "7", " 3 ", "1e400", "nan", "-inf", "x", "", "1_0", "0x10"]
+
+
+def _paths(node, prefix=()):
+    """The path of every value below ``node`` in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` with one or two of its values replaced from HOSTILE or
+    removed."""
+    config = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(config))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        parent = config
+        for step in parents:
+            parent = parent[step]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(HOSTILE)))
+    return config
+
+
+@st.composite
+def csv_texts(draw):
+    """A field CSV: either header, rows of 9 to 11 cells, blank lines."""
+    lines = [draw(st.sampled_from([BIVECTOR_HEADER, WAVEFUNCTION_HEADER]))]
+    for _ in range(draw(st.integers(0, 5))):
+        width = draw(st.sampled_from([10, 10, 10, 9, 11]))
+        lines.append(",".join(draw(st.lists(st.sampled_from(CELLS), min_size=width,
+                                            max_size=width))))
+        if draw(st.integers(0, 3)) == 0:
+            lines.append("")
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+def _invoke(command: str, config, tmp: str, files: dict[str, str]) -> None:
+    """Run one command on ``config`` in process and hold it to the exit-code
+    contract: 0, 1 or 2, no traceback, and one ``error:`` line on exit 2."""
+    for name, text in files.items():
+        pathlib.Path(tmp, name).write_text(text, encoding="utf-8")
+    cfg = pathlib.Path(tmp, "config.json")
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    args = [command, "--config", str(cfg)]
+    if command != "verify":
+        args += ["--out", str(pathlib.Path(tmp, "out"))]
+    result = CliRunner().invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        (config, result.exception)
+    assert result.exit_code in (0, 1, 2), (config, result.exit_code)
+    if result.exit_code == 2:
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: "), (config, line)
+
+
+class TestFuzz:
+    """Documented configs with mutated fields, random field CSVs and
+    spliced identity lines, run through the CLI in process."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(config=st.sampled_from(COSMO_BASES).flatmap(mutated))
+    def test_cosmo_configs(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            _invoke("cosmo", config, tmp, {})
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(direction=st.sampled_from(["to_spinor", "to_bivector"]), data=st.data())
+    def test_em_configs_and_csv(self, direction, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            base = {"direction": direction, "input": str(pathlib.Path(tmp, "in.csv"))}
+            config = data.draw(st.one_of(st.just(base), mutated(base)))
+            _invoke("em", config, tmp, {"in.csv": data.draw(csv_texts())})
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_verify_configs_and_corpus(self, data):
+        identity = "eps^{A B} eps_{A B} == 2"
+        start = data.draw(st.integers(0, len(identity)))
+        end = data.draw(st.integers(start, len(identity)))
+        splice = data.draw(st.text(alphabet="{}_^()[]'ABX =+-/*012 ephiR#@", max_size=4))
+        with tempfile.TemporaryDirectory() as tmp:
+            base = {"identities": str(pathlib.Path(tmp, "corpus.txt"))}
+            config = data.draw(st.one_of(st.just(base), mutated(base)))
+            _invoke("verify", config, tmp,
+                    {"corpus.txt": identity[:start] + splice + identity[end:] + "\n"})
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Scale-factor models, the mode equation, the integrator, and spectra."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -303,6 +304,9 @@ class TestIntegrateMode:
         for samples in (_MAX_SUBSTEPS + 2, 100_000_000):
             with pytest.raises(ConfigError, match="samples must be at most"):
                 ModeSpec(k=1.0, eta0=1.0, eta1=2.0, samples=samples).validate(m)
+        # One ulp of eta range cannot hold 50 distinct samples.
+        with pytest.raises(ConfigError, match="too narrow for 50 distinct samples"):
+            ModeSpec(k=1.0, eta0=1.0, eta1=math.nextafter(1.0, 2.0), samples=50).validate(m)
 
     def test_blowup_raises_with_last_good_point(self):
         from spinorwave.errors import IntegrationError
@@ -417,6 +421,26 @@ class TestSpectrum:
         _, csv3 = spectrum_from_config(config)
         assert csv1 == csv2 == csv3
 
+    def test_config_run_calls_module_globals(self, monkeypatch):
+        """``spectrum_from_config`` reaches the model parser, the mode loop,
+        the integrator and the renderer through the module globals of
+        ``frw.spectrum``, so a wrapper set there (as ``perfbench/spans.py``
+        sets one) sees every call."""
+        import importlib
+
+        spectrum_mod = importlib.import_module("spinorwave.frw.spectrum")
+        calls = []
+        for name in ("model_from_config", "spectrum", "integrate_mode", "render_csv"):
+            def wrapper(*args, _name=name, _real=getattr(spectrum_mod, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(spectrum_mod, name, wrapper)
+        spectrum_from_config({"model": {"kind": "radiation"}, "eta": {"start": 1.0, "end": 2.0},
+                              "k_grid": {"min": 1.0, "max": 2.0, "count": 2}})
+        assert calls == ["model_from_config", "spectrum", "integrate_mode", "integrate_mode",
+                         "render_csv"]
+
     def test_energy_proxy_formula(self):
         m = radiation()
         rows = spectrum(m, np.array([2.0]), 1.0, 3.0)
@@ -474,6 +498,31 @@ class TestSpectrum:
                       {"ic": {"kind": "explicit", "f": [math.nan, 0.0], "df": [1.0, 0.0]}},
                       {"ic": {"kind": "explicit", "f": [1.0, 0.0], "df": [0.0, math.nan]}}):
             with pytest.raises(ConfigError):
+                spectrum_from_config(dict(base, **extra))
+        # Wrong JSON types and numbers beyond float range: each names its
+        # field, and none is converted to a value that runs.
+        explicit = {"kind": "explicit", "f": [1.0, 0.0], "df": [0.0, 1.0]}
+        knots = [1.0, 2.0, 3.0, 4.0, 5.0]
+        for extra, field in (
+            ({"ic": dict(explicit, f=[10**400, 0])}, "ic.f"),
+            ({"ic": dict(explicit, f=[1.0, 0.0, 0.0])}, "ic.f"),
+            ({"ic": dict(explicit, df=[True, 0.0])}, "ic.df"),
+            ({"ic": []}, "ic"),
+            ({"ic": None}, "ic"),
+            ({"tol": {"rel": "1e-6"}}, "tol.rel"),
+            ({"tol": 0}, "tol"),
+            ({"samples": "11"}, "samples"),
+            ({"k_grid": {"min": 1.0, "max": 2.0, "count": True}}, "k_grid.count"),
+            ({"k_grid": {"min": "1", "max": 2.0, "count": 2}}, "k_grid.min"),
+            ({"eta": {"start": "1", "end": 2.0}}, "eta.start"),
+            ({"model": {"kind": "radiation", "params": {"a0": "2"}}}, "a0"),
+            ({"model": {"kind": "radiation", "params": {"a0": True}}}, "a0"),
+            ({"model": {"kind": "tabulated", "params": {"eta": knots, "a": [1, 2, 10**400, 4, 5]}},
+              "eta": {"start": 1.5, "end": 4.5}}, "model.params.a"),
+            ({"model": {"kind": "tabulated", "params": {"eta": knots, "a": knots, "b": 1}},
+              "eta": {"start": 1.5, "end": 4.5}}, "params are eta, a, got eta, a, b"),
+        ):
+            with pytest.raises(ConfigError, match=re.escape(field)):
                 spectrum_from_config(dict(base, **extra))
 
 

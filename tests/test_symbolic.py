@@ -61,8 +61,10 @@ class TestParser:
 
     def test_syntax_error_carries_position(self):
         table, parser = fresh()
-        with pytest.raises(ParseError, match="position"):
-            parser.parse_expression("phi_{A}^{B} +")
+        # a zero denominator, and an integer longer than int() converts
+        for text in ("phi_{A}^{B} +", "2/0 R", "1" * 5000 + " R"):
+            with pytest.raises(ParseError, match="position"):
+                parser.parse_expression(text)
 
     def test_weight_inhomogeneous_sum_rejected(self):
         table, parser = fresh()
