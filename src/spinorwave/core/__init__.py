@@ -1,33 +1,32 @@
-"""Concrete two-component spinor algebra and connecting objects."""
+"""Concrete two-component spinor algebra and connecting objects.
 
-from .affinity import (
-    SpinAffinity,
-    affinity_from_metric,
-    covariant_derivative_forms,
-    metric_compatibility_residual,
-)
-from .connecting import ConnectingObjects, levi_civita4, MINKOWSKI
-from .convention import CONVENTION, EPS_LOW, EPS_UP, MetricSpinorConvention
-from .indices import IndexKind, IndexSignature, Slot, Variance, spinor_signature
-from .spinor import ComponentSpinor, random_spinor
+The submodules load on first use of one of their names: ``indices`` is the
+only one the symbolic rewriter needs, and every other one imports numpy.
+"""
 
-__all__ = [
-    "CONVENTION",
-    "ComponentSpinor",
-    "ConnectingObjects",
-    "EPS_LOW",
-    "EPS_UP",
-    "IndexKind",
-    "IndexSignature",
-    "MINKOWSKI",
-    "MetricSpinorConvention",
-    "Slot",
-    "SpinAffinity",
-    "Variance",
-    "affinity_from_metric",
-    "covariant_derivative_forms",
-    "levi_civita4",
-    "metric_compatibility_residual",
-    "random_spinor",
-    "spinor_signature",
-]
+from .. import _lazy_getattr
+
+# Each public name and the submodule that defines it.
+_SUBMODULES = {
+    "SpinAffinity": "affinity",
+    "affinity_from_metric": "affinity",
+    "covariant_derivative_forms": "affinity",
+    "metric_compatibility_residual": "affinity",
+    "ConnectingObjects": "connecting",
+    "MINKOWSKI": "connecting",
+    "levi_civita4": "connecting",
+    "CONVENTION": "convention",
+    "EPS_LOW": "convention",
+    "EPS_UP": "convention",
+    "MetricSpinorConvention": "convention",
+    "IndexKind": "indices",
+    "IndexSignature": "indices",
+    "Slot": "indices",
+    "Variance": "indices",
+    "spinor_signature": "indices",
+    "ComponentSpinor": "spinor",
+    "random_spinor": "spinor",
+}
+
+__all__ = list(_SUBMODULES)
+__getattr__ = _lazy_getattr(__name__, _SUBMODULES)

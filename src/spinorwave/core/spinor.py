@@ -14,7 +14,14 @@ import numpy as np
 
 from ..errors import ContractionError, IndexPlacementError
 from .convention import CONVENTION, MetricSpinorConvention
-from .indices import IndexKind, IndexSignature, Slot, Variance, permutation_sign
+from .indices import (
+    IndexKind,
+    IndexSignature,
+    Slot,
+    Variance,
+    permutation_sign,
+    spinor_signature,
+)
 
 
 @dataclass(frozen=True)
@@ -38,8 +45,6 @@ class ComponentSpinor:
 
     @classmethod
     def from_spec(cls, spec: str, data: np.ndarray) -> "ComponentSpinor":
-        from .indices import spinor_signature
-
         return cls(spinor_signature(spec), data)
 
     @classmethod

@@ -61,28 +61,39 @@ class ModeSpec:
     samples: int = DEFAULT_SAMPLES
 
     def validate(self, model: ScaleFactorModel) -> None:
-        if not 0 < self.k < math.inf:
-            raise ConfigError(f"k must be positive and finite, got {self.k}")
-        if self.ic_kind not in ("positive_frequency", "explicit"):
-            raise ConfigError(f"unknown initial-condition kind {self.ic_kind!r}")
-        if self.samples < 2:
-            raise ConfigError("need at least 2 sample points")
-        # Every sample interval takes at least one coarse substep.
-        if self.samples - 1 > _MAX_SUBSTEPS:
-            raise ConfigError(f"samples must be at most {_MAX_SUBSTEPS + 1}, "
-                              f"got {self.samples}")
-        if not np.isfinite([self.f0, self.df0]).all():
-            raise ConfigError(f"initial data must be finite, got f={self.f0!r}, "
-                              f"df={self.df0!r}")
-        if not all(0 <= tol < math.inf for tol in (self.rtol, self.atol)):
-            raise ConfigError(f"tolerances must be finite and nonnegative, "
-                              f"got rel={self.rtol!r}, abs={self.atol!r}")
-        if self.rtol == 0 and self.atol == 0:
-            raise ConfigError("tol.rel and tol.abs cannot both be zero")
-        model.check_range(self.eta0, self.eta1)
-        if not (np.diff(np.linspace(self.eta0, self.eta1, self.samples)) > 0).all():
-            raise ConfigError(f"eta range [{self.eta0!r}, {self.eta1!r}] is too narrow "
-                              f"for {self.samples} distinct samples")
+        validate_k(self.k)
+        validate_settings(model, self.eta0, self.eta1, self.ic_kind, self.f0, self.df0,
+                          self.rtol, self.atol, self.samples)
+
+
+def validate_k(k: float) -> None:
+    if not 0 < k < math.inf:
+        raise ConfigError(f"k must be positive and finite, got {k}")
+
+
+def validate_settings(model: ScaleFactorModel, eta0: float, eta1: float, ic_kind: str,
+                      f0: complex, df0: complex, rtol: float, atol: float,
+                      samples: int) -> None:
+    """The checks of a :class:`ModeSpec` that do not depend on k.  ``spectrum``
+    runs them once before its k loop, so they hold for an empty k grid too."""
+    if ic_kind not in ("positive_frequency", "explicit"):
+        raise ConfigError(f"unknown initial-condition kind {ic_kind!r}")
+    if samples < 2:
+        raise ConfigError("need at least 2 sample points")
+    # Every sample interval takes at least one coarse substep.
+    if samples - 1 > _MAX_SUBSTEPS:
+        raise ConfigError(f"samples must be at most {_MAX_SUBSTEPS + 1}, got {samples}")
+    if not np.isfinite([f0, df0]).all():
+        raise ConfigError(f"initial data must be finite, got f={f0!r}, df={df0!r}")
+    if not all(0 <= tol < math.inf for tol in (rtol, atol)):
+        raise ConfigError(f"tolerances must be finite and nonnegative, "
+                          f"got rel={rtol!r}, abs={atol!r}")
+    if rtol == 0 and atol == 0:
+        raise ConfigError("tol.rel and tol.abs cannot both be zero")
+    model.check_range(eta0, eta1)
+    if not (np.diff(np.linspace(eta0, eta1, samples)) > 0).all():
+        raise ConfigError(f"eta range [{eta0!r}, {eta1!r}] is too narrow "
+                          f"for {samples} distinct samples")
 
 
 @dataclass(frozen=True)

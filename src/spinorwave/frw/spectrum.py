@@ -17,7 +17,15 @@ import numpy as np
 
 from ..errors import ConfigError, IntegrationError
 from .models import ScaleFactorModel, de_sitter, matter, radiation, tabulated
-from .modes import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_SAMPLES, ModeSpec, integrate_mode
+from .modes import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
+    DEFAULT_SAMPLES,
+    ModeSpec,
+    integrate_mode,
+    validate_k,
+    validate_settings,
+)
 
 SPECTRUM_HEADER = "k,eta_end,re_f,im_f,abs_f2,energy_proxy,wronskian_drift,status"
 
@@ -162,13 +170,14 @@ def spectrum(model: ScaleFactorModel, k_values: np.ndarray, eta0: float,
              df0: complex = 0j, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
              samples: int = DEFAULT_SAMPLES) -> list[SpectrumRow]:
     """Integrate every mode and collect the endpoint table, ordered by k."""
+    validate_settings(model, eta0, eta1, ic_kind, f0, df0, rtol, atol, samples)
+    model.check_values(eta0, eta1)
     specs = [
         ModeSpec(float(k), eta0, eta1, ic_kind, f0, df0, rtol, atol, samples)
         for k in k_values
     ]
     for spec in specs:
-        spec.validate(model)
-    model.check_values(eta0, eta1)
+        validate_k(spec.k)
     return [_one_row(model, spec) for spec in specs]
 
 

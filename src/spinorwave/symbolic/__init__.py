@@ -1,41 +1,36 @@
-"""Abstract-index expression engine: parser, canonicalizer, rewriter."""
+"""Abstract-index expression engine: parser, canonicalizer, rewriter.
 
-from .canon import canonicalize, component_map, is_identically_zero
-from .corpus import (
-    IdentityCase,
-    builtin_rules,
-    parse_identity_file,
-    run_identity_cases,
-    shipped_corpus_text,
-)
-from .evaluate import component_eval
-from .expr import Expr, Factor, Idx, Term
-from .kernels import Kernel, KernelTable
-from .parse import Parser
-from .rewrite import RewriteRule, VerificationReport, apply_rules, verify_identity
-from .weights import expr_weight, term_weight
+The submodules load on first use of one of their names, so ``verify`` never
+loads ``evaluate``, the numeric oracle, or numpy.
+"""
 
-__all__ = [
-    "Expr",
-    "Factor",
-    "Idx",
-    "IdentityCase",
-    "Kernel",
-    "KernelTable",
-    "Parser",
-    "RewriteRule",
-    "Term",
-    "VerificationReport",
-    "apply_rules",
-    "builtin_rules",
-    "canonicalize",
-    "component_eval",
-    "component_map",
-    "expr_weight",
-    "is_identically_zero",
-    "parse_identity_file",
-    "run_identity_cases",
-    "shipped_corpus_text",
-    "term_weight",
-    "verify_identity",
-]
+from .. import _lazy_getattr
+
+# Each public name and the submodule that defines it.
+_SUBMODULES = {
+    "canonicalize": "canon",
+    "component_map": "canon",
+    "is_identically_zero": "canon",
+    "IdentityCase": "corpus",
+    "builtin_rules": "corpus",
+    "parse_identity_file": "corpus",
+    "run_identity_cases": "corpus",
+    "shipped_corpus_text": "corpus",
+    "component_eval": "evaluate",
+    "Expr": "expr",
+    "Factor": "expr",
+    "Idx": "expr",
+    "Term": "expr",
+    "Kernel": "kernels",
+    "KernelTable": "kernels",
+    "Parser": "parse",
+    "RewriteRule": "rewrite",
+    "VerificationReport": "rewrite",
+    "apply_rules": "rewrite",
+    "verify_identity": "rewrite",
+    "expr_weight": "weights",
+    "term_weight": "weights",
+}
+
+__all__ = list(_SUBMODULES)
+__getattr__ = _lazy_getattr(__name__, _SUBMODULES)

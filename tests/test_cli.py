@@ -64,6 +64,32 @@ class TestVerify:
         assert result.returncode == 1
         assert "wrong_ricci: failed" in result.stdout
 
+    def test_no_numpy_import(self, tmp_path):
+        """A ``verify`` run, passing or failing, never imports numpy: it needs
+        only ``core.indices`` and the symbolic rewriter."""
+        from spinorwave.symbolic import shipped_corpus_text
+
+        corpus = tmp_path / "negative.txt"
+        corpus.write_text(shipped_corpus_text("identities_negative"))
+        config = tmp_path / "negative.json"
+        config.write_text(json.dumps({"identities": str(corpus)}))
+        script = (
+            "import sys\n"
+            "from spinorwave.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:], standalone_mode=False)\n"
+            "finally:\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        for args, code in (([], 0), (["--config", str(config)], 1)):
+            out = tmp_path / f"out{code}"
+            result = subprocess.run(
+                [sys.executable, "-c", script, "verify", "--out", str(out), *args],
+                capture_output=True, text=True, timeout=120)
+            assert result.returncode == code, result.stderr
+            assert result.stdout.splitlines()[-1] == "[]"
+            assert (out / "report.json").exists()
+
     def test_missing_file_is_usage_error(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"identities": str(tmp_path / "nope.txt")}))

@@ -499,6 +499,17 @@ class TestSpectrum:
                       {"ic": {"kind": "explicit", "f": [1.0, 0.0], "df": [0.0, math.nan]}}):
             with pytest.raises(ConfigError):
                 spectrum_from_config(dict(base, **extra))
+        # The checks that do not depend on k hold for an empty k grid too.
+        empty = dict(base, k_grid={"min": 1.0, "max": 2.0, "count": 0})
+        for extra, message in (
+            ({"tol": {"rel": -1}}, "tolerances"),
+            ({"samples": 1}, "at least 2 sample points"),
+            ({"ic": {"kind": "bogus"}}, "unknown initial-condition kind"),
+            ({"ic": {"kind": "explicit", "f": [math.nan, 0.0], "df": [1.0, 0.0]}},
+             "initial data"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                spectrum_from_config(dict(empty, **extra))
         # Wrong JSON types and numbers beyond float range: each names its
         # field, and none is converted to a value that runs.
         explicit = {"kind": "explicit", "f": [1.0, 0.0], "df": [0.0, 1.0]}

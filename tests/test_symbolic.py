@@ -1,7 +1,10 @@
 """Parser, weight bookkeeping, canonicalizer, and numeric evaluation."""
 
+import importlib
 import itertools
 import math
+import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -396,3 +399,37 @@ class TestOracleAgreement:
             for term in expr.terms:
                 scale = max(scale, component_eval(Expr((term,)), bindings, table).max_abs())
         assert canonicalize(expr, table).is_zero == (value <= 1e-9 * scale), text
+
+
+@pytest.mark.parametrize("package", ["spinorwave.core", "spinorwave.symbolic"])
+class TestLazyExports:
+    """Both packages load a submodule on first use of one of its names; the
+    public names are the ones the eager imports gave."""
+
+    def test_names_are_the_submodule_objects(self, package):
+        pkg = importlib.import_module(package)
+        for name in pkg.__all__:
+            submodule = importlib.import_module(f"{package}.{pkg._SUBMODULES[name]}")
+            assert getattr(pkg, name) is getattr(submodule, name), name
+
+    def test_star_import_binds_every_name(self, package):
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        pkg = importlib.import_module(package)
+        for name in pkg.__all__:
+            assert namespace[name] is getattr(pkg, name), name
+
+    def test_unknown_name_raises_attribute_error(self, package):
+        pkg = importlib.import_module(package)
+        with pytest.raises(AttributeError, match=re.escape(f"{package!r} has no attribute")):
+            pkg.no_such_name
+        with pytest.raises(ImportError):
+            exec(f"from {package} import no_such_name", {})
+
+    def test_from_import_of_a_submodule(self, package):
+        pkg = importlib.import_module(package)
+        for submodule in sorted(set(pkg._SUBMODULES.values())):
+            namespace = {}
+            exec(f"from {package} import {submodule}", namespace)
+            assert isinstance(namespace[submodule], types.ModuleType)
+            assert namespace[submodule].__name__ == f"{package}.{submodule}"
