@@ -108,17 +108,17 @@ def verify(config_path: str | None, out_dir: str | None, verbose: bool) -> None:
 
 
 @main.command()
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
-              help="Seed for every randomized property suite.")
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True,
+              help="Seed (a non-negative integer) for every randomized property suite.")
 @click.option("--suite", "suite_names", type=str, multiple=True,
-              help="Run only the named suite(s).")
+              help="Run only the named suite(s); a repeated name runs once.")
 @click.option("--out", "out_path", type=str, default=None,
               help="Write the JSON report here instead of stdout.")
 def check(seed: int, suite_names: tuple[str, ...], out_path: str | None) -> None:
     """Run the seeded property suites over the concrete spinor algebra."""
     from .suites import SUITES, run_suites
 
-    names = sorted(suite_names) if suite_names else None
+    names = sorted(set(suite_names)) if suite_names else None
     unknown = [n for n in (names or []) if n not in SUITES]
     if unknown:
         _fail_usage(f"unknown suite(s): {', '.join(unknown)}; "

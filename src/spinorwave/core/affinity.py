@@ -25,34 +25,37 @@ _E_UP = CONVENTION.eps_up
 
 @dataclass(frozen=True)
 class SpinAffinity:
-    """Components ``theta_{aA}^{C}``: world x unprimed-down x unprimed-up."""
+    """Components ``theta_{aA}^{C}``: world x unprimed-down x unprimed-up,
+    batched over an arbitrary leading sample shape."""
 
-    theta: np.ndarray  # (4, 2, 2)
+    theta: np.ndarray  # (..., 4, 2, 2)
 
     def __post_init__(self):
         arr = np.asarray(self.theta, dtype=complex)
-        if arr.shape != (4, 2, 2):
-            raise IndexPlacementError(f"affinity must have shape (4,2,2), got {arr.shape}")
+        if arr.shape[-3:] != (4, 2, 2):
+            raise IndexPlacementError(
+                f"affinity trailing axes must be (4,2,2), got {arr.shape}"
+            )
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "theta", arr)
 
     def lowered(self) -> np.ndarray:
         """theta_{aAC} = theta_{aA}^{X} eps_{XC}."""
-        return np.einsum("aAX,XC->aAC", self.theta, _E_LO)
+        return np.einsum("...aAX,XC->...aAC", self.theta, _E_LO)
 
     def symmetric_part(self) -> np.ndarray:
         """theta_{a(AC)} of the lowered components."""
         low = self.lowered()
-        return 0.5 * (low + np.transpose(low, (0, 2, 1)))
+        return 0.5 * (low + np.swapaxes(low, -1, -2))
 
     def trace(self) -> np.ndarray:
         """theta_{aB}^{B}."""
-        return np.einsum("aBB->a", self.theta)
+        return np.einsum("...aBB->...a", self.theta)
 
     def split_residual(self) -> float:
         """Max deviation of theta_{aAC} - theta_{a(AC)} - (1/2) eps_{AC} theta_{aB}^{B}."""
-        recon = self.symmetric_part() + 0.5 * np.einsum("AC,a->aAC", _E_LO, self.trace())
+        recon = self.symmetric_part() + 0.5 * np.einsum("AC,...a->...aAC", _E_LO, self.trace())
         return float(np.max(np.abs(self.lowered() - recon)))
 
     @classmethod
@@ -60,8 +63,8 @@ class SpinAffinity:
         """Rebuild theta_{aA}^{C} from theta_{a(AC)} and an optional trace."""
         low = np.array(sym, dtype=complex)
         if trace is not None:
-            low = low + 0.5 * np.einsum("AC,a->aAC", _E_LO, np.asarray(trace, dtype=complex))
-        mixed = np.einsum("CX,aAX->aAC", _E_UP, low)
+            low = low + 0.5 * np.einsum("AC,...a->...aAC", _E_LO, np.asarray(trace, dtype=complex))
+        mixed = np.einsum("CX,...aAX->...aAC", _E_UP, low)
         return cls(mixed)
 
 
@@ -70,28 +73,34 @@ def covariant_derivative_forms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both displayed forms of ``nabla_a phi_A^B``; they must agree.
 
-    ``phi``: (2,2) mixed wave function, trace-free (mixed form of a symmetric
-    spinor).  ``dphi``: (4,2,2) coordinate derivative.  Returns the direct
-    form (affinity contracted as written) and the rearranged form built from
-    the symmetric affinity pieces alone; the trace part drops out of the
-    direct form for this weight-zero field, which is why the two agree.
+    ``phi``: (..., 2, 2) mixed wave function, trace-free (mixed form of a
+    symmetric spinor).  ``dphi``: (..., 4, 2, 2) coordinate derivative.  The
+    leading sample shape of ``phi``, ``dphi`` and the affinity must be the
+    same.  Returns the direct form (affinity contracted as written) and the
+    rearranged form built from the symmetric affinity pieces alone; the
+    trace part drops out of the direct form for this weight-zero field,
+    which is why the two agree.
     """
     phi = np.asarray(phi, dtype=complex)
     dphi = np.asarray(dphi, dtype=complex)
-    if phi.shape != (2, 2) or dphi.shape != (4, 2, 2):
-        raise IndexPlacementError("phi must be (2,2) and dphi (4,2,2)")
     th = affinity.theta
+    if phi.shape[-2:] != (2, 2) or dphi.shape[-3:] != (4, 2, 2):
+        raise IndexPlacementError("phi must be (..., 2, 2) and dphi (..., 4, 2, 2)")
+    if not phi.shape[:-2] == dphi.shape[:-3] == th.shape[:-3]:
+        raise IndexPlacementError(
+            f"sample shapes differ: phi {phi.shape}, dphi {dphi.shape}, affinity {th.shape}"
+        )
     direct = (
         dphi
-        - np.einsum("aAC,CB->aAB", th, phi)
-        + np.einsum("aCB,AC->aAB", th, phi)
+        - np.einsum("...aAC,...CB->...aAB", th, phi)
+        + np.einsum("...aCB,...AC->...aAB", th, phi)
     )
     sig = affinity.symmetric_part()
-    sig_up = np.einsum("BX,CY,aXY->aBC", _E_UP, _E_UP, sig)
+    sig_up = np.einsum("BX,CY,...aXY->...aBC", _E_UP, _E_UP, sig)
     rearranged = (
         dphi
-        + np.einsum("aAC,BD,DC->aAB", sig, _E_UP, phi)
-        - np.einsum("aBC,AD,DC->aAB", sig_up, phi, _E_LO)
+        + np.einsum("...aAC,BD,...DC->...aAB", sig, _E_UP, phi)
+        - np.einsum("...aBC,...AD,DC->...aAB", sig_up, phi, _E_LO)
     )
     return direct, rearranged
 

@@ -15,12 +15,25 @@ integer sign counts per symbol and weights them once by the term's rational
 coefficient.  An expression canonicalizes to literal zero precisely when
 that expansion vanishes identically; ``canonicalize`` expands each collected
 term once and decides the whole result from the sum of those expansions.
+
+The expansion of a term factorizes over its clusters, the connected sets of
+factors that share labels: an assignment's sign is the product of its
+clusters' signs and its symbol is put together from theirs.  Each cluster
+is enumerated alone, with one component-and-sign table per field factor,
+and the clusters are combined by product.  The counts stay integers over
+the common denominator of the coefficients until one Fraction is built per
+surviving symbol.
+
+Dummies are named by the lowest of all relabelings (up to seven dummies).
+Each relabeling is ranked on a tuple form of the term, and a Term is built
+only for the lowest.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from ..core.indices import DIMENSION, IndexKind, Variance, permutation_sign
@@ -295,36 +308,141 @@ def _rename_with(term: Term, mapping: dict[str, str]) -> Term:
     return Term(term.coeff, tuple(factors), term.groups)
 
 
+def _sorted_pairs(pairs: list[tuple[bool, str]], sym, antisym) -> int:
+    """Sort (up, label) pairs in place inside the slot-symmetry groups, as
+    ``sort_kernel_slots`` does; returns the sign of the antisymmetric sorts."""
+    sign = 1
+    for group in sym:
+        if len(group) == 2:
+            a, b = group
+            if pairs[a][1] > pairs[b][1]:
+                pairs[a], pairs[b] = pairs[b], pairs[a]
+            continue
+        ordered = sorted((pairs[s] for s in group), key=operator.itemgetter(1))
+        for s, pair in zip(group, ordered):
+            pairs[s] = pair
+    for group in antisym:
+        if len(group) == 2:
+            a, b = group
+            if pairs[a][1] > pairs[b][1]:
+                pairs[a], pairs[b] = pairs[b], pairs[a]
+                sign = -sign
+            continue
+        order = sorted(range(len(group)), key=lambda i: pairs[group[i]][1])
+        sign *= permutation_sign(order)
+        ordered = [pairs[group[i]] for i in order]
+        for s, pair in zip(group, ordered):
+            pairs[s] = pair
+    return sign
+
+
+def _relabeling_plan(term: Term, dummies: list[str], table: KernelTable):
+    """The term as tuples, for ranking relabelings of its dummies without
+    building terms: the sign and the keys of the slot-sorted factors without
+    dummies; per factor with dummies its position, kernel name, slot
+    groups and slots as (up, dummy number or -1, label); the constant
+    positions; and the operator positions between the segments of field
+    positions.  None when an antisymmetric group repeats a label, which no
+    relabeling changes."""
+    number = {name: n for n, name in enumerate(dummies)}
+    sign, keys, moving, constants, segments = 1, [], [], [], [[]]
+    for position, factor in enumerate(term.factors):
+        kernel = table.get(factor.kernel)
+        sym = kernel.sym_groups if kernel else ()
+        antisym = kernel.antisym_groups if kernel else ()
+        for group in antisym:
+            if len({factor.indices[s].name for s in group}) != len(group):
+                return None
+        pairs = [(idx.up, idx.name) for idx in factor.indices]
+        if number.keys().isdisjoint([name for _, name in pairs]):
+            sign *= _sorted_pairs(pairs, sym, antisym)
+            keys.append((factor.kernel, tuple(pairs)))
+        else:
+            keys.append(None)
+            slots = [(up, number.get(name, -1), name) for up, name in pairs]
+            moving.append((position, factor.kernel, sym, antisym, slots))
+        if kernel and kernel.constant:
+            constants.append(position)
+        elif kernel and kernel.operator:
+            segments += [position, []]
+        else:
+            segments[-1].append(position)
+    return sign, keys, moving, constants, segments
+
+
+def _relabeled(plan, names: list[str]) -> tuple[list, list[int], int]:
+    """The term with dummy n named ``names[n]``, slot-sorted as by
+    ``sort_kernel_slots``: its factor keys by position, its positions in
+    the order of ``normal_order`` and the sign of the sorts."""
+    sign, keys, moving, constants, segments = plan
+    keys = keys[:]
+    for position, kernel, sym, antisym, slots in moving:
+        pairs = [(up, names[n] if n >= 0 else label) for up, n, label in slots]
+        sign *= _sorted_pairs(pairs, sym, antisym)
+        keys[position] = (kernel, tuple(pairs))
+    order = sorted(constants, key=keys.__getitem__)
+    for segment in segments:
+        if type(segment) is int:
+            order.append(segment)
+        else:
+            order += sorted(segment, key=keys.__getitem__)
+    return keys, order, sign
+
+
 def _normalize_term(term: Term, table: KernelTable) -> Term:
     """Canonical dummy labeling: exact (minimum over relabelings) for small
     terms, iterative otherwise.  Relabeling the input's dummies never changes
-    the result of the exact path."""
-    dummies = sorted(term.dummy_names())
-    kinds = {idx.name: idx.kind for _, idx in term.all_indices()}
-    if len(dummies) <= 7:
-        best = None
-        for perm in itertools.permutations(dummies):
-            mapping = {
-                name: f"{_LABEL_TAG[kinds[name]]}{pos}" for pos, name in enumerate(perm)
-            }
-            candidate = sort_kernel_slots(_rename_with(term, mapping), table)
-            if candidate is None:
+    the result of the exact path.
+
+    The exact path ranks every relabeling by the key of the term it gives
+    (factor keys, then the sign of the coefficient) on a tuple plan of the
+    term, and builds a Term only for the lowest; equal keys give equal
+    terms."""
+    census = term.index_census()
+    dummies = sorted(name for name, uses in census.items() if len(uses) == 2)
+    if len(dummies) > 7:
+        current = term
+        for _ in range(4):
+            step = sort_kernel_slots(current, table)
+            if step is None:
                 return Term(Fraction(0), ())
-            candidate = normal_order(candidate, table)
-            key = (_term_key(candidate), candidate.coeff > 0)
-            if best is None or key < best[0]:
-                best = (key, candidate)
-        return best[1]
-    current = term
-    for _ in range(4):
-        step = sort_kernel_slots(current, table)
-        if step is None:
-            return Term(Fraction(0), ())
-        nxt = rename_dummies(normal_order(step, table))
-        if nxt == current:
-            break
-        current = nxt
-    return current
+            nxt = rename_dummies(normal_order(step, table))
+            if nxt == current:
+                break
+            current = nxt
+        return current
+    kind = {name: uses[-1][1].kind for name, uses in census.items()}
+    labels = [[f"{_LABEL_TAG[kind[name]]}{pos}" for pos in range(len(dummies))]
+              for name in dummies]
+    if len(dummies) < 2:
+        # a single relabeling: rename, sort and order the term itself
+        renamed = _rename_with(term, {dummies[0]: labels[0][0]}) if dummies else term
+        candidate = sort_kernel_slots(renamed, table)
+        return Term(Fraction(0), ()) if candidate is None else normal_order(candidate, table)
+    plan = _relabeling_plan(term, dummies, table)
+    if plan is None:
+        return Term(Fraction(0), ())
+    positive = term.coeff > 0
+    best = None
+    for perm in itertools.permutations(range(len(dummies))):
+        names = [None] * len(dummies)
+        for pos, n in enumerate(perm):
+            names[n] = labels[n][pos]
+        keys, order, sign = _relabeled(plan, names)
+        key = (tuple([keys[p] for p in order]), positive if sign > 0 else term.coeff < 0)
+        if best is None or key < best[0]:
+            best = (key, names, keys, order, sign)
+    _, names, keys, order, sign = best
+    for dummy, name in zip(dummies, names):
+        kind[name] = kind[dummy]
+    factors = []
+    for position in order:
+        factor = term.factors[position]
+        kernel, pairs = keys[position]
+        if pairs != tuple([(idx.up, idx.name) for idx in factor.indices]):
+            factor = Factor(kernel, tuple([Idx(name, kind[name], up) for up, name in pairs]))
+        factors.append(factor)
+    return Term(term.coeff * sign, tuple(factors))
 
 
 # -- exact component expansion ------------------------------------------------------
@@ -355,6 +473,8 @@ def _expand_operator_displacement(term: Term, table: KernelTable, fresh: list[in
             )
             indices[spos] = Idx(name, idx.kind, False)
         factors[fpos] = Factor(factor.kernel, tuple(indices))
+    if not extra:
+        return term
     return Term(term.coeff, tuple(factors) + tuple(extra))
 
 
@@ -377,52 +497,183 @@ def _canonical_component(kernel, values: tuple[int, ...]) -> tuple[tuple[int, ..
     return tuple(vals), sign
 
 
-def _sign_counts(term: Term, table: KernelTable, fresh: list[int]) -> dict[tuple, int]:
-    """Symbol -> integer sign count of one group-free term, coefficient aside.
+def _field_table(kernel, scope: int, dims: list[int]) -> dict:
+    """Slot values -> ((scope, kernel name, sorted component), sign), or None
+    where an antisymmetric group kills the component."""
+    name = kernel.name
+    values = itertools.product(*map(range, dims))
+    if not kernel.sym_groups and not kernel.antisym_groups:
+        return {v: ((scope, name, v), 1) for v in values}
+    out = {}
+    for v in values:
+        canon = _canonical_component(kernel, v)
+        out[v] = None if canon is None else ((scope, name, canon[0]), canon[1])
+    return out
 
-    Every factor is a metric spinor, a delta or a symmetry-sorted kernel
-    component, so each assignment adds +1, -1 or nothing to one symbol.
-    """
-    term = _expand_operator_displacement(term, table, fresh)
-    kinds = {idx.name: idx.kind for _, idx in term.all_indices()}
-    labels = sorted(kinds)
-    position = {label: n for n, label in enumerate(labels)}
-    constant_plan, op_plan, field_plan = [], [], []
-    for factor in term.factors:
-        kernel = table.get(factor.kernel)
-        where = tuple(position[idx.name] for idx in factor.indices)
-        if kernel.constant:
-            numbers = _EPS_NUM if factor.kernel in _EPS_FAMILY else _DELTA_NUM
-            constant_plan.append((numbers, *where))
-        elif kernel.operator:
-            op_plan.append((factor.kernel, where))
-        else:
-            # a field component is told apart by the operators acting on it
-            field_plan.append((len(op_plan), kernel, where))
-    free = sorted(term.free_indices())
-    free_slots = [position[label] for label in free]
+
+def _values_getter(slots: list[int]):
+    """The values at ``slots`` of an assignment, always as a tuple."""
+    if len(slots) > 1:
+        return operator.itemgetter(*slots)
+    if slots:
+        (slot,) = slots
+        return lambda value: (value[slot],)
+    return lambda value: ()
+
+
+def _cluster_counts(dims, free, constant_plan, op_plan, field_plan) -> dict[tuple, int]:
+    """(operators, sorted fields, free values) -> sign count of one cluster,
+    enumerated over the assignments of its own labels, free labels first."""
     counts: dict[tuple, int] = {}
-    for value in itertools.product(*(range(DIMENSION[kinds[l]]) for l in labels)):
+    for value in itertools.product(*map(range, dims)):
         sign = 1
         for numbers, i, j in constant_plan:
             sign *= numbers[value[i]][value[j]]
         if not sign:
             continue
         fields = []
-        for scope, kernel, where in field_plan:
-            canon = _canonical_component(kernel, tuple(value[s] for s in where))
-            if canon is None:
+        for table, getter in field_plan:
+            entry = table[getter(value)]
+            if entry is None:
                 break
-            sign *= canon[1]
-            fields.append((scope, kernel.name, canon[0]))
+            sign *= entry[1]
+            fields.append(entry[0])
         else:
-            symbol = (
-                tuple((name, tuple(value[s] for s in where)) for name, where in op_plan),
-                tuple(sorted(fields)),
-                tuple((label, value[s]) for label, s in zip(free, free_slots)),
-            )
-            counts[symbol] = counts.get(symbol, 0) + sign
-    return counts
+            fields.sort()
+            ops = tuple([(name, get(value)) for name, get in op_plan]) if op_plan else ()
+            key = (ops, tuple(fields), tuple(zip(free, value)))
+            counts[key] = counts.get(key, 0) + sign
+    return {key: count for key, count in counts.items() if count}
+
+
+def _clusters(term: Term, table: KernelTable):
+    """Label uses, label dimensions and the connected sets of factors that
+    share labels, as [labels, [(position, operators to the left, kernel,
+    factor), ...]] in factor order."""
+    uses: dict[str, int] = {}
+    dimension: dict[str, int] = {}
+    clusters: list[list] = []
+    n_ops = 0
+    for position, factor in enumerate(term.factors):
+        kernel = table.get(factor.kernel)
+        labels = set()
+        for idx in factor.indices:
+            name = idx.name
+            labels.add(name)
+            if name in uses:
+                uses[name] += 1
+            else:
+                uses[name] = 1
+                dimension[name] = DIMENSION[idx.kind]
+        own = [labels, [(position, n_ops, kernel, factor)]]
+        rest = []
+        for cluster in clusters:
+            if labels.isdisjoint(cluster[0]):
+                rest.append(cluster)
+            else:
+                own[0] |= cluster[0]
+                own[1] = sorted(cluster[1] + own[1])
+        clusters = rest + [own]
+        n_ops += kernel.operator
+    return uses, dimension, clusters
+
+
+def _parts(term: Term, table: KernelTable, tables: dict) -> list[tuple] | None:
+    """(counts, field keys, free labels, operator positions) per cluster;
+    None when a cluster's counts all vanish."""
+    uses, dimension, clusters = _clusters(term, table)
+    parts = []
+    for labels, factors in clusters:
+        free = sorted(label for label in labels if uses[label] == 1)
+        order = free + [label for label in labels if uses[label] != 1]
+        local = {label: n for n, label in enumerate(order)}
+        dims = [dimension[label] for label in order]
+        constant_plan, op_plan, field_plan = [], [], []
+        field_keys, op_positions = [], []
+        for position, scope, kernel, factor in factors:
+            slots = [local[idx.name] for idx in factor.indices]
+            if kernel.constant:
+                numbers = _EPS_NUM if factor.kernel in _EPS_FAMILY else _DELTA_NUM
+                constant_plan.append((numbers, *slots))
+            elif kernel.operator:
+                op_plan.append((factor.kernel, _values_getter(slots)))
+                op_positions.append(position)
+            else:
+                # a field component is told apart by the operators acting on it
+                shape = [dims[s] for s in slots]
+                key = (scope, factor.kernel, *shape)
+                if key not in tables:
+                    tables[key] = _field_table(kernel, scope, shape)
+                field_plan.append((tables[key], _values_getter(slots)))
+                field_keys.append((scope, factor.kernel))
+        if len(factors) == 1 and field_plan and len(free) == len(slots):
+            # one field with distinct free labels: its table is the cluster
+            by_label = _values_getter(sorted(range(len(slots)), key=slots.__getitem__))
+            counts = {((), (entry[0],), tuple(zip(free, by_label(values)))): entry[1]
+                      for values, entry in field_plan[0][0].items() if entry}
+        else:
+            counts = _cluster_counts(dims, free, constant_plan, op_plan, field_plan)
+        if not counts:
+            return None
+        parts.append((counts, field_keys, free, op_positions))
+    return parts
+
+
+def _product(left: dict[tuple, int], right: dict[tuple, int], sort_fields: bool,
+             sort_free: bool, out: dict[tuple, int], weight: int = 1) -> dict[tuple, int]:
+    """Add ``weight`` times the count of every pair of partial symbols,
+    concatenated, into ``out``; the fields and free values are sorted again
+    only where the two parts interleave."""
+    for (ops1, fields1, free1), count1 in left.items():
+        count1 *= weight
+        for (ops2, fields2, free2), count2 in right.items():
+            fields, free = fields1 + fields2, free1 + free2
+            if sort_fields:
+                fields = tuple(sorted(fields))
+            if sort_free:
+                free = tuple(sorted(free))
+            key = (ops1 + ops2, fields, free)
+            out[key] = out.get(key, 0) + count1 * count2
+    return out
+
+
+def _add_sign_counts(term: Term, table: KernelTable, fresh: list[int], tables: dict,
+                     weight: int, acc: dict[tuple, int]) -> None:
+    """Add ``weight`` times the sign count of every symbol of one group-free
+    term into ``acc``.
+
+    Every factor is a metric spinor, a delta or a symmetry-sorted kernel
+    component, so each assignment adds +1, -1 or nothing to one symbol.
+    Factors that share a label form a cluster, and an assignment's sign is
+    the product of its clusters' signs: each cluster is enumerated alone,
+    and the clusters' partial symbols are combined by product.
+    """
+    parts = _parts(_expand_operator_displacement(term, table, fresh), table, tables)
+    if parts is None:
+        return
+    # a term without factors is the one empty symbol
+    parts = parts or [({((), (), ()): 1}, [], [], [])]
+    # operators concatenate part by part: in factor order unless parts interleave
+    parts.sort(key=lambda part: part[3][:1])
+    positions = [n for part in parts for n in part[3]]
+    in_order = positions == sorted(positions)
+    result, field_keys, free, _ = parts[0]
+    if len(parts) == 1:
+        for key, count in result.items():
+            acc[key] = acc.get(key, 0) + weight * count
+        return
+    for n, (counts, keys, labels, _) in enumerate(parts[1:], 2):
+        sort_fields = bool(field_keys and keys) and max(field_keys) >= min(keys)
+        sort_free = bool(free and labels) and max(free) > min(labels)
+        last = n == len(parts) and in_order
+        result = _product(result, counts, sort_fields, sort_free,
+                          acc if last else {}, weight if last else 1)
+        field_keys, free = field_keys + keys, free + labels
+    if not in_order:
+        op_order = _values_getter(sorted(range(len(positions)), key=positions.__getitem__))
+        for (ops, fields, values), count in result.items():
+            key = (op_order(ops), fields, values)
+            acc[key] = acc.get(key, 0) + weight * count
 
 
 def _accumulate(acc: dict[tuple, Fraction], symbol: tuple, value: Fraction) -> None:
@@ -435,17 +686,21 @@ def _accumulate(acc: dict[tuple, Fraction], symbol: tuple, value: Fraction) -> N
 def component_map(expr: Expr, table: KernelTable) -> dict[tuple, Fraction]:
     """Exact multilinear expansion: symbol -> rational coefficient.
 
-    Integer sign counts are summed per group-expanded term and weighted
-    once by the term's rational coefficient.
+    Integer sign counts of each group-expanded term are weighted by the
+    term's coefficient over the common denominator of all coefficients, so
+    the sums are integer; one Fraction is built per surviving symbol.
     """
-    acc: dict[tuple, Fraction] = {}
+    terms = [term for raw in expr.terms for term in expand_groups(raw)]
+    denominator = math.lcm(*(term.coeff.denominator for term in terms))
+    acc: dict[tuple, int] = {}
     fresh = [0]
-    for raw in expr.terms:
-        for term in expand_groups(raw):
-            for symbol, count in _sign_counts(term, table, fresh).items():
-                if count:
-                    _accumulate(acc, symbol, term.coeff * count)
-    return {k: v for k, v in acc.items() if v != 0}
+    tables: dict = {}
+    for term in terms:
+        weight = term.coeff.numerator * (denominator // term.coeff.denominator)
+        _add_sign_counts(term, table, fresh, tables, weight, acc)
+    # the sums are small multiples of a few weights: one Fraction per value
+    values = {n: Fraction(n, denominator) for n in set(acc.values()) if n}
+    return {symbol: values[n] for symbol, n in acc.items() if n}
 
 
 def is_identically_zero(expr: Expr, table: KernelTable) -> bool:

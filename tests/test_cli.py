@@ -121,11 +121,43 @@ class TestCheck:
         assert run_cli("check", "--suite", "nonsense").returncode == 2
 
     def test_unknown_options_are_usage_errors(self):
-        # check reads neither option, so it accepts neither
-        for option in (["--verbose"], ["--jobs", "2"]):
+        # check reads neither option, so it accepts neither; a seed is a
+        # non-negative integer
+        for option, message in ((["--verbose"], "No such option '--verbose'"),
+                                (["--jobs", "2"], "No such option '--jobs'"),
+                                (["--seed", "-1"], "Invalid value for '--seed'")):
             result = run_cli("check", *option)
             assert result.returncode == 2, option
-            assert f"No such option '{option[0]}'" in result.stderr
+            assert message in result.stderr
+            assert "Traceback" not in result.stderr
+
+    def test_repeated_suite_runs_once(self):
+        result = CliRunner().invoke(main, ["check", "--suite", "gauge-invariance",
+                                           "--suite", "trace-free", "--suite", "gauge-invariance"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert [s["name"] for s in report["suites"]] == ["gauge-invariance", "trace-free"]
+
+    def test_batched_index_displacement_matches_per_draw_loop(self):
+        """The suite draws its inputs one draw at a time and checks them as
+        one batch; the per-draw loop it replaced gives the same error."""
+        from spinorwave import suites
+        from spinorwave.core.convention import default_convention
+
+        eps_up = np.asarray(default_convention().eps_up)
+        for seed in (12345, 7):
+            rng = np.random.default_rng([seed, suites._stable_hash("index-displacement")])
+            worst = 0.0
+            for _ in range(1000):
+                theta = suites.aff.SpinAffinity(
+                    rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2)))
+                low = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                phi = np.einsum("BX,AX->AB", eps_up, 0.5 * (low + low.T))
+                dphi = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+                direct, rearranged = suites.aff.covariant_derivative_forms(phi, theta, dphi)
+                worst = max(worst, float(np.max(np.abs(direct - rearranged))))
+            [result] = suites.run_suites(seed, ["index-displacement"])
+            assert result.passed and result.max_error == worst
 
     def test_corrupted_epsilon_hook_fails(self):
         result = run_cli("check", env_extra={"SPINORWAVE_BREAK_EPS": "1"})

@@ -235,6 +235,43 @@ class TestSpinAffinity:
         assert np.max(np.abs(rearranged - dphi)) < 1e-13
 
 
+class TestBatchedAffinity:
+    """Affinities, wave functions and derivatives stacked on a leading
+    sample axis give the per-sample results."""
+
+    def draws(self, n):
+        theta = RNG.standard_normal((n, 4, 2, 2)) + 1j * RNG.standard_normal((n, 4, 2, 2))
+        phi = np.stack([sym_phi_mixed(RNG) for _ in range(n)])
+        dphi = RNG.standard_normal((n, 4, 2, 2)) + 1j * RNG.standard_normal((n, 4, 2, 2))
+        return theta, phi, dphi
+
+    def test_stacked_draws_equal_per_draw_calls(self):
+        theta, phi, dphi = self.draws(20)
+        direct, rearranged = covariant_derivative_forms(phi, SpinAffinity(theta), dphi)
+        assert direct.shape == rearranged.shape == (20, 4, 2, 2)
+        for n in range(20):
+            one = SpinAffinity(theta[n])
+            d, r = covariant_derivative_forms(phi[n], one, dphi[n])
+            assert np.array_equal(direct[n], d) and np.array_equal(rearranged[n], r)
+        batch = SpinAffinity(theta)
+        for n in range(20):
+            one = SpinAffinity(theta[n])
+            assert np.array_equal(batch.symmetric_part()[n], one.symmetric_part())
+            assert np.array_equal(batch.trace()[n], one.trace())
+        assert batch.split_residual() < 1e-14
+
+    def test_bad_trailing_shapes_rejected(self):
+        theta, phi, dphi = self.draws(3)
+        for bad in ((4, 2, 3), (3, 2, 2), (5, 4, 2), (2, 2)):
+            with pytest.raises(IndexPlacementError):
+                SpinAffinity(np.zeros(bad))
+        affinity = SpinAffinity(theta)
+        for bad_phi, bad_dphi in ((phi[..., :1], dphi), (phi, dphi[..., :1, :, :]),
+                                  (phi[0], dphi), (phi, dphi[:2]), (phi[:, None], dphi)):
+            with pytest.raises(IndexPlacementError):
+                covariant_derivative_forms(bad_phi, affinity, bad_dphi)
+
+
 def conformal_family(a0, a1, eta):
     a = a0 + a1 * eta
     base = np.stack(_PAULI) / np.sqrt(2.0)

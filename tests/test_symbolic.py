@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import math
+import pathlib
 import re
 import types
 from fractions import Fraction
@@ -13,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorwave.core.spinor import ComponentSpinor, random_spinor
-from spinorwave.core.indices import IndexSignature, permutation_sign, spinor_signature
+from spinorwave.core.indices import (
+    DIMENSION,
+    IndexSignature,
+    permutation_sign,
+    spinor_signature,
+)
 from spinorwave.errors import (
     ParseError,
     UnsupportedExpressionError,
@@ -23,12 +29,17 @@ from spinorwave.symbolic import (
     Expr,
     KernelTable,
     Parser,
+    canon,
     canonicalize,
     component_eval,
     component_map,
     expr_weight,
     is_identically_zero,
+    parse_identity_file,
+    run_identity_cases,
+    shipped_corpus_text,
 )
+from spinorwave.symbolic.expr import Term, kind_of_label
 
 RNG = np.random.default_rng(99)
 
@@ -399,6 +410,185 @@ class TestOracleAgreement:
             for term in expr.terms:
                 scale = max(scale, component_eval(Expr((term,)), bindings, table).max_abs())
         assert canonicalize(expr, table).is_zero == (value <= 1e-9 * scale), text
+
+
+# -- references for the fast expansion and relabeling --------------------------
+#
+# canon enumerates each cluster of a term alone and ranks relabelings on a
+# tuple plan of the term.  These are the plain forms those replace: one loop
+# over every assignment of all of a term's labels, and a term built for
+# every relabeling of its dummies.  Both must give equal results.
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def reference_component_map(expr, table):
+    acc = {}
+    fresh = [0]
+    for raw in expr.terms:
+        for term in canon.expand_groups(raw):
+            term = canon._expand_operator_displacement(term, table, fresh)
+            kinds = {idx.name: idx.kind for _, idx in term.all_indices()}
+            labels = sorted(kinds)
+            position = {label: n for n, label in enumerate(labels)}
+            constant_plan, op_plan, field_plan = [], [], []
+            for factor in term.factors:
+                kernel = table.get(factor.kernel)
+                where = tuple(position[idx.name] for idx in factor.indices)
+                if kernel.constant:
+                    numbers = canon._EPS_NUM if factor.kernel in canon._EPS_FAMILY else canon._DELTA_NUM
+                    constant_plan.append((numbers, *where))
+                elif kernel.operator:
+                    op_plan.append((factor.kernel, where))
+                else:
+                    field_plan.append((len(op_plan), kernel, where))
+            free = sorted(term.free_indices())
+            counts = {}
+            for value in itertools.product(*(range(DIMENSION[kinds[l]]) for l in labels)):
+                sign = 1
+                for numbers, i, j in constant_plan:
+                    sign *= numbers[value[i]][value[j]]
+                if not sign:
+                    continue
+                fields = []
+                for scope, kernel, where in field_plan:
+                    canonical = canon._canonical_component(kernel, tuple(value[s] for s in where))
+                    if canonical is None:
+                        break
+                    sign *= canonical[1]
+                    fields.append((scope, kernel.name, canonical[0]))
+                else:
+                    symbol = (
+                        tuple((name, tuple(value[s] for s in where)) for name, where in op_plan),
+                        tuple(sorted(fields)),
+                        tuple((label, value[position[label]]) for label in free),
+                    )
+                    counts[symbol] = counts.get(symbol, 0) + sign
+            for symbol, count in counts.items():
+                if count:
+                    acc[symbol] = acc.get(symbol, 0) + term.coeff * count
+    return {symbol: value for symbol, value in acc.items() if value != 0}
+
+
+def reference_normalize_term(term, table):
+    """The exact path (up to seven dummies) of the dummy relabeling."""
+    dummies = sorted(term.dummy_names())
+    kinds = {idx.name: idx.kind for _, idx in term.all_indices()}
+    best = None
+    for perm in itertools.permutations(dummies):
+        mapping = {name: f"{canon._LABEL_TAG[kinds[name]]}{pos}" for pos, name in enumerate(perm)}
+        candidate = canon.sort_kernel_slots(canon._rename_with(term, mapping), table)
+        if candidate is None:
+            return Term(Fraction(0), ())
+        candidate = canon.normal_order(candidate, table)
+        key = (canon._term_key(candidate), candidate.coeff > 0)
+        if best is None or key < best[0]:
+            best = (key, candidate)
+    return best[1]
+
+
+def labels_and_kinds(term):
+    return [(idx.name, idx.kind, idx.up) for _, idx in term.all_indices()]
+
+
+def checked_against_references(mp, calls):
+    """Make every canon.component_map and canon._normalize_term call check
+    its result against the reference, counting the calls."""
+    real_map, real_normalize = canon.component_map, canon._normalize_term
+
+    def component_map_checked(expr, table):
+        result = real_map(expr, table)
+        assert result == reference_component_map(expr, table), expr
+        calls["component_map"] += 1
+        return result
+
+    def normalize_checked(term, table):
+        result = real_normalize(term, table)
+        if len(term.dummy_names()) <= 7:
+            reference = reference_normalize_term(term, table)
+            assert result == reference, term
+            assert labels_and_kinds(result) == labels_and_kinds(reference), term
+            assert type(result.coeff) is type(reference.coeff)
+            calls["normalize"] += 1
+        return result
+
+    mp.setattr(canon, "component_map", component_map_checked)
+    mp.setattr(canon, "_normalize_term", normalize_checked)
+
+
+# Operators at several positions (one cluster holding operators on both
+# sides of another's), factors without labels, world labels, primed labels
+# and a term without factors.
+OPERATOR_CASES = [
+    "nabla_{A'}^{C} nabla^{A A'} phi_{A}^{B}",
+    "Delta^{A C} phi_{A}^{B} - 1/2 M^{A C} Box phi_{A}^{B}",
+    "nabla_{A X'} nabla^{B X'} phi_{C}^{A} + 2 nabla_{A Y'} nabla^{B Y'} phi_{C}^{A}",
+    "nabla_{A A'} nabla_{B B'} nabla_{C}^{A'} R",
+    "nabla_{A A'} Ua_{B} nabla_{C C'} Vb_{D}",
+    "Box R phi_{A}^{B} - 1/3 R Box phi_{A}^{B}",
+    "Phi_{a} vartheta_sym_{b A B} + 2 Phi_{b} vartheta_sym_{a B A}",
+    "Tc_{A' B'} Kd_{C} - 1/2 eps_{A' B'} Tc_{E'}^{E'} Kd_{C}",
+    "Psi_{A D}^{B C} phi_{C}^{D} + 2 Psi_{A E}^{B F} phi_{F}^{E}",
+    "eps^{A B} eps_{A B} - 2",
+]
+
+
+class TestFastExpansionMatchesReference:
+    def test_shipped_negative_and_kernel_sum_corpora(self):
+        calls = {"component_map": 0, "normalize": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            checked_against_references(mp, calls)
+            for text in (shipped_corpus_text("identities"),
+                         shipped_corpus_text("identities_negative"),
+                         (GOLDEN / "kernel_sums.txt").read_text(encoding="utf-8")):
+                run_identity_cases(parse_identity_file(text))
+        assert calls["component_map"] > 50 and calls["normalize"] > 50
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=differential_cases())
+    def test_generated_cases(self, text):
+        table, parser = fresh()
+        expr = parser.parse_expression(text)
+        assert component_map(expr, table) == reference_component_map(expr, table)
+        calls = {"component_map": 0, "normalize": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            checked_against_references(mp, calls)
+            canon.canonicalize(expr, table)
+
+    @pytest.mark.parametrize("text", OPERATOR_CASES)
+    def test_operator_world_and_scalar_cases(self, text):
+        table, parser = fresh()
+        expr = parser.parse_expression(text)
+        assert component_map(expr, table) == reference_component_map(expr, table)
+        calls = {"component_map": 0, "normalize": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            checked_against_references(mp, calls)
+            canon.canonicalize(expr, table)
+
+    def test_term_without_factors(self):
+        table = KernelTable()
+        expr = Expr((Term(Fraction(3, 4), ()), Term(Fraction(-1, 6), ())))
+        assert component_map(expr, table) == {((), (), ()): Fraction(7, 12)}
+        assert component_map(expr, table) == reference_component_map(expr, table)
+
+
+class TestCanonicalizeSeam:
+    def test_calls_component_map_through_the_module_global(self, monkeypatch):
+        """The benchmark times ``canon.component_map`` by replacing the module
+        attribute; canonicalize must call it once per collected term."""
+        table, parser = fresh()
+        expr = parser.parse_expression("2 Ua_{A B} Vb_{C} + eps_{A B} Ua_{D}^{D} Vb_{C}")
+        seen = []
+        real = canon.component_map
+
+        def spy(expr, table):
+            seen.append(expr)
+            return real(expr, table)
+
+        monkeypatch.setattr(canon, "component_map", spy)
+        out = canonicalize(expr, table)
+        assert len(seen) == len(out.terms) == 2
+        assert all(len(e.terms) == 1 for e in seen)
 
 
 @pytest.mark.parametrize("package", ["spinorwave.core", "spinorwave.symbolic"])
