@@ -276,6 +276,13 @@ def normal_order(term: Term, table: KernelTable) -> Term:
 _LABEL_TAG = {IndexKind.UNPRIMED: "!U", IndexKind.PRIMED: "!P", IndexKind.WORLD: "!w"}
 
 
+def _dummy_label(kind: IndexKind, number: int) -> str:
+    """Canonical dummy label; primed ones end in a prime, so the label rule
+    of ``expr.kind_of_label`` reads their kind back."""
+    label = f"{_LABEL_TAG[kind]}{number}"
+    return label + "'" if kind is IndexKind.PRIMED else label
+
+
 def rename_dummies(term: Term) -> Term:
     dummies = term.dummy_names()
     mapping: dict[str, str] = {}
@@ -287,10 +294,7 @@ def rename_dummies(term: Term) -> Term:
             if idx.name in dummies:
                 if idx.name not in mapping:
                     counter += 1
-                    name = f"{_LABEL_TAG[idx.kind]}{counter}"
-                    if idx.kind is IndexKind.PRIMED:
-                        name += "'"
-                    mapping[idx.name] = name
+                    mapping[idx.name] = _dummy_label(idx.kind, counter)
                 indices.append(Idx(mapping[idx.name], idx.kind, idx.up))
             else:
                 indices.append(idx)
@@ -412,8 +416,7 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
             current = nxt
         return current
     kind = {name: uses[-1][1].kind for name, uses in census.items()}
-    labels = [[f"{_LABEL_TAG[kind[name]]}{pos}" for pos in range(len(dummies))]
-              for name in dummies]
+    labels = [[_dummy_label(kind[name], pos) for pos in range(len(dummies))] for name in dummies]
     if len(dummies) < 2:
         # a single relabeling: rename, sort and order the term itself
         renamed = _rename_with(term, {dummies[0]: labels[0][0]}) if dummies else term

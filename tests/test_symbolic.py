@@ -476,7 +476,7 @@ def reference_normalize_term(term, table):
     kinds = {idx.name: idx.kind for _, idx in term.all_indices()}
     best = None
     for perm in itertools.permutations(dummies):
-        mapping = {name: f"{canon._LABEL_TAG[kinds[name]]}{pos}" for pos, name in enumerate(perm)}
+        mapping = {name: canon._dummy_label(kinds[name], pos) for pos, name in enumerate(perm)}
         candidate = canon.sort_kernel_slots(canon._rename_with(term, mapping), table)
         if candidate is None:
             return Term(Fraction(0), ())
@@ -570,6 +570,26 @@ class TestFastExpansionMatchesReference:
         expr = Expr((Term(Fraction(3, 4), ()), Term(Fraction(-1, 6), ())))
         assert component_map(expr, table) == {((), (), ()): Fraction(7, 12)}
         assert component_map(expr, table) == reference_component_map(expr, table)
+
+
+class TestDummyLabels:
+    def test_printed_dummies_read_back_their_kind(self):
+        """A canonical dummy's label tells its kind by the label rule, so a
+        printed residual can be read back (primed dummies end in a prime)."""
+        terms = []
+        for text in OPERATOR_CASES:
+            table, parser = fresh()
+            terms += canonicalize(parser.parse_expression(text), table).terms
+        for text in (shipped_corpus_text("identities_negative"),
+                     (GOLDEN / "kernel_sums.txt").read_text(encoding="utf-8")):
+            for report in run_identity_cases(parse_identity_file(text)):
+                terms += report.residual.terms
+        dummies = [idx for term in terms for _, idx in term.all_indices()
+                   if idx.name in term.dummy_names()]
+        assert any(label.endswith("'") for label in (idx.name for idx in dummies))
+        for idx in dummies:
+            assert idx.name.startswith("!")
+            assert kind_of_label(idx.name) is idx.kind, idx.name
 
 
 class TestCanonicalizeSeam:
