@@ -87,6 +87,44 @@ def expand_groups(term: Term) -> list[Term]:
 # -- kernel symmetries ----------------------------------------------------------
 
 
+def _sort_slots(items: list, sym, antisym, label) -> int:
+    """Sort ``items`` (one per slot) in place, stably by ``label``, inside
+    each symmetric and antisymmetric slot group.  Returns the sign of the
+    antisymmetric sorts, or 0 when an antisymmetric group repeats a label."""
+    sign = 1
+    for group in sym:
+        if len(group) == 2:
+            a, b = group
+            if label(items[a]) > label(items[b]):
+                items[a], items[b] = items[b], items[a]
+            continue
+        ordered = sorted((items[s] for s in group), key=label)
+        for slot, item in zip(group, ordered):
+            items[slot] = item
+    for group in antisym:
+        if len(group) == 2:
+            a, b = group
+            first, second = label(items[a]), label(items[b])
+            if first == second:
+                return 0
+            if first > second:
+                items[a], items[b] = items[b], items[a]
+                sign = -sign
+            continue
+        labels = [label(items[s]) for s in group]
+        if len(set(labels)) != len(labels):
+            return 0
+        order = sorted(range(len(group)), key=labels.__getitem__)
+        sign *= permutation_sign(order)
+        ordered = [items[group[i]] for i in order]
+        for slot, item in zip(group, ordered):
+            items[slot] = item
+    return sign
+
+
+_IDX_NAME = operator.attrgetter("name")
+
+
 def sort_kernel_slots(term: Term, table: KernelTable, skip: set[int] | None = None) -> Term | None:
     """Order indices inside declared symmetric/antisymmetric slot groups.
 
@@ -101,26 +139,12 @@ def sort_kernel_slots(term: Term, table: KernelTable, skip: set[int] | None = No
         if kernel is None:
             continue
         indices = list(factor.indices)
-        changed = False
-        for group in kernel.sym_groups:
-            names = sorted(range(len(group)), key=lambda i: indices[group[i]].name)
-            if names != list(range(len(group))):
-                new = [indices[group[i]] for i in names]
-                for slot, idx in zip(group, new):
-                    indices[slot] = idx
-                changed = True
-        for group in kernel.antisym_groups:
-            labels = [indices[s].name for s in group]
-            if len(set(labels)) != len(labels):
-                return None
-            order = sorted(range(len(group)), key=lambda i: labels[i])
-            if order != list(range(len(group))):
-                coeff *= permutation_sign(order)
-                new = [indices[group[i]] for i in order]
-                for slot, idx in zip(group, new):
-                    indices[slot] = idx
-                changed = True
-        if changed:
+        sign = _sort_slots(indices, kernel.sym_groups, kernel.antisym_groups, _IDX_NAME)
+        if not sign:
+            return None
+        if sign < 0:
+            coeff = -coeff
+        if tuple(indices) != factor.indices:
             factors[fpos] = Factor(factor.kernel, tuple(indices))
     return Term(coeff, tuple(factors), term.groups)
 
@@ -312,32 +336,7 @@ def _rename_with(term: Term, mapping: dict[str, str]) -> Term:
     return Term(term.coeff, tuple(factors), term.groups)
 
 
-def _sorted_pairs(pairs: list[tuple[bool, str]], sym, antisym) -> int:
-    """Sort (up, label) pairs in place inside the slot-symmetry groups, as
-    ``sort_kernel_slots`` does; returns the sign of the antisymmetric sorts."""
-    sign = 1
-    for group in sym:
-        if len(group) == 2:
-            a, b = group
-            if pairs[a][1] > pairs[b][1]:
-                pairs[a], pairs[b] = pairs[b], pairs[a]
-            continue
-        ordered = sorted((pairs[s] for s in group), key=operator.itemgetter(1))
-        for s, pair in zip(group, ordered):
-            pairs[s] = pair
-    for group in antisym:
-        if len(group) == 2:
-            a, b = group
-            if pairs[a][1] > pairs[b][1]:
-                pairs[a], pairs[b] = pairs[b], pairs[a]
-                sign = -sign
-            continue
-        order = sorted(range(len(group)), key=lambda i: pairs[group[i]][1])
-        sign *= permutation_sign(order)
-        ordered = [pairs[group[i]] for i in order]
-        for s, pair in zip(group, ordered):
-            pairs[s] = pair
-    return sign
+_PAIR_LABEL = operator.itemgetter(1)
 
 
 def _relabeling_plan(term: Term, dummies: list[str], table: KernelTable):
@@ -346,20 +345,16 @@ def _relabeling_plan(term: Term, dummies: list[str], table: KernelTable):
     dummies; per factor with dummies its position, kernel name, slot
     groups and slots as (up, dummy number or -1, label); the constant
     positions; and the operator positions between the segments of field
-    positions.  None when an antisymmetric group repeats a label, which no
-    relabeling changes."""
+    positions."""
     number = {name: n for n, name in enumerate(dummies)}
     sign, keys, moving, constants, segments = 1, [], [], [], [[]]
     for position, factor in enumerate(term.factors):
         kernel = table.get(factor.kernel)
         sym = kernel.sym_groups if kernel else ()
         antisym = kernel.antisym_groups if kernel else ()
-        for group in antisym:
-            if len({factor.indices[s].name for s in group}) != len(group):
-                return None
         pairs = [(idx.up, idx.name) for idx in factor.indices]
         if number.keys().isdisjoint([name for _, name in pairs]):
-            sign *= _sorted_pairs(pairs, sym, antisym)
+            sign *= _sort_slots(pairs, sym, antisym, _PAIR_LABEL)
             keys.append((factor.kernel, tuple(pairs)))
         else:
             keys.append(None)
@@ -382,7 +377,7 @@ def _relabeled(plan, names: list[str]) -> tuple[list, list[int], int]:
     keys = keys[:]
     for position, kernel, sym, antisym, slots in moving:
         pairs = [(up, names[n] if n >= 0 else label) for up, n, label in slots]
-        sign *= _sorted_pairs(pairs, sym, antisym)
+        sign *= _sort_slots(pairs, sym, antisym, _PAIR_LABEL)
         keys[position] = (kernel, tuple(pairs))
     order = sorted(constants, key=keys.__getitem__)
     for segment in segments:
@@ -423,8 +418,6 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
         candidate = sort_kernel_slots(renamed, table)
         return Term(Fraction(0), ()) if candidate is None else normal_order(candidate, table)
     plan = _relabeling_plan(term, dummies, table)
-    if plan is None:
-        return Term(Fraction(0), ())
     positive = term.coeff > 0
     best = None
     for perm in itertools.permutations(range(len(dummies))):
@@ -432,6 +425,9 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
         for pos, n in enumerate(perm):
             names[n] = labels[n][pos]
         keys, order, sign = _relabeled(plan, names)
+        if not sign:
+            # an antisymmetric group repeats a label under every relabeling
+            return Term(Fraction(0), ())
         key = (tuple([keys[p] for p in order]), positive if sign > 0 else term.coeff < 0)
         if best is None or key < best[0]:
             best = (key, names, keys, order, sign)
@@ -679,13 +675,6 @@ def _add_sign_counts(term: Term, table: KernelTable, fresh: list[int], tables: d
             acc[key] = acc.get(key, 0) + weight * count
 
 
-def _accumulate(acc: dict[tuple, Fraction], symbol: tuple, value: Fraction) -> None:
-    """Add ``value`` at ``symbol``; a first value is stored as is, which
-    saves a Fraction addition to zero per new symbol."""
-    previous = acc.get(symbol)
-    acc[symbol] = value if previous is None else previous + value
-
-
 def component_map(expr: Expr, table: KernelTable) -> dict[tuple, Fraction]:
     """Exact multilinear expansion: symbol -> rational coefficient.
 
@@ -728,8 +717,11 @@ def canonicalize(expr: Expr, table: KernelTable) -> Expr:
             continue
         cleaned.append(_normalize_term(term2, table))
     collected = _collect_like_terms(cleaned)
+    # every map value is a multiple of its term's coefficient, so the sums
+    # are integers over the common denominator of the coefficients
+    denominator = math.lcm(*(coeff.denominator for coeff, _ in collected.values()))
     result = []
-    total: dict[tuple, Fraction] = {}
+    total: dict[tuple, int] = {}
     for key in sorted(collected):
         coeff, term = collected[key]
         if coeff == 0:
@@ -742,7 +734,7 @@ def canonicalize(expr: Expr, table: KernelTable) -> Expr:
             continue
         result.append(candidate)
         for symbol, value in components.items():
-            _accumulate(total, symbol, value)
+            total[symbol] = total.get(symbol, 0) + value.numerator * (denominator // value.denominator)
     if not any(total.values()):
         return Expr.zero()
     return Expr(tuple(result))
