@@ -480,20 +480,8 @@ def _expand_operator_displacement(term: Term, table: KernelTable, fresh: list[in
 def _canonical_component(kernel, values: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     """Sort component indices inside declared symmetry groups; None if killed."""
     vals = list(values)
-    sign = 1
-    for group in kernel.sym_groups:
-        sub = sorted(vals[s] for s in group)
-        for slot, v in zip(group, sub):
-            vals[slot] = v
-    for group in kernel.antisym_groups:
-        sub = [vals[s] for s in group]
-        if len(set(sub)) != len(sub):
-            return None
-        order = tuple(sorted(range(len(sub)), key=lambda i: sub[i]))
-        sign *= permutation_sign(order)
-        for slot, v in zip(group, sorted(sub)):
-            vals[slot] = v
-    return tuple(vals), sign
+    sign = _sort_slots(vals, kernel.sym_groups, kernel.antisym_groups, int)
+    return (tuple(vals), sign) if sign else None
 
 
 def _field_table(kernel, scope: int, dims: list[int]) -> dict:
