@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from ..core.indices import DIMENSION, IndexKind, Variance, permutation_sign
 from ..errors import UnsupportedExpressionError
-from .expr import Expr, Factor, Idx, Term
+from .expr import Expr, Factor, Idx, Term, expand_groups
 from .kernels import Displacement, KernelTable
 
 _EPS_NUM = ((0, 1), (-1, 0))
@@ -56,32 +56,6 @@ def _is_constant(factor: Factor, table: KernelTable) -> bool:
 def _is_operator(factor: Factor, table: KernelTable) -> bool:
     k = table.get(factor.kernel)
     return bool(k and k.operator)
-
-
-# -- symmetrization groups ----------------------------------------------------
-
-
-def expand_groups(term: Term) -> list[Term]:
-    """Replace every symmetrization group by its signed permutation average."""
-    if not term.groups:
-        return [term]
-    (mode, positions), rest = term.groups[0], term.groups[1:]
-    n = len(positions)
-    labels = [term.factors[f].indices[s] for f, s in positions]
-    out = []
-    for perm in itertools.permutations(range(n)):
-        sign = permutation_sign(perm) if mode == "antisym" else 1
-        factors = list(term.factors)
-        for (f, s), src in zip(positions, perm):
-            indices = list(factors[f].indices)
-            indices[s] = labels[src]
-            factors[f] = Factor(factors[f].kernel, tuple(indices))
-        out.extend(
-            expand_groups(
-                Term(term.coeff * Fraction(sign, math.factorial(n)), tuple(factors), rest)
-            )
-        )
-    return out
 
 
 # -- kernel symmetries ----------------------------------------------------------

@@ -17,8 +17,7 @@ from ..core.convention import CONVENTION
 from ..core.indices import DIMENSION, IndexSignature, Slot
 from ..core.spinor import ComponentSpinor
 from ..errors import UnsupportedExpressionError
-from .canon import expand_groups
-from .expr import Expr
+from .expr import Expr, expand_groups
 from .kernels import KernelTable
 
 

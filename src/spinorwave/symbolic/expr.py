@@ -9,10 +9,12 @@ gymnastics the rewrite rules encode).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..core.indices import IndexKind, Variance
+from ..core.indices import IndexKind, Variance, permutation_sign
 
 
 def kind_of_label(label: str) -> IndexKind:
@@ -92,6 +94,29 @@ class Term:
         body = " ".join(repr(f) for f in self.factors) or "1"
         tail = f" groups={list(self.groups)}" if self.groups else ""
         return f"{head} * {body}{tail}"
+
+
+def expand_groups(term: Term) -> list[Term]:
+    """Replace every symmetrization group by its signed permutation average."""
+    if not term.groups:
+        return [term]
+    (mode, positions), rest = term.groups[0], term.groups[1:]
+    n = len(positions)
+    labels = [term.factors[f].indices[s] for f, s in positions]
+    out = []
+    for perm in itertools.permutations(range(n)):
+        sign = permutation_sign(perm) if mode == "antisym" else 1
+        factors = list(term.factors)
+        for (f, s), src in zip(positions, perm):
+            indices = list(factors[f].indices)
+            indices[s] = labels[src]
+            factors[f] = Factor(factors[f].kernel, tuple(indices))
+        out.extend(
+            expand_groups(
+                Term(term.coeff * Fraction(sign, math.factorial(n)), tuple(factors), rest)
+            )
+        )
+    return out
 
 
 @dataclass(frozen=True)
