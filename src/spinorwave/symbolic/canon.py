@@ -454,6 +454,7 @@ def _expand_operator_displacement(term: Term, table: KernelTable, fresh: list[in
 def _canonical_component(kernel, values: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     """Sort component indices inside declared symmetry groups; None if killed."""
     vals = list(values)
+    # component values are ints, which sort as themselves
     sign = _sort_slots(vals, kernel.sym_groups, kernel.antisym_groups, int)
     return (tuple(vals), sign) if sign else None
 
@@ -581,7 +582,7 @@ def _parts(term: Term, table: KernelTable, tables: dict) -> list[tuple] | None:
 
 
 def _product(left: dict[tuple, int], right: dict[tuple, int], sort_fields: bool,
-             sort_free: bool, out: dict[tuple, int], weight: int = 1) -> dict[tuple, int]:
+             sort_free: bool, out: dict[tuple, int], weight: int) -> dict[tuple, int]:
     """Add ``weight`` times the count of every pair of partial symbols,
     concatenated, into ``out``; the fields and free values are sorted again
     only where the two parts interleave."""
