@@ -547,7 +547,7 @@ def _parts(term: Term, table: KernelTable, tables: dict) -> list[tuple] | None:
     parts = []
     for labels, factors in clusters:
         free = sorted(label for label in labels if uses[label] == 1)
-        order = free + [label for label in labels if uses[label] != 1]
+        order = free + sorted(labels.difference(free))
         local = {label: n for n, label in enumerate(order)}
         dims = [dimension[label] for label in order]
         constant_plan, op_plan, field_plan = [], [], []
