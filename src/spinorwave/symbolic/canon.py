@@ -21,8 +21,8 @@ factors that share labels: an assignment's sign is the product of its
 clusters' signs and its symbol is put together from theirs.  Each cluster
 is enumerated alone, with one component-and-sign table per field factor,
 and the clusters are combined by product.  The counts stay integers over
-the common denominator of the coefficients until one Fraction is built per
-surviving symbol.
+the common denominator of the coefficients until the end, which builds one
+Fraction per distinct surviving value.
 
 Dummies are named by the lowest of all relabelings (up to seven dummies).
 Each relabeling is ranked on a tuple form of the term, and a Term is built
@@ -643,7 +643,7 @@ def component_map(expr: Expr, table: KernelTable) -> dict[tuple, Fraction]:
 
     Integer sign counts of each group-expanded term are weighted by the
     term's coefficient over the common denominator of all coefficients, so
-    the sums are integer; one Fraction is built per surviving symbol.
+    the sums are integer; one Fraction is built per distinct surviving value.
     """
     terms = [term for raw in expr.terms for term in expand_groups(raw)]
     denominator = math.lcm(*(term.coeff.denominator for term in terms))
