@@ -67,16 +67,12 @@ def _sort_slots(items: list, sym, antisym, label) -> int:
     antisymmetric sorts, or 0 when an antisymmetric group repeats a label."""
     sign = 1
     for group in sym:
-        if len(group) == 2:
-            a, b = group
-            if label(items[a]) > label(items[b]):
-                items[a], items[b] = items[b], items[a]
-            continue
         ordered = sorted((items[s] for s in group), key=label)
         for slot, item in zip(group, ordered):
             items[slot] = item
     for group in antisym:
         if len(group) == 2:
+            # the common two-slot group: a swap at most
             a, b = group
             first, second = label(items[a]), label(items[b])
             if first == second:
@@ -300,16 +296,6 @@ def rename_dummies(term: Term) -> Term:
     return Term(term.coeff, tuple(factors), term.groups)
 
 
-def _rename_with(term: Term, mapping: dict[str, str]) -> Term:
-    factors = []
-    for factor in term.factors:
-        indices = tuple(
-            Idx(mapping.get(i.name, i.name), i.kind, i.up) for i in factor.indices
-        )
-        factors.append(Factor(factor.kernel, indices))
-    return Term(term.coeff, tuple(factors), term.groups)
-
-
 _PAIR_LABEL = operator.itemgetter(1)
 
 
@@ -386,11 +372,6 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
         return current
     kind = {name: uses[-1][1].kind for name, uses in census.items()}
     labels = [[_dummy_label(kind[name], pos) for pos in range(len(dummies))] for name in dummies]
-    if len(dummies) < 2:
-        # a single relabeling: rename, sort and order the term itself
-        renamed = _rename_with(term, {dummies[0]: labels[0][0]}) if dummies else term
-        candidate = sort_kernel_slots(renamed, table)
-        return Term(Fraction(0), ()) if candidate is None else normal_order(candidate, table)
     plan = _relabeling_plan(term, dummies, table)
     positive = term.coeff > 0
     best = None
@@ -474,13 +455,9 @@ def _field_table(kernel, scope: int, dims: list[int]) -> dict:
 
 
 def _values_getter(slots: list[int]):
-    """The values at ``slots`` of an assignment, always as a tuple."""
-    if len(slots) > 1:
-        return operator.itemgetter(*slots)
-    if slots:
-        (slot,) = slots
-        return lambda value: (value[slot],)
-    return lambda value: ()
+    """The values at ``slots`` of an assignment, as a tuple."""
+    slots = tuple(slots)
+    return lambda value: tuple([value[s] for s in slots])
 
 
 def _cluster_counts(dims, free, constant_plan, op_plan, field_plan) -> dict[tuple, int]:
@@ -568,13 +545,7 @@ def _parts(term: Term, table: KernelTable, tables: dict) -> list[tuple] | None:
                     tables[key] = _field_table(kernel, scope, shape)
                 field_plan.append((tables[key], _values_getter(slots)))
                 field_keys.append((scope, factor.kernel))
-        if len(factors) == 1 and field_plan and len(free) == len(slots):
-            # one field with distinct free labels: its table is the cluster
-            by_label = _values_getter(sorted(range(len(slots)), key=slots.__getitem__))
-            counts = {((), (entry[0],), tuple(zip(free, by_label(values)))): entry[1]
-                      for values, entry in field_plan[0][0].items() if entry}
-        else:
-            counts = _cluster_counts(dims, free, constant_plan, op_plan, field_plan)
+        counts = _cluster_counts(dims, free, constant_plan, op_plan, field_plan)
         if not counts:
             return None
         parts.append((counts, field_keys, free, op_positions))
@@ -680,11 +651,8 @@ def canonicalize(expr: Expr, table: KernelTable) -> Expr:
             continue
         cleaned.append(_normalize_term(term2, table))
     collected = _collect_like_terms(cleaned)
-    # every map value is a multiple of its term's coefficient, so the sums
-    # are integers over the common denominator of the coefficients
-    denominator = math.lcm(*(coeff.denominator for coeff, _ in collected.values()))
     result = []
-    total: dict[tuple, int] = {}
+    total: dict[tuple, Fraction] = {}
     for key in sorted(collected):
         coeff, term = collected[key]
         if coeff == 0:
@@ -697,7 +665,7 @@ def canonicalize(expr: Expr, table: KernelTable) -> Expr:
             continue
         result.append(candidate)
         for symbol, value in components.items():
-            total[symbol] = total.get(symbol, 0) + value.numerator * (denominator // value.denominator)
+            total[symbol] = total.get(symbol, 0) + value
     if not any(total.values()):
         return Expr.zero()
     return Expr(tuple(result))

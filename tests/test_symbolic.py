@@ -39,7 +39,7 @@ from spinorwave.symbolic import (
     run_identity_cases,
     shipped_corpus_text,
 )
-from spinorwave.symbolic.expr import Term, kind_of_label
+from spinorwave.symbolic.expr import Factor, Idx, Term, kind_of_label
 
 RNG = np.random.default_rng(99)
 
@@ -470,6 +470,14 @@ def reference_component_map(expr, table):
     return {symbol: value for symbol, value in acc.items() if value != 0}
 
 
+def rename_with(term, mapping):
+    factors = []
+    for factor in term.factors:
+        indices = tuple(Idx(mapping.get(i.name, i.name), i.kind, i.up) for i in factor.indices)
+        factors.append(Factor(factor.kernel, indices))
+    return Term(term.coeff, tuple(factors), term.groups)
+
+
 def reference_normalize_term(term, table):
     """The exact path (up to seven dummies) of the dummy relabeling."""
     dummies = sorted(term.dummy_names())
@@ -477,7 +485,7 @@ def reference_normalize_term(term, table):
     best = None
     for perm in itertools.permutations(dummies):
         mapping = {name: canon._dummy_label(kinds[name], pos) for pos, name in enumerate(perm)}
-        candidate = canon.sort_kernel_slots(canon._rename_with(term, mapping), table)
+        candidate = canon.sort_kernel_slots(rename_with(term, mapping), table)
         if candidate is None:
             return Term(Fraction(0), ())
         candidate = canon.normal_order(candidate, table)
