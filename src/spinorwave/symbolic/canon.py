@@ -443,14 +443,10 @@ def _canonical_component(kernel, values: tuple[int, ...]) -> tuple[tuple[int, ..
 def _field_table(kernel, scope: int, dims: list[int]) -> dict:
     """Slot values -> ((scope, kernel name, sorted component), sign), or None
     where an antisymmetric group kills the component."""
-    name = kernel.name
-    values = itertools.product(*map(range, dims))
-    if not kernel.sym_groups and not kernel.antisym_groups:
-        return {v: ((scope, name, v), 1) for v in values}
     out = {}
-    for v in values:
+    for v in itertools.product(*map(range, dims)):
         canon = _canonical_component(kernel, v)
-        out[v] = None if canon is None else ((scope, name, canon[0]), canon[1])
+        out[v] = None if canon is None else ((scope, kernel.name, canon[0]), canon[1])
     return out
 
 
