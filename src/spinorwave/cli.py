@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+from typing import NoReturn
 
 import click
 
@@ -19,7 +20,7 @@ from .errors import ConfigError, DomainError, SpinorWaveError
 DEFAULT_SEED = 12345
 
 
-def _fail_usage(message: str) -> "NoReturn":
+def _fail_usage(message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
 
@@ -57,8 +58,7 @@ def main() -> None:
               help="JSON config: {\"identities\": PATH}; default is the shipped corpus.")
 @click.option("--out", "out_dir", type=str, default=None,
               help="Directory for report.json and per-identity trace files.")
-@click.option("--verbose", is_flag=True, default=False)
-def verify(config_path: str | None, out_dir: str | None, verbose: bool) -> None:
+def verify(config_path: str | None, out_dir: str | None) -> None:
     """Verify the identity corpus by rewriting and canonicalization."""
     from .symbolic import parse_identity_file, run_identity_cases, shipped_corpus_text
 
@@ -95,10 +95,7 @@ def verify(config_path: str | None, out_dir: str | None, verbose: bool) -> None:
                 "trace_file": trace_file,
             }
         )
-        line = f"{report.name}: {status}"
-        if verbose and not report.success:
-            line += f"  residual terms: {len(report.residual.terms)}"
-        click.echo(line)
+        click.echo(f"{report.name}: {status}")
     all_ok = all(r.success for r in reports)
     if out:
         (out / "report.json").write_text(
@@ -183,8 +180,7 @@ def em(config_path: str, out_path: str) -> None:
               help="Spectrum CSV output path.")
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Accepted and ignored; modes run one after another.")
-@click.option("--verbose", is_flag=True, default=False)
-def cosmo(config_path: str, out_path: str, jobs: int, verbose: bool) -> None:
+def cosmo(config_path: str, out_path: str, jobs: int) -> None:
     """Integrate the conformal-time mode equation and write the spectrum."""
     from .frw import spectrum_from_config
 
@@ -197,8 +193,6 @@ def cosmo(config_path: str, out_path: str, jobs: int, verbose: bool) -> None:
     failed = [row for row in rows if row.status != "ok"]
     for row in failed:
         click.echo(f"k={row.k!r}: {row.failure}", err=True)
-    if verbose:
-        click.echo(f"{len(rows)} modes, {len(failed)} failed")
     sys.exit(1 if failed else 0)
 
 

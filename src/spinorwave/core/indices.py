@@ -24,10 +24,6 @@ class Variance(Enum):
     UP = "up"
     DOWN = "down"
 
-    @property
-    def opposite(self) -> "Variance":
-        return Variance.DOWN if self is Variance.UP else Variance.UP
-
 
 DIMENSION = {IndexKind.UNPRIMED: 2, IndexKind.PRIMED: 2, IndexKind.WORLD: 4}
 

@@ -20,6 +20,7 @@ from .core.convention import default_convention
 from .core.indices import spinor_signature
 from .core.spinor import ComponentSpinor, random_spinor
 from .em import (
+    AnalyticPotential,
     BivectorField,
     PhotonWaveFunction,
     bivector_from_spinors,
@@ -102,10 +103,14 @@ def _suite_conjugation(rng: np.random.Generator) -> SuiteResult:
     return _result("conjugation", worst, 1e-14)
 
 
-def _suite_index_displacement(rng: np.random.Generator, draws: int = 1000) -> SuiteResult:
+_INDEX_DISPLACEMENT_DRAWS = 1000
+
+
+def _suite_index_displacement(rng: np.random.Generator) -> SuiteResult:
     # real and imaginary parts are drawn draw by draw, in the order a loop of
     # single draws takes them (theta, then phi_{AB}, then its derivative);
     # the forms are then compared once over the batch of draws
+    draws = _INDEX_DISPLACEMENT_DRAWS
     theta = np.empty((draws, 2, 4, 2, 2))
     low = np.empty((draws, 2, 2, 2))
     dphi = np.empty((draws, 2, 4, 2, 2))
@@ -209,8 +214,6 @@ def _suite_gauge_invariance(rng: np.random.Generator) -> SuiteResult:
     F1 = field_from_potential(wave, pts)
     shifted = lambda x: wave.value(x) + gauge.value(x)
     shifted_grad = lambda x: wave.grad(x) + gauge.grad(x)
-    from .em import AnalyticPotential
-
     F2 = field_from_potential(AnalyticPotential(shifted, shifted_grad), pts)
     worst = _worse(worst, float(np.max(np.abs(F1.values - F2.values))))
     return _result("gauge-invariance", worst, 1e-12)

@@ -1,9 +1,12 @@
 """Canonicalization: deterministic normal form and an exact zero decision.
 
 The syntactic pipeline expands symmetrization groups into signed permutation
-sums, applies declared kernel symmetries, eliminates delta/epsilon
-contractions, orders factors (constants first; fields sorted within operator
-scopes), renames dummies canonically and collects like terms.
+sums, passes each term once through ``eliminate_constants`` (the fixpoint of
+the declared kernel-symmetry slot sort, delta substitution and epsilon-pair
+contraction), orders factors (constants first; fields sorted within operator
+scopes), renames dummies canonically and collects like terms.  Between
+rewrite steps ``light_fold`` runs the same elimination with the factors of
+symmetrization groups left in their slot order.
 
 Dimension-2 facts that relate differently wired epsilon products (the
 three-term epsilon shuffle) are not reachable by those local rewrites, so
@@ -38,7 +41,7 @@ from fractions import Fraction
 
 from ..core.indices import DIMENSION, IndexKind, Variance, permutation_sign
 from ..errors import UnsupportedExpressionError
-from .expr import Expr, Factor, Idx, Term, expand_groups
+from .expr import Expr, Factor, Idx, Term, expand_groups, fresh_label
 from .kernels import Displacement, KernelTable
 
 _EPS_NUM = ((0, 1), (-1, 0))
@@ -150,14 +153,14 @@ def _substitute_label(term: Term, skip_pos: int, old: Idx, new: Idx) -> Term | N
     return None
 
 
-def eliminate_constants(term: Term, table: KernelTable, skip: set[int] | None = None) -> Term | None:
-    """Fixpoint of delta substitution and epsilon-pair contraction."""
-    current: Term | None = term
+def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
+    """Fixpoint of the kernel-symmetry slot sort, delta substitution and
+    epsilon-pair contraction; None when an antisymmetric slot group repeats
+    a label.  Factors in symmetrization groups keep their slot order."""
+    current = term
     for _ in range(200):
-        if current is None:
-            return None
-        skip_now = {f for _, positions in current.groups for f, _ in positions} if current.groups else None
-        current = sort_kernel_slots(current, table, skip=skip_now)
+        skip = {f for _, positions in current.groups for f, _ in positions}
+        current = sort_kernel_slots(current, table, skip=skip)
         if current is None:
             return None
         changed = False
@@ -271,10 +274,8 @@ _LABEL_TAG = {IndexKind.UNPRIMED: "!U", IndexKind.PRIMED: "!P", IndexKind.WORLD:
 
 
 def _dummy_label(kind: IndexKind, number: int) -> str:
-    """Canonical dummy label; primed ones end in a prime, so the label rule
-    of ``expr.kind_of_label`` reads their kind back."""
-    label = f"{_LABEL_TAG[kind]}{number}"
-    return label + "'" if kind is IndexKind.PRIMED else label
+    """Canonical dummy label: ``!U<n>``, ``!P<n>'`` or ``!w<n>``."""
+    return fresh_label(_LABEL_TAG[kind], kind, number)
 
 
 def rename_dummies(term: Term) -> Term:
@@ -415,9 +416,7 @@ def _expand_operator_displacement(term: Term, table: KernelTable, fresh: list[in
             if idx.variance is Variance.DOWN:
                 continue
             fresh[0] += 1
-            name = f"!op{fresh[0]}"
-            if idx.kind is IndexKind.PRIMED:
-                name += "'"
+            name = fresh_label("!op", idx.kind, fresh[0])
             primed = idx.kind is IndexKind.PRIMED
             extra.append(
                 Factor(
@@ -634,18 +633,12 @@ def is_identically_zero(expr: Expr, table: KernelTable) -> bool:
 
 def canonicalize(expr: Expr, table: KernelTable) -> Expr:
     """Deterministic normal form; literal zero iff the expression vanishes."""
-    flat: list[Term] = []
-    for term in expr.terms:
-        flat.extend(expand_groups(term))
     cleaned: list[Term] = []
-    for term in flat:
-        term2 = sort_kernel_slots(term, table)
-        if term2 is None:
-            continue
-        term2 = eliminate_constants(term2, table)
-        if term2 is None:
-            continue
-        cleaned.append(_normalize_term(term2, table))
+    for raw in expr.terms:
+        for term in expand_groups(raw):
+            term = eliminate_constants(term, table)
+            if term is not None:
+                cleaned.append(_normalize_term(term, table))
     collected = _collect_like_terms(cleaned)
     result = []
     total: dict[tuple, Fraction] = {}
@@ -668,22 +661,18 @@ def canonicalize(expr: Expr, table: KernelTable) -> Expr:
 
 
 def light_fold(expr: Expr, table: KernelTable) -> Expr:
-    """Group-preserving cleanup between rewrite steps: kernel-symmetry sort,
-    delta/epsilon elimination and like-term collection for groupless terms."""
+    """Group-preserving cleanup between rewrite steps: constant elimination
+    on every term and like-term collection for groupless terms."""
     grouped: list[Term] = []
     plain: list[Term] = []
     for term in expr.terms:
-        skip = {f for mode, positions in term.groups for f, _ in positions}
-        term2 = sort_kernel_slots(term, table, skip=skip)
-        if term2 is None:
+        term = eliminate_constants(term, table)
+        if term is None:
             continue
-        term2 = eliminate_constants(term2, table)
-        if term2 is None:
-            continue
-        if term2.groups:
-            grouped.append(term2)
+        if term.groups:
+            grouped.append(term)
         else:
-            plain.append(rename_dummies(term2))
+            plain.append(rename_dummies(term))
     collected = _collect_like_terms(plain).values()
     return Expr(tuple(grouped) + tuple(
         term.with_coeff(coeff) for coeff, term in collected if coeff != 0

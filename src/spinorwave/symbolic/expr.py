@@ -26,6 +26,13 @@ def kind_of_label(label: str) -> IndexKind:
     return IndexKind.WORLD
 
 
+def fresh_label(prefix: str, kind: IndexKind, n: int) -> str:
+    """A generated label: ``prefix`` and ``n``, with a trailing prime when
+    ``kind`` is primed, as ``kind_of_label`` expects of every primed label."""
+    label = f"{prefix}{n}"
+    return label + "'" if kind is IndexKind.PRIMED else label
+
+
 @dataclass(frozen=True, order=True)
 class Idx:
     name: str

@@ -110,6 +110,3 @@ class KernelTable:
         kernel = Kernel(name, slots)
         self.kernels[name] = kernel
         return kernel
-
-    def copy(self) -> "KernelTable":
-        return KernelTable(dict(self.kernels))

@@ -27,13 +27,15 @@ from fractions import Fraction
 
 from ..core.indices import IndexKind, Slot, Variance
 from ..errors import ParseError
-from .expr import Expr, Factor, Idx, Term
+from .expr import Expr, Factor, Idx, Term, fresh_label
 from .kernels import Displacement, KernelTable
 from .weights import validate_expr
 
+# whitespace matches no alternative, so finditer skips it; any other
+# character that starts no token is ``bad``
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*(?:_(?!\{)[A-Za-z0-9]+)*'*)"
-    r"|(?P<num>\d+)|(?P<eq>==)|(?P<sym>[-+*/^_{}()\[\]]))"
+    r"(?P<name>[A-Za-z][A-Za-z0-9]*(?:_(?!\{)[A-Za-z0-9]+)*'*)"
+    r"|(?P<num>\d+)|(?P<eq>==)|(?P<sym>[-+*/^_{}()\[\]])|(?P<bad>\S)"
 )
 
 
@@ -45,26 +47,19 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Tokens of kind ``name`` or ``num``, or of a kind spelled as the
+    token itself (``==`` and the symbols), then an ``end`` token."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.start() != pos:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "name":
-            tokens.append(_Token("name", m.group("name"), pos))
-        elif m.lastgroup == "num":
-            tokens.append(_Token("num", m.group("num"), pos))
-        elif m.lastgroup == "eq":
-            tokens.append(_Token("==", "==", pos))
-        else:
-            tokens.append(_Token(m.group("sym"), m.group("sym"), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", m.start())
+        tokens.append(_Token(kind if kind in ("name", "num") else value, value, m.start()))
     tokens.append(_Token("end", "", len(text)))
     return tokens
+
+
+_FRESH_PREFIX = {IndexKind.UNPRIMED: "~U", IndexKind.PRIMED: "~P", IndexKind.WORLD: "~w"}
 
 
 @dataclass
@@ -80,9 +75,7 @@ class Parser:
 
     def fresh_label(self, kind: IndexKind) -> str:
         self._fresh += 1
-        base = {IndexKind.UNPRIMED: "~U", IndexKind.PRIMED: "~P", IndexKind.WORLD: "~w"}[kind]
-        name = f"{base}{self._fresh}"
-        return name + "'" if kind is IndexKind.PRIMED else name
+        return fresh_label(_FRESH_PREFIX[kind], kind, self._fresh)
 
     # -- public entry points -------------------------------------------------
 

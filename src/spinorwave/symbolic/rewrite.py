@@ -7,6 +7,13 @@ the pattern's constant factors with any of the host's constant factors
 (metric spinors commute with everything).  Pattern labels are match
 variables; a pattern dummy must map onto a host dummy contracted entirely
 inside the matched region.
+
+Matching is one backtracking unifier over (pattern factor, candidate host
+positions) pairs, modulo each kernel's declared slot symmetries: a word
+factor's only candidate is its place in the window of host word factors, a
+constant factor's candidates are all host constants.  The chosen positions
+map pattern factors to host factors; host symmetrization groups on the
+matched factors must be exactly the images of the pattern's groups.
 """
 
 from __future__ import annotations
@@ -15,10 +22,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from ..core.indices import IndexKind, permutation_sign
+from ..core.indices import permutation_sign
 from ..errors import IdentityError, WeightError
 from .canon import canonicalize, light_fold
-from .expr import Expr, Factor, Idx, Term
+from .expr import Expr, Factor, Idx, Term, fresh_label
 from .kernels import KernelTable
 from .weights import expr_weight, free_signature
 
@@ -28,7 +35,6 @@ class RewriteRule:
     name: str
     pattern: Term
     replacement: Expr
-    side_conditions: tuple[str, ...] = ()
 
     def validate(self, table: KernelTable) -> None:
         pattern_expr = Expr((self.pattern,))
@@ -47,7 +53,7 @@ class RewriteRule:
 @dataclass
 class Match:
     word_slice: tuple[int, int]          # positions into the host word list
-    const_used: tuple[int, ...]          # positions into the host constant list
+    const_used: tuple[int, ...]          # host factor positions of the constants
     mapping: dict[str, str]
     sign: int = 1
 
@@ -116,97 +122,68 @@ def _unify_options(pat: Factor, host: Factor, mapping: dict[str, str],
             yield new_map, sign
 
 
-def _groups_on_factors(term: Term, factor_set: set[int]):
-    inside, outside = [], []
+def _unify(pairs: list, term: Term, table: KernelTable, used: tuple[int, ...],
+           mapping: dict[str, str], sign: int):
+    """Backtracking unifier: yield (used, mapping, sign) for every way the
+    pattern factors of ``pairs`` unify, in turn, with distinct host factors
+    from their candidate positions; ``used`` holds the chosen positions."""
+    if len(used) == len(pairs):
+        yield used, mapping, sign
+        return
+    pat, candidates = pairs[len(used)]
+    for pos in candidates:
+        if pos in used:
+            continue
+        for new_map, s in _unify_options(pat, term.factors[pos], mapping, table):
+            yield from _unify(pairs, term, table, used + (pos,), new_map, sign * s)
+
+
+def _groups_fit(pattern: Term, term: Term, factor_map: dict[int, int]) -> bool:
+    """Host groups touching the matched factors lie inside them and are
+    exactly the images of the pattern's groups."""
+    matched = set(factor_map.values())
+    inside = set()
     for mode, positions in term.groups:
         touched = {f for f, _ in positions}
-        if touched <= factor_set:
-            inside.append((mode, positions))
-        elif touched & factor_set:
-            return None
-        else:
-            outside.append((mode, positions))
-    return inside, outside
-
-
-def match_term(term: Term, rule: RewriteRule, table: KernelTable) -> Match | None:
-    host_word, host_consts = _split(term, table)
-    pat_word, pat_consts = _split(rule.pattern, table)
-    census = term.index_census()
-
-    pw = len(pat_word)
-    for start in range(len(host_word) - pw + 1):
-
-        def unify_word(k: int, mapping: dict[str, str], sign: int):
-            if k == pw:
-                yield mapping, sign
-                return
-            pat_f = rule.pattern.factors[pat_word[k]]
-            host_f = term.factors[host_word[start + k]]
-            for new_map, s in _unify_options(pat_f, host_f, mapping, table):
-                yield from unify_word(k + 1, new_map, sign * s)
-
-        def unify_consts(k: int, mapping: dict[str, str], used: tuple[int, ...], sign: int):
-            if k == len(pat_consts):
-                yield mapping, used, sign
-                return
-            pat_f = rule.pattern.factors[pat_consts[k]]
-            for pos in host_consts:
-                if pos in used:
-                    continue
-                for new_map, s in _unify_options(pat_f, term.factors[pos], mapping, table):
-                    yield from unify_consts(k + 1, new_map, used + (pos,), sign * s)
-
-        for word_map, word_sign in unify_word(0, {}, 1):
-            for mapping, used, sign in unify_consts(0, word_map, (), word_sign):
-                matched_factors = {host_word[start + k] for k in range(pw)} | set(used)
-                span = _groups_on_factors(term, matched_factors)
-                if span is None:
-                    continue
-                inside, _ = span
-                if not _groups_match(rule.pattern, term, inside, mapping,
-                                     matched_factors, host_word, start, pat_word,
-                                     used, pat_consts):
-                    continue
-                pat_census = rule.pattern.index_census()
-                sound = True
-                for name, occs in pat_census.items():
-                    if len(occs) != 2:
-                        continue
-                    image = mapping[name]
-                    host_occs = census.get(image, [])
-                    if len(host_occs) != 2 or any(
-                        pos[0] not in matched_factors for pos, _ in host_occs
-                    ):
-                        sound = False
-                        break
-                if not sound:
-                    continue
-                return Match((start, start + pw), tuple(used), mapping, sign)
-    return None
-
-
-def _groups_match(pattern, term, host_inside, mapping, matched_factors,
-                  host_word, start, pat_word, used, pat_consts):
-    """Host groups inside the match must be the images of pattern groups."""
-    factor_map = {}
-    for k, pw_pos in enumerate(pat_word):
-        factor_map[pw_pos] = host_word[start + k]
-    for k, pc_pos in enumerate(pat_consts):
-        factor_map[pc_pos] = used[k]
-    pattern_groups = {
+        if touched <= matched:
+            inside.add((mode, tuple(sorted(positions))))
+        elif touched & matched:
+            return False
+    images = {
         (mode, tuple(sorted((factor_map[f], s) for f, s in positions)))
         for mode, positions in pattern.groups
     }
-    host_groups = {
-        (mode, tuple(sorted(positions))) for mode, positions in host_inside
-    }
-    return pattern_groups == host_groups
+    return images == inside
 
 
-def _freshen(kind: IndexKind, fresh: Iterator[int]) -> str:
-    new = f"~r{next(fresh)}"
-    return new + "'" if kind is IndexKind.PRIMED else new
+def match_term(term: Term, rule: RewriteRule, table: KernelTable) -> Match | None:
+    """The first match of the rule's pattern in the host term, or None.
+
+    A pattern word factor's only candidate is its slot in the window of
+    host word factors; a pattern constant's candidates are all host
+    constants.  Windows are tried left to right."""
+    pattern = rule.pattern
+    host_word, host_consts = _split(term, table)
+    pat_word, pat_consts = _split(pattern, table)
+    order = pat_word + pat_consts
+    census = term.index_census()
+    dummies = [name for name, occs in pattern.index_census().items() if len(occs) == 2]
+    pw = len(pat_word)
+    for start in range(len(host_word) - pw + 1):
+        pairs = [(pattern.factors[p], (h,)) for p, h in zip(pat_word, host_word[start:])]
+        pairs += [(pattern.factors[p], host_consts) for p in pat_consts]
+        for used, mapping, sign in _unify(pairs, term, table, (), {}, 1):
+            factor_map = dict(zip(order, used))
+            if not _groups_fit(pattern, term, factor_map):
+                continue
+            # a pattern dummy maps onto a host dummy contracted inside the match
+            if all(
+                len(census.get(mapping[name], ())) == 2
+                and all(pos[0] in used for pos, _ in census[mapping[name]])
+                for name in dummies
+            ):
+                return Match((start, start + pw), used[pw:], mapping, sign)
+    return None
 
 
 def apply_match(term: Term, rule: RewriteRule, match: Match, table: KernelTable,
@@ -234,7 +211,7 @@ def apply_match(term: Term, rule: RewriteRule, match: Match, table: KernelTable,
             for idx in factor.indices:
                 name = local.get(idx.name)
                 if name is None:
-                    name = _freshen(idx.kind, fresh)
+                    name = fresh_label("~r", idx.kind, next(fresh))
                     local[idx.name] = name
                 indices.append(Idx(name, idx.kind, idx.up))
             new_factors.append(Factor(factor.kernel, tuple(indices)))
@@ -274,12 +251,9 @@ class VerificationReport:
     success: bool
     trace: list[TraceStep] = field(default_factory=list)
     residual: Expr = Expr.zero()
-    error: str | None = None
 
     def render(self) -> str:
         lines = [f"identity: {self.name}", f"status: {'ok' if self.success else 'FAILED'}"]
-        if self.error:
-            lines.append(f"error: {self.error}")
         for step in self.trace:
             lines.append(step.render())
         if not self.success and not self.residual.is_zero:
@@ -287,13 +261,17 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def apply_rules(expr: Expr, rules: list[RewriteRule], table: KernelTable,
-                max_steps: int = 200) -> tuple[Expr, list[TraceStep]]:
+# rewrite steps per identity before apply_rules gives up
+_MAX_STEPS = 200
+
+
+def apply_rules(expr: Expr, rules: list[RewriteRule],
+                table: KernelTable) -> tuple[Expr, list[TraceStep]]:
     trace: list[TraceStep] = []
     fresh = itertools.count(1)
     expr = light_fold(expr, table)
     seen: set[tuple] = set()
-    for step in range(1, max_steps + 1):
+    for step in range(1, _MAX_STEPS + 1):
         hit = None
         for rule in rules:
             for ti, term in enumerate(expr.terms):

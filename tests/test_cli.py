@@ -131,6 +131,17 @@ class TestCheck:
             assert message in result.stderr
             assert "Traceback" not in result.stderr
 
+    def test_verbose_is_a_usage_error_for_verify_and_cosmo(self, tmp_path):
+        # neither command has a --verbose flag
+        config = tmp_path / "cfg.json"
+        config.write_text("{}")
+        for command in (["verify"], ["cosmo", "--config", str(config),
+                                     "--out", str(tmp_path / "out.csv")]):
+            result = run_cli(*command, "--verbose")
+            assert result.returncode == 2, command
+            assert "No such option '--verbose'" in result.stderr
+            assert "Traceback" not in result.stderr
+
     def test_repeated_suite_runs_once(self):
         result = CliRunner().invoke(main, ["check", "--suite", "gauge-invariance",
                                            "--suite", "trace-free", "--suite", "gauge-invariance"])

@@ -13,6 +13,8 @@ from spinorwave.symbolic import (
     shipped_corpus_text,
     verify_identity,
 )
+from spinorwave.symbolic.expr import Factor, Term
+from spinorwave.symbolic.rewrite import Match, match_term
 
 
 def setup_engine():
@@ -131,3 +133,67 @@ class TestVerifyIdentity:
         rhs = parser.parse_expression("phi_{A B}")
         with pytest.raises(WeightError):
             verify_identity(lhs, rhs, [], table)
+
+
+class TestMatchTerm:
+    """``match_term`` on parsed host terms: the first match found, or None.
+
+    The builtin rules are parsed first, so their own dummies are ``~U<n>``
+    from the rule parser (``~U8`` in ``box_extraction``)."""
+
+    def match(self, host: str, rule: str):
+        table, rules, parser = setup_engine()
+        (term,) = parser.parse_expression(host).terms
+        return match_term(term, rules[rule], table)
+
+    def test_word_factors_must_be_adjacent(self):
+        assert self.match("Box theta_{E F} phi_{G}^{B}", "box_extraction") is None
+        found = self.match("theta_{E F} Box phi_{G}^{B}", "box_extraction")
+        assert found.word_slice == (1, 3)
+        assert found.mapping["E"] == "G"
+
+    def test_constant_binds_to_second_metric_spinor_with_sign(self):
+        # host factors: Box phi_E_X eps_up^C^D eps_up^X^B; the first metric
+        # spinor cannot take the pattern's eps_up^B^~U8 once ~U8 is bound to X,
+        # the second takes it swapped, an odd arrangement
+        found = self.match("Box phi_{E X} M^{C D} M^{X B}", "box_extraction")
+        assert found.const_used == (3,)
+        assert found.sign == -1
+
+    def test_full_match(self):
+        found = self.match("Box phi_{E X} M^{X B} M^{C D}", "box_extraction")
+        assert found == Match(word_slice=(0, 2), const_used=(2,),
+                              mapping={"E": "E", "~U8": "X", "B": "B"}, sign=-1)
+
+    def test_host_group_straddling_the_match(self):
+        assert self.match("Box phi_{(E}^{B} theta_{F) G}", "box_extraction") is None
+        assert self.match("Box phi_{E}^{B} theta_{F G}", "box_extraction") is not None
+
+    def test_host_group_inside_the_match_must_be_a_pattern_image(self):
+        # box_extraction has no groups; graviton_symbol has one on all four slots
+        assert self.match("Box phi_{[E X]} M^{X B}", "box_extraction") is None
+        assert self.match("Box phi_{(E X)} M^{X B}", "box_extraction") is not None
+        assert self.match("omega_{(A B C) D}", "graviton_symbol") is None
+        assert self.match("omega_{A B C D}", "graviton_symbol") is None
+        found = self.match("omega_{(A B C D)} omega_{(E F G H)}", "graviton_symbol")
+        assert found.word_slice == (0, 1)
+
+    def test_pattern_dummy_used_outside_the_match(self):
+        # the image X of the pattern dummy ~U8 is used again outside the
+        # matched factors, so it is not contracted inside them
+        table, rules, parser = setup_engine()
+        (term,) = parser.parse_expression("Box phi_{E X} M^{X B} theta_{F G}").terms
+        box, phi, eps, theta = term.factors
+        x = phi.indices[1]
+        bad = Term(term.coeff, (box, phi, eps, Factor(theta.kernel, (x, theta.indices[1]))))
+        assert match_term(term, rules["box_extraction"], table) is not None
+        assert match_term(bad, rules["box_extraction"], table) is None
+
+    def test_pattern_free_label_may_bind_a_host_dummy(self):
+        # curvature_action's free C binds the host's B, and the free B binds
+        # the host's C, a dummy contracted with theta outside the match
+        found = self.match("Delta^{A C} phi_{A}^{B} theta_{C D}", "curvature_action")
+        assert found.word_slice == (0, 2)
+        assert found.const_used == (2,)
+        assert found.mapping["B"] == "C" and found.mapping["C"] == "B"
+        assert found.sign == 1
