@@ -8,12 +8,11 @@ configuration error.  All outputs are byte-deterministic for a fixed
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import sys
 from typing import NoReturn
-
-import click
 
 from .errors import ConfigError, DomainError, SpinorWaveError
 
@@ -21,7 +20,7 @@ DEFAULT_SEED = 12345
 
 
 def _fail_usage(message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -31,6 +30,14 @@ def _read_text(path: str, what: str) -> str:
         return pathlib.Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         _fail_usage(f"cannot read {what} {path}: {exc}")
+
+
+def _write_text(path: pathlib.Path | str, text: str, what: str) -> None:
+    """Write an output file as UTF-8; exits 2 if it cannot be written."""
+    try:
+        pathlib.Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _fail_usage(f"cannot write {what} {path}: {exc}")
 
 
 def _load_json(path: str) -> dict:
@@ -48,17 +55,7 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@click.group()
-def main() -> None:
-    """Two-spinor electromagnetic identities and conformal-time photon modes."""
-
-
-@main.command()
-@click.option("--config", "config_path", type=str, default=None,
-              help="JSON config: {\"identities\": PATH}; default is the shipped corpus.")
-@click.option("--out", "out_dir", type=str, default=None,
-              help="Directory for report.json and per-identity trace files.")
-def verify(config_path: str | None, out_dir: str | None) -> None:
+def verify(config_path: str | None, out_dir: str | None) -> NoReturn:
     """Verify the identity corpus by rewriting and canonicalization."""
     from .symbolic import parse_identity_file, run_identity_cases, shipped_corpus_text
 
@@ -80,13 +77,16 @@ def verify(config_path: str | None, out_dir: str | None) -> None:
     entries = []
     out = pathlib.Path(out_dir) if out_dir else None
     if out:
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            _fail_usage(f"cannot create output directory {out}: {exc}")
     for report in reports:
         status = "ok" if report.success else "failed"
         trace_file = None
         if out:
             trace_file = f"{report.name}.trace.txt"
-            (out / trace_file).write_text(report.render(), encoding="utf-8")
+            _write_text(out / trace_file, report.render(), "trace file")
         entries.append(
             {
                 "name": report.name,
@@ -95,23 +95,15 @@ def verify(config_path: str | None, out_dir: str | None) -> None:
                 "trace_file": trace_file,
             }
         )
-        click.echo(f"{report.name}: {status}")
+        print(f"{report.name}: {status}")
     all_ok = all(r.success for r in reports)
     if out:
-        (out / "report.json").write_text(
-            _dump_json({"all_ok": all_ok, "identities": entries}), encoding="utf-8"
-        )
+        _write_text(out / "report.json",
+                    _dump_json({"all_ok": all_ok, "identities": entries}), "report")
     sys.exit(0 if all_ok else 1)
 
 
-@main.command()
-@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True,
-              help="Seed (a non-negative integer) for every randomized property suite.")
-@click.option("--suite", "suite_names", type=str, multiple=True,
-              help="Run only the named suite(s); a repeated name runs once.")
-@click.option("--out", "out_path", type=str, default=None,
-              help="Write the JSON report here instead of stdout.")
-def check(seed: int, suite_names: tuple[str, ...], out_path: str | None) -> None:
+def check(seed: int, suite_names: list[str] | None, out_path: str | None) -> NoReturn:
     """Run the seeded property suites over the concrete spinor algebra."""
     from .suites import SUITES, run_suites
 
@@ -128,21 +120,17 @@ def check(seed: int, suite_names: tuple[str, ...], out_path: str | None) -> None
     }
     text = _dump_json(payload)
     if out_path:
-        pathlib.Path(out_path).write_text(text, encoding="utf-8")
+        _write_text(out_path, text, "report")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     if not payload["all_passed"]:
         failed = ", ".join(r.name for r in results if not r.passed)
-        click.echo(f"FAILED (seed {seed}): {failed}", err=True)
+        print(f"FAILED (seed {seed}): {failed}", file=sys.stderr)
         sys.exit(1)
     sys.exit(0)
 
 
-@main.command()
-@click.option("--config", "config_path", type=str, required=True,
-              help="JSON config: {\"direction\": \"to_spinor\"|\"to_bivector\", \"input\": PATH}.")
-@click.option("--out", "out_path", type=str, required=True)
-def em(config_path: str, out_path: str) -> None:
+def em(config_path: str, out_path: str) -> NoReturn:
     """Convert between bivector CSV and wave-function CSV files."""
     from .em import (
         bivector_from_spinors,
@@ -169,18 +157,11 @@ def em(config_path: str, out_path: str) -> None:
             out_text = write_bivector_csv(points, bivector_from_spinors(wf))
     except SpinorWaveError as exc:
         _fail_usage(str(exc))
-    pathlib.Path(out_path).write_text(out_text, encoding="utf-8")
+    _write_text(out_path, out_text, "output file")
     sys.exit(0)
 
 
-@main.command()
-@click.option("--config", "config_path", type=str, required=True,
-              help="JSON config; see docs/formats.md for the schema.")
-@click.option("--out", "out_path", type=str, required=True,
-              help="Spectrum CSV output path.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Accepted and ignored; modes run one after another.")
-def cosmo(config_path: str, out_path: str, jobs: int) -> None:
+def cosmo(config_path: str, out_path: str, jobs: int) -> NoReturn:
     """Integrate the conformal-time mode equation and write the spectrum."""
     from .frw import spectrum_from_config
 
@@ -189,11 +170,98 @@ def cosmo(config_path: str, out_path: str, jobs: int) -> None:
         rows, csv_text = spectrum_from_config(config)
     except (ConfigError, DomainError) as exc:
         _fail_usage(str(exc))
-    pathlib.Path(out_path).write_text(csv_text, encoding="utf-8")
+    _write_text(out_path, csv_text, "spectrum")
     failed = [row for row in rows if row.status != "ok"]
     for row in failed:
-        click.echo(f"k={row.k!r}: {row.failure}", err=True)
+        print(f"k={row.k!r}: {row.failure}", file=sys.stderr)
     sys.exit(1 if failed else 0)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every usage error exits 2 with one ``error:`` line on stderr."""
+
+    def error(self, message: str) -> NoReturn:
+        _fail_usage(message)
+
+
+def _seed(text: str) -> int:
+    """The ``--seed`` value: a non-negative integer (``int`` syntax)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        _fail_usage(f"Invalid value for '--seed': {text!r} is not a non-negative integer")
+    return seed
+
+
+def _with_help(parser: _Parser) -> _Parser:
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _parser() -> _Parser:
+    """The parser of every subcommand.  Option names are never abbreviated,
+    and ``--help`` is the only help option."""
+    parser = _with_help(_Parser(prog="spinorwave", description=main.__doc__,
+                                allow_abbrev=False, add_help=False))
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def subcommand(run) -> _Parser:
+        sub = _with_help(commands.add_parser(run.__name__, help=run.__doc__,
+                                             description=run.__doc__,
+                                             allow_abbrev=False, add_help=False))
+        sub.set_defaults(run=run)
+        return sub
+
+    sub = subcommand(verify)
+    sub.add_argument("--config", dest="config_path", metavar="PATH",
+                     help="JSON config: {\"identities\": PATH}; default is the shipped corpus.")
+    sub.add_argument("--out", dest="out_dir", metavar="DIR",
+                     help="Directory for report.json and per-identity trace files.")
+
+    sub = subcommand(check)
+    sub.add_argument("--seed", type=_seed, metavar="N", default=DEFAULT_SEED,
+                     help="Seed (a non-negative integer) for every randomized property "
+                          "suite (default: %(default)s).")
+    sub.add_argument("--suite", dest="suite_names", metavar="NAME", action="append",
+                     help="Run only the named suite(s); a repeated name runs once.")
+    sub.add_argument("--out", dest="out_path", metavar="PATH",
+                     help="Write the JSON report here instead of stdout.")
+
+    sub = subcommand(em)
+    sub.add_argument("--config", dest="config_path", metavar="PATH", required=True,
+                     help="JSON config: {\"direction\": \"to_spinor\"|\"to_bivector\", "
+                          "\"input\": PATH}.")
+    sub.add_argument("--out", dest="out_path", metavar="PATH", required=True)
+
+    sub = subcommand(cosmo)
+    sub.add_argument("--config", dest="config_path", metavar="PATH", required=True,
+                     help="JSON config; see docs/formats.md for the schema.")
+    sub.add_argument("--out", dest="out_path", metavar="PATH", required=True,
+                     help="Spectrum CSV output path.")
+    sub.add_argument("--jobs", type=int, metavar="N", default=1,
+                     help="Accepted and ignored; modes run one after another "
+                          "(default: %(default)s).")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> NoReturn:
+    """Two-spinor electromagnetic identities and conformal-time photon modes."""
+    parser = _parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        word = extra[0]
+        parser.error(f"No such option '{word.split('=', 1)[0]}'" if word.startswith("-")
+                     else f"Got unexpected extra argument ({word})")
+    options = vars(args)
+    options.pop("run")(**options)
+
+
+# ``perfbench/run.py`` calls ``main.main(args=argv, prog_name=..., standalone_mode=False)``;
+# this attribute exists only for that caller, until it calls ``main(argv)``
+# (ROADMAP item 6).
+main.main = lambda args=None, prog_name=None, standalone_mode=True: main(args)
 
 
 if __name__ == "__main__":

@@ -7,18 +7,25 @@ directive comment of the form
 
 immediately before an identity names it and selects the rewrite pipeline
 (referencing the rule registry below); without a directive the identity is
-checked by pure canonicalization.
+checked by pure canonicalization.  Each name is also a file name (``verify
+--out`` writes ``<name>.trace.txt``), so it must be an ASCII word of letters,
+digits, ``_``, ``.`` and ``-`` that does not start with ``.`` or ``-``, and
+no two identities in a file may share one; an identity without a name is
+called ``line<N>`` after its line number.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass
 
 from ..errors import ParseError
 from .kernels import KernelTable
 from .parse import Parser
 from .rewrite import RewriteRule, VerificationReport, verify_identity
+
+_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
 _RULE_SOURCES: list[tuple[str, str, str]] = [
     # the massless free-field statement
@@ -74,7 +81,7 @@ class IdentityCase:
 def parse_identity_file(text: str) -> list[IdentityCase]:
     cases: list[IdentityCase] = []
     pending: dict | None = None
-    counter = 0
+    names: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -86,13 +93,15 @@ def parse_identity_file(text: str) -> list[IdentityCase]:
             continue
         if "==" not in line:
             raise ParseError(f"line {lineno}: expected 'lhs == rhs'")
-        counter += 1
         name = f"line{lineno}"
         rule_names: tuple[str, ...] = ()
         if pending:
             name = pending.get("name", name)
             rule_names = pending.get("rules", ())
             pending = None
+        if name in names:
+            raise ParseError(f"line {lineno}: identity name {name!r} is already taken")
+        names.add(name)
         cases.append(IdentityCase(name, lineno, line, rule_names))
     return cases
 
@@ -104,6 +113,10 @@ def _parse_directive(line: str, lineno: int) -> dict:
             raise ParseError(f"line {lineno}: malformed directive {chunk!r}")
         key, _, value = chunk.partition("=")
         if key == "name":
+            if not _NAME.fullmatch(value):
+                raise ParseError(
+                    f"line {lineno}: bad identity name {value!r}; a name is letters, "
+                    "digits, '_', '.' and '-' (ASCII), not starting with '.' or '-'")
             out["name"] = value
         elif key == "rules":
             out["rules"] = tuple(r for r in value.split(",") if r)

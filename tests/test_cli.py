@@ -1,15 +1,18 @@
 """End-to-end CLI behavior: exit codes, reports, file outputs, determinism."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
-from click.testing import CliRunner
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +30,35 @@ def run_cli(*args, env_extra=None):
     return subprocess.run(
         CMD + list(args), capture_output=True, text=True, env=env, timeout=600
     )
+
+
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout
+
+
+def invoke(argv: list[str]) -> Result:
+    """Run ``main(argv)`` in this process with stdout and stderr captured.
+    A ``SystemExit`` gives the exit code (and is kept as the exception when
+    the code is not 0); any other exception is kept with exit code 1."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code, exception = 0, None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
+            exception = exc if code else None
+        except Exception as exc:  # kept for the caller to assert on
+            code, exception = 1, exc
+    return Result(code, stdout.getvalue(), stderr.getvalue(), exception)
 
 
 MUTATED_CORPUS = """\
@@ -77,8 +109,9 @@ class TestVerify:
             "import sys\n"
             "from spinorwave.cli import main\n"
             "try:\n"
-            "    main(sys.argv[1:], standalone_mode=False)\n"
+            "    main(sys.argv[1:])\n"
             "finally:\n"
+            "    print('click' in sys.modules)\n"
             "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
         )
         for args, code in (([], 0), (["--config", str(config)], 1)):
@@ -88,6 +121,7 @@ class TestVerify:
                 capture_output=True, text=True, timeout=120)
             assert result.returncode == code, result.stderr
             assert result.stdout.splitlines()[-1] == "[]"
+            assert result.stdout.splitlines()[-2] == "False"
             assert (out / "report.json").exists()
 
     def test_missing_file_is_usage_error(self, tmp_path):
@@ -101,6 +135,33 @@ class TestVerify:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"identities": str(corpus)}))
         assert run_cli("verify", "--config", str(config)).returncode == 2
+
+    def test_unsafe_or_repeated_names_are_usage_errors(self, tmp_path):
+        """An identity name becomes a trace file name in ``--out``: an empty
+        name, one that is not a plain ASCII word, and a repeated one (also
+        a repeated default ``line<N>``) exit 2 and write nothing."""
+        identity = "eps^{A B} eps_{A B} == 2"
+        for n, (corpus, reason) in enumerate((
+            (f"#@ name=\n{identity}\n", "bad identity name ''"),
+            (f"#@ name=../escaped\n{identity}\n", "bad identity name '../escaped'"),
+            (f"#@ name=sub/x\n{identity}\n", "bad identity name 'sub/x'"),
+            (f"#@ name=.hidden\n{identity}\n", "bad identity name '.hidden'"),
+            (f"#@ name=caf\u00e9\n{identity}\n", "bad identity name"),
+            (f"#@ name=dup\n{identity}\n#@ name=dup\n{identity}\n",
+             "line 4: identity name 'dup' is already taken"),
+            (f"#@ name=line3\n{identity}\n{identity}\n",
+             "line 3: identity name 'line3' is already taken"),
+        )):
+            path = tmp_path / f"names{n}.txt"
+            path.write_text(corpus, encoding="utf-8")
+            config = tmp_path / f"names{n}.json"
+            config.write_text(json.dumps({"identities": str(path)}))
+            out = tmp_path / f"case{n}" / "out"
+            result = invoke(["verify", "--config", str(config), "--out", str(out)])
+            assert result.exit_code == 2, corpus
+            [line] = result.stderr.splitlines()
+            assert line.startswith("error: ") and reason in line, (corpus, line)
+            assert not (tmp_path / f"case{n}").exists()
 
 
 class TestCheck:
@@ -125,7 +186,8 @@ class TestCheck:
         # non-negative integer
         for option, message in ((["--verbose"], "No such option '--verbose'"),
                                 (["--jobs", "2"], "No such option '--jobs'"),
-                                (["--seed", "-1"], "Invalid value for '--seed'")):
+                                (["--seed", "-1"], "Invalid value for '--seed'"),
+                                (["--se", "5"], "No such option '--se'")):
             result = run_cli("check", *option)
             assert result.returncode == 2, option
             assert message in result.stderr
@@ -143,11 +205,22 @@ class TestCheck:
             assert "Traceback" not in result.stderr
 
     def test_repeated_suite_runs_once(self):
-        result = CliRunner().invoke(main, ["check", "--suite", "gauge-invariance",
-                                           "--suite", "trace-free", "--suite", "gauge-invariance"])
+        result = invoke(["check", "--suite", "gauge-invariance",
+                         "--suite", "trace-free", "--suite", "gauge-invariance"])
         assert result.exit_code == 0, result.output
         report = json.loads(result.output)
         assert [s["name"] for s in report["suites"]] == ["gauge-invariance", "trace-free"]
+
+    def test_click_style_call_matches_main(self):
+        """The benchmark runner calls ``main.main(args=..., prog_name=...,
+        standalone_mode=False)``; it runs exactly ``main(argv)``."""
+        argv = ["check", "--suite", "trace-free", "--seed", "3"]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), pytest.raises(SystemExit) as exc:
+            main.main(args=argv, prog_name="spinorwave", standalone_mode=False)
+        direct = invoke(argv)
+        assert (exc.value.code, stdout.getvalue()) == (direct.exit_code, direct.stdout)
+        assert direct.exit_code == 0 and direct.stdout.startswith("{")
 
     def test_batched_index_displacement_matches_per_draw_loop(self):
         """The suite draws its inputs one draw at a time and checks them as
@@ -328,7 +401,7 @@ class TestCosmo:
         cfg.write_text(json.dumps(
             dict(COSMO_CONFIG, k_grid={"min": 0.5, "max": 2.0, "count": 2})))
         out = tmp_path / "spectrum.csv"
-        result = CliRunner().invoke(main, ["cosmo", "--config", str(cfg), "--out", str(out)])
+        result = invoke(["cosmo", "--config", str(cfg), "--out", str(out)])
         assert result.exit_code == 1
         assert result.stderr == (
             "k=0.5: tolerance not met (last_eta=2.5)\n"
@@ -356,11 +429,45 @@ class TestCosmo:
         # nesting beyond the recursion limit makes json raise RecursionError
         cfg = tmp_path / "deep.json"
         cfg.write_text("[" * 100_000 + "]" * 100_000)
-        result = CliRunner().invoke(main, ["cosmo", "--config", str(cfg),
-                                           "--out", str(tmp_path / "x.csv")])
+        result = invoke(["cosmo", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert result.exit_code == 2
         [line] = result.stderr.splitlines()
         assert line.startswith("error: malformed JSON")
+
+
+
+class TestUnwritableOutput:
+    def test_each_command_exits_2(self, tmp_path):
+        """An output that cannot be written (a file in place of the
+        ``verify`` directory, a missing parent directory, a directory in
+        place of a file) is a usage error: exit 2, one ``error:`` line."""
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        missing = tmp_path / "nodir" / "x"
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("eps^{A B} eps_{A B} == 2\n")
+        verify_cfg = tmp_path / "verify.json"
+        verify_cfg.write_text(json.dumps({"identities": str(corpus)}))
+        field = tmp_path / "field.csv"
+        field.write_text(f"{BIVECTOR_HEADER}\n0,0,0,0,1,2,3,4,5,6\n")
+        em_cfg = tmp_path / "em.json"
+        em_cfg.write_text(json.dumps({"direction": "to_spinor", "input": str(field)}))
+        cosmo_cfg = tmp_path / "cosmo.json"
+        cosmo_cfg.write_text(json.dumps(
+            dict(COSMO_CONFIG, k_grid={"min": 0.5, "max": 1.0, "count": 2})))
+        for args in (["verify", "--out", str(taken)],
+                     ["verify", "--config", str(verify_cfg), "--out", str(taken)],
+                     ["check", "--suite", "trace-free", "--out", str(missing)],
+                     ["check", "--suite", "trace-free", "--out", str(tmp_path)],
+                     ["em", "--config", str(em_cfg), "--out", str(missing)],
+                     ["cosmo", "--config", str(cosmo_cfg), "--out", str(missing)],
+                     ["cosmo", "--config", str(cosmo_cfg), "--out", str(tmp_path)]):
+            result = invoke(args)
+            assert result.exit_code == 2, args
+            assert isinstance(result.exception, SystemExit), args
+            [line] = result.stderr.splitlines()
+            assert line.startswith("error: cannot "), (args, line)
+            assert "Traceback" not in result.stderr
 
 
 # Values put in place of a config field by the fuzz tests below: every JSON
@@ -442,7 +549,7 @@ def _invoke(command: str, config, tmp: str, files: dict[str, str]) -> None:
     args = [command, "--config", str(cfg)]
     if command != "verify":
         args += ["--out", str(pathlib.Path(tmp, "out"))]
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         (config, result.exception)
     assert result.exit_code in (0, 1, 2), (config, result.exit_code)

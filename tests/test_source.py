@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -48,3 +49,22 @@ def test_no_unused_imports(path):
     used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported and never used: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_imports_are_stdlib_numpy_or_relative(path):
+    """The package's one runtime dependency is numpy: every other import is
+    of the standard library or relative to the package, so a new dependency
+    cannot come in without a ``pyproject.toml`` change."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        outside.update((m, node.lineno) for m in modules if m.split(".")[0] not in allowed)
+    assert not outside, f"{path.name}: imports outside stdlib and numpy: {outside}"
