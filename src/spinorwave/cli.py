@@ -1,6 +1,11 @@
 """Command-line entry point: identity verification, property checks,
 field-file conversion, and the cosmological mode solver.
 
+:func:`run` is the process entry (the ``spinorwave`` console script and
+``python -m spinorwave.cli``): it runs :func:`main` and freezes the garbage
+collector's heap on the way out.  ``main(argv)`` is the in-process API and
+leaves the collector alone.
+
 Exit codes: 0 success, 1 verification/integration failure, 2 usage or
 configuration error.  All outputs are byte-deterministic for a fixed
 (config, seed), independent of ``--jobs``.
@@ -9,6 +14,7 @@ configuration error.  All outputs are byte-deterministic for a fixed
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
 import sys
@@ -133,7 +139,9 @@ def check(seed: int, suite_names: list[str] | None, out_path: str | None) -> NoR
 def em(config_path: str, out_path: str) -> NoReturn:
     """Convert between bivector CSV and wave-function CSV files."""
     from .em import (
+        NonFiniteRowError,
         bivector_from_spinors,
+        data_line_number,
         read_bivector_csv,
         read_wavefunction_csv,
         spinors_from_bivector,
@@ -155,6 +163,9 @@ def em(config_path: str, out_path: str) -> NoReturn:
         else:
             points, wf = read_wavefunction_csv(text)
             out_text = write_bivector_csv(points, bivector_from_spinors(wf))
+    except NonFiniteRowError as exc:
+        _fail_usage(f"line {data_line_number(text, exc.row)}: the converted values "
+                    "are beyond float range")
     except SpinorWaveError as exc:
         _fail_usage(str(exc))
     _write_text(out_path, out_text, "output file")
@@ -264,5 +275,15 @@ def main(argv: list[str] | None = None) -> NoReturn:
 main.main = lambda args=None, prog_name=None, standalone_mode=True: main(args)
 
 
+def run() -> NoReturn:
+    """Process entry: :func:`main` on ``sys.argv``, then ``gc.freeze()``, so
+    the interpreter's collections at shutdown skip every object still alive
+    at exit instead of scanning the whole heap the layers built."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

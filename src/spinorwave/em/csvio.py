@@ -4,7 +4,8 @@ Wave-function files:  t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_ph
 Bivector files:       t,x,y,z,F01,F02,F03,F12,F13,F23
 
 Floats are written with ``repr`` (shortest round-trip form), so identical
-data produces identical bytes.  Every cell must be a finite number.
+data produces identical bytes.  Every cell must be a finite number, in the
+files read and in the files written.
 """
 
 from __future__ import annotations
@@ -29,6 +30,21 @@ BIVECTOR_HEADER = "t,x,y,z,F01,F02,F03,F12,F13,F23"
 # Rows parsed or rendered per bulk numpy call; bounds the transient lists of
 # cell strings and Python floats, which would otherwise set the peak memory.
 _CHUNK = 4096
+
+
+class NonFiniteRowError(ConfigError):
+    """A row to be written holds a cell that is not a finite number; ``row``
+    is its 0-based index among the data rows."""
+
+    def __init__(self, row: int, cell: float):
+        self.row = row
+        super().__init__(f"data row {row + 1}: {cell!r} is not a finite number")
+
+
+def data_line_number(text: str, row: int) -> int:
+    """The file line (1-based, blank lines counted) of data row ``row``
+    (0-based) of a CSV file that the readers accepted."""
+    return _numbered(text.splitlines())[row + 1][0]
 
 
 def write_wavefunction_csv(points: np.ndarray, wf: PhotonWaveFunction) -> str:
@@ -56,7 +72,12 @@ def read_bivector_csv(text: str) -> tuple[np.ndarray, BivectorField]:
 
 
 def _render(header: str, table: np.ndarray) -> str:
-    """The header line, then one line per row of ``repr`` cells."""
+    """The header line, then one line per row of ``repr`` cells; raises
+    :class:`NonFiniteRowError` for the first row with a non-finite cell."""
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise NonFiniteRowError(row, float(table[row][~np.isfinite(table[row])][0]))
     line = ",".join(["%r"] * table.shape[1]) + "\n"
     parts = [header + "\n"]
     for start in range(0, len(table), _CHUNK):
@@ -95,8 +116,13 @@ def _parse_bulk(body: list[str], width: int) -> np.ndarray | None:
     return rows if np.isfinite(rows).all() else None
 
 
+def _numbered(lines: list[str]) -> list[tuple[int, str]]:
+    """The non-blank lines with their 1-based file line numbers."""
+    return [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]
+
+
 def _read_rows_per_line(lines: list[str], header: str, width: int) -> np.ndarray:
-    numbered = [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]
+    numbered = _numbered(lines)
     if not numbered or numbered[0][1] != header:
         raise ConfigError(f"expected header {header!r}")
     data = []

@@ -151,10 +151,12 @@ def _apply(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """``rows @ matrix``, summed in a fixed order with one numpy multiply and
     one add per term.  A BLAS product may fuse or reorder these depending on
     the library and the CPU, which would make the bytes of the output files
-    depend on the machine."""
-    out = rows[..., 0, None] * matrix[0]
-    for k in range(1, len(matrix)):
-        out += rows[..., k, None] * matrix[k]
+    depend on the machine.  Sums beyond float range come out non-finite
+    without a warning; the CSV writers refuse them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rows[..., 0, None] * matrix[0]
+        for k in range(1, len(matrix)):
+            out += rows[..., k, None] * matrix[k]
     return out
 
 

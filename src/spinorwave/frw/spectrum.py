@@ -157,12 +157,16 @@ def _one_row(model: ScaleFactorModel, spec: ModeSpec) -> SpectrumRow:
     f_end = complex(sol.f[-1])
     fp_end = complex(sol.f_prime[-1])
     a_end = model.a(spec.eta1)
-    energy = (abs(fp_end) ** 2 + spec.k ** 2 * abs(f_end) ** 2) / (
-        2.0 * math.pi * a_end ** 4
-    )
-    return SpectrumRow(
-        spec.k, spec.eta1, f_end, abs(f_end) ** 2, energy, sol.wronskian_drift, "ok"
-    )
+    try:
+        abs_f2 = abs(f_end) ** 2
+        energy = (abs(fp_end) ** 2 + spec.k ** 2 * abs_f2) / (2.0 * math.pi * a_end ** 4)
+    except (OverflowError, ZeroDivisionError):  # a, f or f' near the ends of float range
+        energy = math.inf
+    if not math.isfinite(energy):
+        return SpectrumRow(spec.k, spec.eta1, 0j, math.nan, math.nan, math.nan, "failed",
+                           f"abs_f2 or energy_proxy out of float range at eta_end "
+                           f"(last_eta={spec.eta1!r})")
+    return SpectrumRow(spec.k, spec.eta1, f_end, abs_f2, energy, sol.wronskian_drift, "ok")
 
 
 def spectrum(model: ScaleFactorModel, k_values: np.ndarray, eta0: float,

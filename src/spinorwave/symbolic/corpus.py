@@ -5,13 +5,15 @@ directive comment of the form
 
     #@ name=wave_equation rules=box_extraction,curvature_action
 
-immediately before an identity names it and selects the rewrite pipeline
-(referencing the rule registry below); without a directive the identity is
-checked by pure canonicalization.  Each name is also a file name (``verify
---out`` writes ``<name>.trace.txt``), so it must be an ASCII word of letters,
-digits, ``_``, ``.`` and ``-`` that does not start with ``.`` or ``-``, and
-no two identities in a file may share one; an identity without a name is
-called ``line<N>`` after its line number.
+before an identity (``#`` comments may come between) names it and selects
+the rewrite pipeline (referencing the rule registry below); without a
+directive the identity is checked by pure canonicalization.  A directive
+that another directive or the end of the file follows is an error.  Each
+name is also a file name (``verify --out`` writes ``<name>.trace.txt``), so
+it must be an ASCII word of letters, digits, ``_``, ``.`` and ``-`` that
+does not start with ``.`` or ``-``, and no two identities in a file may
+share one; an identity without a name is called ``line<N>`` after its line
+number.
 """
 
 from __future__ import annotations
@@ -81,13 +83,15 @@ class IdentityCase:
 def parse_identity_file(text: str) -> list[IdentityCase]:
     cases: list[IdentityCase] = []
     pending: dict | None = None
+    pending_line = 0
     names: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#@"):
-            pending = _parse_directive(line, lineno)
+            _check_no_pending(pending, pending_line)
+            pending, pending_line = _parse_directive(line, lineno), lineno
             continue
         if line.startswith("#"):
             continue
@@ -95,7 +99,7 @@ def parse_identity_file(text: str) -> list[IdentityCase]:
             raise ParseError(f"line {lineno}: expected 'lhs == rhs'")
         name = f"line{lineno}"
         rule_names: tuple[str, ...] = ()
-        if pending:
+        if pending is not None:
             name = pending.get("name", name)
             rule_names = pending.get("rules", ())
             pending = None
@@ -103,7 +107,15 @@ def parse_identity_file(text: str) -> list[IdentityCase]:
             raise ParseError(f"line {lineno}: identity name {name!r} is already taken")
         names.add(name)
         cases.append(IdentityCase(name, lineno, line, rule_names))
+    _check_no_pending(pending, pending_line)
     return cases
+
+
+def _check_no_pending(pending: dict | None, lineno: int) -> None:
+    """A directive applies to the next identity; one that another directive
+    or the end of the file follows instead would be dropped unseen."""
+    if pending is not None:
+        raise ParseError(f"line {lineno}: directive is not followed by an identity")
 
 
 def _parse_directive(line: str, lineno: int) -> dict:

@@ -20,6 +20,8 @@ from spinorwave.cli import main
 
 CMD = [sys.executable, "-m", "spinorwave.cli"]
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+BIVECTOR_HEADER = "t,x,y,z,F01,F02,F03,F12,F13,F23"
+WAVEFUNCTION_HEADER = "t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_phi11"
 
 
 def run_cli(*args, env_extra=None):
@@ -163,6 +165,30 @@ class TestVerify:
             assert line.startswith("error: ") and reason in line, (corpus, line)
             assert not (tmp_path / f"case{n}").exists()
 
+    def test_directive_without_identity_is_usage_error(self, tmp_path):
+        """A ``#@`` directive names and configures the next identity: one that
+        another directive or the end of the file follows exits 2 naming the
+        directive's line; ``#`` comments may come between."""
+        identity = "eps^{A B} eps_{A B} == 2"
+        for n, corpus in enumerate((
+            f"#@ name=a rules=splitting\n#@ name=b\n{identity}\n",
+            f"{identity}\n\n#@ name=c rules=splitting\n# the end\n",
+        )):
+            path = tmp_path / f"dangling{n}.txt"
+            path.write_text(corpus, encoding="utf-8")
+            config = tmp_path / f"dangling{n}.json"
+            config.write_text(json.dumps({"identities": str(path)}))
+            result = invoke(["verify", "--config", str(config)])
+            assert result.exit_code == 2, corpus
+            [line] = result.stderr.splitlines()
+            assert line == f"error: line {2 * n + 1}: directive is not followed by an identity"
+            assert result.stdout == ""
+
+        from spinorwave.symbolic import parse_identity_file
+
+        [case] = parse_identity_file(f"#@ name=a rules=splitting\n# note\n\n{identity}\n")
+        assert (case.name, case.line_number, case.rule_names) == ("a", 4, ("splitting",))
+
 
 class TestCheck:
     def test_default_seed_passes(self):
@@ -294,6 +320,45 @@ class TestEm:
         cfg.write_text(json.dumps({"direction": "sideways", "input": "x.csv"}))
         assert run_cli("em", "--config", str(cfg), "--out", "y.csv").returncode == 2
 
+    @pytest.mark.parametrize("direction, header, big", [
+        ("to_bivector", WAVEFUNCTION_HEADER, "1e308"),
+        ("to_spinor", BIVECTOR_HEADER, "1.7976931348623157e308"),
+    ])
+    def test_overflowing_conversion_is_usage_error(self, tmp_path, direction, header, big):
+        """Finite input whose converted values are beyond float range exits 2
+        naming its input line (blank lines counted), writes no file and
+        prints no numpy warning."""
+        src = tmp_path / "in.csv"
+        src.write_text(f"{header}\n0,0,0,0,1,0,0,0,0,0\n\n0,0,0,0" + f",{big}" * 6 + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"direction": direction, "input": str(src)}))
+        out = tmp_path / "out.csv"
+        result = run_cli("em", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr == "error: line 4: the converted values are beyond float range\n"
+        assert not out.exists()
+
+    def test_writers_refuse_non_finite_cells(self):
+        from spinorwave.em import (
+            BivectorField,
+            NonFiniteRowError,
+            PhotonWaveFunction,
+            write_bivector_csv,
+            write_wavefunction_csv,
+        )
+
+        points = np.zeros((3, 4))
+        phi = np.zeros((3, 2, 2), dtype=complex)
+        phi[1, 0, 1] = phi[1, 1, 0] = complex(0.0, np.inf)
+        field = np.zeros((3, 4, 4))
+        field[2, 0, 1], field[2, 1, 0] = -np.inf, np.inf
+        for write, value, row in ((write_wavefunction_csv, PhotonWaveFunction.physical(phi), 1),
+                                  (write_bivector_csv, BivectorField(field), 2)):
+            with pytest.raises(NonFiniteRowError) as exc:
+                write(points, value)
+            assert exc.value.row == row
+            assert str(exc.value).startswith(f"data row {row + 1}: ")
+
 
 class TestCosmo:
     def test_radiation_run(self, tmp_path):
@@ -413,6 +478,27 @@ class TestCosmo:
             "2.0,6.0,nan,nan,nan,nan,nan,failed\n"
         )
 
+    @pytest.mark.parametrize("hubble", [1e-300, 1e300])
+    def test_endpoint_overflow_is_a_failed_mode(self, tmp_path, hubble):
+        """A de Sitter mode whose |f|^2 or a^4 at eta_end is beyond float
+        range is a failed row with its reason on stderr, not a traceback."""
+        cfg = tmp_path / "cosmo.json"
+        cfg.write_text(json.dumps({
+            "model": {"kind": "de_sitter", "params": {"hubble": hubble}},
+            "k_grid": {"min": 1, "max": 2, "count": 2},
+            "eta": {"start": -2.0, "end": -1.0}}))
+        out = tmp_path / "spectrum.csv"
+        result = invoke(["cosmo", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        reason = "abs_f2 or energy_proxy out of float range at eta_end (last_eta=-1.0)"
+        assert result.stderr == f"k=1.0: {reason}\nk=2.0: {reason}\n"
+        assert out.read_text() == (
+            "k,eta_end,re_f,im_f,abs_f2,energy_proxy,wronskian_drift,status\n"
+            "1.0,-1.0,nan,nan,nan,nan,nan,failed\n"
+            "2.0,-1.0,nan,nan,nan,nan,nan,failed\n"
+        )
+
     def test_tabulated_dip_below_zero_exits_2(self, tmp_path):
         # positive at every knot, but the spline dips to about -0.18 between
         bad = dict(COSMO_CONFIG)
@@ -470,6 +556,112 @@ class TestUnwritableOutput:
             assert "Traceback" not in result.stderr
 
 
+class TestCollector:
+    """``main(argv)`` leaves the cyclic garbage collector as it found it and
+    never freezes; ``run()``, the process entry, freezes once on the way
+    out."""
+
+    def _cases(self, tmp_path):
+        """(argv, exit code) per subcommand: a success and a usage error
+        raised after the subcommand has loaded its layer, then one raised
+        by the parser."""
+        field = tmp_path / "field.csv"
+        field.write_text(f"{BIVECTOR_HEADER}\n0,0,0,0,1,2,3,4,5,6\n")
+        em_cfg = tmp_path / "em.json"
+        em_cfg.write_text(json.dumps({"direction": "to_spinor", "input": str(field)}))
+        bad_em = tmp_path / "bad_em.json"
+        bad_em.write_text(json.dumps({"direction": "sideways", "input": str(field)}))
+        cosmo_cfg = tmp_path / "cosmo.json"
+        cosmo_cfg.write_text(json.dumps(
+            dict(COSMO_CONFIG, k_grid={"min": 0.5, "max": 1.0, "count": 2})))
+        bad_cosmo = tmp_path / "bad_cosmo.json"
+        bad_cosmo.write_text(json.dumps(dict(COSMO_CONFIG, model="radiation")))
+        bad_verify = tmp_path / "bad_verify.json"
+        bad_verify.write_text(json.dumps({"identities": 5}))
+        out = tmp_path / "out"
+        return [
+            (["verify"], 0),
+            (["verify", "--config", str(bad_verify)], 2),
+            (["check", "--suite", "trace-free"], 0),
+            (["check", "--suite", "nonsense"], 2),
+            (["em", "--config", str(em_cfg), "--out", str(out)], 0),
+            (["em", "--config", str(bad_em), "--out", str(out)], 2),
+            (["cosmo", "--config", str(cosmo_cfg), "--out", str(out)], 0),
+            (["cosmo", "--config", str(bad_cosmo), "--out", str(out)], 2),
+            (["cosmo", "--config", str(cosmo_cfg)], 2),
+        ]
+
+    def test_main_restores_the_collector_and_never_freezes(self, tmp_path, monkeypatch):
+        import gc
+
+        freezes = []
+        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                for argv, code in self._cases(tmp_path):
+                    result = invoke(argv)
+                    assert result.exit_code == code, (argv, result.stderr)
+                    assert gc.isenabled() is enabled, argv
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert freezes == []
+
+    @pytest.mark.parametrize("outcome", [0, 1, 2, None, "error"])
+    def test_run_freezes_once_after_main(self, monkeypatch, outcome):
+        import gc
+
+        from spinorwave import cli
+
+        calls = []
+
+        def fake_main():
+            calls.append("main")
+            if outcome == "error":
+                raise RuntimeError("unexpected")
+            sys.exit(outcome)
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(RuntimeError if outcome == "error" else SystemExit) as exc:
+            cli.run()
+        assert calls == ["main", "freeze"]
+        if outcome != "error":
+            assert exc.value.code == outcome
+
+    def test_run_drives_main_on_argv(self, monkeypatch):
+        import gc
+
+        from spinorwave import cli
+
+        freezes = []
+        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+        monkeypatch.setattr(sys, "argv", ["spinorwave", "check", "--suite", "trace-free"])
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 0 and json.loads(stdout.getvalue())["all_passed"]
+        assert freezes == [1]
+
+    def test_unexpected_exception_keeps_traceback_and_exit_1(self):
+        script = (
+            "import atexit, gc, sys\n"
+            "from spinorwave import cli\n"
+            "def boom():\n"
+            "    raise RuntimeError('boom')\n"
+            "cli.main = boom\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "cli.run()\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert "Traceback" in result.stderr
+        assert result.stderr.rstrip().endswith("RuntimeError: boom")
+        assert result.stdout == "frozen True\n"
+
+
 # Values put in place of a config field by the fuzz tests below: every JSON
 # type, non-finite and out-of-range numbers.  None of them is a valid count
 # or sample number larger than the ones in the base configs.
@@ -492,8 +684,6 @@ COSMO_BASES = [
      "tol": {"rel": 1e-6, "abs": 1e-9},
      "samples": 11},
 ]
-BIVECTOR_HEADER = "t,x,y,z,F01,F02,F03,F12,F13,F23"
-WAVEFUNCTION_HEADER = "t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_phi11"
 CELLS = ["0", "1.5", "-2e-3", "7", " 3 ", "1e400", "nan", "-inf", "x", "", "1_0", "0x10"]
 
 

@@ -68,3 +68,46 @@ def test_imports_are_stdlib_numpy_or_relative(path):
             continue
         outside.update((m, node.lineno) for m in modules if m.split(".")[0] not in allowed)
     assert not outside, f"{path.name}: imports outside stdlib and numpy: {outside}"
+
+
+
+def _enclosing_functions(tree: ast.Module) -> dict[ast.AST, str]:
+    """Every node -> the name of the innermost function around it, or
+    ``<module>``."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            owner[child] = name
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else name)
+
+    visit(tree, "<module>")
+    return owner
+
+
+def test_gc_freeze_only_in_run():
+    """Freezing the collector's heap is for a process about to exit: only
+    ``cli.run``, the process entry, does it, never ``main(argv)`` or a layer
+    that a caller may use in process."""
+    places = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node, function in _enclosing_functions(tree).items():
+            if isinstance(node, ast.Attribute) and node.attr == "freeze" \
+                    and isinstance(node.value, ast.Name) and node.value.id == "gc" \
+                    or isinstance(node, ast.ImportFrom) and node.module == "gc":
+                places.append((path.relative_to(PACKAGE).as_posix(), function))
+    assert places == [("cli.py", "run")]
+
+
+def test_console_script_is_the_process_entry():
+    """The ``spinorwave`` script runs ``cli.run``, which freezes the heap at
+    exit, as ``python -m spinorwave.cli`` does."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((PACKAGE.parent.parent / "pyproject.toml").read_text("utf-8"))
+    assert pyproject["project"]["scripts"] == {"spinorwave": "spinorwave.cli:run"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    [guard] = [n for n in tree.body if isinstance(n, ast.If)
+               and ast.unparse(n.test) == "__name__ == '__main__'"]
+    assert ast.unparse(guard.body[0]) == "run()"
