@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -562,9 +563,8 @@ class TestCollector:
     out."""
 
     def _cases(self, tmp_path):
-        """(argv, exit code) per subcommand: a success and a usage error
-        raised after the subcommand has loaded its layer, then one raised
-        by the parser."""
+        """(argv, exit code): a success and a usage error per subcommand,
+        and one usage error from the parser."""
         field = tmp_path / "field.csv"
         field.write_text(f"{BIVECTOR_HEADER}\n0,0,0,0,1,2,3,4,5,6\n")
         em_cfg = tmp_path / "em.json"
@@ -591,9 +591,7 @@ class TestCollector:
             (["cosmo", "--config", str(cosmo_cfg)], 2),
         ]
 
-    def test_main_restores_the_collector_and_never_freezes(self, tmp_path, monkeypatch):
-        import gc
-
+    def test_main_leaves_the_collector_alone(self, tmp_path, monkeypatch):
         freezes = []
         monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
         was_enabled = gc.isenabled()
@@ -610,8 +608,6 @@ class TestCollector:
 
     @pytest.mark.parametrize("outcome", [0, 1, 2, None, "error"])
     def test_run_freezes_once_after_main(self, monkeypatch, outcome):
-        import gc
-
         from spinorwave import cli
 
         calls = []
@@ -631,8 +627,6 @@ class TestCollector:
             assert exc.value.code == outcome
 
     def test_run_drives_main_on_argv(self, monkeypatch):
-        import gc
-
         from spinorwave import cli
 
         freezes = []
