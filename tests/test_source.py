@@ -70,7 +70,6 @@ def test_imports_are_stdlib_numpy_or_relative(path):
     assert not outside, f"{path.name}: imports outside stdlib and numpy: {outside}"
 
 
-
 def _enclosing_functions(tree: ast.Module) -> dict[ast.AST, str]:
     """Every node -> the name of the innermost function around it, or
     ``<module>``."""
