@@ -8,7 +8,7 @@ leaves the collector alone.
 
 Exit codes: 0 success, 1 verification/integration failure, 2 usage or
 configuration error.  All outputs are byte-deterministic for a fixed
-(config, seed), independent of ``--jobs``.
+(config, seed).
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def em(config_path: str, out_path: str) -> NoReturn:
     sys.exit(0)
 
 
-def cosmo(config_path: str, out_path: str, jobs: int) -> NoReturn:
+def cosmo(config_path: str, out_path: str) -> NoReturn:
     """Integrate the conformal-time mode equation and write the spectrum."""
     from .frw import spectrum_from_config
 
@@ -251,9 +251,6 @@ def _parser() -> _Parser:
                      help="JSON config; see docs/formats.md for the schema.")
     sub.add_argument("--out", dest="out_path", metavar="PATH", required=True,
                      help="Spectrum CSV output path.")
-    sub.add_argument("--jobs", type=int, metavar="N", default=1,
-                     help="Accepted and ignored; modes run one after another "
-                          "(default: %(default)s).")
     return parser
 
 

@@ -160,6 +160,15 @@ def _apply(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _real_if_roundoff(v: np.ndarray) -> np.ndarray:
+    """The real part of ``v`` when its imaginary part is round-off: below 1e-13
+    of its largest real entry, or of 1.  An empty batch is real."""
+    if np.max(np.abs(v.imag), initial=0.0) < 1e-13 * max(
+            1.0, np.max(np.abs(v.real), initial=0.0)):
+        return v.real
+    return v
+
+
 def spinors_from_bivector(field: BivectorField,
                           objects: ConnectingObjects = _FLAT) -> PhotonWaveFunction:
     """Extract phi_{AB} (and the primed sector) from an antisymmetric F."""
@@ -172,15 +181,12 @@ def bivector_from_spinors(wf: PhotonWaveFunction,
                           objects: ConnectingObjects = _FLAT) -> BivectorField:
     """F_{AA'BB'} = eps_{A'B'} phi_{AB} + eps_{AB} conj_{A'B'}, in world indices.
 
-    The result is real when its imaginary part is round-off (below 1e-13 of
-    its largest entry, or of 1), as for a physical wave function."""
+    The result is real when its imaginary part is round-off (see
+    :func:`_real_if_roundoff`), as for a physical wave function."""
     v = _apply(np.concatenate([symmetric_components(wf.phi),
                                symmetric_components(wf.phi_conj)], axis=-1),
                _maps(objects)[1])
-    if np.max(np.abs(v.imag), initial=0.0) < 1e-13 * max(
-            1.0, np.max(np.abs(v.real), initial=0.0)):
-        v = v.real
-    return BivectorField(bivector_from_pairs(v))
+    return BivectorField(bivector_from_pairs(_real_if_roundoff(v)))
 
 
 def stress_energy(wf: PhotonWaveFunction,
@@ -188,7 +194,7 @@ def stress_energy(wf: PhotonWaveFunction,
     """T_{AA'BB'} = (1/2 pi) phi_{AB} conj_{A'B'}, converted to world indices."""
     Ts = np.einsum("...AB,...CD->...ACBD", wf.phi, wf.phi_conj) / (2.0 * np.pi)
     T = np.einsum("aAC,bBD,...ACBD->...ab", objects.s, objects.s, Ts)
-    return StressEnergy(T.real if np.max(np.abs(T.imag)) < 1e-12 * max(1.0, np.max(np.abs(T.real)) or 1.0) else T)
+    return StressEnergy(_real_if_roundoff(T))
 
 
 def dual(field: BivectorField, objects: ConnectingObjects = _FLAT) -> BivectorField:

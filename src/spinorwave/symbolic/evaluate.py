@@ -1,34 +1,50 @@
-"""Numeric evaluation of derivative-free expressions by index enumeration.
+"""Numeric evaluation of derivative-free expressions by tensor contraction.
 
-This is the brute-force oracle for the algebraic layer: bindings supply
+This is the numeric oracle for the algebraic layer: bindings supply
 concrete :class:`~spinorwave.core.spinor.ComponentSpinor` values for each
-kernel (in template slot positions) and the expression is summed literally
-over every index assignment.  Metric spinors and deltas are bound
-automatically from the package convention.
+kernel (in template slot positions) and each group-expanded term is one
+``np.einsum`` call, one letter per index label.  Metric spinors and deltas
+are bound automatically from the package convention.
 """
 
 from __future__ import annotations
 
-import itertools
+from string import ascii_letters
 
 import numpy as np
 
 from ..core.convention import CONVENTION
-from ..core.indices import DIMENSION, IndexSignature, Slot
+from ..core.indices import IndexSignature, Slot
 from ..core.spinor import ComponentSpinor
 from ..errors import UnsupportedExpressionError
-from .expr import Expr, expand_groups
+from .expr import Expr, Factor, expand_groups
 from .kernels import KernelTable
 
+_EPS_LO, _EPS_UP = np.asarray(CONVENTION.eps_low), np.asarray(CONVENTION.eps_up)
+_CONSTANTS = {"eps_lo": _EPS_LO, "eps_up": _EPS_UP, "eps_lo_p": _EPS_LO, "eps_up_p": _EPS_UP,
+              "delta": np.eye(2), "delta_p": np.eye(2)}
 
-def _auto_bindings() -> dict[str, np.ndarray]:
-    lo = np.asarray(CONVENTION.eps_low)
-    up = np.asarray(CONVENTION.eps_up)
-    delta = np.eye(2, dtype=complex)
-    return {
-        "eps_lo": lo, "eps_up": up, "eps_lo_p": lo, "eps_up_p": up,
-        "delta": delta, "delta_p": delta,
-    }
+
+def _operand(factor: Factor, bindings: dict[str, ComponentSpinor | complex],
+             table: KernelTable) -> np.ndarray:
+    """The components of a factor's kernel, checked against its template (the
+    written slots, for a kernel the table does not know)."""
+    name, kernel = factor.kernel, table.get(factor.kernel)
+    if kernel is not None and kernel.operator:
+        raise UnsupportedExpressionError(f"derivative operator {name!r} cannot be evaluated")
+    if name in _CONSTANTS:
+        return _CONSTANTS[name]
+    if name not in bindings:
+        raise UnsupportedExpressionError(f"unbound kernel {name!r}")
+    bound = bindings[name]
+    template = IndexSignature(kernel.slots if kernel is not None else
+                              tuple(Slot(i.kind, i.variance) for i in factor.indices))
+    if isinstance(bound, ComponentSpinor) and bound.signature == template:
+        return bound.data
+    if not isinstance(bound, ComponentSpinor) and not template.slots:
+        return np.asarray(complex(bound))
+    raise UnsupportedExpressionError(f"binding for kernel {name!r} does not match its "
+                                     f"template {template!r}")
 
 
 def component_eval(expr: Expr, bindings: dict[str, ComponentSpinor | complex],
@@ -38,53 +54,23 @@ def component_eval(expr: Expr, bindings: dict[str, ComponentSpinor | complex],
     Returns a spinor over the free indices, slots ordered by label name.
     """
     table = table or KernelTable()
-    auto = _auto_bindings()
-    arrays: dict[str, np.ndarray | complex] = {}
-
+    arrays: dict[str, np.ndarray] = {}
+    for term in expr.terms:
+        for f in term.factors:
+            if f.kernel not in arrays:
+                arrays[f.kernel] = _operand(f, bindings, table)
     free = expr.free_indices()
     free_names = sorted(free)
-    out_sig = IndexSignature(
-        tuple(Slot(free[name].kind, free[name].variance) for name in free_names)
-    )
+    out_sig = IndexSignature(tuple(Slot(free[n].kind, free[n].variance) for n in free_names))
     out = np.zeros(out_sig.shape, dtype=complex)
-
     for raw in expr.terms:
         for term in expand_groups(raw):
-            for factor in term.factors:
-                kernel = table.get(factor.kernel)
-                if kernel is not None and kernel.operator:
-                    raise UnsupportedExpressionError(
-                        f"derivative operator {factor.kernel!r} cannot be evaluated"
-                    )
-                if factor.kernel in arrays:
-                    continue
-                if factor.kernel in auto:
-                    arrays[factor.kernel] = auto[factor.kernel]
-                    continue
-                if factor.kernel not in bindings:
-                    raise UnsupportedExpressionError(
-                        f"unbound kernel {factor.kernel!r}"
-                    )
-                bound = bindings[factor.kernel]
-                arrays[factor.kernel] = (
-                    bound.data if isinstance(bound, ComponentSpinor) else complex(bound)
-                )
             labels = sorted({idx.name for _, idx in term.all_indices()})
-            kinds = {idx.name: idx.kind for _, idx in term.all_indices()}
-            dims = [DIMENSION[kinds[l]] for l in labels]
-            coeff = complex(term.coeff)
-            for assignment in itertools.product(*(range(d) for d in dims)):
-                value = dict(zip(labels, assignment))
-                prod = coeff
-                for factor in term.factors:
-                    arr = arrays[factor.kernel]
-                    if isinstance(arr, complex):
-                        prod *= arr
-                    else:
-                        prod *= arr[tuple(value[i.name] for i in factor.indices)]
-                    if prod == 0:
-                        break
-                if prod == 0:
-                    continue
-                out[tuple(value[name] for name in free_names)] += prod
+            if len(labels) > len(ascii_letters):
+                raise UnsupportedExpressionError(f"a term with {len(labels)} index labels "
+                                                 "exceeds the 52 einsum letters")
+            letter = dict(zip(labels, ascii_letters))
+            inputs = ("".join(letter[i.name] for i in f.indices) for f in term.factors)
+            spec = ",".join(["", *inputs]) + "->" + "".join(letter[n] for n in free_names)
+            out += np.einsum(spec, complex(term.coeff), *(arrays[f.kernel] for f in term.factors))
     return ComponentSpinor(out_sig, out)

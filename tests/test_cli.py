@@ -221,14 +221,15 @@ class TestCheck:
             assert "Traceback" not in result.stderr
 
     def test_verbose_is_a_usage_error_for_verify_and_cosmo(self, tmp_path):
-        # neither command has a --verbose flag
+        # neither command has a --verbose flag, and cosmo has no --jobs
         config = tmp_path / "cfg.json"
         config.write_text("{}")
-        for command in (["verify"], ["cosmo", "--config", str(config),
-                                     "--out", str(tmp_path / "out.csv")]):
-            result = run_cli(*command, "--verbose")
-            assert result.returncode == 2, command
-            assert "No such option '--verbose'" in result.stderr
+        cosmo = ["cosmo", "--config", str(config), "--out", str(tmp_path / "out.csv")]
+        for command, option in ((["verify"], ["--verbose"]), (cosmo, ["--verbose"]),
+                                (cosmo, ["--jobs", "2"])):
+            result = run_cli(*command, *option)
+            assert result.returncode == 2, command + option
+            assert f"No such option '{option[0]}'" in result.stderr
             assert "Traceback" not in result.stderr
 
     def test_repeated_suite_runs_once(self):
@@ -775,15 +776,13 @@ class TestFuzz:
 
 
 class TestDeterminism:
-    def test_cosmo_bytes_stable_across_runs_and_jobs(self, tmp_path):
+    def test_cosmo_bytes_stable_across_runs(self, tmp_path):
         cfg = tmp_path / "cosmo.json"
         cfg.write_text(json.dumps(COSMO_CONFIG))
         outputs = []
-        for jobs in ("1", "4", "1"):
-            out = tmp_path / f"spec_{len(outputs)}.csv"
-            assert run_cli(
-                "cosmo", "--config", str(cfg), "--out", str(out), "--jobs", jobs
-            ).returncode == 0
+        for n in range(3):
+            out = tmp_path / f"spec_{n}.csv"
+            assert run_cli("cosmo", "--config", str(cfg), "--out", str(out)).returncode == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 

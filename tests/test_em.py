@@ -274,6 +274,12 @@ class TestStressEnergy:
         wf = PhotonWaveFunction.physical(np.zeros((2, 2)))
         assert np.max(np.abs(stress_energy(wf).values)) == 0.0
 
+    def test_empty_batch_is_real_and_empty(self):
+        # both conversions to world tensors share one round-off rule
+        wf = PhotonWaveFunction.physical(np.zeros((0, 2, 2)))
+        for values in (stress_energy(wf).values, bivector_from_spinors(wf).values):
+            assert values.shape == (0, 4, 4) and values.dtype == np.float64
+
     def test_matches_nested_loop_oracle_with_prefactor(self):
         from spinorwave.core.connecting import ConnectingObjects
 

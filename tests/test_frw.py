@@ -410,7 +410,7 @@ class TestSpectrum:
         assert rows == []
         assert render_csv(rows).splitlines()[0].startswith("k,eta_end")
 
-    def test_deterministic_across_jobs(self):
+    def test_deterministic_across_runs(self):
         config = {
             "model": {"kind": "radiation", "params": {"a0": 1.0}},
             "k_grid": {"min": 0.5, "max": 5.0, "count": 8, "spacing": "log"},

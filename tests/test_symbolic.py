@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinorwave.core.convention import CONVENTION
 from spinorwave.core.spinor import ComponentSpinor, random_spinor
 from spinorwave.core.indices import (
     DIMENSION,
+    IndexKind,
     IndexSignature,
     permutation_sign,
     spinor_signature,
@@ -273,6 +275,38 @@ class TestComponentEval:
         with pytest.raises(UnsupportedExpressionError, match="operator"):
             component_eval(expr, {"phi": ComponentSpinor.zeros(spinor_signature("uu"))}, table)
 
+    @pytest.mark.parametrize("binding", [
+        ComponentSpinor.zeros(spinor_signature("uuu")),  # one slot too many
+        ComponentSpinor.zeros(spinor_signature("w")),    # a world vector
+        ComponentSpinor.zeros(spinor_signature("UU")),   # up-up, not the down-down template
+        2.0,                                             # a scalar for a rank-2 kernel
+    ], ids=["uuu", "w", "UU", "scalar"])
+    def test_binding_must_match_the_template(self, binding):
+        table, parser = fresh()
+        with pytest.raises(UnsupportedExpressionError, match="binding for kernel 'phi'"):
+            component_eval(parser.parse_expression("phi_{A B}"), {"phi": binding}, table)
+
+    def test_scalar_kernel_takes_a_number_or_a_rank_zero_spinor(self):
+        table, parser = fresh()
+        expr = parser.parse_expression("1/2 R")
+        rank0 = ComponentSpinor(IndexSignature(()), np.array(4.0 + 2.0j))
+        for binding in (4.0 + 2.0j, rank0):
+            assert component_eval(expr, {"R": binding}, table).data == 2.0 + 1.0j
+
+    def test_terms_without_factors(self):
+        table, parser = fresh()
+        assert component_eval(parser.parse_expression("3"), {}, table).data == 3.0
+        zero = component_eval(parser.parse_expression("eps^{A B} eps_{A B} - 2"), {}, table)
+        assert zero.signature == IndexSignature(()) and zero.data == 0.0
+
+    def test_more_labels_than_einsum_letters_rejected(self):
+        # a ring delta^{L0}_{L1} delta^{L1}_{L2} ... delta^{L52}_{L0}: 53 dummies
+        up_down = [(Idx(f"L{n}", IndexKind.UNPRIMED, True),
+                    Idx(f"L{(n + 1) % 53}", IndexKind.UNPRIMED, False)) for n in range(53)]
+        ring = Term(Fraction(1), tuple(Factor("delta", pair) for pair in up_down))
+        with pytest.raises(UnsupportedExpressionError, match="53 index labels"):
+            component_eval(Expr((ring,)), {}, KernelTable())
+
 
 # -- differential test against the numeric oracle ------------------------------
 #
@@ -412,12 +446,14 @@ class TestOracleAgreement:
         assert canonicalize(expr, table).is_zero == (value <= 1e-9 * scale), text
 
 
-# -- references for the fast expansion and relabeling --------------------------
+# -- references for the fast expansion, relabeling and contraction -------------
 #
 # canon enumerates each cluster of a term alone and ranks relabelings on a
-# tuple plan of the term.  These are the plain forms those replace: one loop
-# over every assignment of all of a term's labels, and a term built for
-# every relabeling of its dummies.  Both must give equal results.
+# tuple plan of the term, and component_eval makes each term one einsum.
+# These are the plain forms those replace: one loop over every assignment of
+# all of a term's labels, and a term built for every relabeling of its
+# dummies.  The exact ones must give equal results, the numeric one equal
+# values up to round-off.
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -468,6 +504,82 @@ def reference_component_map(expr, table):
                 if count:
                     acc[symbol] = acc.get(symbol, 0) + term.coeff * count
     return {symbol: value for symbol, value in acc.items() if value != 0}
+
+
+def reference_component_eval(expr, bindings, table):
+    """The numeric oracle as a sum over every index assignment of each term."""
+    lo, up, delta = np.asarray(CONVENTION.eps_low), np.asarray(CONVENTION.eps_up), np.eye(2)
+    auto = {"eps_lo": lo, "eps_up": up, "eps_lo_p": lo, "eps_up_p": up,
+            "delta": delta, "delta_p": delta}
+    arrays = {**{name: value.data if isinstance(value, ComponentSpinor) else complex(value)
+                 for name, value in bindings.items()}, **auto}
+    free = expr.free_indices()
+    free_names = sorted(free)
+    out = np.zeros([DIMENSION[free[name].kind] for name in free_names], dtype=complex)
+    for raw in expr.terms:
+        for term in canon.expand_groups(raw):
+            kinds = {idx.name: idx.kind for _, idx in term.all_indices()}
+            labels = sorted(kinds)
+            for assignment in itertools.product(*(range(DIMENSION[kinds[l]]) for l in labels)):
+                value = dict(zip(labels, assignment))
+                prod = complex(term.coeff)
+                for factor in term.factors:
+                    arr = arrays[factor.kernel]
+                    prod *= arr if isinstance(arr, complex) else arr[
+                        tuple(value[i.name] for i in factor.indices)]
+                out[tuple(value[name] for name in free_names)] += prod
+    return out
+
+
+def random_bindings(expr, table, rng):
+    """Random components for every field kernel of ``expr``."""
+    names = {f.kernel for term in expr.terms for f in term.factors}
+    return {name: random_spinor(IndexSignature(table.get(name).slots), rng)
+            for name in sorted(names) if not table.get(name).constant}
+
+
+def assert_matches_reference(expr, bindings, table):
+    """component_eval equals the reference to 1e-12 of the largest term."""
+    got = component_eval(expr, bindings, table)
+    want = reference_component_eval(expr, bindings, table)
+    scale = max([1.0] + [np.max(np.abs(reference_component_eval(Expr((term,)), bindings, table)))
+                         for term in expr.terms])
+    assert got.data.shape == want.shape
+    assert np.max(np.abs(got.data - want), initial=0.0) <= 1e-12 * scale, expr
+
+
+def derivative_free_corpus_expressions():
+    """lhs and rhs of every derivative-free identity in the shipped corpora and
+    in ``golden/kernel_sums.txt``, each with its parser's table."""
+    out = []
+    for text in (shipped_corpus_text("identities"),
+                 shipped_corpus_text("identities_negative"),
+                 (GOLDEN / "kernel_sums.txt").read_text(encoding="utf-8")):
+        for case in parse_identity_file(text):
+            table, parser = fresh()
+            lhs, rhs = parser.parse_identity(case.text)
+            kernels = {f.kernel for term in (lhs - rhs).terms for f in term.factors}
+            if not any(table.get(name).operator for name in kernels):
+                out += [(case.name, lhs, table), (case.name, rhs, table)]
+    return out
+
+
+class TestContractionMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(text=differential_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_generated_cases(self, text, seed):
+        table, parser = fresh()
+        expr = parser.parse_expression(text)
+        assert_matches_reference(expr, random_bindings(expr, table, np.random.default_rng(seed)),
+                                 table)
+
+    def test_derivative_free_corpus_identities(self):
+        cases = derivative_free_corpus_expressions()
+        assert len({name for name, _, _ in cases}) >= 10
+        rng = np.random.default_rng(17)
+        for _, expr, table in cases:
+            for _ in range(3):
+                assert_matches_reference(expr, random_bindings(expr, table, rng), table)
 
 
 def rename_with(term, mapping):
@@ -598,6 +710,45 @@ class TestDummyLabels:
         for idx in dummies:
             assert idx.name.startswith("!")
             assert kind_of_label(idx.name) is idx.kind, idx.name
+
+
+class TestManyDummies:
+    """Terms with more than seven dummies take the iterative relabeling of
+    ``canon._normalize_term`` instead of the exact minimum."""
+
+    FORWARD, BACKWARD = "A B C D E F G H", "H G F E D C B A"
+
+    def canonical(self, text, monkeypatch):
+        seen = []
+        real = canon._normalize_term
+
+        def spy(term, table):
+            seen.append(len(term.dummy_names()))
+            return real(term, table)
+
+        monkeypatch.setattr(canon, "_normalize_term", spy)
+        table, parser = fresh()
+        expr = parser.parse_expression(text)
+        first, second = canonicalize(expr, table), canonicalize(expr, table)
+        assert seen and max(seen) == 8, seen
+        assert repr(first) == repr(second)
+        return first
+
+    def test_zero_sum(self, monkeypatch):
+        f, b = self.FORWARD, self.BACKWARD
+        text = f"Ka_{{{f}}} Kb^{{{f}}} - Ka_{{{b}}} Kb^{{{b}}}"
+        assert self.canonical(text, monkeypatch).is_zero
+
+    @pytest.mark.parametrize("text, terms", [
+        (f"Ka_{{{FORWARD}}} Kb^{{{FORWARD}}} + Ka_{{{BACKWARD}}} Kb^{{{BACKWARD}}}", 1),
+        (f"Ka_{{{FORWARD}}} Kb^{{{FORWARD}}} - Ka_{{{BACKWARD}}} Kb^{{{FORWARD}}}", 2),
+    ])
+    def test_nonzero_sums_keep_canonical_labels(self, text, terms, monkeypatch):
+        out = self.canonical(text, monkeypatch)
+        assert not out.is_zero and len(out.terms) == terms
+        for term in out.terms:
+            labels = {idx.name for _, idx in term.all_indices()}
+            assert len(labels) == 8 and all(re.fullmatch(r"!U\d+", label) for label in labels)
 
 
 class TestCanonicalizeSeam:
