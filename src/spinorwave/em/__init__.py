@@ -1,67 +1,42 @@
-"""Electromagnetic sector: bivector/wave-function conversions, residuals, I/O."""
+"""Electromagnetic sector: bivector/wave-function conversions, residuals, I/O.
 
-from .analytic import (
-    AnalyticPotential,
-    AnalyticWaveFunction,
-    constant_potential,
-    field_from_potential,
-    field_from_potential_grid,
-    interior,
-    massless_residual,
-    massless_residual_grid,
-    null_wavevector,
-    plane_wave_potential,
-    plane_wave_wavefunction,
-    pure_gauge_potential,
-)
-from .csvio import (
-    BIVECTOR_HEADER,
-    WAVEFUNCTION_HEADER,
-    NonFiniteRowError,
-    data_line_number,
-    read_bivector_csv,
-    read_wavefunction_csv,
-    write_bivector_csv,
-    write_wavefunction_csv,
-)
-from .fields import (
-    BivectorField,
-    PhotonWaveFunction,
-    StressEnergy,
-    bivector_from_spinors,
-    dual,
-    invariants,
-    spinors_from_bivector,
-    stress_energy,
-)
+The submodules load on first use of one of their names, so ``em`` never
+loads ``analytic`` and ``check`` never loads ``csvio``.
+"""
 
-__all__ = [
-    "AnalyticPotential",
-    "AnalyticWaveFunction",
-    "BIVECTOR_HEADER",
-    "BivectorField",
-    "NonFiniteRowError",
-    "PhotonWaveFunction",
-    "StressEnergy",
-    "WAVEFUNCTION_HEADER",
-    "bivector_from_spinors",
-    "constant_potential",
-    "data_line_number",
-    "dual",
-    "field_from_potential",
-    "field_from_potential_grid",
-    "interior",
-    "invariants",
-    "massless_residual",
-    "massless_residual_grid",
-    "null_wavevector",
-    "plane_wave_potential",
-    "plane_wave_wavefunction",
-    "pure_gauge_potential",
-    "read_bivector_csv",
-    "read_wavefunction_csv",
-    "spinors_from_bivector",
-    "stress_energy",
-    "write_bivector_csv",
-    "write_wavefunction_csv",
-]
+from .. import _lazy_getattr
+
+# Each public name and the submodule that defines it.
+_SUBMODULES = {
+    "AnalyticPotential": "analytic",
+    "AnalyticWaveFunction": "analytic",
+    "constant_potential": "analytic",
+    "field_from_potential": "analytic",
+    "field_from_potential_grid": "analytic",
+    "interior": "analytic",
+    "massless_residual": "analytic",
+    "massless_residual_grid": "analytic",
+    "null_wavevector": "analytic",
+    "plane_wave_potential": "analytic",
+    "plane_wave_wavefunction": "analytic",
+    "pure_gauge_potential": "analytic",
+    "BIVECTOR_HEADER": "csvio",
+    "WAVEFUNCTION_HEADER": "csvio",
+    "NonFiniteRowError": "csvio",
+    "data_line_number": "csvio",
+    "read_bivector_csv": "csvio",
+    "read_wavefunction_csv": "csvio",
+    "write_bivector_csv": "csvio",
+    "write_wavefunction_csv": "csvio",
+    "BivectorField": "fields",
+    "PhotonWaveFunction": "fields",
+    "StressEnergy": "fields",
+    "bivector_from_spinors": "fields",
+    "dual": "fields",
+    "invariants": "fields",
+    "spinors_from_bivector": "fields",
+    "stress_energy": "fields",
+}
+
+__all__ = list(_SUBMODULES)
+__getattr__ = _lazy_getattr(__name__, _SUBMODULES)

@@ -4,8 +4,9 @@ Wave-function files:  t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_ph
 Bivector files:       t,x,y,z,F01,F02,F03,F12,F13,F23
 
 Floats are written with ``repr`` (shortest round-trip form), so identical
-data produces identical bytes.  Every cell must be a finite number, in the
-files read and in the files written.
+data produces identical bytes.  A cell is read as ``float()`` reads it.
+Every cell must be a finite number, in the files read and in the files
+written.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .fields import (
 WAVEFUNCTION_HEADER = "t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_phi11"
 BIVECTOR_HEADER = "t,x,y,z,F01,F02,F03,F12,F13,F23"
 
-# Rows parsed or rendered per bulk numpy call; bounds the transient lists of
-# cell strings and Python floats, which would otherwise set the peak memory.
+# Rows rendered per ``%`` format; bounds the transient list of Python floats,
+# which would otherwise set the peak memory.
 _CHUNK = 4096
 
 
@@ -89,11 +90,14 @@ def _render(header: str, table: np.ndarray) -> str:
 def _read_rows(text: str, header: str) -> np.ndarray:
     """The data rows under ``header`` as an (n, width) float array.
 
-    The bulk parse takes files without blank lines or bad cells; on anything
-    else the per-line parse returns the same array or names the bad line."""
+    The bulk parse takes files whose cells numpy's reader accepts; on anything
+    else the per-line parse returns the same array or names the bad line.
+    numpy's reader strips U+001C-U+001F around a cell as whitespace, which
+    ``float()`` rejects; ``splitlines`` breaks lines at all of them but
+    U+001F, so a file holding U+001F is parsed line by line."""
     width = header.count(",") + 1
     lines = text.splitlines()
-    if lines and lines[0] == header:
+    if lines and lines[0] == header and "\x1f" not in text:
         rows = _parse_bulk(lines[1:], width)
         if rows is not None:
             return rows
@@ -101,19 +105,19 @@ def _read_rows(text: str, header: str) -> np.ndarray:
 
 
 def _parse_bulk(body: list[str], width: int) -> np.ndarray | None:
-    """``body`` as an (n, width) array of finite floats, or None when a line
-    has another width or a cell is not a finite number.  numpy applies
-    ``float()`` to each str, so the values match the per-line parse."""
-    rows = np.empty((len(body), width))
-    for start in range(0, len(body), _CHUNK):
-        try:
-            block = np.array([ln.split(",") for ln in body[start:start + _CHUNK]], dtype=float)
-        except ValueError:  # a ragged block or a cell float() rejects
-            return None
-        if block.shape[1:] != (width,):
-            return None
-        rows[start:start + len(block)] = block
-    return rows if np.isfinite(rows).all() else None
+    """``body`` as an (n, width) array of finite floats, or None when it has
+    no data, a line has another width or a cell is not a finite number that
+    numpy's reader accepts.  That reader skips empty lines and converts each
+    cell with the correctly rounded parser ``float()`` uses, and on lines
+    without U+001F it accepts a subset of what ``float()`` accepts, so the
+    values match the per-line parse."""
+    if not any(body):  # numpy warns on input without data
+        return None
+    try:
+        rows = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:  # a ragged body or a cell numpy's reader rejects
+        return None
+    return rows if rows.shape[1] == width and np.isfinite(rows).all() else None
 
 
 def _numbered(lines: list[str]) -> list[tuple[int, str]]:

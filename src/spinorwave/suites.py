@@ -239,14 +239,16 @@ def _suite_symbolic_numeric(rng: np.random.Generator) -> SuiteResult:
     table = KernelTable()
     parser = Parser(table)
     worst = 0.0
-    lhs, rhs = parser.parse_identity(
-        "theta_{A B} == theta_{(A B)} + 1/2 eps_{A B} theta_{C}^{C}"
-    )
-    diff = lhs - rhs
+    # an eps bridge and a delta contraction, both zero for every theta
+    diffs = [lhs - rhs for lhs, rhs in (
+        parser.parse_identity("theta_{A B} == theta_{(A B)} + 1/2 eps_{A B} theta_{C}^{C}"),
+        parser.parse_identity("theta_{A B} == delta^{C}_{A} theta_{C B}"),
+    )]
     for _ in range(100):
         theta = random_spinor(spinor_signature("uu"), rng)
-        value = component_eval(diff, {"theta": theta}, table)
-        worst = _worse(worst, value.max_abs())
+        for diff in diffs:
+            value = component_eval(diff, {"theta": theta}, table)
+            worst = _worse(worst, value.max_abs())
     # graviton-coupling contraction against a direct nested loop
     expr = parser.parse_expression("2 Psi_{A D}^{B C} phi_{C}^{D}")
     eps_up = np.asarray(default_convention().eps_up)

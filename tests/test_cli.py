@@ -276,6 +276,18 @@ class TestCheck:
         assert result.returncode == 1
         assert "12345" in result.stderr  # offending seed echoed
 
+    def test_wrong_delta_binding_fails_symbolic_numeric(self, monkeypatch):
+        """The suite evaluates a delta contraction, so an oracle that binds
+        delta to the anti-diagonal matrix fails it."""
+        from spinorwave import suites
+        from spinorwave.symbolic import evaluate
+
+        [result] = suites.run_suites(12345, ["symbolic-numeric"])
+        assert result.passed
+        monkeypatch.setitem(evaluate._CONSTANTS, "delta", np.eye(2)[::-1])
+        [result] = suites.run_suites(12345, ["symbolic-numeric"])
+        assert not result.passed and result.max_error > 1.0
+
     def test_nan_error_fails_suite(self, monkeypatch):
         from spinorwave import suites
 
@@ -339,6 +351,30 @@ class TestEm:
         assert result.returncode == 2
         assert result.stderr == "error: line 4: the converted values are beyond float range\n"
         assert not out.exists()
+
+    def test_em_never_imports_analytic(self, tmp_path):
+        """An ``em`` run in either direction loads the CSV reader and the
+        conversions, never ``em.analytic``."""
+        script = (
+            "import sys\n"
+            "from spinorwave.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "finally:\n"
+            "    print(sorted(m for m in sys.modules if m.startswith('spinorwave.em')))\n"
+        )
+        for direction, source in (("to_spinor", "bivector.csv"),
+                                  ("to_bivector", "wavefunction.csv")):
+            cfg = tmp_path / f"{direction}.json"
+            cfg.write_text(json.dumps({"direction": direction,
+                                       "input": str(GOLDEN / "em" / source)}))
+            result = subprocess.run(
+                [sys.executable, "-c", script, "em", "--config", str(cfg),
+                 "--out", str(tmp_path / f"{direction}.csv")],
+                capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines()[-1] == str(
+                ["spinorwave.em", "spinorwave.em.csvio", "spinorwave.em.fields"])
 
     def test_writers_refuse_non_finite_cells(self):
         from spinorwave.em import (

@@ -2,9 +2,12 @@
 and the CSV interchange formats."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorwave.core.connecting import MINKOWSKI, ConnectingObjects
 from spinorwave.core.convention import EPS_LOW, EPS_UP
@@ -31,10 +34,79 @@ from spinorwave.em import (
     write_bivector_csv,
     write_wavefunction_csv,
 )
-from spinorwave.em import csvio
+from spinorwave.em import BIVECTOR_HEADER, WAVEFUNCTION_HEADER, csvio
 from spinorwave.errors import BivectorError, ConfigError, SpinorSymmetryError
 
 RNG = np.random.default_rng(7)
+
+# Cells that float() reads but numpy's reader may not: digit separators,
+# non-ASCII decimal digits, Unicode whitespace padding.
+FLOAT_ONLY_CELLS = ["1_0", "1_000.5", "2e1_0", "\u0661\u0662", "\u06f3.\u06f5", "\uff17",
+                    "\xa01\xa0", "\u20002", "\x0c3"]
+# Cells numpy's reader would take but float() rejects: U+001F padding.  The
+# U+001C-U+001E of the same kind also break the line in ``splitlines``.
+NUMPY_ONLY_CELLS = ["1\x1f", "\x1f2", " \x1f3\x1f "]
+LINE_BREAK_CELLS = ["4\x1c", "\x1d5", "6\x1e"]
+NON_FINITE_CELLS = ["nan", "-nan", "inf", "-Infinity", "1e400", "-1e400", "9" * 400]
+BAD_CELLS = ["", " ", "x", "0x10", "1__0", "_1", "1e", "--1", "1.2.3", "\x001", "1#2", "#",
+             "\"1\""]
+
+
+def _valid_cells():
+    """Finite cells both readers take, in several spellings and paddings."""
+    spellings = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from([repr(x), f"{x:.17g}", f"{x:.3e}", f"{x:f}"]))
+    padded = st.tuples(st.sampled_from(["", " ", "\t"]), spellings,
+                       st.sampled_from(["", " ", "\t"])).map("".join)
+    return st.one_of(spellings, padded, st.integers(-10**20, 10**20).map(str),
+                     st.sampled_from(["+7", ".5", "5.", "-0", "1E5", "0.0e-0"]))
+
+
+@st.composite
+def csv_bodies(draw, width=10):
+    """Clean data lines with up to two disturbances put in: a row with one
+    odd cell, a ragged row, or an empty or whitespace-only line."""
+    row = st.lists(_valid_cells(), min_size=width, max_size=width)
+    lines = [",".join(cells) for cells in draw(st.lists(row, max_size=5))]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["odd", "ragged", "blank"]))
+        if kind == "odd":
+            cells = draw(row)
+            cells[draw(st.integers(0, width - 1))] = draw(
+                st.sampled_from(FLOAT_ONLY_CELLS + NUMPY_ONLY_CELLS + LINE_BREAK_CELLS
+                                + NON_FINITE_CELLS + BAD_CELLS))
+            line = ",".join(cells)
+        elif kind == "ragged":
+            n = draw(st.sampled_from([1, width - 1, width + 1]))
+            line = ",".join(draw(st.lists(_valid_cells(), min_size=n, max_size=n)))
+        else:
+            line = draw(st.sampled_from(["", " ", "\t", "\xa0"]))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return lines
+
+
+def _read_outcome(read):
+    """The rows ``read`` returns, or the message of the ConfigError it raises."""
+    try:
+        return read()
+    except ConfigError as exc:
+        return str(exc)
+
+
+def assert_readers_agree(text: str, header: str) -> None:
+    """``_read_rows`` (bulk first) returns the per-line reader's array bit for
+    bit, or raises its ConfigError with the same message, and warns nothing."""
+    width = header.count(",") + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bulk = _read_outcome(lambda: csvio._read_rows(text, header))
+    per_line = _read_outcome(lambda: csvio._read_rows_per_line(text.splitlines(), header, width))
+    assert type(bulk) is type(per_line), (bulk, per_line)
+    if isinstance(per_line, str):
+        assert bulk == per_line
+    else:
+        assert bulk.dtype == per_line.dtype and bulk.shape == per_line.shape
+        assert bulk.tobytes() == per_line.tobytes()
 
 
 def random_bivectors(n):
@@ -383,6 +455,43 @@ class TestCsv:
         with pytest.raises(ConfigError) as info:
             read_bivector_csv(text)
         assert str(info.value) == message
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(header=st.sampled_from([BIVECTOR_HEADER, WAVEFUNCTION_HEADER]),
+           newline=st.sampled_from(["\n", "\n", "\r\n"]), body=csv_bodies())
+    def test_bulk_reader_agrees_with_per_line_reader(self, header, newline, body):
+        assert_readers_agree(newline.join([header, *body]) + newline, header)
+
+    @pytest.mark.parametrize("cell, value", [
+        ("1_0", 10.0),
+        ("2_5e-1_0", 2.5e-9),
+        ("\u0661\u0662", 12.0),  # Arabic-Indic digits
+        ("-\u0663.\u0665", -3.5),
+    ])
+    def test_cells_only_float_reads_take_the_per_line_path(self, cell, value):
+        row = ",".join([cell] + ["0"] * 9)
+        text = f"{BIVECTOR_HEADER}\n0,1,2,3,4,5,6,7,8,9\n{row}\n"
+        assert csvio._parse_bulk(text.splitlines()[1:], 10) is None
+        assert_readers_agree(text, BIVECTOR_HEADER)
+        pts, _ = read_bivector_csv(text)
+        assert pts[1, 0] == value
+
+    @pytest.mark.parametrize("cell", NUMPY_ONLY_CELLS + NON_FINITE_CELLS + BAD_CELLS)
+    @pytest.mark.parametrize("column", [0, 9])
+    def test_cells_neither_reader_takes(self, cell, column):
+        cells = ["0"] * 10
+        cells[column] = cell
+        text = f"{BIVECTOR_HEADER}\n0,1,2,3,4,5,6,7,8,9\n{','.join(cells)}\n"
+        assert_readers_agree(text, BIVECTOR_HEADER)
+        with pytest.raises(ConfigError, match="^line 3: "):
+            read_bivector_csv(text)
+
+    def test_empty_lines_stay_on_the_bulk_path(self):
+        body = ["", "0,1,2,3,4,5,6,7,8,9", "", "", "9,8,7,6,5,4,3,2,1,0", ""]
+        rows = csvio._parse_bulk(body, 10)
+        assert rows is not None and rows.shape == (2, 10)
+        assert_readers_agree("\n".join([BIVECTOR_HEADER, *body]), BIVECTOR_HEADER)
+        assert csvio._parse_bulk(["", ""], 10) is None
 
     def test_header_only_file_in_both_directions(self):
         from spinorwave.em import BIVECTOR_HEADER, WAVEFUNCTION_HEADER

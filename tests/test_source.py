@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: stdlib ``ast`` only."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -68,6 +69,20 @@ def test_imports_are_stdlib_numpy_or_relative(path):
             continue
         outside.update((m, node.lineno) for m in modules if m.split(".")[0] not in allowed)
     assert not outside, f"{path.name}: imports outside stdlib and numpy: {outside}"
+
+
+@pytest.mark.parametrize("package", ["core", "symbolic", "em"])
+def test_lazy_table_lists_every_public_name(package):
+    """A lazily loaded package exports exactly the names of its
+    ``_SUBMODULES`` table, and each name resolves to the object that its
+    listed submodule defines."""
+    module = importlib.import_module(f"spinorwave.{package}")
+    assert module.__all__ == list(module._SUBMODULES)
+    for name, submodule in module._SUBMODULES.items():
+        source = importlib.import_module(f"spinorwave.{package}.{submodule}")
+        value = getattr(module, name)
+        assert value is vars(source)[name], name
+        assert getattr(value, "__module__", source.__name__) == source.__name__, name
 
 
 def _enclosing_functions(tree: ast.Module) -> dict[ast.AST, str]:
