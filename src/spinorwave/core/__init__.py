@@ -13,12 +13,11 @@ _SUBMODULES = {
     "covariant_derivative_forms": "affinity",
     "metric_compatibility_residual": "affinity",
     "ConnectingObjects": "connecting",
+    "FLAT_SYMBOLS": "connecting",
     "MINKOWSKI": "connecting",
     "levi_civita4": "connecting",
-    "CONVENTION": "convention",
     "EPS_LOW": "convention",
     "EPS_UP": "convention",
-    "MetricSpinorConvention": "convention",
     "IndexKind": "indices",
     "IndexSignature": "indices",
     "Slot": "indices",

@@ -17,10 +17,7 @@ import numpy as np
 
 from ..errors import DegenerateMetricError, IndexPlacementError
 from .connecting import ConnectingObjects
-from .convention import CONVENTION
-
-_E_LO = CONVENTION.eps_low
-_E_UP = CONVENTION.eps_up
+from .convention import EPS_LOW, EPS_UP
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,7 @@ class SpinAffinity:
 
     def lowered(self) -> np.ndarray:
         """theta_{aAC} = theta_{aA}^{X} eps_{XC}."""
-        return np.einsum("...aAX,XC->...aAC", self.theta, _E_LO)
+        return np.einsum("...aAX,XC->...aAC", self.theta, EPS_LOW)
 
     def symmetric_part(self) -> np.ndarray:
         """theta_{a(AC)} of the lowered components."""
@@ -55,7 +52,7 @@ class SpinAffinity:
 
     def split_residual(self) -> float:
         """Max deviation of theta_{aAC} - theta_{a(AC)} - (1/2) eps_{AC} theta_{aB}^{B}."""
-        recon = self.symmetric_part() + 0.5 * np.einsum("AC,...a->...aAC", _E_LO, self.trace())
+        recon = self.symmetric_part() + 0.5 * np.einsum("AC,...a->...aAC", EPS_LOW, self.trace())
         return float(np.max(np.abs(self.lowered() - recon)))
 
     @classmethod
@@ -63,8 +60,9 @@ class SpinAffinity:
         """Rebuild theta_{aA}^{C} from theta_{a(AC)} and an optional trace."""
         low = np.array(sym, dtype=complex)
         if trace is not None:
-            low = low + 0.5 * np.einsum("AC,...a->...aAC", _E_LO, np.asarray(trace, dtype=complex))
-        mixed = np.einsum("CX,...aAX->...aAC", _E_UP, low)
+            trace = np.asarray(trace, dtype=complex)
+            low = low + 0.5 * np.einsum("AC,...a->...aAC", EPS_LOW, trace)
+        mixed = np.einsum("CX,...aAX->...aAC", EPS_UP, low)
         return cls(mixed)
 
 
@@ -96,11 +94,11 @@ def covariant_derivative_forms(
         + np.einsum("...aCB,...AC->...aAB", th, phi)
     )
     sig = affinity.symmetric_part()
-    sig_up = np.einsum("BX,CY,...aXY->...aBC", _E_UP, _E_UP, sig)
+    sig_up = np.einsum("BX,CY,...aXY->...aBC", EPS_UP, EPS_UP, sig)
     rearranged = (
         dphi
-        + np.einsum("...aAC,BD,...DC->...aAB", sig, _E_UP, phi)
-        - np.einsum("...aBC,...AD,DC->...aAB", sig_up, phi, _E_LO)
+        + np.einsum("...aAC,BD,...DC->...aAB", sig, EPS_UP, phi)
+        - np.einsum("...aBC,...AD,DC->...aAB", sig_up, phi, EPS_LOW)
     )
     return direct, rearranged
 
@@ -128,17 +126,17 @@ def affinity_from_metric(
         raise DegenerateMetricError("metric is singular")
 
     # derivative of the inverse objects via the product rule
-    s_low = np.einsum("bXY,XA,YB->bAB", s, _E_LO, _E_LO)
-    ds_low = np.einsum("cbXY,XA,YB->cbAB", ds, _E_LO, _E_LO)
+    s_low = np.einsum("bXY,XA,YB->bAB", s, EPS_LOW, EPS_LOW)
+    ds_low = np.einsum("cbXY,XA,YB->cbAB", ds, EPS_LOW, EPS_LOW)
     dg_inv = -np.einsum("ae,ced,db->cab", g_inv, dg, g_inv)
     ds_inv = np.einsum("cab,bAB->caAB", dg_inv, s_low) + np.einsum(
         "ab,cbAB->caAB", g_inv, ds_low
     )
 
-    t1_conv = np.einsum("DX,bBX->bBD", _E_UP, s_inv)     # S_B^{bD'}
+    t1_conv = np.einsum("DX,bBX->bBD", EPS_UP, s_inv)    # S_B^{bD'}
     dg_spinor = np.einsum("cCD,cab->CDab", s_inv, dg)    # d_{CD'} g_{ab}
     term1 = np.einsum("bBD,CDab->aBC", t1_conv, dg_spinor)
-    t2_conv = np.einsum("bXD,XB->bBD", s, _E_LO)         # S_{bB}^{D'}
+    t2_conv = np.einsum("bXD,XB->bBD", s, EPS_LOW)       # S_{bB}^{D'}
     term2 = np.einsum("bBD,abCD->aBC", t2_conv, ds_inv)  # S_{bB}^{D'} d_a S^b_{CD'}
     raw = 0.5 * (term1 + term2)
     return 0.5 * (raw + np.transpose(raw, (0, 2, 1)))

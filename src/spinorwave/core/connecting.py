@@ -14,24 +14,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateMetricError
-from .convention import CONVENTION
+from .convention import EPS_LOW
 from .indices import IndexKind, IndexSignature, Slot, Variance, permutation_sign
 from .spinor import ComponentSpinor
 
-_PAULI = [
-    np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-]
+# The flat Infeld-van der Waerden symbols S_a^{AA'} = sigma_a / sqrt(2), with
+# sigma_0 the identity and sigma_1..3 the Pauli matrices.
+FLAT_SYMBOLS = np.array([
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, -1.0j], [1.0j, 0.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+], dtype=complex) / np.sqrt(2.0)
+FLAT_SYMBOLS.setflags(write=False)
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 def _reconstruct_metric(s: np.ndarray) -> np.ndarray:
     """g_ab = eps_AB eps_A'B' S_a^{AA'} S_b^{BB'}."""
-    e = CONVENTION.eps_low
-    return np.einsum("AB,CD,aAC,bBD->ab", e, e, s, s)
+    return np.einsum("AB,CD,aAC,bBD->ab", EPS_LOW, EPS_LOW, s, s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,22 +59,19 @@ class ConnectingObjects:
             raise DegenerateMetricError("connecting objects give a singular metric")
         g_inv = np.linalg.inv(g)
         # S^a_{AA'} = g^{ab} S_b^{XX'} eps_XA eps_X'A'
-        e = CONVENTION.eps_low
-        s_low = np.einsum("bXY,XA,YB->bAB", s, e, e)
+        s_low = np.einsum("bXY,XA,YB->bAB", s, EPS_LOW, EPS_LOW)
         s_inv = np.einsum("ab,bAB->aAB", g_inv, s_low)
         return cls(s, s_inv, g, g_inv)
 
     @classmethod
     def flat(cls) -> "ConnectingObjects":
-        s = np.stack(_PAULI) / np.sqrt(2.0)
-        return cls.from_matrices(s)
+        return cls.from_matrices(FLAT_SYMBOLS)
 
     @classmethod
     def conformal(cls, scale: float) -> "ConnectingObjects":
         if scale <= 0.0:
             raise DegenerateMetricError("conformal factor must be positive")
-        s = np.stack(_PAULI) / np.sqrt(2.0) * scale
-        return cls.from_matrices(s)
+        return cls.from_matrices(FLAT_SYMBOLS * scale)
 
     # -- conversions ----------------------------------------------------------
 

@@ -8,58 +8,17 @@ The convention is fixed once for the whole package:
 
 With these choices raise-then-lower is the identity and
 ``eps^{AB} eps_{CB} = delta^A_C`` holds exactly.  Primed slots use the
-numerically identical matrices.
+numerically identical matrices.  ``EPS_LOW`` and ``EPS_UP`` are read-only
+complex arrays of the integer table :data:`~spinorwave.core.indices.EPS`.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .indices import EPS
 
-def _eps() -> np.ndarray:
-    return np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class MetricSpinorConvention:
-    """Concrete epsilon matrices plus the fixed raise/lower contraction sides."""
-
-    eps_low: np.ndarray = field(default_factory=_eps)
-    eps_up: np.ndarray = field(default_factory=_eps)
-
-    def __post_init__(self):
-        self.eps_low.setflags(write=False)
-        self.eps_up.setflags(write=False)
-
-    def raise_vector(self, xi: np.ndarray) -> np.ndarray:
-        """xi^A = eps^{AB} xi_B."""
-        return self.eps_up @ xi
-
-    def lower_vector(self, xi: np.ndarray) -> np.ndarray:
-        """xi_B = xi^A eps_{AB}."""
-        return xi @ self.eps_low
-
-    @property
-    def delta(self) -> np.ndarray:
-        """delta^A_C = eps^{AB} eps_{CB}."""
-        return np.einsum("ab,cb->ac", self.eps_up, self.eps_low)
-
-
-def default_convention() -> MetricSpinorConvention:
-    """The package-wide convention.
-
-    The environment variable ``SPINORWAVE_BREAK_EPS`` installs a deliberately
-    inconsistent eps_up (test hook for the negative-control check suite).
-    """
-    if os.environ.get("SPINORWAVE_BREAK_EPS"):
-        bad = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-        return MetricSpinorConvention(eps_up=bad)
-    return MetricSpinorConvention()
-
-
-CONVENTION = default_convention()
-EPS_LOW = CONVENTION.eps_low
-EPS_UP = CONVENTION.eps_up
+EPS_LOW = np.array(EPS, dtype=complex)
+EPS_UP = np.array(EPS, dtype=complex)
+EPS_LOW.setflags(write=False)
+EPS_UP.setflags(write=False)

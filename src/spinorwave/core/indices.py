@@ -2,8 +2,9 @@
 
 Spinor slots have dimension 2, world slots dimension 4.  A signature is an
 ordered list of slots; component data is stored row-major over the slots.
-The kinds, variances and permutation signs defined here are shared by the
-component algebra and the abstract-index expression engine.
+The kinds, variances, permutation signs and metric-spinor components defined
+here are shared by the component algebra and the abstract-index expression
+engine.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ class Variance(Enum):
 
 
 DIMENSION = {IndexKind.UNPRIMED: 2, IndexKind.PRIMED: 2, IndexKind.WORLD: 4}
+
+# The one definition of the metric spinor and the delta, as integer tables:
+# eps_{AB} and eps^{AB} share the components EPS (eps_{01} = eps^{01} = +1),
+# delta^A_B is the identity, and the primed ones are the same tables.
+EPS = ((0, 1), (-1, 0))
+DELTA = ((1, 0), (0, 1))
 
 
 def permutation_sign(perm: tuple[int, ...]) -> int:

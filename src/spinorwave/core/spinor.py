@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractionError, IndexPlacementError
-from .convention import CONVENTION, MetricSpinorConvention
+from .convention import EPS_LOW, EPS_UP
 from .indices import (
     IndexKind,
     IndexSignature,
@@ -69,8 +69,7 @@ class ComponentSpinor:
         data = np.trace(self.data, axis1=i, axis2=j)
         return ComponentSpinor(self.signature.drop(i, j), data)
 
-    def raise_lower(self, i: int, direction: Variance,
-                    convention: MetricSpinorConvention = CONVENTION) -> "ComponentSpinor":
+    def raise_lower(self, i: int, direction: Variance) -> "ComponentSpinor":
         """Displace spinor slot ``i`` to ``direction`` with the fixed convention."""
         slot = self.signature.slots[i]
         if slot.kind is IndexKind.WORLD:
@@ -81,11 +80,11 @@ class ComponentSpinor:
             )
         if direction is Variance.UP:
             # xi^A = eps^{AB} xi_B: new axis comes out in front, move it back.
-            data = np.tensordot(convention.eps_up, self.data, axes=([1], [i]))
+            data = np.tensordot(EPS_UP, self.data, axes=([1], [i]))
             data = np.moveaxis(data, 0, i)
         else:
             # xi_B = xi^A eps_{AB}: new axis comes out last, move it back.
-            data = np.tensordot(self.data, convention.eps_low, axes=([i], [0]))
+            data = np.tensordot(self.data, EPS_LOW, axes=([i], [0]))
             data = np.moveaxis(data, -1, i)
         slots = list(self.signature.slots)
         slots[i] = Slot(slot.kind, direction)

@@ -13,11 +13,10 @@ from typing import Callable
 import numpy as np
 
 from ..core.connecting import ConnectingObjects
-from ..core.convention import CONVENTION
+from ..core.convention import EPS_UP
 from ..errors import GridError
 from .fields import BivectorField
 
-_E_UP = np.asarray(CONVENTION.eps_up)
 _FLAT = ConnectingObjects.flat()
 
 
@@ -152,7 +151,7 @@ def _massless_operator(d: np.ndarray, objects: ConnectingObjects) -> np.ndarray:
     # d_{CD'} phi = S^a_{CD'} d_a phi; raise to nabla^{AB'} and contract into
     # the mixed wave function phi_A^B = eps^{BX} phi_{AX}
     d_spinor = np.einsum("aCD,...aAB->...CDAB", objects.s_inv, d)
-    return np.einsum("AC,ED,BX,...CDAX->...EB", _E_UP, _E_UP, _E_UP, d_spinor)
+    return np.einsum("AC,ED,BX,...CDAX->...EB", EPS_UP, EPS_UP, EPS_UP, d_spinor)
 
 
 def massless_residual(wf: AnalyticWaveFunction, points: np.ndarray,

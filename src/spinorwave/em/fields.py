@@ -14,11 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.connecting import ConnectingObjects, levi_civita4
-from ..core.convention import CONVENTION
+from ..core.convention import EPS_LOW, EPS_UP
 from ..errors import BivectorError, SpinorSymmetryError
-
-_E_LO = np.asarray(CONVENTION.eps_low)
-_E_UP = np.asarray(CONVENTION.eps_up)
 
 _FLAT = ConnectingObjects.flat()
 
@@ -63,7 +60,7 @@ class PhotonWaveFunction:
 
     def mixed(self) -> np.ndarray:
         """phi_A^B = eps^{BX} phi_{AX}; trace-free for symmetric phi."""
-        return np.einsum("BX,...AX->...AB", _E_UP, self.phi)
+        return np.einsum("BX,...AX->...AB", EPS_UP, self.phi)
 
 
 @dataclass(frozen=True)
@@ -107,8 +104,8 @@ def symmetric_from_components(v: np.ndarray) -> np.ndarray:
 def _extract(F: np.ndarray, objects: ConnectingObjects) -> tuple[np.ndarray, np.ndarray]:
     """phi_AB = (1/2) F_{A C' B}^{C'} and its primed partner, symmetrized."""
     Fs = np.einsum("aAC,bBD,...ab->...ACBD", objects.s_inv, objects.s_inv, F)
-    phi = 0.5 * np.einsum("...ACBD,CD->...AB", Fs, _E_UP)
-    conj = 0.5 * np.einsum("...ACBD,AB->...CD", Fs, _E_UP)
+    phi = 0.5 * np.einsum("...ACBD,CD->...AB", Fs, EPS_UP)
+    conj = 0.5 * np.einsum("...ACBD,AB->...CD", Fs, EPS_UP)
     return (0.5 * (phi + np.swapaxes(phi, -1, -2)),
             0.5 * (conj + np.swapaxes(conj, -1, -2)))
 
@@ -117,8 +114,8 @@ def _reconstruct(phi: np.ndarray, conj: np.ndarray, objects: ConnectingObjects) 
     """F_{AA'BB'} = eps_{A'B'} phi_{AB} + eps_{AB} conj_{A'B'}, in world
     indices and antisymmetrized."""
     Fs = (
-        np.einsum("CD,...AB->...ACBD", _E_LO, phi)
-        + np.einsum("AB,...CD->...ACBD", _E_LO, conj)
+        np.einsum("CD,...AB->...ACBD", EPS_LOW, phi)
+        + np.einsum("AB,...CD->...ACBD", EPS_LOW, conj)
     )
     F = np.einsum("aAC,bBD,...ACBD->...ab", objects.s, objects.s, Fs)
     return 0.5 * (F - np.swapaxes(F, -1, -2))

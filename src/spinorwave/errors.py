@@ -62,5 +62,6 @@ class IntegrationError(SpinorWaveError):
 class ConfigError(SpinorWaveError):
     """Run configuration violates the documented schema."""
 
+
 class DomainError(SpinorWaveError):
     """Evaluation point lies outside a model's declared domain."""

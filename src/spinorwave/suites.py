@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .core import affinity as aff
-from .core.connecting import ConnectingObjects, _PAULI, MINKOWSKI
-from .core.convention import default_convention
+from .core.connecting import FLAT_SYMBOLS, MINKOWSKI, ConnectingObjects
+from .core.convention import EPS_LOW, EPS_UP
 from .core.indices import spinor_signature
 from .core.spinor import ComponentSpinor, random_spinor
 from .em import (
@@ -67,27 +67,26 @@ def _result(name: str, max_error: float, tol: float, detail: str = "") -> SuiteR
 
 
 def _suite_eps_algebra(rng: np.random.Generator) -> SuiteResult:
-    conv = default_convention()
     worst = 0.0
-    delta = np.einsum("ab,cb->ac", conv.eps_up, conv.eps_low)
+    delta = np.einsum("ab,cb->ac", EPS_UP, EPS_LOW)
     worst = _worse(worst, float(np.max(np.abs(delta - np.eye(2)))))
-    worst = _worse(worst, abs(np.einsum("ab,ab->", conv.eps_up, conv.eps_low) - 2.0))
+    worst = _worse(worst, abs(np.einsum("ab,ab->", EPS_UP, EPS_LOW) - 2.0))
     for _ in range(50):
         xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        worst = _worse(worst, float(np.max(np.abs(conv.lower_vector(conv.raise_vector(xi)) - xi))))
+        # raise xi^A = eps^{AB} xi_B, then lower xi_B = xi^A eps_{AB}
+        worst = _worse(worst, float(np.max(np.abs((EPS_UP @ xi) @ EPS_LOW - xi))))
     s = random_spinor(spinor_signature("uuu"), rng)
     worst = _worse(worst, s.symmetrize((0, 1, 2), antisym=True).max_abs())
     return _result("eps-algebra", worst, 1e-14)
 
 
 def _suite_decomposition(rng: np.random.Generator) -> SuiteResult:
-    conv = default_convention()
     worst = 0.0
     for _ in range(100):
         theta = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         sym = 0.5 * (theta + theta.T)
-        trace = np.einsum("CB,CB->", np.asarray(conv.eps_up), theta)
-        recon = sym + 0.5 * np.asarray(conv.eps_low) * trace
+        trace = np.einsum("CB,CB->", EPS_UP, theta)
+        recon = sym + 0.5 * EPS_LOW * trace
         worst = _worse(worst, float(np.max(np.abs(theta - recon))))
     return _result("decomposition", worst, 1e-14)
 
@@ -119,7 +118,7 @@ def _suite_index_displacement(rng: np.random.Generator) -> SuiteResult:
             rng.standard_normal(out=part)
     theta, low, dphi = (x[:, 0] + 1j * x[:, 1] for x in (theta, low, dphi))
     phi_low = 0.5 * (low + np.swapaxes(low, -1, -2))
-    phi = np.einsum("BX,...AX->...AB", np.asarray(default_convention().eps_up), phi_low)
+    phi = np.einsum("BX,...AX->...AB", EPS_UP, phi_low)
     direct, rearranged = aff.covariant_derivative_forms(phi, aff.SpinAffinity(theta), dphi)
     worst = _worse(0.0, np.max(np.abs(direct - rearranged)))
     return _result("index-displacement", worst, 1e-12, f"{draws} draws")
@@ -128,10 +127,9 @@ def _suite_index_displacement(rng: np.random.Generator) -> SuiteResult:
 def _conformal_family(a0: float, a1: float, eta: float):
     """S, dg, ds for a(eta) = a0 + a1*eta with exact derivatives."""
     a = a0 + a1 * eta
-    base = np.stack(_PAULI) / np.sqrt(2.0)
-    s = a * base
+    s = a * FLAT_SYMBOLS
     ds = np.zeros((4, 4, 2, 2), dtype=complex)
-    ds[0] = a1 * base
+    ds[0] = a1 * FLAT_SYMBOLS
     dg = np.zeros((4, 4, 4))
     dg[0] = 2.0 * a * a1 * MINKOWSKI
     return ConnectingObjects.from_matrices(s), dg, ds
@@ -251,7 +249,6 @@ def _suite_symbolic_numeric(rng: np.random.Generator) -> SuiteResult:
             worst = _worse(worst, value.max_abs())
     # graviton-coupling contraction against a direct nested loop
     expr = parser.parse_expression("2 Psi_{A D}^{B C} phi_{C}^{D}")
-    eps_up = np.asarray(default_convention().eps_up)
     for _ in range(25):
         psi = random_spinor(spinor_signature("uuuu"), rng).symmetrize((0, 1, 2, 3))
         low = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -267,10 +264,10 @@ def _suite_symbolic_numeric(rng: np.random.Generator) -> SuiteResult:
                         psi_mixed = 0j
                         for x in range(2):
                             for y in range(2):
-                                psi_mixed += psi.data[A, D, x, y] * eps_up[B, x] * eps_up[C, y]
+                                psi_mixed += psi.data[A, D, x, y] * EPS_UP[B, x] * EPS_UP[C, y]
                         phi_mixed = 0j
                         for u in range(2):
-                            phi_mixed += phi.data[C, u] * eps_up[D, u]
+                            phi_mixed += phi.data[C, u] * EPS_UP[D, u]
                         acc += 2.0 * psi_mixed * phi_mixed
                 want[A, B] = acc
         worst = _worse(worst, float(np.max(np.abs(got - want))))

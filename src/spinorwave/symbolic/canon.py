@@ -12,10 +12,10 @@ Dimension-2 facts that relate differently wired epsilon products (the
 three-term epsilon shuffle) are not reachable by those local rewrites, so
 the zero decision is completed by an exact expansion over all component
 assignments with opaque kernel symbols.  Under one assignment every factor
-of a group-expanded term is +1, -1 or 0 (metric spinors, deltas, and kernel
-components sorted by their declared symmetries), so the expansion sums
-integer sign counts per symbol and weights them once by the term's rational
-coefficient.  An expression canonicalizes to literal zero precisely when
+of a group-expanded term is +1, -1 or 0 (the integer components of the
+metric spinors and deltas, and kernel components sorted by their declared
+symmetries), so the expansion sums integer sign counts per symbol and
+weights them once by the term's rational coefficient.  An expression canonicalizes to literal zero precisely when
 that expansion vanishes identically; ``canonicalize`` expands each collected
 term once and decides the whole result from the sum of those expansions.
 
@@ -39,21 +39,17 @@ import math
 import operator
 from fractions import Fraction
 
-from ..core.indices import DIMENSION, IndexKind, Variance, permutation_sign
+from ..core.indices import DELTA, DIMENSION, EPS, IndexKind, Variance, permutation_sign
 from ..errors import UnsupportedExpressionError
 from .expr import Expr, Factor, Idx, Term, expand_groups, fresh_label
 from .kernels import Displacement, KernelTable
 
-_EPS_NUM = ((0, 1), (-1, 0))
-_DELTA_NUM = ((1, 0), (0, 1))
 
-_EPS_FAMILY = {"eps_lo", "eps_up", "eps_lo_p", "eps_up_p"}
-_DELTA_FAMILY = {"delta", "delta_p"}
-
-
-def _is_constant(factor: Factor, table: KernelTable) -> bool:
+def _components(factor: Factor, table: KernelTable) -> tuple | None:
+    """The integer components of a constant factor's kernel; None for any
+    other factor."""
     k = table.get(factor.kernel)
-    return bool(k and k.constant)
+    return k.components if k else None
 
 
 def _is_operator(factor: Factor, table: KernelTable) -> bool:
@@ -165,7 +161,7 @@ def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
             return None
         changed = False
         for fpos, factor in enumerate(current.factors):
-            if factor.kernel in _DELTA_FAMILY:
+            if _components(factor, table) == DELTA:
                 up, down = factor.indices
                 if up.name == down.name:
                     current = _remove_factor(current, fpos).with_coeff(current.coeff * 2)
@@ -183,22 +179,24 @@ def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
                     break
         if changed:
             continue
-        pair = _find_eps_pair(current)
+        pair = _find_eps_pair(current, table)
         if pair is None:
             return current
-        current = _contract_eps_pair(current, *pair)
+        current = _contract_eps_pair(current, table, *pair)
     raise UnsupportedExpressionError("constant elimination did not terminate")
 
 
-def _find_eps_pair(term: Term):
+def _find_eps_pair(term: Term, table: KernelTable):
+    """The first two metric spinors of one kind and opposite variance that
+    share a label, and that label; None if there are none."""
     eps_positions = [
-        (fpos, f) for fpos, f in enumerate(term.factors) if f.kernel in _EPS_FAMILY
+        (fpos, f) for fpos, f in enumerate(term.factors) if _components(f, table) == EPS
     ]
     for i, (p1, f1) in enumerate(eps_positions):
+        first = f1.indices[0]
         for p2, f2 in eps_positions[i + 1 :]:
-            if f1.kernel.endswith("_p") != f2.kernel.endswith("_p"):
-                continue
-            if ("up" in f1.kernel) == ("up" in f2.kernel):
+            second = f2.indices[0]
+            if first.kind is not second.kind or first.up == second.up:
                 continue
             shared = {x.name for x in f1.indices} & {x.name for x in f2.indices}
             if shared:
@@ -206,10 +204,11 @@ def _find_eps_pair(term: Term):
     return None
 
 
-def _contract_eps_pair(term: Term, p1: int, f1: Factor, p2: int, f2: Factor, name: str) -> Term:
+def _contract_eps_pair(term: Term, table: KernelTable, p1: int, f1: Factor, p2: int, f2: Factor,
+                       name: str) -> Term:
     """eps^{AB} eps_{CB} = delta^A_C, with antisymmetry signs for other wirings."""
-    up_pos, up = (p1, f1) if "up" in f1.kernel else (p2, f2)
-    lo_pos, lo = (p2, f2) if "up" in f1.kernel else (p1, f1)
+    up_pos, up = (p1, f1) if f1.indices[0].up else (p2, f2)
+    lo_pos, lo = (p2, f2) if f1.indices[0].up else (p1, f1)
     sign = 1
     if up.indices[0].name == name:
         sign, up_rem = -sign, up.indices[1]
@@ -219,8 +218,7 @@ def _contract_eps_pair(term: Term, p1: int, f1: Factor, p2: int, f2: Factor, nam
         sign, lo_rem = -sign, lo.indices[1]
     else:
         lo_rem = lo.indices[0]
-    primed = up.kernel.endswith("_p")
-    delta = Factor("delta_p" if primed else "delta", (up_rem, lo_rem))
+    delta = Factor(table.resolve_delta(up_rem.kind).name, (up_rem, lo_rem))
     new = _replace_factor(term, up_pos, delta)
     new = _remove_factor(new, lo_pos)
     return new.with_coeff(new.coeff * sign)
@@ -253,7 +251,7 @@ def normal_order(term: Term, table: KernelTable) -> Term:
     already be expanded)."""
     constants, word = [], []
     for f in term.factors:
-        (constants if _is_constant(f, table) else word).append(f)
+        (word if _components(f, table) is None else constants).append(f)
     constants.sort(key=_factor_key)
     ordered: list[Factor] = []
     segment: list[Factor] = []
@@ -321,7 +319,7 @@ def _relabeling_plan(term: Term, dummies: list[str], table: KernelTable):
             keys.append(None)
             slots = [(up, number.get(name, -1), name) for up, name in pairs]
             moving.append((position, factor.kernel, sym, antisym, slots))
-        if kernel and kernel.constant:
+        if kernel and kernel.components is not None:
             constants.append(position)
         elif kernel and kernel.operator:
             segments += [position, []]
@@ -417,13 +415,8 @@ def _expand_operator_displacement(term: Term, table: KernelTable, fresh: list[in
                 continue
             fresh[0] += 1
             name = fresh_label("!op", idx.kind, fresh[0])
-            primed = idx.kind is IndexKind.PRIMED
-            extra.append(
-                Factor(
-                    "eps_up_p" if primed else "eps_up",
-                    (idx, Idx(name, idx.kind, True)),
-                )
-            )
+            eps = table.resolve_eps(idx.kind, Variance.UP)
+            extra.append(Factor(eps.name, (idx, Idx(name, idx.kind, True))))
             indices[spos] = Idx(name, idx.kind, False)
         factors[fpos] = Factor(factor.kernel, tuple(indices))
     if not extra:
@@ -526,9 +519,8 @@ def _parts(term: Term, table: KernelTable, tables: dict) -> list[tuple] | None:
         field_keys, op_positions = [], []
         for position, scope, kernel, factor in factors:
             slots = [local[idx.name] for idx in factor.indices]
-            if kernel.constant:
-                numbers = _EPS_NUM if factor.kernel in _EPS_FAMILY else _DELTA_NUM
-                constant_plan.append((numbers, *slots))
+            if kernel.components is not None:
+                constant_plan.append((kernel.components, *slots))
             elif kernel.operator:
                 op_plan.append((factor.kernel, _values_getter(slots)))
                 op_positions.append(position)

@@ -4,25 +4,30 @@ This is the numeric oracle for the algebraic layer: bindings supply
 concrete :class:`~spinorwave.core.spinor.ComponentSpinor` values for each
 kernel (in template slot positions) and each group-expanded term is one
 ``np.einsum`` call, one letter per index label.  Metric spinors and deltas
-are bound automatically from the package convention.
+are bound automatically to their kernels' components.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from string import ascii_letters
 
 import numpy as np
 
-from ..core.convention import CONVENTION
 from ..core.indices import IndexSignature, Slot
 from ..core.spinor import ComponentSpinor
 from ..errors import UnsupportedExpressionError
 from .expr import Expr, Factor, expand_groups
 from .kernels import KernelTable
 
-_EPS_LO, _EPS_UP = np.asarray(CONVENTION.eps_low), np.asarray(CONVENTION.eps_up)
-_CONSTANTS = {"eps_lo": _EPS_LO, "eps_up": _EPS_UP, "eps_lo_p": _EPS_LO, "eps_up_p": _EPS_UP,
-              "delta": np.eye(2), "delta_p": np.eye(2)}
+
+@cache
+def _constant(components: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """A constant kernel's integer components as a read-only complex array,
+    built once for each table."""
+    array = np.array(components, dtype=complex)
+    array.setflags(write=False)
+    return array
 
 
 def _operand(factor: Factor, bindings: dict[str, ComponentSpinor | complex],
@@ -32,8 +37,8 @@ def _operand(factor: Factor, bindings: dict[str, ComponentSpinor | complex],
     name, kernel = factor.kernel, table.get(factor.kernel)
     if kernel is not None and kernel.operator:
         raise UnsupportedExpressionError(f"derivative operator {name!r} cannot be evaluated")
-    if name in _CONSTANTS:
-        return _CONSTANTS[name]
+    if kernel is not None and kernel.components is not None:
+        return _constant(kernel.components)
     if name not in bindings:
         raise UnsupportedExpressionError(f"unbound kernel {name!r}")
     bound = bindings[name]

@@ -5,7 +5,9 @@ template variance is sugar for contraction with an explicit metric-spinor
 factor, so weights, symmetries and component evaluation always see kernels
 in template position.  Derivative operators are the exception: their index
 displacement is free (no inserted factor) and carries the declared
-per-slot weight contributions instead.
+per-slot weight contributions instead.  The metric spinors and deltas are
+the constant kernels: their written variance must match the template, and
+their components are the integer tables of :mod:`spinorwave.core.indices`.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..core.indices import IndexKind, Slot, Variance, spinor_signature
+from ..core.indices import DELTA, EPS, IndexKind, Slot, Variance, spinor_signature
 from ..errors import ParseError
 
 
 class Displacement(Enum):
     EPSILON = "epsilon"   # displaced indices insert eps factors
     FREE = "free"         # operator indices displace freely
-    FIXED = "fixed"       # written variance must match the template
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,9 @@ class Kernel:
     antisym_groups: tuple[tuple[int, ...], ...] = ()   # antisymmetric pairs
     operator: bool = False
     displacement: Displacement = Displacement.EPSILON
-    constant: bool = False   # numeric components, transparent to operators
+    # the integer components of a constant kernel (transparent to operators),
+    # None for every other kernel
+    components: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def rank(self) -> int:
@@ -44,17 +47,13 @@ _U, _UU, _P, _PU, _W = spinor_signature("uUpPw").slots
 
 def _builtin_kernels() -> dict[str, Kernel]:
     ks = [
-        # metric spinors: concrete, fixed variance, carriers of the weights
-        Kernel("eps_lo", (_U, _U), (-1, 0), antisym_groups=((0, 1),),
-               displacement=Displacement.FIXED, constant=True),
-        Kernel("eps_up", (_UU, _UU), (1, 0), antisym_groups=((0, 1),),
-               displacement=Displacement.FIXED, constant=True),
-        Kernel("eps_lo_p", (_P, _P), (0, -1), antisym_groups=((0, 1),),
-               displacement=Displacement.FIXED, constant=True),
-        Kernel("eps_up_p", (_PU, _PU), (0, 1), antisym_groups=((0, 1),),
-               displacement=Displacement.FIXED, constant=True),
-        Kernel("delta", (_UU, _U), (0, 0), displacement=Displacement.FIXED, constant=True),
-        Kernel("delta_p", (_PU, _P), (0, 0), displacement=Displacement.FIXED, constant=True),
+        # constant kernels: fixed variance; the metric spinors carry the weights
+        Kernel("eps_lo", (_U, _U), (-1, 0), antisym_groups=((0, 1),), components=EPS),
+        Kernel("eps_up", (_UU, _UU), (1, 0), antisym_groups=((0, 1),), components=EPS),
+        Kernel("eps_lo_p", (_P, _P), (0, -1), antisym_groups=((0, 1),), components=EPS),
+        Kernel("eps_up_p", (_PU, _PU), (0, 1), antisym_groups=((0, 1),), components=EPS),
+        Kernel("delta", (_UU, _U), (0, 0), components=DELTA),
+        Kernel("delta_p", (_PU, _P), (0, 0), components=DELTA),
         # wave functions and curvature objects
         Kernel("phi", (_U, _U), (-1, 0), sym_groups=((0, 1),)),
         Kernel("phi_p", (_P, _P), (0, -1), sym_groups=((0, 1),)),
@@ -98,12 +97,17 @@ class KernelTable:
         return self.kernels.get(name)
 
     def resolve_eps(self, kind: IndexKind, variance: Variance) -> Kernel:
+        """The metric spinor whose two slots have this kind and variance."""
         if kind is IndexKind.WORLD:
             raise ParseError("metric spinor takes spinor indices only")
         primed = kind is IndexKind.PRIMED
         up = variance is Variance.UP
         name = f"eps_{'up' if up else 'lo'}{'_p' if primed else ''}"
         return self.kernels[name]
+
+    def resolve_delta(self, kind: IndexKind) -> Kernel:
+        """The delta whose two slots have this (spinor) kind."""
+        return self.kernels["delta_p" if kind is IndexKind.PRIMED else "delta"]
 
     def auto_register(self, name: str, slots: tuple[Slot, ...]) -> Kernel:
         """Unknown kernels become generic: template = first written position."""

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core.indices import IndexKind, Slot, Variance
+from ..core.indices import EPS, IndexKind, Slot, Variance
 from ..errors import ParseError
 from .expr import Expr, Factor, Idx, Term, fresh_label
 from .kernels import Displacement, KernelTable
@@ -274,7 +274,7 @@ class Parser:
                 continue
             if kernel.displacement is Displacement.FREE:
                 continue
-            if kernel.displacement is Displacement.FIXED:
+            if kernel.components is not None:
                 raise ParseError(
                     f"kernel {name!r} slot {slot} must be written {want.variance.value}", pos
                 )
@@ -312,7 +312,7 @@ def _pullback_and_prune_groups(groups: list, factors: list[Factor], table: Kerne
         for f, s in positions:
             factor = factors[f]
             kernel = table.get(factor.kernel)
-            if not (kernel and kernel.constant and factor.kernel.startswith("eps")):
+            if not (kernel and kernel.components == EPS):
                 retarget = None
                 break
             partner = factor.indices[1 - s]

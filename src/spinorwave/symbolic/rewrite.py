@@ -62,7 +62,7 @@ def _split(term: Term, table: KernelTable) -> tuple[list[int], list[int]]:
     word, consts = [], []
     for pos, factor in enumerate(term.factors):
         kernel = table.get(factor.kernel)
-        if kernel is not None and kernel.constant:
+        if kernel is not None and kernel.components is not None:
             consts.append(pos)
         else:
             word.append(pos)

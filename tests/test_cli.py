@@ -2,10 +2,10 @@
 
 import contextlib
 import copy
+import dataclasses
 import gc
 import io
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -25,14 +25,8 @@ BIVECTOR_HEADER = "t,x,y,z,F01,F02,F03,F12,F13,F23"
 WAVEFUNCTION_HEADER = "t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_phi11"
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("SPINORWAVE_BREAK_EPS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=env, timeout=600
-    )
+def run_cli(*args):
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=600)
 
 
 @dataclass
@@ -254,9 +248,8 @@ class TestCheck:
         """The suite draws its inputs one draw at a time and checks them as
         one batch; the per-draw loop it replaced gives the same error."""
         from spinorwave import suites
-        from spinorwave.core.convention import default_convention
+        from spinorwave.core.convention import EPS_UP
 
-        eps_up = np.asarray(default_convention().eps_up)
         for seed in (12345, 7):
             rng = np.random.default_rng([seed, suites._stable_hash("index-displacement")])
             worst = 0.0
@@ -264,7 +257,7 @@ class TestCheck:
                 theta = suites.aff.SpinAffinity(
                     rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2)))
                 low = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                phi = np.einsum("BX,AX->AB", eps_up, 0.5 * (low + low.T))
+                phi = np.einsum("BX,AX->AB", EPS_UP, 0.5 * (low + low.T))
                 dphi = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
                 direct, rearranged = suites.aff.covariant_derivative_forms(phi, theta, dphi)
                 worst = max(worst, float(np.max(np.abs(direct - rearranged))))
@@ -272,7 +265,16 @@ class TestCheck:
             assert result.passed and result.max_error == worst
 
     def test_corrupted_epsilon_hook_fails(self):
-        result = run_cli("check", env_extra={"SPINORWAVE_BREAK_EPS": "1"})
+        """``check`` fails, and echoes the seed, when eps^{AB} is sign-flipped
+        before the layers import it."""
+        code = ("import sys\n"
+                "from spinorwave.core import convention\n"
+                "convention.EPS_UP = -convention.EPS_UP\n"
+                "from spinorwave.cli import run\n"
+                "sys.argv = ['spinorwave', 'check']\n"
+                "run()\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=600)
         assert result.returncode == 1
         assert "12345" in result.stderr  # offending seed echoed
 
@@ -280,11 +282,18 @@ class TestCheck:
         """The suite evaluates a delta contraction, so an oracle that binds
         delta to the anti-diagonal matrix fails it."""
         from spinorwave import suites
-        from spinorwave.symbolic import evaluate
+        from spinorwave.symbolic import KernelTable
 
         [result] = suites.run_suites(12345, ["symbolic-numeric"])
         assert result.passed
-        monkeypatch.setitem(evaluate._CONSTANTS, "delta", np.eye(2)[::-1])
+
+        def wrong_delta_table():
+            table = KernelTable()
+            delta = table.kernels["delta"]
+            table.kernels["delta"] = dataclasses.replace(delta, components=((0, 1), (1, 0)))
+            return table
+
+        monkeypatch.setattr(suites, "KernelTable", wrong_delta_table)
         [result] = suites.run_suites(12345, ["symbolic-numeric"])
         assert not result.passed and result.max_error > 1.0
 

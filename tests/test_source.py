@@ -29,7 +29,7 @@ def _used_names(tree: ast.AST) -> set[str]:
     used = set()
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.arg):
             annotations.append(node.annotation)
@@ -50,6 +50,38 @@ def test_no_unused_imports(path):
     used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported and never used: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private name (dunders aside) of each module-level function, class or
+    assignment -> its line."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in names if name.startswith("_")
+                       and not (name.startswith("__") and name.endswith("__")))
+    return defined
+
+
+def test_every_private_name_is_read():
+    """Each module-level private name in the package is read somewhere in
+    the package, as a name or as an attribute."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        read |= _used_names(tree)
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.relative_to(PACKAGE)}:{line} {name}" for path, tree in trees.items()
+              for name, line in _private_definitions(tree).items() if name not in read]
+    assert not unread, f"defined and never read: {unread}"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),

@@ -12,6 +12,7 @@ from spinorwave.core import (
     ComponentSpinor,
     ConnectingObjects,
     EPS_LOW,
+    FLAT_SYMBOLS,
     EPS_UP,
     MINKOWSKI,
     SpinAffinity,
@@ -23,7 +24,6 @@ from spinorwave.core import (
     random_spinor,
     spinor_signature,
 )
-from spinorwave.core.connecting import _PAULI
 from spinorwave.core.indices import permutation_sign
 from spinorwave.errors import (
     ContractionError,
@@ -274,10 +274,9 @@ class TestBatchedAffinity:
 
 def conformal_family(a0, a1, eta):
     a = a0 + a1 * eta
-    base = np.stack(_PAULI) / np.sqrt(2.0)
-    s = a * base
+    s = a * FLAT_SYMBOLS
     ds = np.zeros((4, 4, 2, 2), dtype=complex)
-    ds[0] = a1 * base
+    ds[0] = a1 * FLAT_SYMBOLS
     dg = np.zeros((4, 4, 4))
     dg[0] = 2.0 * a * a1 * MINKOWSKI
     return ConnectingObjects.from_matrices(s), dg, ds
@@ -313,10 +312,9 @@ class TestAffinityFromMetric:
             def ap_of(e):
                 return 0.4 * np.exp(0.4 * e) + 0.3
 
-            base = np.stack(_PAULI) / np.sqrt(2.0)
-            objects = ConnectingObjects.from_matrices(a_of(eta) * base)
+            objects = ConnectingObjects.from_matrices(a_of(eta) * FLAT_SYMBOLS)
             ds_exact = np.zeros((4, 4, 2, 2), dtype=complex)
-            ds_exact[0] = ap_of(eta) * base
+            ds_exact[0] = ap_of(eta) * FLAT_SYMBOLS
             dg_exact = np.zeros((4, 4, 4))
             dg_exact[0] = 2 * a_of(eta) * ap_of(eta) * MINKOWSKI
             sym = affinity_from_metric(objects, dg_exact, ds_exact)

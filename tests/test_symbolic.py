@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorwave.core.convention import CONVENTION
+from spinorwave.core.convention import EPS_LOW, EPS_UP
 from spinorwave.core.spinor import ComponentSpinor, random_spinor
 from spinorwave.core.indices import (
     DIMENSION,
@@ -228,6 +228,18 @@ class TestComponentMap:
 
 
 class TestComponentEval:
+    def test_constant_kernels_are_the_convention_arrays(self):
+        """The six constant kernels' components are EPS_LOW, EPS_UP or the
+        identity, and EPS_UP and EPS_LOW give delta^A_C = eps^{AB} eps_{CB}."""
+        want = {"eps_lo": EPS_LOW, "eps_up": EPS_UP, "eps_lo_p": EPS_LOW, "eps_up_p": EPS_UP,
+                "delta": np.eye(2), "delta_p": np.eye(2)}
+        constants = {name: kernel.components for name, kernel in KernelTable().kernels.items()
+                     if kernel.components is not None}
+        assert sorted(constants) == sorted(want)
+        for name, components in constants.items():
+            assert np.array_equal(np.array(components), want[name]), name
+        assert np.array_equal(np.einsum("AB,CB->AC", EPS_UP, EPS_LOW), np.eye(2))
+
     def test_eps_contraction_value(self):
         table, parser = fresh()
         out = component_eval(parser.parse_expression("eps^{A B} eps_{A B}"), {}, table)
@@ -457,6 +469,13 @@ class TestOracleAgreement:
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+# The metric spinors and deltas by kernel name, written out here so that the
+# references borrow no table from the code they check.
+EPS_TABLE = ((0, 1), (-1, 0))
+DELTA_TABLE = ((1, 0), (0, 1))
+CONSTANT_TABLES = {"eps_lo": EPS_TABLE, "eps_up": EPS_TABLE, "eps_lo_p": EPS_TABLE,
+                   "eps_up_p": EPS_TABLE, "delta": DELTA_TABLE, "delta_p": DELTA_TABLE}
+
 
 def reference_component_map(expr, table):
     acc = {}
@@ -471,9 +490,8 @@ def reference_component_map(expr, table):
             for factor in term.factors:
                 kernel = table.get(factor.kernel)
                 where = tuple(position[idx.name] for idx in factor.indices)
-                if kernel.constant:
-                    numbers = canon._EPS_NUM if factor.kernel in canon._EPS_FAMILY else canon._DELTA_NUM
-                    constant_plan.append((numbers, *where))
+                if factor.kernel in CONSTANT_TABLES:
+                    constant_plan.append((CONSTANT_TABLES[factor.kernel], *where))
                 elif kernel.operator:
                     op_plan.append((factor.kernel, where))
                 else:
@@ -508,9 +526,7 @@ def reference_component_map(expr, table):
 
 def reference_component_eval(expr, bindings, table):
     """The numeric oracle as a sum over every index assignment of each term."""
-    lo, up, delta = np.asarray(CONVENTION.eps_low), np.asarray(CONVENTION.eps_up), np.eye(2)
-    auto = {"eps_lo": lo, "eps_up": up, "eps_lo_p": lo, "eps_up_p": up,
-            "delta": delta, "delta_p": delta}
+    auto = {name: np.array(numbers, dtype=complex) for name, numbers in CONSTANT_TABLES.items()}
     arrays = {**{name: value.data if isinstance(value, ComponentSpinor) else complex(value)
                  for name, value in bindings.items()}, **auto}
     free = expr.free_indices()
@@ -535,7 +551,7 @@ def random_bindings(expr, table, rng):
     """Random components for every field kernel of ``expr``."""
     names = {f.kernel for term in expr.terms for f in term.factors}
     return {name: random_spinor(IndexSignature(table.get(name).slots), rng)
-            for name in sorted(names) if not table.get(name).constant}
+            for name in sorted(names) if table.get(name).components is None}
 
 
 def assert_matches_reference(expr, bindings, table):
