@@ -13,8 +13,10 @@ _SUBMODULES = {
     "covariant_derivative_forms": "affinity",
     "metric_compatibility_residual": "affinity",
     "ConnectingObjects": "connecting",
+    "FLAT": "connecting",
     "FLAT_SYMBOLS": "connecting",
     "MINKOWSKI": "connecting",
+    "PAULI": "connecting",
     "levi_civita4": "connecting",
     "EPS_LOW": "convention",
     "EPS_UP": "convention",

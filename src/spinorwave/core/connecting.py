@@ -1,9 +1,9 @@
 """Connecting objects between world and spinor indices, signature (+---).
 
 The flat family is ``S_a^{AA'} = (id, sigma_x, sigma_y, sigma_z)/sqrt(2)``,
-which reconstructs ``g_ab = diag(+1,-1,-1,-1)`` through the epsilon pair.
-A conformally flat family scales ``S`` by ``a(eta)`` (so ``g = a^2 eta_ab``)
-and the inverse objects by ``1/a``.
+which reconstructs ``g_ab = diag(+1,-1,-1,-1)`` through the epsilon pair;
+``FLAT`` is its one instance.  A conformally flat family scales ``S`` by
+``a(eta)`` (so ``g = a^2 eta_ab``) and the inverse objects by ``1/a``.
 """
 
 from __future__ import annotations
@@ -18,14 +18,17 @@ from .convention import EPS_LOW
 from .indices import IndexKind, IndexSignature, Slot, Variance, permutation_sign
 from .spinor import ComponentSpinor
 
-# The flat Infeld-van der Waerden symbols S_a^{AA'} = sigma_a / sqrt(2), with
-# sigma_0 the identity and sigma_1..3 the Pauli matrices.
-FLAT_SYMBOLS = np.array([
-    [[1.0, 0.0], [0.0, 1.0]],
-    [[0.0, 1.0], [1.0, 0.0]],
-    [[0.0, -1.0j], [1.0j, 0.0]],
-    [[1.0, 0.0], [0.0, -1.0]],
-], dtype=complex) / np.sqrt(2.0)
+# sigma_0 the identity and sigma_1..3 the Pauli matrices: entries 0, +-1, +-i.
+PAULI = np.array([
+    [[1, 0], [0, 1]],
+    [[0, 1], [1, 0]],
+    [[0, -1j], [1j, 0]],
+    [[1, 0], [0, -1]],
+], dtype=complex)
+PAULI.setflags(write=False)
+
+# The flat Infeld-van der Waerden symbols S_a^{AA'} = sigma_a / sqrt(2).
+FLAT_SYMBOLS = PAULI / np.sqrt(2.0)
 FLAT_SYMBOLS.setflags(write=False)
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -40,7 +43,7 @@ def _reconstruct_metric(s: np.ndarray) -> np.ndarray:
 class ConnectingObjects:
     """World-index family of 2x2 matrices ``S_a^{AA'}`` plus inverses.
 
-    Instances compare and hash by identity, so caches can key on them."""
+    Instances compare and hash by identity."""
 
     s: np.ndarray        # (4, 2, 2): S_a^{AA'}
     s_inv: np.ndarray    # (4, 2, 2): S^a_{AA'}
@@ -62,10 +65,6 @@ class ConnectingObjects:
         s_low = np.einsum("bXY,XA,YB->bAB", s, EPS_LOW, EPS_LOW)
         s_inv = np.einsum("ab,bAB->aAB", g_inv, s_low)
         return cls(s, s_inv, g, g_inv)
-
-    @classmethod
-    def flat(cls) -> "ConnectingObjects":
-        return cls.from_matrices(FLAT_SYMBOLS)
 
     @classmethod
     def conformal(cls, scale: float) -> "ConnectingObjects":
@@ -115,6 +114,9 @@ class ConnectingObjects:
         slots = list(cs.signature.slots)
         slots[position : position + 2] = [Slot(IndexKind.WORLD, a.variance)]
         return ComponentSpinor(IndexSignature(tuple(slots)), data)
+
+
+FLAT = ConnectingObjects.from_matrices(FLAT_SYMBOLS)
 
 
 def levi_civita4() -> np.ndarray:

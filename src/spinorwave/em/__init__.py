@@ -10,9 +10,7 @@ from .. import _lazy_getattr
 _SUBMODULES = {
     "AnalyticPotential": "analytic",
     "AnalyticWaveFunction": "analytic",
-    "constant_potential": "analytic",
     "field_from_potential": "analytic",
-    "field_from_potential_grid": "analytic",
     "interior": "analytic",
     "massless_residual": "analytic",
     "massless_residual_grid": "analytic",

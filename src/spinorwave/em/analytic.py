@@ -12,12 +12,10 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.connecting import ConnectingObjects
+from ..core.connecting import FLAT
 from ..core.convention import EPS_UP
 from ..errors import GridError
 from .fields import BivectorField
-
-_FLAT = ConnectingObjects.flat()
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,6 @@ def pure_gauge_potential(k: np.ndarray, scale: float = 1.0) -> AnalyticPotential
     return AnalyticPotential(value, grad)
 
 
-def constant_potential(p: np.ndarray) -> AnalyticPotential:
-    p = np.asarray(p, dtype=float)
-    return AnalyticPotential(
-        lambda x: np.broadcast_to(p, np.asarray(x).shape[:-1] + (4,)).copy(),
-        lambda x: np.zeros(np.asarray(x).shape[:-1] + (4, 4)),
-    )
-
-
 def field_from_potential(potential: AnalyticPotential, points: np.ndarray) -> BivectorField:
     """F_ab = d_a Phi_b - d_b Phi_a from exact derivatives."""
     grad = potential.grad(points)
@@ -95,20 +85,6 @@ def _central_gradient(values: np.ndarray, spacing: float) -> np.ndarray:
     return d
 
 
-def field_from_potential_grid(values: np.ndarray, spacing: float) -> BivectorField:
-    """Central-difference F on a uniform 4-d grid of Phi samples.
-
-    ``values`` has shape (nt, nx, ny, nz, 4); the returned field is valid on
-    interior points only (boundary samples carry zeros and are excluded from
-    any residual norm by :func:`interior`).
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 5 or values.shape[-1] != 4:
-        raise GridError("grid potential must have shape (nt,nx,ny,nz,4)")
-    grad = _central_gradient(values, spacing)
-    return BivectorField(grad - np.swapaxes(grad, -1, -2))
-
-
 def interior(shape: tuple[int, ...]) -> tuple[slice, ...]:
     """Slices selecting interior points of a grid (singleton axes kept whole)."""
     return tuple(slice(1, -1) if n >= 3 else slice(None) for n in shape)
@@ -122,11 +98,11 @@ class AnalyticWaveFunction:
     dphi: Callable[[np.ndarray], np.ndarray]
 
 
-def null_wavevector(alpha: np.ndarray, objects: ConnectingObjects = _FLAT) -> np.ndarray:
+def null_wavevector(alpha: np.ndarray) -> np.ndarray:
     """k_a from the principal spinor: k_{AA'} = alpha_A conj(alpha)_{A'}."""
     alpha = np.asarray(alpha, dtype=complex)
     k_pair = np.einsum("A,B->AB", alpha, np.conj(alpha))
-    k = np.einsum("aAB,AB->a", objects.s, k_pair)
+    k = np.einsum("aAB,AB->a", FLAT.s, k_pair)
     return k.real
 
 
@@ -146,23 +122,21 @@ def plane_wave_wavefunction(alpha: np.ndarray, wavevector: np.ndarray) -> Analyt
     return AnalyticWaveFunction(phi, dphi)
 
 
-def _massless_operator(d: np.ndarray, objects: ConnectingObjects) -> np.ndarray:
+def _massless_operator(d: np.ndarray) -> np.ndarray:
     """nabla^{AB'} phi_A^B from d_a phi_{AB} of shape (..., 4, 2, 2)."""
     # d_{CD'} phi = S^a_{CD'} d_a phi; raise to nabla^{AB'} and contract into
     # the mixed wave function phi_A^B = eps^{BX} phi_{AX}
-    d_spinor = np.einsum("aCD,...aAB->...CDAB", objects.s_inv, d)
+    d_spinor = np.einsum("aCD,...aAB->...CDAB", FLAT.s_inv, d)
     return np.einsum("AC,ED,BX,...CDAX->...EB", EPS_UP, EPS_UP, EPS_UP, d_spinor)
 
 
-def massless_residual(wf: AnalyticWaveFunction, points: np.ndarray,
-                      objects: ConnectingObjects = _FLAT) -> float:
+def massless_residual(wf: AnalyticWaveFunction, points: np.ndarray) -> float:
     """Max-norm of nabla^{AB'} phi_A^B over the sample points (flat space)."""
-    res = _massless_operator(wf.dphi(np.asarray(points, dtype=float)), objects)
+    res = _massless_operator(wf.dphi(np.asarray(points, dtype=float)))
     return float(np.max(np.abs(res))) if res.size else 0.0
 
 
-def massless_residual_grid(phi_values: np.ndarray, spacing: float,
-                           objects: ConnectingObjects = _FLAT) -> float:
+def massless_residual_grid(phi_values: np.ndarray, spacing: float) -> float:
     """Interior max-norm massless residual from sampled phi_{AB} on a grid.
 
     ``phi_values`` has shape (nt, nx, ny, nz, 2, 2); central differences of
@@ -171,6 +145,6 @@ def massless_residual_grid(phi_values: np.ndarray, spacing: float,
     phi_values = np.asarray(phi_values, dtype=complex)
     if phi_values.ndim != 6 or phi_values.shape[-2:] != (2, 2):
         raise GridError("grid wave function must have shape (nt,nx,ny,nz,2,2)")
-    res = _massless_operator(_central_gradient(phi_values, spacing), objects)
+    res = _massless_operator(_central_gradient(phi_values, spacing))
     core = res[interior(phi_values.shape[:4])]
     return float(np.max(np.abs(core))) if core.size else 0.0

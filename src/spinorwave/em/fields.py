@@ -1,4 +1,5 @@
-"""Maxwell bivector <-> photon wave-function conversions and diagnostics.
+"""Maxwell bivector <-> photon wave-function conversions and diagnostics,
+in flat space.
 
 Values are batched over an arbitrary leading sample shape; the trailing axes
 are the tensor/spinor components.  The extraction normalization is fixed so
@@ -8,16 +9,13 @@ that ``phi_AB = (1/2) F_{A C' B}^{C'}`` inverts the reconstruction
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.connecting import ConnectingObjects, levi_civita4
+from ..core.connecting import FLAT, MINKOWSKI, PAULI, ConnectingObjects, levi_civita4
 from ..core.convention import EPS_LOW, EPS_UP
 from ..errors import BivectorError, SpinorSymmetryError
-
-_FLAT = ConnectingObjects.flat()
 
 
 @dataclass(frozen=True)
@@ -101,47 +99,50 @@ def symmetric_from_components(v: np.ndarray) -> np.ndarray:
     return v[..., _SYM_AT]
 
 
-def _extract(F: np.ndarray, objects: ConnectingObjects) -> tuple[np.ndarray, np.ndarray]:
-    """phi_AB = (1/2) F_{A C' B}^{C'} and its primed partner, symmetrized."""
-    Fs = np.einsum("aAC,bBD,...ab->...ACBD", objects.s_inv, objects.s_inv, F)
+def _extract(F: np.ndarray, s_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi_AB = (1/2) F_{A C' B}^{C'} and its primed partner, symmetrized,
+    through the inverse symbols ``s_inv``."""
+    Fs = np.einsum("aAC,bBD,...ab->...ACBD", s_inv, s_inv, F)
     phi = 0.5 * np.einsum("...ACBD,CD->...AB", Fs, EPS_UP)
     conj = 0.5 * np.einsum("...ACBD,AB->...CD", Fs, EPS_UP)
     return (0.5 * (phi + np.swapaxes(phi, -1, -2)),
             0.5 * (conj + np.swapaxes(conj, -1, -2)))
 
 
-def _reconstruct(phi: np.ndarray, conj: np.ndarray, objects: ConnectingObjects) -> np.ndarray:
+def _reconstruct(phi: np.ndarray, conj: np.ndarray, s: np.ndarray) -> np.ndarray:
     """F_{AA'BB'} = eps_{A'B'} phi_{AB} + eps_{AB} conj_{A'B'}, in world
-    indices and antisymmetrized."""
+    indices through the symbols ``s``, and antisymmetrized."""
     Fs = (
         np.einsum("CD,...AB->...ACBD", EPS_LOW, phi)
         + np.einsum("AB,...CD->...ACBD", EPS_LOW, conj)
     )
-    F = np.einsum("aAC,bBD,...ACBD->...ab", objects.s, objects.s, Fs)
+    F = np.einsum("aAC,bBD,...ACBD->...ab", s, s, Fs)
     return 0.5 * (F - np.swapaxes(F, -1, -2))
 
 
-_MAPS: "weakref.WeakKeyDictionary[ConnectingObjects, tuple[np.ndarray, np.ndarray]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _maps(objects: ConnectingObjects) -> tuple[np.ndarray, np.ndarray]:
-    """The two conversions as (6, 6) complex matrices acting on rows:
+def _flat_maps() -> tuple[np.ndarray, np.ndarray]:
+    """The two flat conversions as (6, 6) complex matrices acting on rows:
     bivector pairs -> (phi, conj) components, and (phi, conj) components ->
     bivector pairs.  Each is the image of the six basis vectors under
-    :func:`_extract` or :func:`_reconstruct`, so those stay the definition."""
-    maps = _MAPS.get(objects)
-    if maps is None:
-        phi, conj = _extract(bivector_from_pairs(np.eye(6)), objects)
-        to_spinor = np.concatenate(
-            [symmetric_components(phi), symmetric_components(conj)], axis=-1)
-        basis = symmetric_from_components(np.eye(3))
-        zero = np.zeros_like(basis)
-        to_bivector = bivector_pairs(np.concatenate(
-            [_reconstruct(basis, zero, objects), _reconstruct(zero, basis, objects)]))
-        maps = _MAPS[objects] = (to_spinor, to_bivector)
-    return maps
+    :func:`_extract` or :func:`_reconstruct`, so those stay the definition.
+    The images are taken on the symbols ``PAULI``, whose metric 2 eta
+    inverts exactly, so no step rounds; the flat symbols are
+    ``PAULI / sqrt(2)``, which scales the two maps by 2 and by 1/2.  Every
+    entry is 0, +-1/2 or +-1, times 1 or i."""
+    unit = ConnectingObjects.from_matrices(PAULI)
+    phi, conj = _extract(bivector_from_pairs(np.eye(6)), unit.s_inv)
+    to_spinor = 2.0 * np.concatenate(
+        [symmetric_components(phi), symmetric_components(conj)], axis=-1)
+    basis = symmetric_from_components(np.eye(3))
+    zero = np.zeros_like(basis)
+    to_bivector = 0.5 * bivector_pairs(np.concatenate(
+        [_reconstruct(basis, zero, unit.s), _reconstruct(zero, basis, unit.s)]))
+    for m in (to_spinor, to_bivector):
+        m.setflags(write=False)
+    return to_spinor, to_bivector
+
+
+_TO_SPINOR, _TO_BIVECTOR = _flat_maps()
 
 
 def _apply(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -166,35 +167,32 @@ def _real_if_roundoff(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def spinors_from_bivector(field: BivectorField,
-                          objects: ConnectingObjects = _FLAT) -> PhotonWaveFunction:
+def spinors_from_bivector(field: BivectorField) -> PhotonWaveFunction:
     """Extract phi_{AB} (and the primed sector) from an antisymmetric F."""
-    v = _apply(bivector_pairs(field.values), _maps(objects)[0])
+    v = _apply(bivector_pairs(field.values), _TO_SPINOR)
     return PhotonWaveFunction(symmetric_from_components(v[..., :3]),
                               symmetric_from_components(v[..., 3:]))
 
 
-def bivector_from_spinors(wf: PhotonWaveFunction,
-                          objects: ConnectingObjects = _FLAT) -> BivectorField:
+def bivector_from_spinors(wf: PhotonWaveFunction) -> BivectorField:
     """F_{AA'BB'} = eps_{A'B'} phi_{AB} + eps_{AB} conj_{A'B'}, in world indices.
 
     The result is real when its imaginary part is round-off (see
     :func:`_real_if_roundoff`), as for a physical wave function."""
     v = _apply(np.concatenate([symmetric_components(wf.phi),
                                symmetric_components(wf.phi_conj)], axis=-1),
-               _maps(objects)[1])
+               _TO_BIVECTOR)
     return BivectorField(bivector_from_pairs(_real_if_roundoff(v)))
 
 
-def stress_energy(wf: PhotonWaveFunction,
-                  objects: ConnectingObjects = _FLAT) -> StressEnergy:
+def stress_energy(wf: PhotonWaveFunction) -> StressEnergy:
     """T_{AA'BB'} = (1/2 pi) phi_{AB} conj_{A'B'}, converted to world indices."""
     Ts = np.einsum("...AB,...CD->...ACBD", wf.phi, wf.phi_conj) / (2.0 * np.pi)
-    T = np.einsum("aAC,bBD,...ACBD->...ab", objects.s, objects.s, Ts)
+    T = np.einsum("aAC,bBD,...ACBD->...ab", FLAT.s, FLAT.s, Ts)
     return StressEnergy(_real_if_roundoff(T))
 
 
-def dual(field: BivectorField, objects: ConnectingObjects = _FLAT) -> BivectorField:
+def dual(field: BivectorField) -> BivectorField:
     """(*F)_ab = (1/2) eps_{abcd} F^{cd}, oriented with eps_{0123} = -1.
 
     This orientation makes the unprimed wave-function sector anti-self-dual
@@ -202,19 +200,16 @@ def dual(field: BivectorField, objects: ConnectingObjects = _FLAT) -> BivectorFi
     exp(-i theta).
     """
     eps4 = -levi_civita4()
-    g_inv = objects.metric_inv
-    F_up = np.einsum("ac,bd,...cd->...ab", g_inv, g_inv, field.values)
+    F_up = np.einsum("ac,bd,...cd->...ab", MINKOWSKI, MINKOWSKI, field.values)
     return BivectorField(0.5 * np.einsum("abcd,...cd->...ab", eps4, F_up))
 
 
-def invariants(field: BivectorField,
-               objects: ConnectingObjects = _FLAT) -> tuple[np.ndarray, np.ndarray]:
+def invariants(field: BivectorField) -> tuple[np.ndarray, np.ndarray]:
     """The quadratic invariants (F_ab F^ab, F_ab (*F)^ab); both vanish iff
     the wave function is null."""
-    g_inv = objects.metric_inv
     F = field.values
-    F_up = np.einsum("ac,bd,...cd->...ab", g_inv, g_inv, F)
+    F_up = np.einsum("ac,bd,...cd->...ab", MINKOWSKI, MINKOWSKI, F)
     i1 = np.einsum("...ab,...ab->...", F, F_up)
-    dual_up = np.einsum("ac,bd,...cd->...ab", g_inv, g_inv, dual(field, objects).values)
+    dual_up = np.einsum("ac,bd,...cd->...ab", MINKOWSKI, MINKOWSKI, dual(field).values)
     i2 = np.einsum("...ab,...ab->...", F, dual_up)
     return i1, i2

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .core import affinity as aff
-from .core.connecting import FLAT_SYMBOLS, MINKOWSKI, ConnectingObjects
+from .core.connecting import FLAT, FLAT_SYMBOLS, MINKOWSKI, ConnectingObjects
 from .core.convention import EPS_LOW, EPS_UP
 from .core.indices import spinor_signature
 from .core.spinor import ComponentSpinor, random_spinor
@@ -137,8 +137,7 @@ def _conformal_family(a0: float, a1: float, eta: float):
 
 def _suite_affinity_metric(rng: np.random.Generator) -> SuiteResult:
     worst = 0.0
-    flat = ConnectingObjects.flat()
-    zero_sym = aff.affinity_from_metric(flat, np.zeros((4, 4, 4)), np.zeros((4, 4, 2, 2)))
+    zero_sym = aff.affinity_from_metric(FLAT, np.zeros((4, 4, 4)), np.zeros((4, 4, 2, 2)))
     worst = _worse(worst, float(np.max(np.abs(zero_sym))))
     objects, dg, ds = _conformal_family(1.0, 0.3, 0.7)
     sym = aff.affinity_from_metric(objects, dg, ds)
@@ -151,12 +150,11 @@ def _suite_affinity_metric(rng: np.random.Generator) -> SuiteResult:
 
 def _suite_connecting(rng: np.random.Generator) -> SuiteResult:
     worst = 0.0
-    co = ConnectingObjects.flat()
-    worst = _worse(worst, float(np.max(np.abs(co.metric - MINKOWSKI))))
+    worst = _worse(worst, float(np.max(np.abs(FLAT.metric - MINKOWSKI))))
     for _ in range(50):
         v = rng.standard_normal(4)
-        m = co.vector_to_spinor(v)
-        worst = _worse(worst, float(np.max(np.abs(co.spinor_to_vector(m) - v))))
+        m = FLAT.vector_to_spinor(v)
+        worst = _worse(worst, float(np.max(np.abs(FLAT.spinor_to_vector(m) - v))))
     cc = ConnectingObjects.conformal(2.5)
     worst = _worse(worst, float(np.max(np.abs(cc.metric - 6.25 * MINKOWSKI))))
     return _result("connecting-objects", worst, 1e-12)

@@ -10,7 +10,6 @@ from .. import _lazy_getattr
 _SUBMODULES = {
     "canonicalize": "canon",
     "component_map": "canon",
-    "is_identically_zero": "canon",
     "IdentityCase": "corpus",
     "builtin_rules": "corpus",
     "parse_identity_file": "corpus",

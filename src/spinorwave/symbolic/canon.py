@@ -616,10 +616,6 @@ def component_map(expr: Expr, table: KernelTable) -> dict[tuple, Fraction]:
     return {symbol: values[n] for symbol, n in acc.items() if n}
 
 
-def is_identically_zero(expr: Expr, table: KernelTable) -> bool:
-    return not component_map(expr, table)
-
-
 # -- public pipeline ------------------------------------------------------------------
 
 

@@ -345,12 +345,12 @@ class TestEm:
 
     @pytest.mark.parametrize("direction, header, big", [
         ("to_bivector", WAVEFUNCTION_HEADER, "1e308"),
-        ("to_spinor", BIVECTOR_HEADER, "1.7976931348623157e308"),
     ])
     def test_overflowing_conversion_is_usage_error(self, tmp_path, direction, header, big):
         """Finite input whose converted values are beyond float range exits 2
         naming its input line (blank lines counted), writes no file and
-        prints no numpy warning."""
+        prints no numpy warning.  Only ``to_bivector`` can get there: its
+        images reach twice the largest cell."""
         src = tmp_path / "in.csv"
         src.write_text(f"{header}\n0,0,0,0,1,0,0,0,0,0\n\n0,0,0,0" + f",{big}" * 6 + "\n")
         cfg = tmp_path / "cfg.json"
@@ -361,6 +361,28 @@ class TestEm:
         assert result.stderr == "error: line 4: the converted values are beyond float range\n"
         assert not out.exists()
 
+    def test_to_spinor_of_float_max_cells_is_exact(self, tmp_path):
+        """Each ``to_spinor`` output part is +-a/2 +- b/2 of two cells, so
+        cells of the largest float convert without overflow, and exactly."""
+        big = 1.7976931348623157e308
+        src = tmp_path / "in.csv"
+        src.write_text(f"{BIVECTOR_HEADER}\n0,0,0,0,1,0,0,0,0,0\n\n0,0,0,0" + f",{big}" * 6 + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"direction": "to_spinor", "input": str(src)}))
+        out = tmp_path / "out.csv"
+        result = run_cli("em", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        from spinorwave.em import read_wavefunction_csv
+
+        _, wf = read_wavefunction_csv(out.read_text())
+        half = big / 2
+        # phi00 = (F01 - F13 + i F02 - i F23)/2, phi01 = (-F03 + i F12)/2,
+        # phi11 = (-F01 - F13 + i F02 + i F23)/2
+        assert np.array_equal(wf.phi[0], [[0.5, 0.0], [0.0, -0.5]])
+        phi01 = -half + 1j * half
+        assert np.array_equal(wf.phi[1], [[0.0, phi01], [phi01, -big + 1j * big]])
+
     def test_em_never_imports_analytic(self, tmp_path):
         """An ``em`` run in either direction loads the CSV reader and the
         conversions, never ``em.analytic``."""
@@ -370,7 +392,7 @@ class TestEm:
             "try:\n"
             "    main(sys.argv[1:])\n"
             "finally:\n"
-            "    print(sorted(m for m in sys.modules if m.startswith('spinorwave.em')))\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'spinorwave'))\n"
         )
         for direction, source in (("to_spinor", "bivector.csv"),
                                   ("to_bivector", "wavefunction.csv")):
@@ -383,7 +405,10 @@ class TestEm:
                 capture_output=True, text=True, timeout=120)
             assert result.returncode == 0, result.stderr
             assert result.stdout.splitlines()[-1] == str(
-                ["spinorwave.em", "spinorwave.em.csvio", "spinorwave.em.fields"])
+                ["spinorwave", "spinorwave.cli", "spinorwave.core", "spinorwave.core.connecting",
+                 "spinorwave.core.convention", "spinorwave.core.indices", "spinorwave.core.spinor",
+                 "spinorwave.em", "spinorwave.em.csvio", "spinorwave.em.fields",
+                 "spinorwave.errors"])
 
     def test_writers_refuse_non_finite_cells(self):
         from spinorwave.em import (

@@ -9,17 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorwave.core.connecting import MINKOWSKI, ConnectingObjects
+from spinorwave.core.connecting import FLAT, MINKOWSKI, ConnectingObjects
 from spinorwave.core.convention import EPS_LOW, EPS_UP
 from spinorwave.em import (
     BivectorField,
     PhotonWaveFunction,
     bivector_from_spinors,
-    constant_potential,
     dual,
     field_from_potential,
-    field_from_potential_grid,
-    interior,
     invariants,
     massless_residual,
     massless_residual_grid,
@@ -34,7 +31,7 @@ from spinorwave.em import (
     write_bivector_csv,
     write_wavefunction_csv,
 )
-from spinorwave.em import BIVECTOR_HEADER, WAVEFUNCTION_HEADER, csvio
+from spinorwave.em import BIVECTOR_HEADER, WAVEFUNCTION_HEADER, csvio, fields
 from spinorwave.errors import BivectorError, ConfigError, SpinorSymmetryError
 
 RNG = np.random.default_rng(7)
@@ -185,43 +182,96 @@ def einsum_bivector(phi, conj, objects):
 
 class TestMatricesMatchEinsum:
     """The fixed-matrix conversions against the per-sample einsum formulas;
-    the summation order differs, so they agree to round-off."""
+    the summation order differs, so they agree to round-off.  On conformal
+    objects S = scale x flat the formulas give the flat results times
+    scale^2 (spinors from a bivector) and scale^-2 (a bivector from spinors)."""
 
-    OBJECTS = [ConnectingObjects.flat(), ConnectingObjects.conformal(2.5)]
+    OBJECTS = [(FLAT, 1.0), (ConnectingObjects.conformal(2.5), 2.5)]
     SHAPES = [(), (7,), (3, 5)]
 
     @staticmethod
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("objects", OBJECTS, ids=["flat", "conformal"])
+    @pytest.mark.parametrize("objects, scale", OBJECTS, ids=["flat", "conformal"])
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    def test_to_spinor(self, objects, shape):
+    def test_to_spinor(self, objects, scale, shape):
         raw = RNG.standard_normal(shape + (4, 4))
         F = raw - np.swapaxes(raw, -1, -2)
-        wf = spinors_from_bivector(BivectorField(F), objects)
+        wf = spinors_from_bivector(BivectorField(F))
         phi, conj = einsum_spinors(F, objects)
         assert wf.phi.shape == wf.phi_conj.shape == shape + (2, 2)
-        assert self.close(wf.phi, phi) and self.close(wf.phi_conj, conj)
+        assert self.close(wf.phi, scale**2 * phi) and self.close(wf.phi_conj, scale**2 * conj)
 
-    @pytest.mark.parametrize("objects", OBJECTS, ids=["flat", "conformal"])
+    @pytest.mark.parametrize("objects, scale", OBJECTS, ids=["flat", "conformal"])
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    def test_to_bivector(self, objects, shape):
+    def test_to_bivector(self, objects, scale, shape):
         def symmetric():
             raw = RNG.standard_normal(shape + (2, 2)) + 1j * RNG.standard_normal(shape + (2, 2))
             return raw + np.swapaxes(raw, -1, -2)
 
         phi = symmetric()
-        physical = bivector_from_spinors(PhotonWaveFunction.physical(phi), objects).values
-        want = einsum_bivector(phi, np.conj(phi), objects)
+        physical = bivector_from_spinors(PhotonWaveFunction.physical(phi)).values
+        want = einsum_bivector(phi, np.conj(phi), objects) / scale**2
         assert physical.dtype == float and physical.shape == shape + (4, 4)
         assert np.max(np.abs(want.imag)) < 1e-15 * np.max(np.abs(want.real))
         assert self.close(physical, want.real)
         # an independent primed sector gives a complex bivector
         conj = symmetric()
-        general = bivector_from_spinors(PhotonWaveFunction(phi, conj), objects).values
+        general = bivector_from_spinors(PhotonWaveFunction(phi, conj)).values
         assert general.dtype == complex
-        assert self.close(general, einsum_bivector(phi, conj, objects))
+        assert self.close(general, einsum_bivector(phi, conj, objects) / scale**2)
+
+
+class TestExactMaps:
+    """The flat conversions of basis elements, exactly: S_a = sigma_a / sqrt(2)
+    makes every entry of the two conversion matrices 0, +-1/2 or +-1, times
+    1 or i."""
+
+    # rows: the basis bivectors F01, F02, F03, F12, F13, F23; columns: phi00,
+    # phi01, phi11 and the primed conj00, conj01, conj11
+    TO_SPINOR = [
+        [0.5, 0, -0.5, 0.5, 0, -0.5],
+        [0.5j, 0, 0.5j, -0.5j, 0, -0.5j],
+        [0, -0.5, 0, 0, -0.5, 0],
+        [0, 0.5j, 0, 0, -0.5j, 0],
+        [-0.5, 0, -0.5, -0.5, 0, -0.5],
+        [-0.5j, 0, 0.5j, 0.5j, 0, -0.5j],
+    ]
+    # rows: the basis spinors phi00, phi01, phi11, conj00, conj01, conj11 (the
+    # other sector zero); columns: F01, F02, F03, F12, F13, F23
+    TO_BIVECTOR = [
+        [0.5, -0.5j, 0, 0, -0.5, 0.5j],
+        [0, 0, -1, -1j, 0, 0],
+        [-0.5, -0.5j, 0, 0, -0.5, -0.5j],
+        [0.5, 0.5j, 0, 0, -0.5, -0.5j],
+        [0, 0, -1, 1j, 0, 0],
+        [-0.5, 0.5j, 0, 0, -0.5, 0.5j],
+    ]
+
+    def test_basis_bivectors(self):
+        wf = spinors_from_bivector(BivectorField(fields.bivector_from_pairs(np.eye(6))))
+        got = np.concatenate([fields.symmetric_components(wf.phi),
+                              fields.symmetric_components(wf.phi_conj)], axis=-1)
+        assert np.array_equal(got, np.array(self.TO_SPINOR))
+
+    def test_basis_spinors(self):
+        basis = fields.symmetric_from_components(np.eye(3, dtype=complex))
+        zero = np.zeros_like(basis)
+        F = np.concatenate([bivector_from_spinors(PhotonWaveFunction(basis, zero)).values,
+                            bivector_from_spinors(PhotonWaveFunction(zero, basis)).values])
+        assert np.array_equal(fields.bivector_pairs(F), np.array(self.TO_BIVECTOR))
+
+    def test_matrix_entries(self):
+        entries = np.concatenate([fields._TO_SPINOR, fields._TO_BIVECTOR]).ravel().tolist()
+        assert set(entries) <= {0, 0.5, -0.5, 1, -1, 0.5j, -0.5j, 1j, -1j}
+
+    def test_physical_unit_spinor(self):
+        # phi00 = 1 with its conjugate sector: the sum of two images of 1/2
+        phi = fields.symmetric_from_components(np.array([1.0, 0.0, 0.0]))
+        F = bivector_from_spinors(PhotonWaveFunction.physical(phi)).values
+        assert F.dtype == float
+        assert F[0, 1] == 1.0 and F[2, 3] == 0.0
 
 
 class TestPotentials:
@@ -229,11 +279,6 @@ class TestPotentials:
         pot = pure_gauge_potential(np.array([0.7, 0.2, -0.4, 0.9]), scale=2.0)
         pts = RNG.standard_normal((30, 4))
         assert np.max(np.abs(field_from_potential(pot, pts).values)) < 1e-12
-
-    def test_constant_potential_has_no_field(self):
-        pot = constant_potential(np.array([1.0, 2.0, 3.0, 4.0]))
-        pts = RNG.standard_normal((10, 4))
-        assert np.max(np.abs(field_from_potential(pot, pts).values)) == 0.0
 
     def test_null_wave_matches_hand_differentiation(self):
         # Phi = (0, sin(t - x), 0, 0): F_01 = -cos(t-x) hand-derived from
@@ -248,46 +293,13 @@ class TestPotentials:
         assert np.max(np.abs(F[:, 1, 0] + np.cos(phase))) < 1e-12
         assert np.max(np.abs(F[:, 2, :])) < 1e-14
 
-    def test_grid_gauge_invariance_second_order(self):
-        # adding an exact gradient changes the grid field only by the
-        # stencil error, which shrinks at second order
-        k = np.array([0.9, 0.4, 0.0, 0.0])
-        gauge = pure_gauge_potential(k, scale=1.5)
-
-        def gauge_field(n):
-            axes = [np.linspace(0.0, 1.0, n)] * 2 + [np.array([0.0])] * 2
-            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            h = 1.0 / (n - 1)
-            F = field_from_potential_grid(gauge.value(mesh), h).values
-            return np.max(np.abs(F[interior(F.shape[:4])]))
-
-        e1, e2 = gauge_field(33), gauge_field(65)
-        assert math.log2(e1 / e2) == pytest.approx(2.0, abs=0.3)
-
-    def test_grid_derivative_second_order(self):
-        k = np.array([1.0, -1.0, 0.0, 0.0])
-        pot = plane_wave_potential(np.array([0.0, 1.0, 0.0, 0.0]), k)
-
-        def grid_error(n):
-            axes = [np.linspace(0.0, 1.0, n)] * 2 + [np.array([0.0])] * 2
-            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            values = pot.value(mesh)
-            h = 1.0 / (n - 1)
-            F_grid = field_from_potential_grid(values, h).values
-            F_exact = field_from_potential(pot, mesh).values
-            core = interior(values.shape[:4])
-            return np.max(np.abs((F_grid - F_exact)[core]))
-
-        e1, e2 = grid_error(33), grid_error(65)
-        assert math.log2(e1 / e2) == pytest.approx(2.0, abs=0.3)
-
 
 class TestGridErrors:
     def test_potential_grid_too_small(self):
         from spinorwave.errors import GridError
 
-        with pytest.raises(GridError):
-            field_from_potential_grid(np.zeros((2, 5, 5, 5, 4)), 0.1)
+        with pytest.raises(GridError, match="axis 0 too small"):
+            massless_residual_grid(np.zeros((2, 5, 5, 5, 2, 2)), 0.1)
 
     def test_wavefunction_grid_shape_enforced(self):
         from spinorwave.errors import GridError
@@ -353,9 +365,6 @@ class TestStressEnergy:
             assert values.shape == (0, 4, 4) and values.dtype == np.float64
 
     def test_matches_nested_loop_oracle_with_prefactor(self):
-        from spinorwave.core.connecting import ConnectingObjects
-
-        co = ConnectingObjects.flat()
         wf = random_wavefunction(1)
         T = stress_energy(wf).values[0]
         want = np.zeros((4, 4), dtype=complex)
@@ -367,8 +376,8 @@ class TestStressEnergy:
                         for B in range(2):
                             for Bp in range(2):
                                 acc += (
-                                    co.s[a, A, Ap]
-                                    * co.s[b, B, Bp]
+                                    FLAT.s[a, A, Ap]
+                                    * FLAT.s[b, B, Bp]
                                     * wf.phi[0, A, B]
                                     * wf.phi_conj[0, Ap, Bp]
                                 )

@@ -357,11 +357,10 @@ class TestConformalFlatness:
         # so the reconstructed null plane-wave profile built from the
         # integrated history must satisfy the flat massless equation to the
         # integration tolerance
-        from spinorwave.core.connecting import ConnectingObjects
+        from spinorwave.core.connecting import FLAT
         from spinorwave.core.convention import EPS_UP
         from spinorwave.em import null_wavevector
 
-        co = ConnectingObjects.flat()
         alpha = np.array([1.0, 1.0 + 0.0j]) / math.sqrt(2.0)
         k_vec = null_wavevector(alpha)
         k = float(k_vec[0])  # frequency of the reconstructed wave
@@ -384,7 +383,7 @@ class TestConformalFlatness:
             d[0] = up[i] * outer
             for ax in (1, 2, 3):
                 d[ax] = -1j * k_vec[ax] * u[i] * outer
-            d_spinor = np.einsum("aCD,aAB->CDAB", co.s_inv, d)
+            d_spinor = np.einsum("aCD,aAB->CDAB", FLAT.s_inv, d)
             res = np.einsum(
                 "AC,ED,BX,CDAX->EB",
                 np.asarray(EPS_UP), np.asarray(EPS_UP), np.asarray(EPS_UP), d_spinor,

@@ -12,6 +12,7 @@ from spinorwave.core import (
     ComponentSpinor,
     ConnectingObjects,
     EPS_LOW,
+    FLAT,
     FLAT_SYMBOLS,
     EPS_UP,
     MINKOWSKI,
@@ -147,26 +148,23 @@ class TestConjugation:
 
 class TestConnectingObjects:
     def test_flat_metric_reconstruction(self):
-        co = ConnectingObjects.flat()
-        assert np.max(np.abs(co.metric - MINKOWSKI)) < 1e-12
+        assert np.max(np.abs(FLAT.metric - MINKOWSKI)) < 1e-12
 
     def test_conformal_scaling(self):
         co = ConnectingObjects.conformal(1.7)
         assert np.max(np.abs(co.metric - 1.7**2 * MINKOWSKI)) < 1e-12
 
     def test_vector_roundtrip(self):
-        co = ConnectingObjects.flat()
         for _ in range(20):
             v = RNG.standard_normal(4)
-            back = co.spinor_to_vector(co.vector_to_spinor(v))
+            back = FLAT.spinor_to_vector(FLAT.vector_to_spinor(v))
             assert np.max(np.abs(back - v)) < 1e-12
 
     def test_tensor_slot_roundtrip(self):
-        co = ConnectingObjects.flat()
         F = RNG.standard_normal((4, 4))
         cs = ComponentSpinor.from_spec("ww", F)
-        there = co.world_slot_to_spinor_pair(cs, 0)
-        back = co.spinor_pair_to_world_slot(there, 0)
+        there = FLAT.world_slot_to_spinor_pair(cs, 0)
+        back = FLAT.spinor_pair_to_world_slot(there, 0)
         assert back.allclose(cs, atol=1e-12)
 
     def test_degenerate_rejected(self):
@@ -285,7 +283,7 @@ def conformal_family(a0, a1, eta):
 class TestAffinityFromMetric:
     def test_flat_constant_objects_vanish(self):
         sym = affinity_from_metric(
-            ConnectingObjects.flat(), np.zeros((4, 4, 4)), np.zeros((4, 4, 2, 2))
+            FLAT, np.zeros((4, 4, 4)), np.zeros((4, 4, 2, 2))
         )
         assert np.max(np.abs(sym)) < 1e-14
 
@@ -328,9 +326,8 @@ class TestAffinityFromMetric:
         assert r1 / r2 == pytest.approx(4.0, rel=0.15)  # ... and second order
 
     def test_singular_objects_rejected(self):
-        objects = ConnectingObjects.flat()
         bad = ConnectingObjects(
-            objects.s.copy(), objects.s_inv.copy(), np.zeros((4, 4)), np.zeros((4, 4))
+            FLAT.s.copy(), FLAT.s_inv.copy(), np.zeros((4, 4)), np.zeros((4, 4))
         )
         with pytest.raises(DegenerateMetricError):
             affinity_from_metric(bad, np.zeros((4, 4, 4)), np.zeros((4, 4, 2, 2)))
