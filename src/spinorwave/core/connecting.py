@@ -32,6 +32,7 @@ FLAT_SYMBOLS = PAULI / np.sqrt(2.0)
 FLAT_SYMBOLS.setflags(write=False)
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
+MINKOWSKI.setflags(write=False)
 
 
 def _reconstruct_metric(s: np.ndarray) -> np.ndarray:
@@ -116,7 +117,10 @@ class ConnectingObjects:
         return ComponentSpinor(IndexSignature(tuple(slots)), data)
 
 
-FLAT = ConnectingObjects.from_matrices(FLAT_SYMBOLS)
+# PAULI gives the metric 2 eta and the inverse symbols sigma_a eta / 2 exactly
+_unit = ConnectingObjects.from_matrices(PAULI)
+FLAT = ConnectingObjects(FLAT_SYMBOLS, _unit.s_inv * np.sqrt(2.0), _unit.metric / 2,
+                         _unit.metric_inv * 2)
 
 
 def levi_civita4() -> np.ndarray:

@@ -27,9 +27,8 @@ and the clusters are combined by product.  The counts stay integers over
 the common denominator of the coefficients until the end, which builds one
 Fraction per distinct surviving value.
 
-Dummies are named by the lowest of all relabelings (up to seven dummies).
-Each relabeling is ranked on a tuple form of the term, and a Term is built
-only for the lowest.
+Dummies are named, however many there are, by one exact search for the
+least first-occurrence numbering over the arrangements of the term.
 """
 
 from __future__ import annotations
@@ -50,11 +49,6 @@ def _components(factor: Factor, table: KernelTable) -> tuple | None:
     other factor."""
     k = table.get(factor.kernel)
     return k.components if k else None
-
-
-def _is_operator(factor: Factor, table: KernelTable) -> bool:
-    k = table.get(factor.kernel)
-    return bool(k and k.operator)
 
 
 # -- kernel symmetries ----------------------------------------------------------
@@ -246,28 +240,6 @@ def _collect_like_terms(terms) -> dict[tuple, tuple[Fraction, Term]]:
     return collected
 
 
-def normal_order(term: Term, table: KernelTable) -> Term:
-    """Constants first; fields sorted within each operator scope (groups must
-    already be expanded)."""
-    constants, word = [], []
-    for f in term.factors:
-        (word if _components(f, table) is None else constants).append(f)
-    constants.sort(key=_factor_key)
-    ordered: list[Factor] = []
-    segment: list[Factor] = []
-    for f in word:
-        if _is_operator(f, table):
-            segment.sort(key=_factor_key)
-            ordered.extend(segment)
-            ordered.append(f)
-            segment = []
-        else:
-            segment.append(f)
-    segment.sort(key=_factor_key)
-    ordered.extend(segment)
-    return Term(term.coeff, tuple(constants + ordered))
-
-
 _LABEL_TAG = {IndexKind.UNPRIMED: "!U", IndexKind.PRIMED: "!P", IndexKind.WORLD: "!w"}
 
 
@@ -277,125 +249,146 @@ def _dummy_label(kind: IndexKind, number: int) -> str:
 
 
 def rename_dummies(term: Term) -> Term:
-    dummies = term.dummy_names()
-    mapping: dict[str, str] = {}
-    counter = 0
-    factors = []
-    for factor in term.factors:
-        indices = []
-        for idx in factor.indices:
-            if idx.name in dummies:
-                if idx.name not in mapping:
-                    counter += 1
-                    mapping[idx.name] = _dummy_label(idx.kind, counter)
-                indices.append(Idx(mapping[idx.name], idx.kind, idx.up))
-            else:
-                indices.append(idx)
-        factors.append(Factor(factor.kernel, tuple(indices)))
-    return Term(term.coeff, tuple(factors), term.groups)
-
-
-_PAIR_LABEL = operator.itemgetter(1)
-
-
-def _relabeling_plan(term: Term, dummies: list[str], table: KernelTable):
-    """The term as tuples, for ranking relabelings of its dummies without
-    building terms: the sign and the keys of the slot-sorted factors without
-    dummies; per factor with dummies its position, kernel name, slot
-    groups and slots as (up, dummy number or -1, label); the constant
-    positions; and the operator positions between the segments of field
-    positions."""
-    number = {name: n for n, name in enumerate(dummies)}
-    sign, keys, moving, constants, segments = 1, [], [], [], [[]]
-    for position, factor in enumerate(term.factors):
-        kernel = table.get(factor.kernel)
-        sym = kernel.sym_groups if kernel else ()
-        antisym = kernel.antisym_groups if kernel else ()
-        pairs = [(idx.up, idx.name) for idx in factor.indices]
-        if number.keys().isdisjoint([name for _, name in pairs]):
-            sign *= _sort_slots(pairs, sym, antisym, _PAIR_LABEL)
-            keys.append((factor.kernel, tuple(pairs)))
-        else:
-            keys.append(None)
-            slots = [(up, number.get(name, -1), name) for up, name in pairs]
-            moving.append((position, factor.kernel, sym, antisym, slots))
-        if kernel and kernel.components is not None:
-            constants.append(position)
-        elif kernel and kernel.operator:
-            segments += [position, []]
-        else:
-            segments[-1].append(position)
-    return sign, keys, moving, constants, segments
-
-
-def _relabeled(plan, names: list[str]) -> tuple[list, list[int], int]:
-    """The term with dummy n named ``names[n]``, slot-sorted as by
-    ``sort_kernel_slots``: its factor keys by position, its positions in
-    the order of ``normal_order`` and the sign of the sorts."""
-    sign, keys, moving, constants, segments = plan
-    keys = keys[:]
-    for position, kernel, sym, antisym, slots in moving:
-        pairs = [(up, names[n] if n >= 0 else label) for up, n, label in slots]
-        sign *= _sort_slots(pairs, sym, antisym, _PAIR_LABEL)
-        keys[position] = (kernel, tuple(pairs))
-    order = sorted(constants, key=keys.__getitem__)
-    for segment in segments:
-        if type(segment) is int:
-            order.append(segment)
-        else:
-            order += sorted(segment, key=keys.__getitem__)
-    return keys, order, sign
+    """The dummies named ``!U1``, ``!U2``, ... in order of first appearance."""
+    dummies, names = term.dummy_names(), {}
+    for _, idx in term.all_indices():
+        if idx.name in dummies and idx.name not in names:
+            names[idx.name] = _dummy_label(idx.kind, len(names) + 1)
+    factors = tuple(Factor(f.kernel, tuple(Idx(names[i.name], i.kind, i.up) if i.name in names
+                                           else i for i in f.indices)) for f in term.factors)
+    return Term(term.coeff, factors, term.groups)
 
 
 def _normalize_term(term: Term, table: KernelTable) -> Term:
-    """Canonical dummy labeling: exact (minimum over relabelings) for small
-    terms, iterative otherwise.  Relabeling the input's dummies never changes
-    the result of the exact path.
+    """Canonical dummy labeling: the least term, by factor keys and then the
+    sign (negative first), over every arrangement (the order of the
+    constants, of the fields in each operator segment and of the slots in
+    each symmetry group, whose slots share one variance), its dummies
+    numbered in order of first appearance.
 
-    The exact path ranks every relabeling by the key of the term it gives
-    (factor keys, then the sign of the coefficient) on a tuple plan of the
-    term, and builds a Term only for the lowest; equal keys give equal
-    terms."""
+    The search emits one factor key at a time, keeps the branches that give
+    the least and merges those whose sign and remaining factors agree.  No
+    two constants share a label, so the constants take one branch.  A metric
+    spinor with two dummies, a bridge, is emitted with the next two numbers
+    unbound; the first of its ends met among the fields takes the least
+    unbound label of its kernel, its other end the other of that pair."""
     census = term.index_census()
-    dummies = sorted(name for name, uses in census.items() if len(uses) == 2)
-    if len(dummies) > 7:
-        current = term
-        for _ in range(4):
-            step = sort_kernel_slots(current, table)
-            if step is None:
-                return Term(Fraction(0), ())
-            nxt = rename_dummies(normal_order(step, table))
-            if nxt == current:
-                break
-            current = nxt
-        return current
-    kind = {name: uses[-1][1].kind for name, uses in census.items()}
-    labels = [[_dummy_label(kind[name], pos) for pos in range(len(dummies))] for name in dummies]
-    plan = _relabeling_plan(term, dummies, table)
-    positive = term.coeff > 0
-    best = None
-    for perm in itertools.permutations(range(len(dummies))):
-        names = [None] * len(dummies)
-        for pos, n in enumerate(perm):
-            names[n] = labels[n][pos]
-        keys, order, sign = _relabeled(plan, names)
-        if not sign:
-            # an antisymmetric group repeats a label under every relabeling
+    kinds = {name: uses[-1][1].kind for name, uses in census.items()}
+    dummies = {name for name, uses in census.items() if len(uses) == 2}
+    plans, fixed, blocks, bridges, bridged = [], {}, [[], []], {}, set()
+    for position, factor in enumerate(term.factors):
+        kernel = table.get(factor.kernel)
+        sym, antisym = (kernel.sym_groups, kernel.antisym_groups) if kernel else ((), ())
+        items = tuple([(idx.up, idx.name) for idx in factor.indices])
+        labels = [name for _, name in items]
+        sign = _sort_slots(labels, sym, antisym, str)
+        if not sign:  # an antisymmetric group repeats a label under every relabeling
             return Term(Fraction(0), ())
-        key = (tuple([keys[p] for p in order]), positive if sign > 0 else term.coeff < 0)
-        if best is None or key < best[0]:
-            best = (key, names, keys, order, sign)
-    _, names, keys, order, sign = best
-    for dummy, name in zip(dummies, names):
-        kind[name] = kind[dummy]
-    factors = []
-    for position in order:
-        factor = term.factors[position]
-        kernel, pairs = keys[position]
-        if pairs != tuple([(idx.up, idx.name) for idx in factor.indices]):
-            factor = Factor(kernel, tuple([Idx(name, kind[name], up) for up, name in pairs]))
-        factors.append(factor)
-    return Term(term.coeff * sign, tuple(factors))
+        if dummies.isdisjoint(labels):  # one key, whatever the labels so far
+            key = tuple(zip([up for up, _ in items], labels)) if sym or antisym else items
+            fixed[position] = ((factor.kernel, key), sign)
+        plans.append((factor.kernel, items, sym, antisym))
+        if kernel and kernel.components is not None:
+            blocks[0].append(position)
+            if len(items) == 2 and dummies.issuperset(labels):
+                assert antisym == ((0, 1),), "a bridge is a metric spinor"
+                (_, a), (_, b) = items
+                bridges[a], bridges[b] = (factor.kernel, b, 0), (factor.kernel, a, 1)
+                bridged.add(position)
+        elif kernel and kernel.operator:
+            blocks += [[position], []]
+        else:
+            blocks[-1].append(position)
+    # eliminate_constants contracts every label shared by two constants
+    assert all(sum(p in blocks[0] for (p, _), _ in census[name]) < 2 for name in dummies)
+
+    def arrangements(p, names, counter, pairs):
+        """Each least slot order of factor p after the labels so far, as
+        (key, names, sign, counter, unbound label pairs by kernel)."""
+        kernel, items, sym, antisym = plans[p]
+        if p in bridged:
+            pair = tuple(_dummy_label(kinds[x], counter + n) for n, (_, x) in enumerate(items))
+            return [((kernel, ((items[0][0], pair[0]), (items[1][0], pair[1]))), names, 1,
+                     counter + 2, {**pairs, kernel: pairs.get(kernel, ()) + (pair,)})]
+        done = [((), names, 1, counter, pairs, ())]
+        for slot in range(len(items)):
+            pool = next((group for group in sym + antisym if slot in group), (slot,))
+            grown = []
+            for key, names, sign, counter, pairs, placed in done:
+                free = [s for s in pool if s not in placed]
+                labels = []
+                for s in free:
+                    name = items[s][1]
+                    if name in names or name not in dummies:
+                        labels.append(names.get(name, name))
+                    elif name in bridges:
+                        labels.append(min(min(pair) for pair in pairs[bridges[name][0]]))
+                    else:
+                        labels.append(_dummy_label(kinds[name], counter))
+                low = min(labels)
+                for j, s in enumerate(free):
+                    if labels[j] != low:
+                        continue
+                    up, name = items[s]
+                    state = [names, -sign if j % 2 and pool in antisym else sign, counter, pairs]
+                    if name not in names and name in dummies:
+                        state[0] = {**names, name: low}
+                        if name in bridges:
+                            bridge, partner, end = bridges[name]
+                            pair = next(pair for pair in pairs[bridge] if low in pair)
+                            state[0][partner] = pair[pair[0] == low]
+                            state[1] = -state[1] if (pair[1] == low) != end else state[1]
+                            state[3] = {**pairs, bridge: tuple(q for q in pairs[bridge] if q != pair)}
+                        else:
+                            state[2] += 1
+                    grown.append((key + ((up, low),), *state, placed + (s,)))
+            done = grown
+        return [((kernel, key), *state) for key, *state, _ in done]
+
+    def signature(rest, names, sign, index):
+        """The sign and the factors with dummies left, renamed and slot-sorted."""
+        keys = []
+        for p in rest + tuple(p for block in blocks[index + 1:] for p in block if p not in fixed):
+            kernel, items, sym, antisym = plans[p]
+            if p in bridged:  # interchangeable until their ends are met
+                keys.append((kernel,))
+                continue
+            labels = [names.get(name, name) for _, name in items]
+            sign *= _sort_slots(labels, sym, antisym, str)
+            keys.append((kernel, tuple(labels)))
+        return sign, tuple(sorted(keys[:len(rest)])), tuple(keys[len(rest):])
+
+    out, states, common = [], [((), {}, 1, 0, {})], 1
+    for index, block in enumerate(blocks):
+        # a factor without dummies has one key whatever the labels: sorted once
+        static = sorted((fixed[p], p) for p in block if p in fixed)
+        rest = tuple(p for p in block if p not in fixed)
+        states, options = [(rest, *state[1:]) for state in states], []
+        for _ in block:
+            options = options or [(key, n, p, *found) for n, state in enumerate(states)
+                                  for p in state[0]
+                                  for key, *found in arrangements(p, state[1], *state[3:])]
+            low = min(option[0] for option in options) if options else None
+            if static and (low is None or static[0][0][0] < low):
+                # the options hold: a factor without dummies binds no label
+                (key, sign), p = static.pop(0)
+                out.append((key, p))
+                common *= sign
+                continue
+            winners = [option for option in options if option[0] == low]
+            out.append((low, winners[0][2]))
+            grown = {}
+            for _, n, p, names, sign, counter, pairs in winners:
+                rest = tuple(q for q in states[n][0] if q != p)
+                state = (rest, names, states[n][2] * sign, counter, pairs)
+                grown.setdefault(len(winners) > 1 and signature(*state[:3], index), state)
+            options, states = [], list(grown.values())
+    _, names, sign, _, _ = min(states, key=lambda s: (s[2] * common > 0) == (term.coeff > 0))
+    kinds.update({label: kinds[name] for name, label in names.items()})
+    factors = tuple([term.factors[p] if key == plans[p][1] else
+                     Factor(kernel, tuple(Idx(label, kinds[label], up) for up, label in key))
+                     for (kernel, key), p in out])
+    return Term(term.coeff if sign * common > 0 else -term.coeff, factors)
 
 
 # -- exact component expansion ------------------------------------------------------

@@ -150,6 +150,19 @@ class TestConnectingObjects:
     def test_flat_metric_reconstruction(self):
         assert np.max(np.abs(FLAT.metric - MINKOWSKI)) < 1e-12
 
+    def test_flat_metric_is_exact(self):
+        """FLAT is built on the integer Pauli symbols, so its metric and
+        inverse metric are eta to the last bit, and its symbols are the
+        flat symbols byte for byte."""
+        assert np.array_equal(FLAT.metric, MINKOWSKI)
+        assert np.array_equal(FLAT.metric_inv, MINKOWSKI)
+        assert FLAT.s.tobytes() == FLAT_SYMBOLS.tobytes()
+
+    def test_minkowski_is_read_only(self):
+        with pytest.raises(ValueError):
+            MINKOWSKI[0, 0] = 2
+        assert MINKOWSKI[0, 0] == 1.0
+
     def test_conformal_scaling(self):
         co = ConnectingObjects.conformal(1.7)
         assert np.max(np.abs(co.metric - 1.7**2 * MINKOWSKI)) < 1e-12

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import pathlib
+import random
 import re
 import types
 from fractions import Fraction
@@ -19,6 +20,7 @@ from spinorwave.core.indices import (
     DIMENSION,
     IndexKind,
     IndexSignature,
+    Variance,
     permutation_sign,
     spinor_signature,
 )
@@ -604,8 +606,26 @@ def rename_with(term, mapping):
     return Term(term.coeff, tuple(factors), term.groups)
 
 
+def normal_order(term, table):
+    """Constants first; fields sorted within each operator scope."""
+    constants, ordered, segment = [], [], []
+    for f in term.factors:
+        kernel = table.get(f.kernel)
+        if kernel and kernel.components is not None:
+            constants.append(f)
+        elif kernel and kernel.operator:
+            ordered += sorted(segment, key=canon._factor_key) + [f]
+            segment = []
+        else:
+            segment.append(f)
+    ordered += sorted(segment, key=canon._factor_key)
+    return Term(term.coeff, tuple(sorted(constants, key=canon._factor_key) + ordered))
+
+
 def reference_normalize_term(term, table):
-    """The exact path (up to seven dummies) of the dummy relabeling."""
+    """The least of all k! relabelings of the dummies, each slot-sorted and
+    put in normal order, by factor keys and then the sign (negative first);
+    for few dummies only, as it ranks every relabeling."""
     dummies = sorted(term.dummy_names())
     kinds = {idx.name: idx.kind for _, idx in term.all_indices()}
     best = None
@@ -614,7 +634,7 @@ def reference_normalize_term(term, table):
         candidate = canon.sort_kernel_slots(rename_with(term, mapping), table)
         if candidate is None:
             return Term(Fraction(0), ())
-        candidate = canon.normal_order(candidate, table)
+        candidate = normal_order(candidate, table)
         key = (canon._term_key(candidate), candidate.coeff > 0)
         if best is None or key < best[0]:
             best = (key, candidate)
@@ -643,7 +663,13 @@ def checked_against_references(mp, calls):
             assert result == reference, term
             assert labels_and_kinds(result) == labels_and_kinds(reference), term
             assert type(result.coeff) is type(reference.coeff)
-            calls["normalize"] += 1
+        else:
+            # too many dummies to rank every relabeling: a relabeled input
+            # must give the same result
+            relabeled = shuffled_variant(term, table, random.Random(calls["normalize"]))
+            assert repr(real_normalize(relabeled, table)) == repr(result), term
+            calls["relabeled"] = calls.get("relabeled", 0) + 1
+        calls["normalize"] += 1
         return result
 
     mp.setattr(canon, "component_map", component_map_checked)
@@ -727,8 +753,8 @@ class TestDummyLabels:
 
 
 class TestManyDummies:
-    """Terms with more than seven dummies take the iterative relabeling of
-    ``canon._normalize_term`` instead of the exact minimum."""
+    """Terms with eight dummies, more than the k! reference ranks, take the
+    same exact labeling as smaller terms."""
 
     FORWARD, BACKWARD = "A B C D E F G H", "H G F E D C B A"
 
@@ -763,6 +789,150 @@ class TestManyDummies:
         for term in out.terms:
             labels = {idx.name for _, idx in term.all_indices()}
             assert len(labels) == 8 and all(re.fullmatch(r"!U\d+", label) for label in labels)
+
+
+def relabeled_name(kind, n):
+    """A generated label of ``kind``, apart from the parser's (``~U``, ``~P``,
+    ``~w``), so it never meets a written label."""
+    head = "~q" if kind is IndexKind.WORLD else "~Q"
+    return f"{head}{n}'" if kind is IndexKind.PRIMED else f"{head}{n}"
+
+
+def shuffled_variant(term, table, rng):
+    """The same term with its dummies renamed at random, its factors in a
+    random order and the slots of each symmetry group permuted (an
+    antisymmetric permutation carrying its sign).  The factors commute: the
+    terms it is used on hold no operator, or keep them in place."""
+    dummies = sorted(term.dummy_names())
+    numbers = rng.sample(range(100), len(dummies))
+    kinds = {idx.name: idx.kind for _, idx in term.all_indices()}
+    mapping = {name: relabeled_name(kinds[name], n) for name, n in zip(dummies, numbers)}
+    coeff, factors = term.coeff, []
+    for factor in rename_with(term, mapping).factors:
+        kernel = table.get(factor.kernel)
+        indices = list(factor.indices)
+        for groups, antisym in ((kernel.sym_groups, False), (kernel.antisym_groups, True)):
+            for group in groups:
+                order = rng.sample(range(len(group)), len(group))
+                moved = [indices[group[i]] for i in order]
+                for slot, idx in zip(group, moved):
+                    indices[slot] = idx
+                if antisym:
+                    coeff *= permutation_sign(order)
+        factors.append(Factor(factor.kernel, tuple(indices)))
+    if not any(table.get(f.kernel).operator for f in factors):
+        rng.shuffle(factors)
+    return Term(coeff, tuple(factors))
+
+
+# Generic kernels of mixed templates next to the builtin symmetric ones.
+GENERIC_TEMPLATES = {"Ga": "uUu", "Gb": "UUuu", "Gc": "Uu", "Gp": "uPp"}
+PROPERTY_KERNELS = [*GENERIC_TEMPLATES, "phi", "Psi", "omega", "eps_lo", "eps_up"]
+# upper slots are scarcer: the kernels that carry them are drawn more often
+PROPERTY_WEIGHTS = [2, 4, 2, 1, 1, 1, 1, 1, 4]
+
+
+def property_table():
+    table = KernelTable()
+    for name, spec in GENERIC_TEMPLATES.items():
+        table.auto_register(name, spinor_signature(spec).slots)
+    return table
+
+
+def random_term(rng, table):
+    """A product of one to nine kernels with up to twelve dummies (slots of
+    one kind and opposite variance paired at random), the rest free, passed
+    through ``eliminate_constants`` as ``canonicalize`` passes it."""
+    budget = rng.randint(0, 12)
+    kernels = rng.choices(PROPERTY_KERNELS, PROPERTY_WEIGHTS, k=rng.randint(1, 3 + budget // 2))
+    slots = [(f, slot.kind, slot.variance is Variance.UP)
+             for f, name in enumerate(kernels) for slot in table.get(name).slots]
+    order = rng.sample(range(len(slots)), len(slots))
+    labels, dummies = {}, 0
+    for i in order:
+        if i in labels:
+            continue
+        labels[i] = relabeled_name(slots[i][1], 500 + i)
+        partner = next((j for j in order if j not in labels
+                        and slots[j][1] is slots[i][1] and slots[j][2] != slots[i][2]), None)
+        if partner is not None and dummies < budget:
+            labels[partner] = labels[i]
+            dummies += 1
+    factors = tuple(
+        Factor(name, tuple(Idx(labels[n], kind, up)
+                           for n, (f, kind, up) in enumerate(slots) if f == position))
+        for position, name in enumerate(kernels))
+    return canon.eliminate_constants(Term(Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5])),
+                                          factors), table)
+
+
+def first_appearance_numbers(term):
+    """The numbers of the term's dummy labels in order of first appearance."""
+    dummies, seen = term.dummy_names(), []
+    for _, idx in term.all_indices():
+        if idx.name in dummies and idx.name not in seen:
+            seen.append(idx.name)
+    return [int(re.fullmatch(r"!(?:U|P|w)(\d+)'?", name).group(1)) for name in seen]
+
+
+def assert_canonical(term, table, rng, variants=3):
+    """Every shuffled variant of ``term`` labels to the same printed term,
+    whose dummies are numbered 0, 1, ... in order of first appearance."""
+    canonical = repr(canon._normalize_term(term, table))
+    for _ in range(variants):
+        variant = shuffled_variant(term, table, rng)
+        assert repr(canon._normalize_term(variant, table)) == canonical, (term, variant)
+    result = canon._normalize_term(term, table)
+    assert first_appearance_numbers(result) == list(range(len(result.dummy_names())))
+    if len(term.index_census()) <= 12:
+        # the same tensor: the exact expansions agree
+        assert component_map(Expr((result,)), table) == component_map(Expr((term,)), table)
+    return result
+
+
+class TestCanonicalLabeling:
+    """One labeling for any number of dummies: a relabeling, a shuffle of
+    commuting factors or a permutation inside a slot group never changes
+    the printed term."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_terms(self, seed):
+        rng = random.Random(seed)
+        table = property_table()
+        term = random_term(rng, table)
+        if term is not None:
+            assert_canonical(term, table, rng)
+
+    def test_random_terms_reach_twelve_dummies(self):
+        table = property_table()
+        counts = {len(term.dummy_names()) for term in
+                  (random_term(random.Random(seed), table) for seed in range(300)) if term}
+        assert set(range(13)) <= counts
+
+    @pytest.mark.parametrize("text, dummies", [
+        ("Psi_{A B C D} Psi^{A B C D}", 8),
+        ("Psi_{A B C D} Psi^{C D E F} Psi_{E F}^{A B}", 12),
+        ("phi_{A}^{B} phi_{B}^{C} phi_{C}^{D} phi_{D}^{A}", 8),
+        ("omega_{A B C D} omega^{A B C D}", 8),
+        ("Ka_{A B C D E F G} Kb^{A B C D E F G}", 7),
+    ])
+    def test_probes(self, text, dummies):
+        table, parser = fresh()
+        (raw,) = parser.parse_expression(text).terms
+        term = canon.eliminate_constants(raw, table)
+        assert len(term.dummy_names()) == dummies
+        assert_canonical(term, table, random.Random(dummies), variants=8)
+
+    def test_terms_beyond_the_reference_are_checked_by_relabeling(self):
+        calls = {"component_map": 0, "normalize": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            checked_against_references(mp, calls)
+            for text in ("Psi_{A B C D} Psi^{A B C D} - omega_{A B C D} omega^{A B C D}",
+                         "phi_{A}^{B} phi_{B}^{C} phi_{C}^{D} phi_{D}^{A}"):
+                table, parser = fresh()
+                canon.canonicalize(parser.parse_expression(text), table)
+        assert calls["relabeled"] == 3
 
 
 class TestCanonicalizeSeam:
