@@ -27,8 +27,9 @@ PAULI = np.array([
 ], dtype=complex)
 PAULI.setflags(write=False)
 
-# The flat Infeld-van der Waerden symbols S_a^{AA'} = sigma_a / sqrt(2).
-FLAT_SYMBOLS = PAULI / np.sqrt(2.0)
+# The flat Infeld-van der Waerden symbols S_a^{AA'} = sigma_a / sqrt(2): the
+# factor sqrt(2) / 2 is the double nearest 1/sqrt(2), which 1 / sqrt(2) is not.
+FLAT_SYMBOLS = PAULI * (np.sqrt(2.0) / 2)
 FLAT_SYMBOLS.setflags(write=False)
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])

@@ -9,8 +9,8 @@ engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ..errors import IndexPlacementError
 
@@ -59,8 +59,7 @@ _CONJUGATE_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     kind: IndexKind
     variance: Variance
 
@@ -78,12 +77,8 @@ class Slot:
         return f"{arrow}{tag}"
 
 
-@dataclass(frozen=True)
-class IndexSignature:
+class IndexSignature(NamedTuple):
     slots: tuple[Slot, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(self.slots))
 
     @property
     def shape(self) -> tuple[int, ...]:

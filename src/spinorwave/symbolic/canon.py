@@ -15,17 +15,23 @@ assignments with opaque kernel symbols.  Under one assignment every factor
 of a group-expanded term is +1, -1 or 0 (the integer components of the
 metric spinors and deltas, and kernel components sorted by their declared
 symmetries), so the expansion sums integer sign counts per symbol and
-weights them once by the term's rational coefficient.  An expression canonicalizes to literal zero precisely when
-that expansion vanishes identically; ``canonicalize`` expands each collected
-term once and decides the whole result from the sum of those expansions.
+weights them once by the term's rational coefficient.  An expression
+canonicalizes to literal zero precisely when that expansion vanishes
+identically.  ``canonicalize`` expands each collected term once
+(``component_map``) and adds those maps as integers over the common
+denominator of the collected coefficients: every value of a term's map is
+its coefficient times an integer, so its denominator divides that one.  The
+result is zero when every integer sum is.
 
 The expansion of a term factorizes over its clusters, the connected sets of
 factors that share labels: an assignment's sign is the product of its
 clusters' signs and its symbol is put together from theirs.  Each cluster
 is enumerated alone, with one component-and-sign table per field factor,
-and the clusters are combined by product.  The counts stay integers over
-the common denominator of the coefficients until the end, which builds one
-Fraction per distinct surviving value.
+and the clusters are combined by product.  A field table depends only on
+the kernel's name and symmetry groups, the operator scope and the slot
+shape, so each is built once per process.  The counts stay integers over
+the common denominator of the term's coefficients until the end, which
+builds one Fraction per distinct surviving value.
 
 Dummies are named, however many there are, by one exact search for the
 least first-occurrence numbering over the arrangements of the term.
@@ -272,16 +278,20 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
     spinor with two dummies, a bridge, is emitted with the next two numbers
     unbound; the first of its ends met among the fields takes the least
     unbound label of its kernel, its other end the other of that pair."""
-    census = term.index_census()
-    kinds = {name: uses[-1][1].kind for name, uses in census.items()}
-    dummies = {name for name, uses in census.items() if len(uses) == 2}
+    kinds, dummies = {}, set()
+    for factor in term.factors:
+        for idx in factor.indices:
+            if idx.name in kinds:
+                dummies.add(idx.name)
+            kinds[idx.name] = idx.kind
     plans, fixed, blocks, bridges, bridged = [], {}, [[], []], {}, set()
+    constant_dummies = []
     for position, factor in enumerate(term.factors):
         kernel = table.get(factor.kernel)
         sym, antisym = (kernel.sym_groups, kernel.antisym_groups) if kernel else ((), ())
         items = tuple([(idx.up, idx.name) for idx in factor.indices])
         labels = [name for _, name in items]
-        sign = _sort_slots(labels, sym, antisym, str)
+        sign = _sort_slots(labels, sym, antisym, str) if sym or antisym else 1
         if not sign:  # an antisymmetric group repeats a label under every relabeling
             return Term(Fraction(0), ())
         if dummies.isdisjoint(labels):  # one key, whatever the labels so far
@@ -290,6 +300,7 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
         plans.append((factor.kernel, items, sym, antisym))
         if kernel and kernel.components is not None:
             blocks[0].append(position)
+            constant_dummies += dummies.intersection(labels)
             if len(items) == 2 and dummies.issuperset(labels):
                 assert antisym == ((0, 1),), "a bridge is a metric spinor"
                 (_, a), (_, b) = items
@@ -300,7 +311,27 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
         else:
             blocks[-1].append(position)
     # eliminate_constants contracts every label shared by two constants
-    assert all(sum(p in blocks[0] for (p, _), _ in census[name]) < 2 for name in dummies)
+    assert len(set(constant_dummies)) == len(constant_dummies)
+
+    def label_of(name, names, counter, pairs):
+        """The label that ``name`` would take next."""
+        if name in names or name not in dummies:
+            return names.get(name, name)
+        if name in bridges:
+            return min(min(pair) for pair in pairs[bridges[name][0]])
+        return _dummy_label(kinds[name], counter)
+
+    def bind(name, low, names, sign, counter, pairs):
+        """Bind the dummy ``name`` to ``low`` in ``names`` (a copy the caller
+        owns), and a bridge end's partner to the other label of its pair."""
+        names[name] = low
+        if name not in bridges:
+            return sign, counter + 1, pairs
+        bridge, partner, end = bridges[name]
+        pair = next(pair for pair in pairs[bridge] if low in pair)
+        names[partner] = pair[pair[0] == low]
+        return (-sign if (pair[1] == low) != end else sign, counter,
+                {**pairs, bridge: tuple(q for q in pairs[bridge] if q != pair)})
 
     def arrangements(p, names, counter, pairs):
         """Each least slot order of factor p after the labels so far, as
@@ -310,37 +341,33 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
             pair = tuple(_dummy_label(kinds[x], counter + n) for n, (_, x) in enumerate(items))
             return [((kernel, ((items[0][0], pair[0]), (items[1][0], pair[1]))), names, 1,
                      counter + 2, {**pairs, kernel: pairs.get(kernel, ()) + (pair,)})]
+        if not (sym or antisym):  # one slot order
+            key, sign, copied = [], 1, False
+            for up, name in items:
+                low = label_of(name, names, counter, pairs)
+                if name not in names and name in dummies:
+                    if not copied:
+                        names, copied = dict(names), True
+                    sign, counter, pairs = bind(name, low, names, sign, counter, pairs)
+                key.append((up, low))
+            return [((kernel, tuple(key)), names, sign, counter, pairs)]
         done = [((), names, 1, counter, pairs, ())]
         for slot in range(len(items)):
+            # the slots that may take this slot's place: its symmetry group
             pool = next((group for group in sym + antisym if slot in group), (slot,))
             grown = []
             for key, names, sign, counter, pairs, placed in done:
                 free = [s for s in pool if s not in placed]
-                labels = []
-                for s in free:
-                    name = items[s][1]
-                    if name in names or name not in dummies:
-                        labels.append(names.get(name, name))
-                    elif name in bridges:
-                        labels.append(min(min(pair) for pair in pairs[bridges[name][0]]))
-                    else:
-                        labels.append(_dummy_label(kinds[name], counter))
+                labels = [label_of(items[s][1], names, counter, pairs) for s in free]
                 low = min(labels)
                 for j, s in enumerate(free):
                     if labels[j] != low:
                         continue
                     up, name = items[s]
-                    state = [names, -sign if j % 2 and pool in antisym else sign, counter, pairs]
+                    state = (names, -sign if j % 2 and pool in antisym else sign, counter, pairs)
                     if name not in names and name in dummies:
-                        state[0] = {**names, name: low}
-                        if name in bridges:
-                            bridge, partner, end = bridges[name]
-                            pair = next(pair for pair in pairs[bridge] if low in pair)
-                            state[0][partner] = pair[pair[0] == low]
-                            state[1] = -state[1] if (pair[1] == low) != end else state[1]
-                            state[3] = {**pairs, bridge: tuple(q for q in pairs[bridge] if q != pair)}
-                        else:
-                            state[2] += 1
+                        bound = dict(names)
+                        state = (bound, *bind(name, low, bound, *state[1:]))
                     grown.append((key + ((up, low),), *state, placed + (s,)))
             done = grown
         return [((kernel, key), *state) for key, *state, _ in done]
@@ -361,29 +388,32 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
     out, states, common = [], [((), {}, 1, 0, {})], 1
     for index, block in enumerate(blocks):
         # a factor without dummies has one key whatever the labels: sorted once
-        static = sorted((fixed[p], p) for p in block if p in fixed)
-        rest = tuple(p for p in block if p not in fixed)
-        states, options = [(rest, *state[1:]) for state in states], []
-        for _ in block:
-            options = options or [(key, n, p, *found) for n, state in enumerate(states)
-                                  for p in state[0]
-                                  for key, *found in arrangements(p, state[1], *state[3:])]
-            low = min(option[0] for option in options) if options else None
-            if static and (low is None or static[0][0][0] < low):
-                # the options hold: a factor without dummies binds no label
+        static = sorted([(fixed[p], p) for p in block if p in fixed])
+        rest = tuple([p for p in block if p not in fixed])
+        states = [(rest, *state[1:]) for state in states]
+        for _ in rest:
+            options = [(key, n, p, *found) for n, state in enumerate(states)
+                       for p in state[0]
+                       for key, *found in arrangements(p, state[1], *state[3:])]
+            low = min([option[0] for option in options])
+            while static and static[0][0][0] < low:
+                # a factor without dummies binds no label: the options hold
                 (key, sign), p = static.pop(0)
                 out.append((key, p))
                 common *= sign
-                continue
             winners = [option for option in options if option[0] == low]
             out.append((low, winners[0][2]))
             grown = {}
             for _, n, p, names, sign, counter, pairs in winners:
-                rest = tuple(q for q in states[n][0] if q != p)
-                state = (rest, names, states[n][2] * sign, counter, pairs)
+                left = tuple([q for q in states[n][0] if q != p])
+                state = (left, names, states[n][2] * sign, counter, pairs)
                 grown.setdefault(len(winners) > 1 and signature(*state[:3], index), state)
-            options, states = [], list(grown.values())
-    _, names, sign, _, _ = min(states, key=lambda s: (s[2] * common > 0) == (term.coeff > 0))
+            states = list(grown.values())
+        for (key, sign), p in static:
+            out.append((key, p))
+            common *= sign
+    positive = term.coeff > 0
+    _, names, sign, _, _ = min(states, key=lambda s: (s[2] * common > 0) == positive)
     kinds.update({label: kinds[name] for name, label in names.items()})
     factors = tuple([term.factors[p] if key == plans[p][1] else
                      Factor(kernel, tuple(Idx(label, kinds[label], up) for up, label in key))
@@ -425,13 +455,21 @@ def _canonical_component(kernel, values: tuple[int, ...]) -> tuple[tuple[int, ..
     return (tuple(vals), sign) if sign else None
 
 
-def _field_table(kernel, scope: int, dims: list[int]) -> dict:
+# (kernel name, symmetric groups, antisymmetric groups, scope, shape) -> the
+# field table of that key, which depends on nothing else: built once
+_FIELD_TABLES: dict[tuple, dict] = {}
+
+
+def _field_table(kernel, scope: int, shape: tuple[int, ...]) -> dict:
     """Slot values -> ((scope, kernel name, sorted component), sign), or None
     where an antisymmetric group kills the component."""
-    out = {}
-    for v in itertools.product(*map(range, dims)):
-        canon = _canonical_component(kernel, v)
-        out[v] = None if canon is None else ((scope, kernel.name, canon[0]), canon[1])
+    key = (kernel.name, kernel.sym_groups, kernel.antisym_groups, scope, shape)
+    out = _FIELD_TABLES.get(key)
+    if out is None:
+        out = _FIELD_TABLES[key] = {}
+        for v in itertools.product(*map(range, shape)):
+            canon = _canonical_component(kernel, v)
+            out[v] = None if canon is None else ((scope, kernel.name, canon[0]), canon[1])
     return out
 
 
@@ -498,7 +536,7 @@ def _clusters(term: Term, table: KernelTable):
     return uses, dimension, clusters
 
 
-def _parts(term: Term, table: KernelTable, tables: dict) -> list[tuple] | None:
+def _parts(term: Term, table: KernelTable) -> list[tuple] | None:
     """(counts, field keys, free labels, operator positions) per cluster;
     None when a cluster's counts all vanish."""
     uses, dimension, clusters = _clusters(term, table)
@@ -519,11 +557,8 @@ def _parts(term: Term, table: KernelTable, tables: dict) -> list[tuple] | None:
                 op_positions.append(position)
             else:
                 # a field component is told apart by the operators acting on it
-                shape = [dims[s] for s in slots]
-                key = (scope, factor.kernel, *shape)
-                if key not in tables:
-                    tables[key] = _field_table(kernel, scope, shape)
-                field_plan.append((tables[key], _values_getter(slots)))
+                shape = tuple([dims[s] for s in slots])
+                field_plan.append((_field_table(kernel, scope, shape), _values_getter(slots)))
                 field_keys.append((scope, factor.kernel))
         counts = _cluster_counts(dims, free, constant_plan, op_plan, field_plan)
         if not counts:
@@ -550,8 +585,8 @@ def _product(left: dict[tuple, int], right: dict[tuple, int], sort_fields: bool,
     return out
 
 
-def _add_sign_counts(term: Term, table: KernelTable, fresh: list[int], tables: dict,
-                     weight: int, acc: dict[tuple, int]) -> None:
+def _add_sign_counts(term: Term, table: KernelTable, fresh: list[int], weight: int,
+                     acc: dict[tuple, int]) -> None:
     """Add ``weight`` times the sign count of every symbol of one group-free
     term into ``acc``.
 
@@ -561,7 +596,7 @@ def _add_sign_counts(term: Term, table: KernelTable, fresh: list[int], tables: d
     the product of its clusters' signs: each cluster is enumerated alone,
     and the clusters' partial symbols are combined by product.
     """
-    parts = _parts(_expand_operator_displacement(term, table, fresh), table, tables)
+    parts = _parts(_expand_operator_displacement(term, table, fresh), table)
     if parts is None:
         return
     # a term without factors is the one empty symbol
@@ -600,10 +635,9 @@ def component_map(expr: Expr, table: KernelTable) -> dict[tuple, Fraction]:
     denominator = math.lcm(*(term.coeff.denominator for term in terms))
     acc: dict[tuple, int] = {}
     fresh = [0]
-    tables: dict = {}
     for term in terms:
         weight = term.coeff.numerator * (denominator // term.coeff.denominator)
-        _add_sign_counts(term, table, fresh, tables, weight, acc)
+        _add_sign_counts(term, table, fresh, weight, acc)
     # the sums are small multiples of a few weights: one Fraction per value
     values = {n: Fraction(n, denominator) for n in set(acc.values()) if n}
     return {symbol: values[n] for symbol, n in acc.items() if n}
@@ -621,21 +655,26 @@ def canonicalize(expr: Expr, table: KernelTable) -> Expr:
             if term is not None:
                 cleaned.append(_normalize_term(term, table))
     collected = _collect_like_terms(cleaned)
+    # every value of a term's map is its coefficient times an integer, so
+    # its denominator divides the common denominator of the coefficients
+    denominator = math.lcm(*(coeff.denominator for coeff, _ in collected.values()))
     result = []
-    total: dict[tuple, Fraction] = {}
+    total: dict[tuple, int] = {}
     for key in sorted(collected):
         coeff, term = collected[key]
         if coeff == 0:
             continue
         candidate = term.with_coeff(coeff)
-        # the expansion is additive: the sum of the surviving terms' maps
-        # decides whether the whole result vanishes
+        # the expansion is additive: the sum of the surviving terms' maps,
+        # in integers over the common denominator, decides whether the
+        # whole result vanishes
         components = component_map(Expr((candidate,)), table)
         if not components:
             continue
         result.append(candidate)
         for symbol, value in components.items():
-            total[symbol] = total.get(symbol, 0) + value
+            scaled = value.numerator * (denominator // value.denominator)
+            total[symbol] = total.get(symbol, 0) + scaled
     if not any(total.values()):
         return Expr.zero()
     return Expr(tuple(result))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import importlib.resources
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ParseError
 from .kernels import KernelTable
@@ -72,8 +72,7 @@ def builtin_rules(table: KernelTable | None = None) -> dict[str, RewriteRule]:
     return rules
 
 
-@dataclass
-class IdentityCase:
+class IdentityCase(NamedTuple):
     name: str
     line_number: int
     text: str

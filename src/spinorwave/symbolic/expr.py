@@ -9,10 +9,11 @@ gymnastics the rewrite rules encode).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..core.indices import IndexKind, Variance, permutation_sign
 
@@ -33,11 +34,31 @@ def fresh_label(prefix: str, kind: IndexKind, n: int) -> str:
     return label + "'" if kind is IndexKind.PRIMED else label
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
 class Idx:
-    name: str
-    kind: IndexKind = field(compare=False)
-    up: bool
+    """One index occurrence, never changed once made.  Equality, hash and
+    order read ``(name, up)`` only: the kind is stored, since generated
+    operator labels (``!op<n>``) carry a kind that ``kind_of_label`` would
+    not give."""
+
+    __slots__ = ("name", "kind", "up")
+
+    def __init__(self, name: str, kind: IndexKind, up: bool):
+        self.name = name
+        self.kind = kind
+        self.up = up
+
+    def _key(self) -> tuple[str, bool]:
+        return (self.name, self.up)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Idx) else NotImplemented
+
+    def __lt__(self, other):
+        return self._key() < other._key() if isinstance(other, Idx) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def from_label(cls, label: str, up: bool) -> "Idx":
@@ -51,8 +72,7 @@ class Idx:
         return f"{'^' if self.up else '_'}{self.name}"
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     kernel: str
     indices: tuple[Idx, ...]
 
@@ -64,8 +84,7 @@ class Factor:
 SymGroup = tuple[str, tuple[tuple[int, int], ...]]
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coeff: Fraction
     factors: tuple[Factor, ...]
     groups: tuple[SymGroup, ...] = ()
@@ -126,8 +145,7 @@ def expand_groups(term: Term) -> list[Term]:
     return out
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(NamedTuple):
     terms: tuple[Term, ...]
 
     @classmethod

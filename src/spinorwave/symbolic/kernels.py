@@ -12,8 +12,8 @@ their components are the integer tables of :mod:`spinorwave.core.indices`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from ..core.indices import DELTA, EPS, IndexKind, Slot, Variance, spinor_signature
 from ..errors import ParseError
@@ -24,8 +24,7 @@ class Displacement(Enum):
     FREE = "free"         # operator indices displace freely
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(NamedTuple):
     name: str
     slots: tuple[Slot, ...]
     weight: tuple[int, int] = (0, 0)
@@ -45,32 +44,31 @@ class Kernel:
 _U, _UU, _P, _PU, _W = spinor_signature("uUpPw").slots
 
 
-def _builtin_kernels() -> dict[str, Kernel]:
-    ks = [
-        # constant kernels: fixed variance; the metric spinors carry the weights
-        Kernel("eps_lo", (_U, _U), (-1, 0), antisym_groups=((0, 1),), components=EPS),
-        Kernel("eps_up", (_UU, _UU), (1, 0), antisym_groups=((0, 1),), components=EPS),
-        Kernel("eps_lo_p", (_P, _P), (0, -1), antisym_groups=((0, 1),), components=EPS),
-        Kernel("eps_up_p", (_PU, _PU), (0, 1), antisym_groups=((0, 1),), components=EPS),
-        Kernel("delta", (_UU, _U), (0, 0), components=DELTA),
-        Kernel("delta_p", (_PU, _P), (0, 0), components=DELTA),
-        # wave functions and curvature objects
-        Kernel("phi", (_U, _U), (-1, 0), sym_groups=((0, 1),)),
-        Kernel("phi_p", (_P, _P), (0, -1), sym_groups=((0, 1),)),
-        Kernel("theta", (_U, _U), (0, 0)),
-        Kernel("omega", (_U, _U, _U, _U), (-2, 0)),
-        Kernel("Psi", (_U, _U, _U, _U), (-2, 0), sym_groups=((0, 1, 2, 3),)),
-        Kernel("W", (_U, _P, _U, _P, _U, _U), (-2, -1)),
-        Kernel("Phi", (_W,), (0, 0)),
-        Kernel("R", (), (0, 0)),
-        Kernel("vartheta_sym", (_W, _U, _U), (-1, 0), sym_groups=((1, 2),)),
-        # derivative operators
-        Kernel("nabla", (_U, _P), (0, 0), operator=True, displacement=Displacement.FREE),
-        Kernel("partial", (_U, _P), (0, 0), operator=True, displacement=Displacement.FREE),
-        Kernel("Box", (), (0, 0), operator=True),
-        Kernel("Delta", (_UU, _UU), (1, 0), sym_groups=((0, 1),), operator=True),
-    ]
-    return {k.name: k for k in ks}
+# The builtin kernels by name, built once; each table starts from a copy.
+_BUILTIN = {k.name: k for k in (
+    # constant kernels: fixed variance; the metric spinors carry the weights
+    Kernel("eps_lo", (_U, _U), (-1, 0), antisym_groups=((0, 1),), components=EPS),
+    Kernel("eps_up", (_UU, _UU), (1, 0), antisym_groups=((0, 1),), components=EPS),
+    Kernel("eps_lo_p", (_P, _P), (0, -1), antisym_groups=((0, 1),), components=EPS),
+    Kernel("eps_up_p", (_PU, _PU), (0, 1), antisym_groups=((0, 1),), components=EPS),
+    Kernel("delta", (_UU, _U), (0, 0), components=DELTA),
+    Kernel("delta_p", (_PU, _P), (0, 0), components=DELTA),
+    # wave functions and curvature objects
+    Kernel("phi", (_U, _U), (-1, 0), sym_groups=((0, 1),)),
+    Kernel("phi_p", (_P, _P), (0, -1), sym_groups=((0, 1),)),
+    Kernel("theta", (_U, _U), (0, 0)),
+    Kernel("omega", (_U, _U, _U, _U), (-2, 0)),
+    Kernel("Psi", (_U, _U, _U, _U), (-2, 0), sym_groups=((0, 1, 2, 3),)),
+    Kernel("W", (_U, _P, _U, _P, _U, _U), (-2, -1)),
+    Kernel("Phi", (_W,), (0, 0)),
+    Kernel("R", (), (0, 0)),
+    Kernel("vartheta_sym", (_W, _U, _U), (-1, 0), sym_groups=((1, 2),)),
+    # derivative operators
+    Kernel("nabla", (_U, _P), (0, 0), operator=True, displacement=Displacement.FREE),
+    Kernel("partial", (_U, _P), (0, 0), operator=True, displacement=Displacement.FREE),
+    Kernel("Box", (), (0, 0), operator=True),
+    Kernel("Delta", (_UU, _UU), (1, 0), sym_groups=((0, 1),), operator=True),
+)}
 
 
 # Per-slot weight contributions of freely displaced operator indices, chosen
@@ -87,11 +85,11 @@ def operator_displacement_weight(kind: IndexKind, variance: Variance) -> tuple[i
     return (0, 0)
 
 
-@dataclass
 class KernelTable:
     """Builtin kernels plus expression-scoped auto-registered generics."""
 
-    kernels: dict[str, Kernel] = field(default_factory=_builtin_kernels)
+    def __init__(self):
+        self.kernels: dict[str, Kernel] = dict(_BUILTIN)
 
     def get(self, name: str) -> Kernel | None:
         return self.kernels.get(name)

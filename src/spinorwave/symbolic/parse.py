@@ -22,8 +22,8 @@ template variance inserts the corresponding metric-spinor factor.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..core.indices import EPS, IndexKind, Slot, Variance
 from ..errors import ParseError
@@ -39,11 +39,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
 class _Token:
-    kind: str
-    value: str
-    pos: int
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind: str, value: str, pos: int):
+        self.kind = kind
+        self.value = value
+        self.pos = pos
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -62,8 +64,7 @@ def _tokenize(text: str) -> list[_Token]:
 _FRESH_PREFIX = {IndexKind.UNPRIMED: "~U", IndexKind.PRIMED: "~P", IndexKind.WORLD: "~w"}
 
 
-@dataclass
-class _PendingGroup:
+class _PendingGroup(NamedTuple):
     mode: str
     positions: list[tuple[int, int]]
 

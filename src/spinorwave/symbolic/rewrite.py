@@ -19,8 +19,7 @@ matched factors must be exactly the images of the pattern's groups.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ..core.indices import permutation_sign
 from ..errors import IdentityError, WeightError
@@ -30,8 +29,7 @@ from .kernels import KernelTable
 from .weights import expr_weight, free_signature
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     name: str
     pattern: Term
     replacement: Expr
@@ -50,8 +48,7 @@ class RewriteRule:
                 )
 
 
-@dataclass
-class Match:
+class Match(NamedTuple):
     word_slice: tuple[int, int]          # positions into the host word list
     const_used: tuple[int, ...]          # host factor positions of the constants
     mapping: dict[str, str]
@@ -234,8 +231,7 @@ def apply_match(term: Term, rule: RewriteRule, match: Match, table: KernelTable,
     return out
 
 
-@dataclass
-class TraceStep:
+class TraceStep(NamedTuple):
     step: int
     rule: str
     term_index: int
@@ -245,12 +241,11 @@ class TraceStep:
         return f"step {self.step}: {self.rule} on term {self.term_index} -> {self.terms_after} terms"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     name: str
     success: bool
-    trace: list[TraceStep] = field(default_factory=list)
-    residual: Expr = Expr.zero()
+    trace: list[TraceStep]
+    residual: Expr
 
     def render(self) -> str:
         lines = [f"identity: {self.name}", f"status: {'ok' if self.success else 'FAILED'}"]

@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import gc
 import io
 import json
@@ -95,7 +94,10 @@ class TestVerify:
 
     def test_no_numpy_import(self, tmp_path):
         """A ``verify`` run, passing or failing, never imports numpy: it needs
-        only ``core.indices`` and the symbolic rewriter."""
+        only ``core.indices`` and the symbolic rewriter.  Nor does it import
+        ``dataclasses`` (which loads ``inspect``); the modules ``site``
+        loaded before the script starts differ between hosts, so only the
+        ones the run adds count."""
         from spinorwave.symbolic import shipped_corpus_text
 
         corpus = tmp_path / "negative.txt"
@@ -104,10 +106,12 @@ class TestVerify:
         config.write_text(json.dumps({"identities": str(corpus)}))
         script = (
             "import sys\n"
+            "start = set(sys.modules)\n"
             "from spinorwave.cli import main\n"
             "try:\n"
             "    main(sys.argv[1:])\n"
             "finally:\n"
+            "    print('dataclasses' in set(sys.modules) - start)\n"
             "    print('click' in sys.modules)\n"
             "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
         )
@@ -119,6 +123,7 @@ class TestVerify:
             assert result.returncode == code, result.stderr
             assert result.stdout.splitlines()[-1] == "[]"
             assert result.stdout.splitlines()[-2] == "False"
+            assert result.stdout.splitlines()[-3] == "False"
             assert (out / "report.json").exists()
 
     def test_missing_file_is_usage_error(self, tmp_path):
@@ -290,7 +295,7 @@ class TestCheck:
         def wrong_delta_table():
             table = KernelTable()
             delta = table.kernels["delta"]
-            table.kernels["delta"] = dataclasses.replace(delta, components=((0, 1), (1, 0)))
+            table.kernels["delta"] = delta._replace(components=((0, 1), (1, 0)))
             return table
 
         monkeypatch.setattr(suites, "KernelTable", wrong_delta_table)

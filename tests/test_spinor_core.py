@@ -1,6 +1,7 @@
 """Concrete epsilon-formalism algebra: contraction, displacement, symmetry,
 conjugation, connecting objects, and the spin affinity."""
 
+import decimal
 import itertools
 
 import numpy as np
@@ -157,6 +158,15 @@ class TestConnectingObjects:
         assert np.array_equal(FLAT.metric, MINKOWSKI)
         assert np.array_equal(FLAT.metric_inv, MINKOWSKI)
         assert FLAT.s.tobytes() == FLAT_SYMBOLS.tobytes()
+
+    def test_flat_symbols_round_to_nearest(self):
+        """Every nonzero component of FLAT.s and FLAT.s_inv has modulus the
+        double nearest 1/sqrt(2) (worked out here in 40-digit decimals), so
+        the symbols and their inverses agree to the last bit."""
+        nearest = float(decimal.Context(prec=40).sqrt(decimal.Decimal(2)) / 2)
+        for table in (FLAT.s, FLAT.s_inv):
+            moduli = np.abs(table[table != 0])
+            assert moduli.size == 8 and set(moduli.tolist()) == {nearest}
 
     def test_minkowski_is_read_only(self):
         with pytest.raises(ValueError):

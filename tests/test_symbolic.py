@@ -732,6 +732,62 @@ class TestFastExpansionMatchesReference:
         assert component_map(expr, table) == reference_component_map(expr, table)
 
 
+class TestIntegerZeroDecision:
+    """canonicalize sums the collected terms' maps in integers over the
+    common denominator of their coefficients; that sum vanishes exactly
+    when the reference map of the whole expression does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=differential_cases(), data=st.data())
+    def test_zero_iff_reference_map_vanishes(self, text, data):
+        table, parser = fresh()
+        expr = parser.parse_expression(text)
+        cases = [expr]
+        if expr.terms:
+            # a mutant: one coefficient moved by a rational with a new denominator
+            k = data.draw(st.integers(0, len(expr.terms) - 1))
+            shift = data.draw(st.sampled_from([Fraction(1, 7), Fraction(-2, 5), Fraction(3, 4)]))
+            terms = list(expr.terms)
+            terms[k] = terms[k].with_coeff(terms[k].coeff + shift)
+            cases.append(Expr(tuple(terms)))
+        for case in cases:
+            assert canonicalize(case, table).is_zero == (reference_component_map(case, table) == {})
+
+
+# One auto-registered kernel name at several ranks and slot kinds, one
+# identity each; the second is false (the trace coefficient is 1).
+REUSED_NAMES_CORPUS = """\
+#@ name=rank2
+Ka_{A B} - Ka_{B A} == eps_{A B} Ka_{C}^{C}
+#@ name=rank1_pair_mutant
+Ka_{A} Kb_{B} - Ka_{B} Kb_{A} == 2 eps_{A B} Ka_{C} Kb^{C}
+#@ name=rank3
+Ka_{A B D} - Ka_{B A D} == eps_{A B} Ka_{C}^{C}_{D}
+#@ name=rank2_primed
+Ka_{A' B'} Kb_{C} - Ka_{B' A'} Kb_{C} == eps_{A' B'} Ka_{D'}^{D'} Kb_{C}
+#@ name=rank1_pair
+Ka_{A} Kb_{B} - Ka_{B} Kb_{A} == eps_{A B} Ka_{C} Kb^{C}
+"""
+
+
+class TestSharedFieldTables:
+    """The field tables of the exact expansion are built once per process
+    and shared by every identity: a kernel name that comes back with
+    another rank gets its own table, and one with other slot kinds but
+    the same shape shares a table that does not depend on the kinds."""
+
+    def test_reused_kernel_names_match_each_identity_alone(self, monkeypatch):
+        cases = parse_identity_file(REUSED_NAMES_CORPUS)
+        together = [report.success for report in run_identity_cases(cases)]
+        assert together == [True, False, True, True, True]
+        alone = []
+        for case in reversed(cases):
+            # no table of an earlier identity is there to be reused
+            monkeypatch.setattr(canon, "_FIELD_TABLES", {})
+            alone.append(run_identity_cases([case])[0].success)
+        assert alone[::-1] == together
+
+
 class TestDummyLabels:
     def test_printed_dummies_read_back_their_kind(self):
         """A canonical dummy's label tells its kind by the label rule, so a
