@@ -122,7 +122,7 @@ def check(seed: int, suite_names: list[str] | None, out_path: str | None) -> NoR
     payload = {
         "seed": seed,
         "all_passed": all(r.passed for r in results),
-        "suites": [r.as_dict() for r in results],
+        "suites": [r._asdict() for r in results],
     }
     text = _dump_json(payload)
     if out_path:

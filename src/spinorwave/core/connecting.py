@@ -15,8 +15,7 @@ import numpy as np
 
 from ..errors import DegenerateMetricError
 from .convention import EPS_LOW
-from .indices import IndexKind, IndexSignature, Slot, Variance, permutation_sign
-from .spinor import ComponentSpinor
+from .indices import permutation_sign
 
 # sigma_0 the identity and sigma_1..3 the Pauli matrices: entries 0, +-1, +-i.
 PAULI = np.array([
@@ -76,46 +75,13 @@ class ConnectingObjects:
 
     # -- conversions ----------------------------------------------------------
 
-    def vector_to_spinor(self, v: np.ndarray, variance: Variance = Variance.UP) -> np.ndarray:
-        """v^a -> v^{AA'} = S_a^{AA'} v^a, or v_a -> v_{AA'} = S^a_{AA'} v_a."""
-        if variance is Variance.UP:
-            return np.einsum("aAB,a->AB", self.s, v)
-        return np.einsum("aAB,a->AB", self.s_inv, v)
+    def vector_to_spinor(self, v: np.ndarray) -> np.ndarray:
+        """v^a -> v^{AA'} = S_a^{AA'} v^a."""
+        return np.einsum("aAB,a->AB", self.s, v)
 
-    def spinor_to_vector(self, m: np.ndarray, variance: Variance = Variance.UP) -> np.ndarray:
-        """Inverse of :meth:`vector_to_spinor` for the same variance."""
-        if variance is Variance.UP:
-            return np.einsum("aAB,AB->a", self.s_inv, m)
-        return np.einsum("aAB,AB->a", self.s, m)
-
-    def world_slot_to_spinor_pair(self, cs: ComponentSpinor, position: int) -> ComponentSpinor:
-        """Replace one world slot by an (unprimed, primed) pair of the same variance."""
-        slot = cs.signature.slots[position]
-        if slot.kind is not IndexKind.WORLD:
-            raise DegenerateMetricError(f"slot {position} is not a world slot")
-        conv = self.s if slot.variance is Variance.UP else self.s_inv
-        data = np.tensordot(cs.data, conv, axes=([position], [0]))
-        data = np.moveaxis(data, (-2, -1), (position, position + 1))
-        slots = list(cs.signature.slots)
-        slots[position : position + 1] = [
-            Slot(IndexKind.UNPRIMED, slot.variance),
-            Slot(IndexKind.PRIMED, slot.variance),
-        ]
-        return ComponentSpinor(IndexSignature(tuple(slots)), data)
-
-    def spinor_pair_to_world_slot(self, cs: ComponentSpinor, position: int) -> ComponentSpinor:
-        """Replace an adjacent (unprimed, primed) pair by one world slot."""
-        a, b = cs.signature.slots[position], cs.signature.slots[position + 1]
-        if (a.kind, b.kind) != (IndexKind.UNPRIMED, IndexKind.PRIMED) or a.variance is not b.variance:
-            raise DegenerateMetricError(
-                f"slots {position},{position + 1} are not a same-variance spinor pair"
-            )
-        conv = self.s_inv if a.variance is Variance.UP else self.s
-        data = np.tensordot(cs.data, conv, axes=([position, position + 1], [1, 2]))
-        data = np.moveaxis(data, -1, position)
-        slots = list(cs.signature.slots)
-        slots[position : position + 2] = [Slot(IndexKind.WORLD, a.variance)]
-        return ComponentSpinor(IndexSignature(tuple(slots)), data)
+    def spinor_to_vector(self, m: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`vector_to_spinor`: v^a = S^a_{AA'} v^{AA'}."""
+        return np.einsum("aAB,AB->a", self.s_inv, m)
 
 
 # PAULI gives the metric 2 eta and the inverse symbols sigma_a eta / 2 exactly

@@ -28,7 +28,6 @@ _SUBMODULES = {
     "write_wavefunction_csv": "csvio",
     "BivectorField": "fields",
     "PhotonWaveFunction": "fields",
-    "StressEnergy": "fields",
     "bivector_from_spinors": "fields",
     "dual": "fields",
     "invariants": "fields",

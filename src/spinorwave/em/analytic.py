@@ -26,18 +26,21 @@ class AnalyticPotential:
     grad: Callable[[np.ndarray], np.ndarray]
 
 
+def _phase(x, k: np.ndarray) -> np.ndarray:
+    """k.x = k_a x^a at points x of shape (..., 4), for a covector k."""
+    return np.einsum("...a,a->...", np.asarray(x, dtype=float), k)
+
+
 def plane_wave_potential(amplitude: np.ndarray, wavevector: np.ndarray) -> AnalyticPotential:
     """Phi_b(x) = p_b sin(k.x) with k.x = k_a x^a (covector k)."""
     p = np.asarray(amplitude, dtype=float)
     k = np.asarray(wavevector, dtype=float)
 
     def value(x):
-        phase = np.einsum("...a,a->...", np.asarray(x, dtype=float), k)
-        return np.sin(phase)[..., None] * p
+        return np.sin(_phase(x, k))[..., None] * p
 
     def grad(x):
-        phase = np.einsum("...a,a->...", np.asarray(x, dtype=float), k)
-        return np.cos(phase)[..., None, None] * np.einsum("a,b->ab", k, p)
+        return np.cos(_phase(x, k))[..., None, None] * np.einsum("a,b->ab", k, p)
 
     return AnalyticPotential(value, grad)
 
@@ -47,12 +50,10 @@ def pure_gauge_potential(k: np.ndarray, scale: float = 1.0) -> AnalyticPotential
     k = np.asarray(k, dtype=float)
 
     def value(x):
-        phase = np.einsum("...a,a->...", np.asarray(x, dtype=float), k)
-        return -scale * np.sin(phase)[..., None] * k
+        return -scale * np.sin(_phase(x, k))[..., None] * k
 
     def grad(x):
-        phase = np.einsum("...a,a->...", np.asarray(x, dtype=float), k)
-        return -scale * np.cos(phase)[..., None, None] * np.einsum("a,b->ab", k, k)
+        return -scale * np.cos(_phase(x, k))[..., None, None] * np.einsum("a,b->ab", k, k)
 
     return AnalyticPotential(value, grad)
 
@@ -113,8 +114,7 @@ def plane_wave_wavefunction(alpha: np.ndarray, wavevector: np.ndarray) -> Analyt
     outer = np.einsum("A,B->AB", alpha, alpha)
 
     def phi(x):
-        phase = np.einsum("...a,a->...", np.asarray(x, dtype=float), k)
-        return np.exp(-1j * phase)[..., None, None] * outer
+        return np.exp(-1j * _phase(x, k))[..., None, None] * outer
 
     def dphi(x):
         return -1j * np.einsum("a,...AB->...aAB", k, phi(x))

@@ -56,17 +56,6 @@ class PhotonWaveFunction:
         phi = np.asarray(phi, dtype=complex)
         return cls(phi, np.conj(phi))
 
-    def mixed(self) -> np.ndarray:
-        """phi_A^B = eps^{BX} phi_{AX}; trace-free for symmetric phi."""
-        return np.einsum("BX,...AX->...AB", EPS_UP, self.phi)
-
-
-@dataclass(frozen=True)
-class StressEnergy:
-    """Real symmetric trace-free world tensor samples, shape (..., 4, 4)."""
-
-    values: np.ndarray
-
 
 # The six independent components F_ab, a < b, in CSV column order
 # (01, 02, 03, 12, 13, 23); the three of a symmetric 2x2 matrix (00, 01, 11),
@@ -185,11 +174,17 @@ def bivector_from_spinors(wf: PhotonWaveFunction) -> BivectorField:
     return BivectorField(bivector_from_pairs(_real_if_roundoff(v)))
 
 
-def stress_energy(wf: PhotonWaveFunction) -> StressEnergy:
-    """T_{AA'BB'} = (1/2 pi) phi_{AB} conj_{A'B'}, converted to world indices."""
+def stress_energy(wf: PhotonWaveFunction) -> np.ndarray:
+    """T_{AA'BB'} = (1/2 pi) phi_{AB} conj_{A'B'}, converted to world indices:
+    real symmetric trace-free samples, shape (..., 4, 4)."""
     Ts = np.einsum("...AB,...CD->...ACBD", wf.phi, wf.phi_conj) / (2.0 * np.pi)
     T = np.einsum("aAC,bBD,...ACBD->...ab", FLAT.s, FLAT.s, Ts)
-    return StressEnergy(_real_if_roundoff(T))
+    return _real_if_roundoff(T)
+
+
+def _raised(F: np.ndarray) -> np.ndarray:
+    """F^{ab} = eta^{ac} eta^{bd} F_cd with the flat metric."""
+    return np.einsum("ac,bd,...cd->...ab", MINKOWSKI, MINKOWSKI, F)
 
 
 def dual(field: BivectorField) -> BivectorField:
@@ -200,16 +195,12 @@ def dual(field: BivectorField) -> BivectorField:
     exp(-i theta).
     """
     eps4 = -levi_civita4()
-    F_up = np.einsum("ac,bd,...cd->...ab", MINKOWSKI, MINKOWSKI, field.values)
-    return BivectorField(0.5 * np.einsum("abcd,...cd->...ab", eps4, F_up))
+    return BivectorField(0.5 * np.einsum("abcd,...cd->...ab", eps4, _raised(field.values)))
 
 
 def invariants(field: BivectorField) -> tuple[np.ndarray, np.ndarray]:
     """The quadratic invariants (F_ab F^ab, F_ab (*F)^ab); both vanish iff
     the wave function is null."""
     F = field.values
-    F_up = np.einsum("ac,bd,...cd->...ab", MINKOWSKI, MINKOWSKI, F)
-    i1 = np.einsum("...ab,...ab->...", F, F_up)
-    dual_up = np.einsum("ac,bd,...cd->...ab", MINKOWSKI, MINKOWSKI, dual(field).values)
-    i2 = np.einsum("...ab,...ab->...", F, dual_up)
-    return i1, i2
+    return (np.einsum("...ab,...ab->...", F, _raised(F)),
+            np.einsum("...ab,...ab->...", F, _raised(dual(field).values)))

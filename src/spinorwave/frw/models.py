@@ -39,12 +39,21 @@ class ScaleFactorModel:
 
     def check_values(self, *etas: float) -> None:
         """Raise unless a > 0 and a, a', a'' are finite at each eta; finite
-        parameters can still overflow them (de Sitter with a denormal H)."""
+        parameters can still overflow them (de Sitter with a denormal H) or
+        divide by an eta^2 that underflows to 0."""
         for eta in etas:
-            values = (self.a(eta), self.a_prime(eta), self.a_second(eta))
+            values = tuple(_value_or_nan(fn, eta) for fn in (self.a, self.a_prime, self.a_second))
             if not (values[0] > 0 and all(map(math.isfinite, values))):
                 raise ConfigError(f"{self.kind} (a, a', a'') at eta={eta} is {values}: "
                                   "a must be positive and all three finite")
+
+
+def _value_or_nan(fn: Callable[[float], float], eta: float) -> float:
+    """fn(eta), or NaN where evaluating it raises an arithmetic error."""
+    try:
+        return fn(eta)
+    except ArithmeticError:
+        return math.nan
 
 
 def _positive_finite(value: float, name: str) -> float:
@@ -160,7 +169,7 @@ def _check_positive_between_knots(x: np.ndarray, coeffs: np.ndarray) -> None:
     the roots in (0, h) of 3 c0 s^2 + 2 c1 s + c2.  The knot values are
     positive, so a piece can only reach zero through such a minimum."""
     a, b, c = 3.0 * coeffs[0], 2.0 * coeffs[1], coeffs[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
         roots = np.stack([q / a, c / q], axis=1)  # NaN or inf where there is none
     inside = (roots > 0) & (roots < np.diff(x)[:, None])

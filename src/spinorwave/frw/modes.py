@@ -138,6 +138,7 @@ def positive_frequency_data(model: ScaleFactorModel, k: float, eta0: float) -> t
     return complex(f0), complex(df0)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def integrate_mode(model: ScaleFactorModel, spec: ModeSpec) -> ModeSolution:
     """Integrate the mode over [eta0, eta1] and sample f, f' at ``samples``
     equally spaced points.
@@ -146,7 +147,9 @@ def integrate_mode(model: ScaleFactorModel, spec: ModeSpec) -> ModeSolution:
     at eta0|, shared out over the sample intervals in proportion to their
     length.  Raises :class:`IntegrationError` with the start of the first
     unresolved interval as ``last_eta`` when that takes more than
-    ``_MAX_SUBSTEPS`` substeps.
+    ``_MAX_SUBSTEPS`` substeps, or when the solution overflows.  numpy
+    warns of no float overflow here: an inf or NaN fails the error test (a
+    singular a''/a overflows cosh) or the finiteness test of the solution.
     """
     spec.validate(model)
     if spec.ic_kind == "positive_frequency":
@@ -170,7 +173,10 @@ def integrate_mode(model: ScaleFactorModel, spec: ModeSpec) -> ModeSolution:
     u, du = _propagate(propagators, u0, du0, eta)
     f = u / a
     fp = (du - ap * f) / a
-    drift = _self_wronskian_drift(model, eta, f, fp)
+    # the drift of W(u, conj u) for u = a f; real data have W = 0, and
+    # then the absolute deviation is reported
+    u, up = _u_and_uprime(a, ap, f, fp)
+    drift = _drift(u * np.conj(up) - np.conj(u) * up)
     return ModeSolution(spec.k, eta, f, fp, drift, steps, error)
 
 
@@ -223,18 +229,15 @@ def _products(model: ScaleFactorModel, k2: float, starts: np.ndarray,
     starts[i] + widths[i]] for every i, evaluated CHUNK substeps at a time."""
     offsets = np.concatenate([[0], np.cumsum(counts)])
     parts, owners = [], []
-    # A singular a''/a overflows cosh; the resulting inf and NaN entries
-    # fail the error test downstream.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in range(0, int(offsets[-1]), _CHUNK):
-            index = np.arange(lo, min(lo + _CHUNK, int(offsets[-1])))
-            owner = np.searchsorted(offsets, index, side="right") - 1
-            h = widths[owner] / counts[owner]
-            t = starts[owner] + (index - offsets[owner]) * h
-            product, owner = _run_products(_magnus_steps(model, k2, t, h), owner)
-            parts.append(product)
-            owners.append(owner)
-        return _run_products(np.concatenate(parts, axis=1), np.concatenate(owners))[0]
+    for lo in range(0, int(offsets[-1]), _CHUNK):
+        index = np.arange(lo, min(lo + _CHUNK, int(offsets[-1])))
+        owner = np.searchsorted(offsets, index, side="right") - 1
+        h = widths[owner] / counts[owner]
+        t = starts[owner] + (index - offsets[owner]) * h
+        product, owner = _run_products(_magnus_steps(model, k2, t, h), owner)
+        parts.append(product)
+        owners.append(owner)
+    return _run_products(np.concatenate(parts, axis=1), np.concatenate(owners))[0]
 
 
 def _magnus_steps(model: ScaleFactorModel, k2: float, t: np.ndarray,
@@ -304,10 +307,10 @@ def _propagate(propagators: np.ndarray, u0: complex, du0: complex,
     return path[:, 0], path[:, 1]
 
 
-def _u_and_uprime(model: ScaleFactorModel, eta: np.ndarray, f: np.ndarray,
+def _u_and_uprime(a: np.ndarray, ap: np.ndarray, f: np.ndarray,
                   fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = _evaluate(model.a, eta)
-    return a * f, _evaluate(model.a_prime, eta) * f + a * fp
+    """u = a f and u' = a' f + a f' from a, a' on the samples."""
+    return a * f, ap * f + a * fp
 
 
 def _drift(w: np.ndarray) -> float:
@@ -318,19 +321,12 @@ def _drift(w: np.ndarray) -> float:
     return float(dev / abs(w0))
 
 
-def _self_wronskian_drift(model, eta, f, fp) -> float:
-    """Drift of W(u, conj u); for real data this degenerates to W = 0 and the
-    absolute deviation is reported."""
-    u, up = _u_and_uprime(model, eta, f, fp)
-    w = u * np.conj(up) - np.conj(u) * up
-    return _drift(w)
-
-
 def wronskian_drift(sol1: ModeSolution, sol2: ModeSolution,
                     model: ScaleFactorModel) -> float:
     """max |W(eta) - W(eta0)| / |W(eta0)| for u = a f; absolute if W(eta0) = 0."""
     if sol1.eta.shape != sol2.eta.shape or not np.array_equal(sol1.eta, sol2.eta):
         raise GridError("solutions sampled on different eta grids")
-    u1, up1 = _u_and_uprime(model, sol1.eta, sol1.f, sol1.f_prime)
-    u2, up2 = _u_and_uprime(model, sol2.eta, sol2.f, sol2.f_prime)
+    a, ap = _evaluate(model.a, sol1.eta), _evaluate(model.a_prime, sol1.eta)
+    u1, up1 = _u_and_uprime(a, ap, sol1.f, sol1.f_prime)
+    u2, up2 = _u_and_uprime(a, ap, sol2.f, sol2.f_prime)
     return _drift(u1 * up2 - u2 * up1)

@@ -23,7 +23,6 @@ from .modes import (
     DEFAULT_SAMPLES,
     ModeSpec,
     integrate_mode,
-    validate_k,
     validate_settings,
 )
 
@@ -55,24 +54,10 @@ class SpectrumRow:
     failure: str = ""   # why and where a failed mode stopped; not in the CSV
 
     def render(self) -> str:
-        if self.status != "ok":
-            return ",".join(
-                [repr(float(self.k)), repr(float(self.eta_end))]
-                + ["nan"] * 5
-                + [self.status]
-            )
-        return ",".join(
-            [
-                repr(float(self.k)),
-                repr(float(self.eta_end)),
-                repr(float(self.f.real)),
-                repr(float(self.f.imag)),
-                repr(float(self.abs_f2)),
-                repr(float(self.energy_proxy)),
-                repr(float(self.wronskian_drift)),
-                "ok",
-            ]
-        )
+        values = (self.f.real, self.f.imag, self.abs_f2, self.energy_proxy,
+                  self.wronskian_drift) if self.status == "ok" else (math.nan,) * 5
+        return ",".join([repr(float(v)) for v in (self.k, self.eta_end) + values]
+                        + [self.status])
 
 
 def _number(value, what: str) -> float:
@@ -176,13 +161,8 @@ def spectrum(model: ScaleFactorModel, k_values: np.ndarray, eta0: float,
     """Integrate every mode and collect the endpoint table, ordered by k."""
     validate_settings(model, eta0, eta1, ic_kind, f0, df0, rtol, atol, samples)
     model.check_values(eta0, eta1)
-    specs = [
-        ModeSpec(float(k), eta0, eta1, ic_kind, f0, df0, rtol, atol, samples)
-        for k in k_values
-    ]
-    for spec in specs:
-        validate_k(spec.k)
-    return [_one_row(model, spec) for spec in specs]
+    return [_one_row(model, ModeSpec(float(k), eta0, eta1, ic_kind, f0, df0, rtol, atol,
+                                     samples)) for k in k_values]
 
 
 def render_csv(rows: list[SpectrumRow]) -> str:

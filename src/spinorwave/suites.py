@@ -9,8 +9,7 @@ on purpose).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,22 +36,12 @@ from .em import (
 from .symbolic import KernelTable, Parser, component_eval
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     max_error: float
     tolerance: float
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_error": self.max_error,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
 
 
 def _worse(worst: float, error) -> float:
@@ -127,12 +116,11 @@ def _suite_index_displacement(rng: np.random.Generator) -> SuiteResult:
 def _conformal_family(a0: float, a1: float, eta: float):
     """S, dg, ds for a(eta) = a0 + a1*eta with exact derivatives."""
     a = a0 + a1 * eta
-    s = a * FLAT_SYMBOLS
     ds = np.zeros((4, 4, 2, 2), dtype=complex)
     ds[0] = a1 * FLAT_SYMBOLS
     dg = np.zeros((4, 4, 4))
     dg[0] = 2.0 * a * a1 * MINKOWSKI
-    return ConnectingObjects.from_matrices(s), dg, ds
+    return ConnectingObjects.conformal(a), dg, ds
 
 
 def _suite_affinity_metric(rng: np.random.Generator) -> SuiteResult:
@@ -221,7 +209,7 @@ def _suite_trace_free(rng: np.random.Generator) -> SuiteResult:
     for _ in range(100):
         raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         wf = PhotonWaveFunction.physical(0.5 * (raw + raw.T))
-        T = stress_energy(wf).values
+        T = stress_energy(wf)
         worst = _worse(worst, float(np.max(np.abs(T - T.T))))
         worst = _worse(worst, abs(float(np.einsum("ab,ab->", np.linalg.inv(MINKOWSKI), T))))
         density = float(t @ T @ t)

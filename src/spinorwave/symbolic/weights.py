@@ -47,32 +47,27 @@ def expr_weight(expr: Expr, table: KernelTable) -> Weight:
     return weights.pop()
 
 
-def validate_term(term: Term) -> None:
-    census = term.index_census()
-    for name, occs in census.items():
-        if len(occs) == 1:
-            continue
-        if len(occs) == 2:
-            a, b = occs[0][1], occs[1][1]
-            if a.kind is not b.kind:
-                raise ParseError(f"dummy index {name!r} changes kind")
-            if a.variance is b.variance:
-                raise ParseError(
-                    f"dummy index {name!r} repeated with equal variance"
-                )
-            continue
-        raise ParseError(f"unbalanced dummy index {name!r} ({len(occs)} occurrences)")
+def _free_signature(census: dict) -> dict[str, tuple]:
+    """Kind and variance of each index that a term's census holds once."""
+    return {name: (occs[0][1].kind, occs[0][1].variance)
+            for name, occs in census.items() if len(occs) == 1}
 
 
 def validate_expr(expr: Expr, table: KernelTable) -> None:
     """Dummy balance, identical free sets across the sum, weight homogeneity."""
     free_sets = []
     for term in expr.terms:
-        validate_term(term)
-        free = {
-            name: (idx.kind, idx.variance) for name, idx in term.free_indices().items()
-        }
-        free_sets.append(free)
+        census = term.index_census()
+        for name, occs in census.items():
+            if len(occs) > 2:
+                raise ParseError(f"unbalanced dummy index {name!r} ({len(occs)} occurrences)")
+            if len(occs) == 2:
+                a, b = occs[0][1], occs[1][1]
+                if a.kind is not b.kind:
+                    raise ParseError(f"dummy index {name!r} changes kind")
+                if a.variance is b.variance:
+                    raise ParseError(f"dummy index {name!r} repeated with equal variance")
+        free_sets.append(_free_signature(census))
     for other in free_sets[1:]:
         if other != free_sets[0]:
             raise ParseError(
@@ -82,6 +77,4 @@ def validate_expr(expr: Expr, table: KernelTable) -> None:
 
 
 def free_signature(expr: Expr) -> dict[str, tuple]:
-    return {
-        name: (idx.kind, idx.variance) for name, idx in expr.free_indices().items()
-    }
+    return _free_signature(expr.terms[0].index_census()) if expr.terms else {}

@@ -167,13 +167,13 @@ class TestAcceptance:
         for _ in range(100):
             raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             wf = PhotonWaveFunction.physical(0.5 * (raw + raw.T))
-            T = stress_energy(wf).values
+            T = stress_energy(wf)
             worst_trace = max(worst_trace, abs(float(np.einsum("ab,ab->", g_inv, T))))
             assert float(t @ T @ t) >= -1e-12
         assert worst_trace < 1e-12
         # the prefactor itself: a unit wave function carries T00 = 1/(4 pi)
         unit = PhotonWaveFunction.physical(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert stress_energy(unit).values[0, 0] == pytest.approx(1.0 / (4.0 * math.pi))
+        assert stress_energy(unit)[0, 0] == pytest.approx(1.0 / (4.0 * math.pi))
         report(f"criterion 5 (energy-momentum: trace {worst_trace:.2e}, density >= 0)")
 
     def test_criterion_6_weight_bookkeeping(self):

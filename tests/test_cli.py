@@ -411,9 +411,8 @@ class TestEm:
             assert result.returncode == 0, result.stderr
             assert result.stdout.splitlines()[-1] == str(
                 ["spinorwave", "spinorwave.cli", "spinorwave.core", "spinorwave.core.connecting",
-                 "spinorwave.core.convention", "spinorwave.core.indices", "spinorwave.core.spinor",
-                 "spinorwave.em", "spinorwave.em.csvio", "spinorwave.em.fields",
-                 "spinorwave.errors"])
+                 "spinorwave.core.convention", "spinorwave.core.indices", "spinorwave.em",
+                 "spinorwave.em.csvio", "spinorwave.em.fields", "spinorwave.errors"])
 
     def test_writers_refuse_non_finite_cells(self):
         from spinorwave.em import (
@@ -486,6 +485,13 @@ class TestCosmo:
             ({"model": {"kind": "matter", "params": {"a0": inf}}}, "a0"),
             ({"model": {"kind": "de_sitter", "params": {"hubble": 1e-320}},
               "eta": {"start": -5.0, "end": -1.0}}, "finite"),
+            # a' = 1/(H eta^2) with eta^2 or H eta underflowed to 0
+            ({"model": {"kind": "de_sitter"}, "k_grid": {"min": 1, "max": 1, "count": 1},
+              "eta": {"start": -1.0, "end": -1e-200}}, "finite"),
+            ({"model": {"kind": "de_sitter"}, "k_grid": {"min": 1, "max": 1, "count": 0},
+              "eta": {"start": -1.0, "end": -1e-200}}, "finite"),
+            ({"model": {"kind": "de_sitter", "params": {"hubble": 1e-300}},
+              "eta": {"start": -1.0, "end": -1e-30}}, "finite"),
             ({"ic": dict(explicit, f=[nan, 0.0])}, "initial data"),
             ({"ic": dict(explicit, df=[0.0, nan])}, "initial data"),
         ):
@@ -574,6 +580,24 @@ class TestCosmo:
             "k,eta_end,re_f,im_f,abs_f2,energy_proxy,wronskian_drift,status\n"
             "1.0,-1.0,nan,nan,nan,nan,nan,failed\n"
             "2.0,-1.0,nan,nan,nan,nan,nan,failed\n"
+        )
+
+    def test_overflowing_mode_writes_no_warnings(self, tmp_path):
+        """Initial data near the float limit overflow in the solver; stderr of
+        a fresh process holds the failed mode's line and no numpy warning."""
+        cfg = tmp_path / "cosmo.json"
+        cfg.write_text(json.dumps({
+            "model": {"kind": "radiation"},
+            "k_grid": {"min": 1, "max": 1, "count": 1},
+            "eta": {"start": 1.0, "end": 2.0},
+            "ic": {"kind": "explicit", "f": [1e308, 1e308], "df": [1e308, 0]}}))
+        out = tmp_path / "spectrum.csv"
+        result = run_cli("cosmo", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr == "k=1.0: solution overflowed (last_eta=1.0)\n"
+        assert out.read_text() == (
+            "k,eta_end,re_f,im_f,abs_f2,energy_proxy,wronskian_drift,status\n"
+            "1.0,2.0,nan,nan,nan,nan,nan,failed\n"
         )
 
     def test_tabulated_dip_below_zero_exits_2(self, tmp_path):

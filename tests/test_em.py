@@ -349,24 +349,24 @@ class TestStressEnergy:
         t = np.array([1.0, 0.0, 0.0, 0.0])
         for _ in range(100):
             wf = random_wavefunction(1)
-            T = stress_energy(wf).values[0]
+            T = stress_energy(wf)[0]
             assert np.max(np.abs(T - T.T)) < 1e-12
             assert abs(np.einsum("ab,ab->", g_inv, T)) < 1e-12
             assert t @ T @ t >= -1e-12
 
     def test_zero_wavefunction(self):
         wf = PhotonWaveFunction.physical(np.zeros((2, 2)))
-        assert np.max(np.abs(stress_energy(wf).values)) == 0.0
+        assert np.max(np.abs(stress_energy(wf))) == 0.0
 
     def test_empty_batch_is_real_and_empty(self):
         # both conversions to world tensors share one round-off rule
         wf = PhotonWaveFunction.physical(np.zeros((0, 2, 2)))
-        for values in (stress_energy(wf).values, bivector_from_spinors(wf).values):
+        for values in (stress_energy(wf), bivector_from_spinors(wf).values):
             assert values.shape == (0, 4, 4) and values.dtype == np.float64
 
     def test_matches_nested_loop_oracle_with_prefactor(self):
         wf = random_wavefunction(1)
-        T = stress_energy(wf).values[0]
+        T = stress_energy(wf)[0]
         want = np.zeros((4, 4), dtype=complex)
         for a in range(4):
             for b in range(4):

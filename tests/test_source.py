@@ -84,6 +84,41 @@ def test_every_private_name_is_read():
     assert not unread, f"defined and never read: {unread}"
 
 
+def _definitions(tree: ast.Module):
+    """(name, line, is_method) of each module-level function and class and
+    of each non-dunder method defined in a module-level class body."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions + (ast.ClassDef,)):
+            yield node.name, node.lineno, False
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.name, item.lineno, True) for item in node.body
+                        if isinstance(item, functions)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def test_every_definition_is_referenced():
+    """Each function, class and method of the package is referenced in the
+    package, the tests or the benchmark: a function or class as a name, an
+    import or an attribute, a method as an attribute."""
+    root = PACKAGE.parent.parent
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    names, attributes = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    dead = [f"{path.relative_to(PACKAGE)}:{line} {name}"
+            for path in sorted(PACKAGE.rglob("*.py"))
+            for name, line, is_method in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+            if name not in attributes and (is_method or name not in names)]
+    assert not dead, f"defined and never referenced: {dead}"
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
                          ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_imports_are_stdlib_numpy_or_relative(path):

@@ -183,13 +183,6 @@ class TestConnectingObjects:
             back = FLAT.spinor_to_vector(FLAT.vector_to_spinor(v))
             assert np.max(np.abs(back - v)) < 1e-12
 
-    def test_tensor_slot_roundtrip(self):
-        F = RNG.standard_normal((4, 4))
-        cs = ComponentSpinor.from_spec("ww", F)
-        there = FLAT.world_slot_to_spinor_pair(cs, 0)
-        back = FLAT.spinor_pair_to_world_slot(there, 0)
-        assert back.allclose(cs, atol=1e-12)
-
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateMetricError):
             ConnectingObjects.from_matrices(np.zeros((4, 2, 2)))
