@@ -170,6 +170,10 @@ def _check_positive_between_knots(x: np.ndarray, coeffs: np.ndarray) -> None:
     positive, so a piece can only reach zero through such a minimum."""
     a, b, c = 3.0 * coeffs[0], 2.0 * coeffs[1], coeffs[2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # divided by the piece's largest coefficient, the discriminant
+        # cannot overflow, and the roots stay the same
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+        a, b, c = a / scale, b / scale, c / scale
         q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
         roots = np.stack([q / a, c / q], axis=1)  # NaN or inf where there is none
     inside = (roots > 0) & (roots < np.diff(x)[:, None])

@@ -18,10 +18,10 @@ symmetries), so the expansion sums integer sign counts per symbol and
 weights them once by the term's rational coefficient.  An expression
 canonicalizes to literal zero precisely when that expansion vanishes
 identically.  ``canonicalize`` expands each collected term once
-(``component_map``) and adds those maps as integers over the common
-denominator of the collected coefficients: every value of a term's map is
-its coefficient times an integer, so its denominator divides that one.  The
-result is zero when every integer sum is.
+(``component_map``), at its coefficient times the common denominator of the
+collected coefficients, an integer: the expansion is linear in the
+coefficient, so the maps hold integers, and the result is zero when every
+sum of them is.
 
 The expansion of a term factorizes over its clusters, the connected sets of
 factors that share labels: an assignment's sign is the product of its
@@ -29,9 +29,10 @@ clusters' signs and its symbol is put together from theirs.  Each cluster
 is enumerated alone, with one component-and-sign table per field factor,
 and the clusters are combined by product.  A field table depends only on
 the kernel's name and symmetry groups, the operator scope and the slot
-shape, so each is built once per process.  The counts stay integers over
-the common denominator of the term's coefficients until the end, which
-builds one Fraction per distinct surviving value.
+shape, so each is built once per process; a cluster's counts depend only on
+its shape, so each is enumerated once per kernel table.  The counts stay
+integers over the common denominator of the term's coefficients until the
+end, which builds one Fraction per distinct surviving value.
 
 Dummies are named, however many there are, by one exact search for the
 least first-occurrence numbering over the arrangements of the term.
@@ -99,13 +100,12 @@ def sort_kernel_slots(term: Term, table: KernelTable, skip: set[int] | None = No
 
     Returns None when an antisymmetric group carries a repeated label.
     """
-    coeff = term.coeff
-    factors = list(term.factors)
-    for fpos, factor in enumerate(factors):
+    coeff, sorted_factors = term.coeff, None
+    for fpos, factor in enumerate(term.factors):
         if skip and fpos in skip:
             continue
         kernel = table.get(factor.kernel)
-        if kernel is None:
+        if kernel is None or not (kernel.sym_groups or kernel.antisym_groups):
             continue
         indices = list(factor.indices)
         sign = _sort_slots(indices, kernel.sym_groups, kernel.antisym_groups, _IDX_NAME)
@@ -114,8 +114,11 @@ def sort_kernel_slots(term: Term, table: KernelTable, skip: set[int] | None = No
         if sign < 0:
             coeff = -coeff
         if tuple(indices) != factor.indices:
-            factors[fpos] = Factor(factor.kernel, tuple(indices))
-    return Term(coeff, tuple(factors), term.groups)
+            sorted_factors = sorted_factors or list(term.factors)
+            sorted_factors[fpos] = Factor(factor.kernel, tuple(indices))
+    if sorted_factors is None:
+        return term if coeff is term.coeff else term.with_coeff(coeff)
+    return Term(coeff, tuple(sorted_factors), term.groups)
 
 
 # -- delta / epsilon elimination ---------------------------------------------------
@@ -155,13 +158,15 @@ def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
     a label.  Factors in symmetrization groups keep their slot order."""
     current = term
     for _ in range(200):
-        skip = {f for _, positions in current.groups for f, _ in positions}
+        skip = {f for _, positions in current.groups for f, _ in positions} \
+            if current.groups else None
         current = sort_kernel_slots(current, table, skip=skip)
         if current is None:
             return None
+        components = [_components(factor, table) for factor in current.factors]
         changed = False
         for fpos, factor in enumerate(current.factors):
-            if _components(factor, table) == DELTA:
+            if components[fpos] == DELTA:
                 up, down = factor.indices
                 if up.name == down.name:
                     current = _remove_factor(current, fpos).with_coeff(current.coeff * 2)
@@ -179,18 +184,19 @@ def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
                     break
         if changed:
             continue
-        pair = _find_eps_pair(current, table)
+        pair = _find_eps_pair(current, components)
         if pair is None:
             return current
         current = _contract_eps_pair(current, table, *pair)
     raise UnsupportedExpressionError("constant elimination did not terminate")
 
 
-def _find_eps_pair(term: Term, table: KernelTable):
+def _find_eps_pair(term: Term, components: list):
     """The first two metric spinors of one kind and opposite variance that
-    share a label, and that label; None if there are none."""
+    share a label, and that label; None if there are none.  ``components``
+    holds each factor's constant components (None for other kernels)."""
     eps_positions = [
-        (fpos, f) for fpos, f in enumerate(term.factors) if _components(f, table) == EPS
+        (fpos, f) for fpos, f in enumerate(term.factors) if components[fpos] == EPS
     ]
     for i, (p1, f1) in enumerate(eps_positions):
         first = f1.indices[0]
@@ -228,12 +234,12 @@ def _contract_eps_pair(term: Term, table: KernelTable, p1: int, f1: Factor, p2: 
 
 
 def _factor_key(factor: Factor) -> tuple:
-    return (factor.kernel, tuple((i.up, i.name) for i in factor.indices))
+    return (factor.kernel, tuple([(i.up, i.name) for i in factor.indices]))
 
 
 def _term_key(term: Term) -> tuple:
     """Like-term key: the ordered factors with their labels, coefficient aside."""
-    return tuple(_factor_key(f) for f in term.factors)
+    return tuple([_factor_key(f) for f in term.factors])
 
 
 def _collect_like_terms(terms) -> dict[tuple, tuple[Fraction, Term]]:
@@ -241,8 +247,8 @@ def _collect_like_terms(terms) -> dict[tuple, tuple[Fraction, Term]]:
     collected: dict[tuple, tuple[Fraction, Term]] = {}
     for term in terms:
         key = _term_key(term)
-        coeff, first = collected.get(key, (0, term))
-        collected[key] = (coeff + term.coeff, first)
+        found = collected.get(key)
+        collected[key] = (term.coeff, term) if found is None else (found[0] + term.coeff, found[1])
     return collected
 
 
@@ -256,12 +262,17 @@ def _dummy_label(kind: IndexKind, number: int) -> str:
 
 def rename_dummies(term: Term) -> Term:
     """The dummies named ``!U1``, ``!U2``, ... in order of first appearance."""
-    dummies, names = term.dummy_names(), {}
-    for _, idx in term.all_indices():
-        if idx.name in dummies and idx.name not in names:
-            names[idx.name] = _dummy_label(idx.kind, len(names) + 1)
-    factors = tuple(Factor(f.kernel, tuple(Idx(names[i.name], i.kind, i.up) if i.name in names
-                                           else i for i in f.indices)) for f in term.factors)
+    names, number = {}, 0
+    for name, occs in term.index_census().items():
+        if len(occs) == 2:
+            number += 1
+            label = _dummy_label(occs[0][1].kind, number)
+            if label != name:
+                names[name] = label
+    if not names:  # already named so, as between rewrite steps
+        return term
+    factors = tuple([Factor(f.kernel, tuple([Idx(names[i.name], i.kind, i.up) if i.name in names
+                                             else i for i in f.indices])) for f in term.factors])
     return Term(term.coeff, factors, term.groups)
 
 
@@ -390,7 +401,8 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
         # a factor without dummies has one key whatever the labels: sorted once
         static = sorted([(fixed[p], p) for p in block if p in fixed])
         rest = tuple([p for p in block if p not in fixed])
-        states = [(rest, *state[1:]) for state in states]
+        if rest:  # every state has placed the factors of the blocks before
+            states = [(rest, *state[1:]) for state in states]
         for _ in rest:
             options = [(key, n, p, *found) for n, state in enumerate(states)
                        for p in state[0]
@@ -412,8 +424,9 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
         for (key, sign), p in static:
             out.append((key, p))
             common *= sign
-    positive = term.coeff > 0
-    _, names, sign, _, _ = min(states, key=lambda s: (s[2] * common > 0) == positive)
+    positive = term.coeff.numerator > 0
+    _, names, sign, _, _ = min(states, key=lambda s: (s[2] * common > 0) == positive) \
+        if len(states) > 1 else states[0]
     kinds.update({label: kinds[name] for name, label in names.items()})
     factors = tuple([term.factors[p] if key == plans[p][1] else
                      Factor(kernel, tuple(Idx(label, kinds[label], up) for up, label in key))
@@ -473,9 +486,10 @@ def _field_table(kernel, scope: int, shape: tuple[int, ...]) -> dict:
     return out
 
 
-def _values_getter(slots: list[int]):
+def _values_getter(slots: tuple[int, ...]):
     """The values at ``slots`` of an assignment, as a tuple."""
-    slots = tuple(slots)
+    if len(slots) > 1:
+        return operator.itemgetter(*slots)
     return lambda value: tuple([value[s] for s in slots])
 
 
@@ -538,50 +552,68 @@ def _clusters(term: Term, table: KernelTable):
 
 def _parts(term: Term, table: KernelTable) -> list[tuple] | None:
     """(counts, field keys, free labels, operator positions) per cluster;
-    None when a cluster's counts all vanish."""
+    None when a cluster's counts all vanish.
+
+    A cluster's counts and field keys depend only on its shape: its free
+    labels, the dimensions of its labels and, per factor, the kernel, the
+    scope and the labels' numbers.  They are worked out once per shape and
+    kept in ``table.expansions``, since canonical terms repeat clusters."""
     uses, dimension, clusters = _clusters(term, table)
+    memo = table.expansions
     parts = []
     for labels, factors in clusters:
-        free = sorted(label for label in labels if uses[label] == 1)
-        order = free + sorted(labels.difference(free))
+        free = sorted([label for label in labels if uses[label] == 1])
+        order = free + sorted(labels.difference(free)) if len(free) < len(labels) else free
         local = {label: n for n, label in enumerate(order)}
-        dims = [dimension[label] for label in order]
-        constant_plan, op_plan, field_plan = [], [], []
-        field_keys, op_positions = [], []
-        for position, scope, kernel, factor in factors:
-            slots = [local[idx.name] for idx in factor.indices]
-            if kernel.components is not None:
-                constant_plan.append((kernel.components, *slots))
-            elif kernel.operator:
-                op_plan.append((factor.kernel, _values_getter(slots)))
-                op_positions.append(position)
-            else:
-                # a field component is told apart by the operators acting on it
-                shape = tuple([dims[s] for s in slots])
-                field_plan.append((_field_table(kernel, scope, shape), _values_getter(slots)))
-                field_keys.append((scope, factor.kernel))
-        counts = _cluster_counts(dims, free, constant_plan, op_plan, field_plan)
+        dims = tuple([dimension[label] for label in order])
+        shape = (tuple(free), dims, *[
+            (factor.kernel, scope, *[local[idx.name] for idx in factor.indices])
+            for _, scope, _, factor in factors])
+        found = memo.get(shape)
+        if found is None:
+            constant_plan, op_plan, field_plan, field_keys, ops = [], [], [], [], []
+            for n, ((_, scope, kernel, factor), entry) in enumerate(zip(factors, shape[2:])):
+                where = entry[2:]
+                if kernel.components is not None:
+                    constant_plan.append((kernel.components, *where))
+                elif kernel.operator:
+                    op_plan.append((factor.kernel, _values_getter(where)))
+                    ops.append(n)
+                else:
+                    # a field component is told apart by the operators acting on it
+                    table_of = _field_table(kernel, scope, tuple([dims[s] for s in where]))
+                    field_plan.append((table_of, _values_getter(where)))
+                    field_keys.append((scope, factor.kernel))
+            found = memo[shape] = (
+                _cluster_counts(dims, free, constant_plan, op_plan, field_plan),
+                tuple(field_keys), ops)
+        counts, field_keys, ops = found
         if not counts:
             return None
-        parts.append((counts, field_keys, free, op_positions))
+        parts.append((counts, field_keys, free, [factors[n][0] for n in ops]))
     return parts
 
 
 def _product(left: dict[tuple, int], right: dict[tuple, int], sort_fields: bool,
-             sort_free: bool, out: dict[tuple, int], weight: int) -> dict[tuple, int]:
+             free_order, out: dict[tuple, int], weight: int) -> dict[tuple, int]:
     """Add ``weight`` times the count of every pair of partial symbols,
-    concatenated, into ``out``; the fields and free values are sorted again
-    only where the two parts interleave."""
+    concatenated, into ``out``.  The fields are sorted again where the two
+    parts' fields interleave; the free values are put in label order by
+    ``free_order`` (None where they already are), since every partial
+    symbol of a part holds the same free labels in the same order.  Unless
+    the fields are sorted, every pair gives its own symbol, so into an
+    empty ``out`` each count is stored without a lookup."""
+    add = sort_fields or bool(out)
     for (ops1, fields1, free1), count1 in left.items():
         count1 *= weight
         for (ops2, fields2, free2), count2 in right.items():
             fields, free = fields1 + fields2, free1 + free2
             if sort_fields:
                 fields = tuple(sorted(fields))
-            if sort_free:
-                free = tuple(sorted(free))
+            if free_order:
+                free = free_order(free)
             key = (ops1 + ops2, fields, free)
-            out[key] = out.get(key, 0) + count1 * count2
+            out[key] = out.get(key, 0) + count1 * count2 if add else count1 * count2
     return out
 
 
@@ -600,7 +632,7 @@ def _add_sign_counts(term: Term, table: KernelTable, fresh: list[int], weight: i
     if parts is None:
         return
     # a term without factors is the one empty symbol
-    parts = parts or [({((), (), ()): 1}, [], [], [])]
+    parts = parts or [({((), (), ()): 1}, (), [], [])]
     # operators concatenate part by part: in factor order unless parts interleave
     parts.sort(key=lambda part: part[3][:1])
     positions = [n for part in parts for n in part[3]]
@@ -612,11 +644,16 @@ def _add_sign_counts(term: Term, table: KernelTable, fresh: list[int], weight: i
         return
     for n, (counts, keys, labels, _) in enumerate(parts[1:], 2):
         sort_fields = bool(field_keys and keys) and max(field_keys) >= min(keys)
-        sort_free = bool(free and labels) and max(free) > min(labels)
+        # both label lists are sorted; where they interleave, one order
+        # puts every partial symbol's free values back in label order
+        merged, free_order = free + labels, None
+        if free and labels and free[-1] > labels[0]:
+            order = sorted(range(len(merged)), key=merged.__getitem__)
+            merged, free_order = [merged[i] for i in order], _values_getter(order)
         last = n == len(parts) and in_order
-        result = _product(result, counts, sort_fields, sort_free,
+        result = _product(result, counts, sort_fields, free_order,
                           acc if last else {}, weight if last else 1)
-        field_keys, free = field_keys + keys, free + labels
+        field_keys, free = field_keys + keys, merged
     if not in_order:
         op_order = _values_getter(sorted(range(len(positions)), key=positions.__getitem__))
         for (ops, fields, values), count in result.items():
@@ -655,26 +692,24 @@ def canonicalize(expr: Expr, table: KernelTable) -> Expr:
             if term is not None:
                 cleaned.append(_normalize_term(term, table))
     collected = _collect_like_terms(cleaned)
-    # every value of a term's map is its coefficient times an integer, so
-    # its denominator divides the common denominator of the coefficients
     denominator = math.lcm(*(coeff.denominator for coeff, _ in collected.values()))
     result = []
     total: dict[tuple, int] = {}
     for key in sorted(collected):
         coeff, term = collected[key]
-        if coeff == 0:
+        if not coeff:
             continue
-        candidate = term.with_coeff(coeff)
-        # the expansion is additive: the sum of the surviving terms' maps,
-        # in integers over the common denominator, decides whether the
-        # whole result vanishes
-        components = component_map(Expr((candidate,)), table)
+        # the expansion is additive and linear in the coefficient: each
+        # term is expanded at its coefficient times the common denominator,
+        # an integer, so its map's values are integers and their sums over
+        # the surviving terms decide whether the whole result vanishes
+        weight = Fraction(coeff.numerator * (denominator // coeff.denominator))
+        components = component_map(Expr((term.with_coeff(weight),)), table)
         if not components:
             continue
-        result.append(candidate)
+        result.append(term.with_coeff(coeff))
         for symbol, value in components.items():
-            scaled = value.numerator * (denominator // value.denominator)
-            total[symbol] = total.get(symbol, 0) + scaled
+            total[symbol] = total.get(symbol, 0) + value.numerator
     if not any(total.values()):
         return Expr.zero()
     return Expr(tuple(result))

@@ -96,8 +96,13 @@ class Term(NamedTuple):
 
     def index_census(self) -> dict[str, list[tuple[tuple[int, int], Idx]]]:
         census: dict[str, list] = {}
-        for pos, idx in self.all_indices():
-            census.setdefault(idx.name, []).append((pos, idx))
+        for fpos, f in enumerate(self.factors):
+            for spos, idx in enumerate(f.indices):
+                occs = census.get(idx.name)
+                if occs is None:
+                    census[idx.name] = [((fpos, spos), idx)]
+                else:
+                    occs.append(((fpos, spos), idx))
         return census
 
     def free_indices(self) -> dict[str, Idx]:
@@ -167,9 +172,6 @@ class Expr(NamedTuple):
 
     def __neg__(self) -> "Expr":
         return Expr(tuple(t.with_coeff(-t.coeff) for t in self.terms))
-
-    def scaled(self, c: Fraction) -> "Expr":
-        return Expr(tuple(t.with_coeff(t.coeff * c) for t in self.terms))
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -90,9 +90,13 @@ class KernelTable:
 
     def __init__(self):
         self.kernels: dict[str, Kernel] = dict(_BUILTIN)
-
-    def get(self, name: str) -> Kernel | None:
-        return self.kernels.get(name)
+        # name -> kernel, or None for an unknown name: the dict's own lookup,
+        # since every factor of every term is looked up
+        self.get = self.kernels.get
+        # the exact expansion's sign counts per cluster shape (canon._parts):
+        # a shape names kernels of this table, whose names keep their kernels
+        # once registered, so the counts are kept with the table
+        self.expansions: dict[tuple, tuple] = {}
 
     def resolve_eps(self, kind: IndexKind, variance: Variance) -> Kernel:
         """The metric spinor whose two slots have this kind and variance."""

@@ -35,29 +35,26 @@ from .weights import validate_expr
 # character that starts no token is ``bad``
 _TOKEN_RE = re.compile(
     r"(?P<name>[A-Za-z][A-Za-z0-9]*(?:_(?!\{)[A-Za-z0-9]+)*'*)"
-    r"|(?P<num>\d+)|(?P<eq>==)|(?P<sym>[-+*/^_{}()\[\]])|(?P<bad>\S)"
+    r"|(?P<num>\d+)|(?P<sym>==|[-+*/^_{}()\[\]])|(?P<bad>\S)"
 )
 
+# Parentheses nest at most this deep: the descent recurses once per level,
+# so a bound far below the interpreter's recursion limit makes deeper input
+# a ParseError instead of a RecursionError.
+MAX_NESTING = 100
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind: str, value: str, pos: int):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
+_ONE = Fraction(1)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """Tokens of kind ``name`` or ``num``, or of a kind spelled as the
-    token itself (``==`` and the symbols), then an ``end`` token."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, value = m.lastgroup, m.group()
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, position) per token, then ``("end", "", len(text))``.
+    The kind is ``name``, ``num`` or ``sym``; the parser tells the symbols
+    and ``==`` apart by their value, which no name or number shares."""
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, value, pos in tokens:
         if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", m.start())
-        tokens.append(_Token(kind if kind in ("name", "num") else value, value, m.start()))
-    tokens.append(_Token("end", "", len(text)))
+            raise ParseError(f"unexpected character {value!r}", pos)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -73,6 +70,9 @@ class Parser:
     def __init__(self, table: KernelTable):
         self.table = table
         self._fresh = 0
+        # (label, up) -> its index; an Idx is never changed once made, so
+        # each written label has its kind worked out once
+        self._indices: dict[tuple[str, bool], Idx] = {}
 
     def fresh_label(self, kind: IndexKind) -> str:
         self._fresh += 1
@@ -82,148 +82,163 @@ class Parser:
 
     def parse_expression(self, text: str) -> Expr:
         tokens = _tokenize(text)
-        expr, stop = self._parse_expr(tokens, 0)
-        if tokens[stop].kind != "end":
-            raise ParseError(f"trailing input {tokens[stop].value!r}", tokens[stop].pos)
+        expr, stop = self._parse_expr(tokens, 0, 0)
+        kind, value, pos = tokens[stop]
+        if kind != "end":
+            raise ParseError(f"trailing input {value!r}", pos)
         validate_expr(expr, self.table)
         return expr
 
     def parse_identity(self, text: str) -> tuple[Expr, Expr]:
         tokens = _tokenize(text)
-        lhs, stop = self._parse_expr(tokens, 0)
-        if tokens[stop].kind != "==":
-            raise ParseError("expected '==' between identity sides", tokens[stop].pos)
-        rhs, stop = self._parse_expr(tokens, stop + 1)
-        if tokens[stop].kind != "end":
-            raise ParseError(f"trailing input {tokens[stop].value!r}", tokens[stop].pos)
+        lhs, stop = self._parse_expr(tokens, 0, 0)
+        if tokens[stop][1] != "==":
+            raise ParseError("expected '==' between identity sides", tokens[stop][2])
+        rhs, stop = self._parse_expr(tokens, stop + 1, 0)
+        kind, value, pos = tokens[stop]
+        if kind != "end":
+            raise ParseError(f"trailing input {value!r}", pos)
         validate_expr(lhs, self.table)
         validate_expr(rhs, self.table)
         return lhs, rhs
 
     # -- recursive descent -----------------------------------------------------
 
-    def _parse_expr(self, tokens: list[_Token], at: int) -> tuple[Expr, int]:
+    def _parse_expr(self, tokens: list, at: int, depth: int) -> tuple[Expr, int]:
+        """A signed sum of products; ``depth`` counts the enclosing parentheses."""
         terms: list[Term] = []
-        sign = Fraction(1)
-        if tokens[at].kind in ("+", "-"):
-            sign = Fraction(-1) if tokens[at].kind == "-" else Fraction(1)
+        value = tokens[at][1]
+        negative = value == "-"
+        if negative or value == "+":
             at += 1
-        prod, at = self._parse_product(tokens, at)
-        terms.extend(t.with_coeff(t.coeff * sign) for t in prod.terms)
-        while tokens[at].kind in ("+", "-"):
-            sign = Fraction(-1) if tokens[at].kind == "-" else Fraction(1)
-            prod, at = self._parse_product(tokens, at + 1)
-            terms.extend(t.with_coeff(t.coeff * sign) for t in prod.terms)
-        return Expr(tuple(t for t in terms if t.coeff != 0)), at
+        while True:
+            at = self._parse_product(tokens, at, negative, terms, depth)
+            value = tokens[at][1]
+            if value != "+" and value != "-":
+                return Expr(tuple(terms)), at
+            negative = value == "-"
+            at += 1
 
-    def _parse_product(self, tokens: list[_Token], at: int) -> tuple[Expr, int]:
-        coeff = Fraction(1)
-        saw_coeff = False
-        if tokens[at].kind == "num":
+    def _parse_product(self, tokens: list, at: int, negative: bool, out: list[Term],
+                       depth: int) -> int:
+        """Append the terms of one product, its sign applied, to ``out``;
+        a zero coefficient appends none."""
+        coeff = None
+        if tokens[at][0] == "num":
             coeff, at = self._parse_rational(tokens, at)
-            saw_coeff = True
-            if tokens[at].kind == "*":
+            if tokens[at][1] == "*":
                 at += 1
         # each unit is either a factor-with-groups or a parenthesized sum
         parts: list[Expr] = []
         open_groups: list[_PendingGroup] = []
         factors: list[Factor] = []
         groups: list = []
-
-        def flush_factors():
-            nonlocal factors, groups
-            if factors or groups:
-                parts.append(Expr((Term(Fraction(1), tuple(factors), tuple(groups)),)))
-                factors, groups = [], []
-
         while True:
-            tok = tokens[at]
-            if tok.kind == "name":
+            kind, value, pos = tokens[at]
+            if kind == "name":
                 at = self._parse_factor(tokens, at, factors, groups, open_groups)
-            elif tok.kind == "(":
+            elif value == "(":
                 # parenthesized sum, e.g. (Box + 1/3 R) phi
                 if open_groups:
                     raise ParseError(
-                        "symmetrization bracket may not span a parenthesized sum",
-                        tok.pos,
+                        "symmetrization bracket may not span a parenthesized sum", pos
                     )
-                flush_factors()
-                sub, at = self._parse_paren(tokens, at)
+                if factors:
+                    parts.append(Expr((Term(_ONE, tuple(factors), tuple(groups)),)))
+                    factors, groups = [], []
+                sub, at = self._parse_paren(tokens, at, depth)
                 parts.append(sub)
             else:
                 break
         if open_groups:
-            raise ParseError("unclosed symmetrization bracket", tokens[at].pos)
-        flush_factors()
+            raise ParseError("unclosed symmetrization bracket", pos)
+        if coeff is None:
+            if not parts and not factors:
+                raise ParseError("expected a term", pos)
+            coeff = _ONE
+        elif not coeff:
+            return at
+        if negative:
+            coeff = -coeff
         if not parts:
-            if not saw_coeff:
-                raise ParseError("expected a term", tokens[at].pos)
-            result = Expr((Term(coeff, ()),)) if coeff != 0 else Expr.zero()
-            return result, at
+            out.append(Term(coeff, tuple(factors), tuple(groups)))
+            return at
+        if factors:
+            parts.append(Expr((Term(_ONE, tuple(factors), tuple(groups)),)))
         result = parts[0]
         for nxt in parts[1:]:
             result = _expr_product(result, nxt)
-        return result.scaled(coeff), at
+        if coeff == 1:
+            out.extend(result.terms)
+        else:
+            out.extend(t.with_coeff(t.coeff * coeff) for t in result.terms)
+        return at
 
-    def _parse_paren(self, tokens: list[_Token], at: int) -> tuple[Expr, int]:
-        expr, stop = self._parse_expr(tokens, at + 1)
-        if tokens[stop].kind != ")":
-            raise ParseError("expected ')'", tokens[stop].pos)
+    def _parse_paren(self, tokens: list, at: int, depth: int) -> tuple[Expr, int]:
+        if depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tokens[at][2])
+        expr, stop = self._parse_expr(tokens, at + 1, depth + 1)
+        if tokens[stop][1] != ")":
+            raise ParseError("expected ')'", tokens[stop][2])
         return expr, stop + 1
 
-    def _parse_rational(self, tokens: list[_Token], at: int) -> tuple[Fraction, int]:
-        stop = at + 1
-        if tokens[stop].kind == "/":
-            if tokens[stop + 1].kind != "num":
-                raise ParseError("expected denominator", tokens[stop + 1].pos)
-            stop += 2
+    def _parse_rational(self, tokens: list, at: int) -> tuple[Fraction, int]:
+        numerator, pos = tokens[at][1], tokens[at][2]
+        if tokens[at + 1][1] != "/":
+            denominator, stop = None, at + 1
+        else:
+            if tokens[at + 2][0] != "num":
+                raise ParseError("expected denominator", tokens[at + 2][2])
+            denominator, stop = tokens[at + 2][1], at + 3
         try:
-            return Fraction("".join(t.value for t in tokens[at:stop])), stop
+            if denominator is None:
+                return Fraction(int(numerator)), stop
+            return Fraction(int(numerator), int(denominator)), stop
         except (ValueError, ZeroDivisionError) as exc:  # too many digits, or n/0
-            raise ParseError(f"bad rational: {exc}", tokens[at].pos) from None
+            raise ParseError(f"bad rational: {exc}", pos) from None
 
     # -- factors -------------------------------------------------------------------
 
     def _parse_factor(self, tokens, at, factors, groups, open_groups) -> int:
-        name = tokens[at].value
-        name_pos = tokens[at].pos
+        _, name, name_pos = tokens[at]
         at += 1
-        written: list[tuple[Idx, bool]] = []
-        while tokens[at].kind in ("_", "^"):
-            up = tokens[at].kind == "^"
-            if tokens[at + 1].kind != "{":
-                raise ParseError("expected '{' after variance marker", tokens[at + 1].pos)
+        indices: list[Idx] = []
+        known = self._indices
+        while True:
+            value = tokens[at][1]
+            if value != "_" and value != "^":
+                break
+            up = value == "^"
+            if tokens[at + 1][1] != "{":
+                raise ParseError("expected '{' after variance marker", tokens[at + 1][2])
             at += 2
-            while tokens[at].kind != "}":
-                tok = tokens[at]
-                if tok.kind in ("(", "["):
+            while True:
+                kind, value, pos = tokens[at]
+                if kind == "name":
+                    idx = known.get((value, up))
+                    if idx is None:
+                        idx = known[value, up] = Idx.from_label(value, up)
                     if open_groups:
-                        raise ParseError("nested symmetrization brackets", tok.pos)
-                    open_groups.append(
-                        _PendingGroup("sym" if tok.kind == "(" else "antisym", [])
-                    )
-                elif tok.kind in (")", "]"):
+                        open_groups[-1].positions.append((len(factors), len(indices)))
+                    indices.append(idx)
+                elif value == "}":
+                    break
+                elif value == "(" or value == "[":
+                    if open_groups:
+                        raise ParseError("nested symmetrization brackets", pos)
+                    open_groups.append(_PendingGroup("sym" if value == "(" else "antisym", []))
+                elif value == ")" or value == "]":
                     if not open_groups:
-                        raise ParseError("unmatched closing bracket", tok.pos)
-                    want = "sym" if tok.kind == ")" else "antisym"
-                    if open_groups[-1].mode != want:
-                        raise ParseError("mismatched bracket kind", tok.pos)
-                    groups.append(
-                        (open_groups[-1].mode, tuple(open_groups[-1].positions))
-                    )
-                    open_groups.pop()
-                elif tok.kind == "name":
-                    idx = Idx.from_label(tok.value, up)
-                    slot = len(written)
-                    written.append((idx, up))
-                    if open_groups:
-                        open_groups[-1].positions.append((len(factors), slot))
+                        raise ParseError("unmatched closing bracket", pos)
+                    mode = open_groups[-1].mode
+                    if mode != ("sym" if value == ")" else "antisym"):
+                        raise ParseError("mismatched bracket kind", pos)
+                    groups.append((mode, tuple(open_groups.pop().positions)))
                 else:
-                    raise ParseError(f"unexpected token {tok.value!r} in index block", tok.pos)
+                    raise ParseError(f"unexpected token {value!r} in index block", pos)
                 at += 1
             at += 1
-        indices = tuple(idx for idx, _ in written)
-        self._assemble_factor(name, name_pos, indices, factors, groups, open_groups)
+        self._assemble_factor(name, name_pos, tuple(indices), factors, groups, open_groups)
         return at
 
     def _assemble_factor(self, name, pos, indices, factors, groups, open_groups) -> None:
@@ -244,24 +259,13 @@ class Parser:
                 f"kernel {name!r} takes {kernel.rank} indices, got {len(indices)}", pos
             )
         fpos = len(factors)
-
-        def remap(slot_map: dict[int, tuple[int, int]]) -> None:
-            def move(f: int, s: int) -> tuple[int, int]:
-                if f == fpos and s in slot_map:
-                    return slot_map[s]
-                return (f, s)
-
-            for g, (mode, positions) in enumerate(groups):
-                groups[g] = (mode, tuple(move(f, s) for f, s in positions))
-            for pending in open_groups:
-                pending.positions[:] = [move(f, s) for f, s in pending.positions]
-
-        if kernel.displacement is Displacement.FREE and len(indices) == 2:
+        free = kernel.displacement is Displacement.FREE
+        if free and len(indices) == 2:
             # the unprimed/primed pair of a derivative operator is one world
             # index; written order is free, storage order is (unprimed, primed)
             if indices[0].kind is IndexKind.PRIMED and indices[1].kind is IndexKind.UNPRIMED:
                 indices = (indices[1], indices[0])
-                remap({0: (fpos, 1), 1: (fpos, 0)})
+                _remap(groups, open_groups, fpos, {0: (fpos, 1), 1: (fpos, 0)})
         new_indices = list(indices)
         inserted: list[tuple[int, Factor]] = []  # (host slot, eps factor)
         for slot, idx in enumerate(indices):
@@ -271,9 +275,7 @@ class Parser:
                     f"index {idx.name!r} has kind {idx.kind.value}, "
                     f"slot {slot} of {name!r} wants {want.kind.value}", pos
                 )
-            if idx.variance is want.variance:
-                continue
-            if kernel.displacement is Displacement.FREE:
+            if free or idx.up == (want.variance is Variance.UP):
                 continue
             if kernel.components is not None:
                 raise ParseError(
@@ -283,15 +285,17 @@ class Parser:
             if want.variance is Variance.DOWN:
                 # raising: xi^L = eps^{L X} xi_X
                 eps = table.resolve_eps(want.kind, Variance.UP)
-                bridge = Factor(eps.name, (idx, Idx.from_label(fresh, True)))
-                new_indices[slot] = Idx.from_label(fresh, False)
+                bridge = Factor(eps.name, (idx, Idx(fresh, want.kind, True)))
+                new_indices[slot] = Idx(fresh, want.kind, False)
             else:
                 # lowering: xi_L = xi^X eps_{X L}
                 eps = table.resolve_eps(want.kind, Variance.DOWN)
-                bridge = Factor(eps.name, (Idx.from_label(fresh, False), idx))
-                new_indices[slot] = Idx.from_label(fresh, True)
+                bridge = Factor(eps.name, (Idx(fresh, want.kind, False), idx))
+                new_indices[slot] = Idx(fresh, want.kind, True)
             inserted.append((slot, bridge))
         factors.append(Factor(kernel.name, tuple(new_indices)))
+        if not inserted and not groups:
+            return
         # displaced labels now live on the bridges; retarget group positions
         bridge_of_slot: dict[int, tuple[int, int]] = {}
         for slot, bridge in inserted:
@@ -300,8 +304,23 @@ class Parser:
             bridge_slot = 0 if bridge.indices[0].name != new_indices[slot].name else 1
             bridge_of_slot[slot] = (bridge_pos, bridge_slot)
         if bridge_of_slot:
-            remap(bridge_of_slot)
+            _remap(groups, open_groups, fpos, bridge_of_slot)
         _pullback_and_prune_groups(groups, factors, table)
+
+
+def _remap(groups: list, open_groups: list[_PendingGroup], fpos: int,
+           slot_map: dict[int, tuple[int, int]]) -> None:
+    """Move the group positions on the slots of factor ``fpos`` that
+    ``slot_map`` names to the positions it gives."""
+    def move(f: int, s: int) -> tuple[int, int]:
+        if f == fpos and s in slot_map:
+            return slot_map[s]
+        return (f, s)
+
+    for g, (mode, positions) in enumerate(groups):
+        groups[g] = (mode, tuple(move(f, s) for f, s in positions))
+    for pending in open_groups:
+        pending.positions[:] = [move(f, s) for f, s in pending.positions]
 
 
 def _pullback_and_prune_groups(groups: list, factors: list[Factor], table: KernelTable) -> None:

@@ -126,6 +126,54 @@ class TestVerify:
             assert result.stdout.splitlines()[-3] == "False"
             assert (out / "report.json").exists()
 
+    def test_verify_loads_a_fixed_module_set(self, tmp_path):
+        """A ``verify`` run, passing or failing, loads ``cli`` and these
+        modules of the package and no other: every line they hold is
+        compiled by each ``verify`` child."""
+        from spinorwave.symbolic import shipped_corpus_text
+
+        corpus = tmp_path / "negative.txt"
+        corpus.write_text(shipped_corpus_text("identities_negative"))
+        config = tmp_path / "negative.json"
+        config.write_text(json.dumps({"identities": str(corpus)}))
+        script = (
+            "import sys\n"
+            "from spinorwave.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "finally:\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'spinorwave'))\n"
+        )
+        for args, code in (([], 0), (["--config", str(config)], 1)):
+            result = subprocess.run(
+                [sys.executable, "-c", script, "verify", "--out", str(tmp_path / f"out{code}"),
+                 *args], capture_output=True, text=True, timeout=120)
+            assert result.returncode == code, result.stderr
+            assert result.stdout.splitlines()[-1] == str(
+                ["spinorwave", "spinorwave.cli", "spinorwave.core", "spinorwave.core.indices",
+                 "spinorwave.errors", "spinorwave.symbolic", "spinorwave.symbolic.canon",
+                 "spinorwave.symbolic.corpus", "spinorwave.symbolic.expr",
+                 "spinorwave.symbolic.kernels", "spinorwave.symbolic.parse",
+                 "spinorwave.symbolic.rewrite", "spinorwave.symbolic.weights"])
+
+    def test_deep_parentheses_are_a_usage_error(self, tmp_path):
+        """Parentheses nested past ``parse.MAX_NESTING`` exit 2 with one
+        ``error:`` line naming the opening bracket, whatever the recursion
+        limit; shallower nesting verifies."""
+        for depth, code in ((1000, 2), (50, 0)):
+            corpus = tmp_path / f"deep{depth}.txt"
+            corpus.write_text("(" * depth + "phi_{A B}" + ")" * depth + " == phi_{A B}\n")
+            config = tmp_path / f"deep{depth}.json"
+            config.write_text(json.dumps({"identities": str(corpus)}))
+            result = invoke(["verify", "--config", str(config)])
+            assert result.exit_code == code, result.stderr
+            if code == 2:
+                [line] = result.stderr.splitlines()
+                assert line.startswith("error: ") and "nested deeper than" in line, line
+                assert "(at position 100)" in line
+            else:
+                assert result.stdout == "line1: ok\n"
+
     def test_missing_file_is_usage_error(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"identities": str(tmp_path / "nope.txt")}))
@@ -611,6 +659,20 @@ class TestCosmo:
         result = run_cli("cosmo", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 2
         assert "between the knots" in result.stderr
+
+    def test_tabulated_dip_past_float_range_exits_2(self, tmp_path):
+        # positive at both ends of eta 2.5 -> 4.5, but the spline dips to
+        # about -1.5e299 near eta 3.5, where its check would overflow unscaled
+        bad = dict(COSMO_CONFIG)
+        bad["model"] = {"kind": "tabulated",
+                        "params": {"eta": [0, 1, 2, 3, 4, 5], "a": [1, 1, 1e300, 1, 1, 1]}}
+        bad["eta"] = {"start": 2.5, "end": 4.5}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        result = invoke(["cosmo", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error:") and "not positive between the knots" in line
 
     def test_deeply_nested_json_exits_2(self, tmp_path):
         # nesting beyond the recursion limit makes json raise RecursionError

@@ -450,6 +450,12 @@ class TestSpectrum:
         ) / (2.0 * math.pi * m.a(3.0) ** 4)
         assert row.energy_proxy == pytest.approx(expected, rel=1e-12)
 
+    def test_tabulated_dip_past_float_range_rejected(self):
+        # positive at the knots, but the pieces on either side of the 1e300
+        # knot dip to about -4.3e299, and b * b of their discriminants overflows
+        with pytest.raises(ConfigError, match="not positive between the knots"):
+            tabulated([0, 1, 2, 3, 4, 5], [1, 1, 1e300, 1, 1, 1])
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             k_grid_from_config({"min": -1.0, "max": 2.0, "count": 4})

@@ -42,6 +42,7 @@ from spinorwave.symbolic import (
     run_identity_cases,
     shipped_corpus_text,
 )
+from spinorwave.symbolic import parse as parse_module
 from spinorwave.symbolic.expr import Factor, Idx, Term, kind_of_label
 
 RNG = np.random.default_rng(99)
@@ -82,6 +83,58 @@ class TestParser:
         for text in ("phi_{A}^{B} +", "2/0 R", "1" * 5000 + " R"):
             with pytest.raises(ParseError, match="position"):
                 parser.parse_expression(text)
+
+    # One input per ParseError raised in parse.py: (entry point, text,
+    # message, position); each must keep its message and position.
+    PARSE_ERRORS = [
+        ("expression", "phi_{A B} $", "unexpected character '$'", 10),
+        ("expression", "R )", "trailing input ')'", 2),
+        ("identity", "R )", "expected '==' between identity sides", 2),
+        ("identity", "R == R )", "trailing input ')'", 7),
+        ("expression", "Ua_{(A} (Vb_{B)})",
+         "symmetrization bracket may not span a parenthesized sum", 8),
+        ("expression", "Ua_{(A B}", "unclosed symmetrization bracket", 9),
+        ("expression", "+", "expected a term", 1),
+        ("expression", "(R", "expected ')'", 2),
+        ("expression", "1/ R", "expected denominator", 3),
+        ("expression", "2/0 R", "bad rational: Fraction(2, 0)", 0),
+        ("expression", "phi_(A B)", "expected '{' after variance marker", 4),
+        ("expression", "Ua_{((A B))}", "nested symmetrization brackets", 5),
+        ("expression", "Ua_{A)}", "unmatched closing bracket", 5),
+        ("expression", "Ua_{(A B]}", "mismatched bracket kind", 8),
+        ("expression", "Ua_{A +}", "unexpected token '+' in index block", 6),
+        ("expression", "eps_{A}^{B}",
+         "metric spinor needs two indices of equal kind and variance", 0),
+        ("expression", "phi_{A}", "kernel 'phi' takes 2 indices, got 1", 0),
+        ("expression", "phi_{a b}", "index 'a' has kind world, slot 0 of 'phi' wants unprimed", 0),
+        ("expression", "delta_{A B}", "kernel 'delta' slot 0 must be written up", 0),
+    ]
+
+    @pytest.mark.parametrize("entry, text, message, position", PARSE_ERRORS)
+    def test_each_parse_error_keeps_its_message_and_position(self, entry, text, message,
+                                                             position):
+        table, parser = fresh()
+        parse = parser.parse_expression if entry == "expression" else parser.parse_identity
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
+    def test_rational_past_int_digit_limit_keeps_its_position(self):
+        table, parser = fresh()
+        with pytest.raises(ParseError, match=r"^bad rational: Exceeds the limit") as info:
+            parser.parse_expression("2 R + " + "1" * 5000 + " R")
+        assert info.value.position == 6
+
+    def test_deep_parentheses_raise_parse_error(self):
+        """Nesting up to parse.MAX_NESTING parses; one level more is a
+        ParseError at the opening bracket that passes it."""
+        table, parser = fresh()
+        depth = parse_module.MAX_NESTING
+        assert parser.parse_expression("(" * depth + "R" + ")" * depth).terms
+        with pytest.raises(ParseError, match="nested deeper than") as info:
+            parser.parse_expression("(" * (depth + 1) + "R" + ")" * (depth + 1))
+        assert info.value.position == depth
 
     def test_weight_inhomogeneous_sum_rejected(self):
         table, parser = fresh()
