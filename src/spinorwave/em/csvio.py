@@ -3,10 +3,14 @@
 Wave-function files:  t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_phi11
 Bivector files:       t,x,y,z,F01,F02,F03,F12,F13,F23
 
-Floats are written with ``repr`` (shortest round-trip form), so identical
-data produces identical bytes.  A cell is read as ``float()`` reads it.
-Every cell must be a finite number, in the files read and in the files
-written.
+A cell is written as Python's ``repr`` writes the float: the shortest digits
+that read back to the same double, laid out positionally for decimal
+exponents -4 to 15 and as ``d.ddde+XX`` otherwise, so identical data
+produces identical bytes.  The writer works on blocks of rows in numpy:
+Ryu (Adams, PLDI 2018) gives every cell's shortest digits from its bits with
+128-bit fixed-point products on ``uint64`` arrays, and a byte gather lays
+the cells out as ``repr`` does.  A cell is read as ``float()`` reads it.  Every cell
+must be a finite number, in the files read and in the files written.
 """
 
 from __future__ import annotations
@@ -28,9 +32,12 @@ from .fields import (
 WAVEFUNCTION_HEADER = "t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_phi11"
 BIVECTOR_HEADER = "t,x,y,z,F01,F02,F03,F12,F13,F23"
 
-# Rows rendered per ``%`` format; bounds the transient list of Python floats,
-# which would otherwise set the peak memory.
-_CHUNK = 4096
+# Rows rendered per block.  A block's ``uint64`` temporaries (a few dozen
+# values per cell) and the intp index of each layout gather (``_WIDTH`` per
+# cell, ``_GATHER`` cells at a time) bound the writer's extra memory; larger
+# blocks pay numpy's per-call cost less often but raise the peak.
+_CHUNK = 512
+_GATHER = 1024
 
 
 class NonFiniteRowError(ConfigError):
@@ -73,18 +80,249 @@ def read_bivector_csv(text: str) -> tuple[np.ndarray, BivectorField]:
 
 
 def _render(header: str, table: np.ndarray) -> str:
-    """The header line, then one line per row of ``repr`` cells; raises
-    :class:`NonFiniteRowError` for the first row with a non-finite cell."""
+    """The header line, then one line per row of shortest round-trip cells;
+    raises :class:`NonFiniteRowError` for the first row with a non-finite
+    cell."""
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
         raise NonFiniteRowError(row, float(table[row][~np.isfinite(table[row])][0]))
-    line = ",".join(["%r"] * table.shape[1]) + "\n"
     parts = [header + "\n"]
     for start in range(0, len(table), _CHUNK):
-        block = table[start:start + _CHUNK]
-        parts.append(line * len(block) % tuple(block.ravel().tolist()))
+        parts.append(_render_block(table[start:start + _CHUNK]))
     return "".join(parts)
+
+
+# -- shortest round-trip digits (Ryu) ---------------------------------------
+#
+# A finite double is 4 m2 * 2**e2, and the reals that round to it lie between
+# (4 m2 - 1 - mm_shift) * 2**e2 and (4 m2 + 2) * 2**e2, bounds included when
+# m2 is even; mm_shift is 0 at a power of two, whose lower neighbour is half
+# as far.  Ryu scales the two bounds and the double by 10**-e10 with one
+# 125-bit power of 5 (``_MUL``, picked by the exponent), keeps the integer
+# parts vm < vr < vp, and drops the decimal digits on which vm and vp agree.
+# The products are exact: 32-bit limbs in ``uint64`` columns.
+
+_U = np.uint64
+_M32 = _U(0xFFFFFFFF)
+_TEN = _U(10)
+_POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
+
+
+def _ryu_tables() -> tuple[np.ndarray, ...]:
+    """Per biased binary exponent (0-2046): the four 32-bit limbs of the
+    scaled power of 5, the shift of the product past bit 96, e10, the bits
+    that must be zero in 4 m2 for vr to be exact (all of them where no such
+    test applies), the case where the bounds can be exact in another way
+    (1: e2 >= 0 and q <= 21, 2: e2 in [-4, -1]) and, for case 1, 5**q."""
+    rows = []
+    for biased in range(2047):
+        e2 = max(biased, 1) - 1077
+        if e2 >= 0:
+            q = ((e2 * 78913) >> 18) - (e2 > 3)  # floor(e2 log10 2), less one past 3
+            pow5 = 5 ** q
+            mul = (1 << (pow5.bit_length() + 124)) // pow5 + 1
+            shift = pow5.bit_length() + 124 + q - e2
+            e10, case = q, 1 if q <= 21 else 0
+        else:
+            q = ((-e2 * 732923) >> 20) - (-e2 > 1)  # floor(-e2 log10 5), less one past 1
+            pow5 = 5 ** (-e2 - q)
+            mul = (pow5 << 125) >> pow5.bit_length()
+            shift = q + 125 - pow5.bit_length()
+            e10, case = q + e2, 2 if q <= 1 else 0
+        mask = (1 << q) - 1 if case == 0 and e2 < 0 and q < 63 else (1 << 64) - 1
+        rows.append(([mul >> k & 0xFFFFFFFF for k in (0, 32, 64, 96)], shift - 96, e10, mask,
+                     case, 5 ** q if case == 1 else 1))
+    mul, shift, e10, mask, case, pow5 = zip(*rows)
+    return (np.array(mul, dtype=np.uint64).T.copy(), np.array(shift, dtype=np.uint64),
+            np.array(e10, dtype=np.int64), np.array(mask, dtype=np.uint64),
+            np.array(case, dtype=np.int8), np.array(pow5, dtype=np.uint64))
+
+
+_MUL, _SHIFT, _E10, _MASK, _CASE, _POW5 = _ryu_tables()
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, e10) per finite double given by its ``uint64`` bits: the
+    shortest digits that read back to the double, nearest to it and even on
+    a tie, with the double equal to about digits * 10**e10; zeros give
+    (0, 0)."""
+    biased = ((bits >> _U(52)) & _U(0x7FF)).astype(np.intp)
+    mant = bits & _U((1 << 52) - 1)
+    m2 = np.where(biased != 0, mant | _U(1 << 52), mant)
+    closed = (m2 & _U(1)) == _U(0)
+    mm_shift = (mant != _U(0)) | (biased <= 1)
+    mv = m2 << _U(2)
+    b0, b1, b2, b3 = _MUL.take(biased, axis=1)
+    s = _SHIFT.take(biased)
+    # X = mv * mul in 32-bit columns: t0-t3 below bit 128, vr = X >> (96 + s)
+    a0, a1 = mv & _M32, mv >> _U(32)
+    p00, p01, p02, p03 = a0 * b0, a0 * b1, a0 * b2, a0 * b3
+    p10, p11, p12, p13 = a1 * b0, a1 * b1, a1 * b2, a1 * b3
+    t0 = p00 & _M32
+    c = (p00 >> _U(32)) + (p01 & _M32) + (p10 & _M32)
+    t1 = c & _M32
+    c = (p01 >> _U(32)) + (p10 >> _U(32)) + (p02 & _M32) + (p11 & _M32) + (c >> _U(32))
+    t2 = c & _M32
+    c = (p02 >> _U(32)) + (p11 >> _U(32)) + (p03 & _M32) + (p12 & _M32) + (c >> _U(32))
+    t3 = c & ((_U(1) << s) - _U(1))
+    c4 = (p03 >> _U(32)) + (p12 >> _U(32)) + (p13 & _M32) + (c >> _U(32))
+    vr = ((c & _M32) >> s) | ((c4 & _M32) << (_U(32) - s)) \
+        | (((p13 >> _U(32)) + (c4 >> _U(32))) << (_U(64) - s))
+    # vp and vm from the fraction X mod 2**(96 + s) (limbs t0-t3) and
+    # 2 mul or -(1 + mm_shift) mul; each limb of the difference is biased
+    # by 2**33 and the bias carried out of the next, so no limb goes below 0
+    u = t0 + (b0 << _U(1))
+    u = t1 + (b1 << _U(1)) + (u >> _U(32))
+    u = t2 + (b2 << _U(1)) + (u >> _U(32))
+    vp = vr + ((t3 + (b3 << _U(1)) + (u >> _U(32))) >> s)
+    d = mm_shift.astype(np.uint64)
+    u = t0 + _U(1 << 33) - (b0 << d)
+    u = t1 + _U((1 << 33) - 2) - (b1 << d) + (u >> _U(32))
+    u = t2 + _U((1 << 33) - 2) - (b2 << d) + (u >> _U(32))
+    u = t3 + _U((1 << 40) - 2) - (b3 << d) + (u >> _U(32))
+    vm = vr + (u >> s) - (_U(1) << (_U(40) - s))
+    # where the scaled bounds can be exact, vr (vm) may be followed by
+    # nothing but zeros, which decides ties and whether vm itself counts
+    vr_exact = (mv & _MASK.take(biased)) == _U(0)
+    vm_exact = np.zeros(bits.shape, dtype=bool)
+    case = _CASE.take(biased)
+    one = np.flatnonzero(case == 1)
+    if one.size:
+        mv1, pow5 = mv[one], _POW5.take(biased[one])
+        by5 = mv1 % _U(5) == _U(0)
+        vr_exact[one] = by5 & (mv1 % pow5 == _U(0))
+        vm_exact[one] = ~by5 & closed[one] & ((mv1 - _U(1) - d[one]) % pow5 == _U(0))
+        vp[one] -= (~by5 & ~closed[one] & ((mv1 + _U(2)) % pow5 == _U(0))).astype(np.uint64)
+    two = np.flatnonzero(case == 2)
+    vr_exact[two] = True
+    vm_exact[two] = closed[two] & mm_shift[two]
+    vp[two] -= (~closed[two]).astype(np.uint64)
+    # removed = the largest r with vp // 10**r > vm // 10**r, which then
+    # holds for every smaller r: each pass divides once more and counts the
+    # cells where it still holds, over those alone once they are few
+    removed = np.zeros(bits.shape, dtype=np.intp)
+    live = None
+    hi, lo = vp, vm
+    while True:
+        hi, lo = hi // _TEN, lo // _TEN
+        more = hi > lo
+        k = np.count_nonzero(more)
+        if not k:
+            break
+        if live is None:
+            removed += more
+        else:
+            removed[live] += more
+        if 2 * k < more.size:
+            live = np.flatnonzero(more) if live is None else live[more]
+            hi, lo = hi[more], lo[more]
+    # an exact vm also drops the zeros it ends in
+    vm_exact &= vm % _POW10.take(removed) == _U(0)
+    live = np.flatnonzero(vm_exact)
+    rest = vm[live] // _POW10.take(removed[live])
+    while live.size:
+        more = rest % _TEN == _U(0)
+        live, rest = live[more], rest[more] // _TEN
+        removed[live] += 1
+    some = removed > 0
+    unit = _POW10.take(removed - some)
+    head = vr // unit  # vr with all but the last dropped digit gone
+    vr_exact &= vr == head * unit
+    digits = np.where(some, head // _TEN, vr)
+    last = np.where(some, head - digits * _TEN, _U(0))
+    tie_to_even = vr_exact & (last == _U(5)) & ((digits & _U(1)) == _U(0))
+    digits += ((vm >= digits * _POW10.take(removed)) & ~(closed & vm_exact)) \
+        | ((last >= _U(5)) & ~tie_to_even)
+    zero = m2 == _U(0)
+    digits[zero] = 0
+    e10 = _E10.take(biased) + removed
+    e10[zero] = 0
+    return digits, e10
+
+
+# -- layout ------------------------------------------------------------------
+#
+# Each cell gets a 32-byte source row: its digits right-aligned in bytes
+# 0-19, then sign, exponent sign, three exponent digits, separator, '.',
+# '0', 'e' and NUL bytes.  A layout lists the source bytes of one cell's
+# text and its separator, padded with NUL, which the block drops at the end.
+
+_SIGN, _EXP_SIGN, _EXP100, _EXP10, _EXP1, _SEP, _DOT, _ZERO, _E, _NUL = range(20, 30)
+_SOURCE = 32
+_WIDTH = 25  # sign, 17 digits, '.', 'e', sign and 3 exponent digits, separator
+# A cell is 0.d1d2...dn * 10**decpt; repr writes it positionally for decpt
+# from -3 to 16 (1e-4 is 0.0001, 1e16 is 1e+16) and in exponent form else.
+_FIXED_MIN, _FIXED_MAX = -3, 16
+_FIXED_KEYS = (_FIXED_MAX - _FIXED_MIN + 1) * 17
+# four ASCII digits per integer below 10**4, as one native uint32 each
+_QUADS = np.frombuffer("".join(f"{k:04d}" for k in range(10 ** 4)).encode("ascii"),
+                       dtype=np.uint32)
+
+
+def _layouts() -> np.ndarray:
+    """The layout of each (decpt, digit count) key, then of each (digit
+    count, 3-digit exponent) key in exponent form."""
+    rows = []
+    for decpt in range(_FIXED_MIN, _FIXED_MAX + 1):
+        for n in range(1, 18):
+            digits = list(range(20 - n, 20))
+            if decpt <= 0:
+                rows.append([_ZERO, _DOT] + [_ZERO] * -decpt + digits)
+            elif decpt < n:
+                rows.append(digits[:decpt] + [_DOT] + digits[decpt:])
+            else:
+                rows.append(digits + [_ZERO] * (decpt - n) + [_DOT, _ZERO])
+    for n in range(1, 18):
+        digits = list(range(20 - n, 20))
+        mantissa = digits[:1] + ([_DOT] + digits[1:] if n > 1 else [])
+        rows.append(mantissa + [_E, _EXP_SIGN, _EXP10, _EXP1])
+        rows.append(mantissa + [_E, _EXP_SIGN, _EXP100, _EXP10, _EXP1])
+    table = np.full((len(rows), _WIDTH), _NUL, dtype=np.intp)
+    for key, row in enumerate(rows):
+        table[key, :len(row) + 2] = [_SIGN, *row, _SEP]
+    return table
+
+
+_LAYOUTS = _layouts()
+
+
+def _render_block(block: np.ndarray) -> str:
+    """The lines of ``block``'s rows of finite cells, each ending in "\n"."""
+    rows, cols = block.shape
+    bits = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64).ravel()
+    digits, e10 = _shortest(bits)
+    n = digits.size
+    count = np.searchsorted(_POW10[1:18], digits, side="right") + 1
+    decpt = e10 + count
+    exp = np.abs(decpt - 1)
+    key = np.where((decpt < _FIXED_MIN) | (decpt > _FIXED_MAX),
+                   _FIXED_KEYS + 2 * (count - 1) + (exp >= 100),
+                   17 * (decpt - _FIXED_MIN) + count - 1)
+    source = np.empty((n, _SOURCE), dtype=np.uint8)
+    quads = source[:, :20].view(np.uint32)
+    high, low = digits // _U(10 ** 8), digits % _U(10 ** 8)
+    quads[:, 0] = _QUADS.take(high // _U(10 ** 8))
+    quads[:, 1] = _QUADS.take(high // _U(10 ** 4) % _U(10 ** 4))
+    quads[:, 2] = _QUADS.take(high % _U(10 ** 4))
+    quads[:, 3] = _QUADS.take(low // _U(10 ** 4))
+    quads[:, 4] = _QUADS.take(low % _U(10 ** 4))
+    source[:, _SIGN] = (bits >> _U(63)).astype(np.uint8) * np.uint8(ord("-"))
+    source[:, _EXP_SIGN] = np.where(decpt <= 0, np.uint8(ord("-")), np.uint8(ord("+")))
+    source[:, _EXP100] = exp // 100 + ord("0")
+    source[:, _EXP10] = exp // 10 % 10 + ord("0")
+    source[:, _EXP1] = exp % 10 + ord("0")
+    source.reshape(rows, cols, _SOURCE)[:, :, _SEP] = np.frombuffer(
+        b"," * (cols - 1) + b"\n", dtype=np.uint8)
+    source[:, _DOT:] = np.frombuffer(b".0e\0\0\0", dtype=np.uint8)
+    flat = source.ravel()
+    text = np.empty((n, _WIDTH), dtype=np.uint8)
+    for start in range(0, n, _GATHER):
+        stop = min(n, start + _GATHER)
+        index = _LAYOUTS.take(key[start:stop], axis=0)
+        index += np.arange(start * _SOURCE, stop * _SOURCE, _SOURCE)[:, None]
+        text[start:stop] = flat.take(index)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _read_rows(text: str, header: str) -> np.ndarray:

@@ -295,16 +295,17 @@ def _propagate(propagators: np.ndarray, u0: complex, du0: complex,
                eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u, u') at every sample, one pass through the interval propagators."""
     u, du = u0, du0
-    path = [(u, du)]
-    for a, b, c, d in propagators.T.tolist():
+    us, dus = [u], [du]
+    for a, b, c, d in zip(*propagators.tolist()):
         u, du = a * u + b * du, c * u + d * du
-        path.append((u, du))
-    path = np.array(path)
-    finite = np.isfinite(path).all(axis=1)
+        us.append(u)
+        dus.append(du)
+    us, dus = np.array(us, dtype=complex), np.array(dus, dtype=complex)
+    finite = np.isfinite(us) & np.isfinite(dus)
     if not finite.all():
         raise IntegrationError("solution overflowed",
                                last_eta=float(eta[max(np.argmin(finite) - 1, 0)]))
-    return path[:, 0], path[:, 1]
+    return us, dus
 
 
 def _u_and_uprime(a: np.ndarray, ap: np.ndarray, f: np.ndarray,

@@ -95,16 +95,14 @@ _INDEX_DISPLACEMENT_DRAWS = 1000
 
 
 def _suite_index_displacement(rng: np.random.Generator) -> SuiteResult:
-    # real and imaginary parts are drawn draw by draw, in the order a loop of
-    # single draws takes them (theta, then phi_{AB}, then its derivative);
-    # the forms are then compared once over the batch of draws
+    # one row of 72 normals per draw, in the order a loop of single draws
+    # takes them: theta, phi_{AB} and its derivative, each real then
+    # imaginary part; the forms are then compared once over the batch
     draws = _INDEX_DISPLACEMENT_DRAWS
-    theta = np.empty((draws, 2, 4, 2, 2))
-    low = np.empty((draws, 2, 2, 2))
-    dphi = np.empty((draws, 2, 4, 2, 2))
-    for i in range(draws):
-        for part in (theta[i, 0], theta[i, 1], low[i, 0], low[i, 1], dphi[i, 0], dphi[i, 1]):
-            rng.standard_normal(out=part)
+    parts = rng.standard_normal((draws, 72))
+    theta = parts[:, :32].reshape(draws, 2, 4, 2, 2)
+    low = parts[:, 32:40].reshape(draws, 2, 2, 2)
+    dphi = parts[:, 40:].reshape(draws, 2, 4, 2, 2)
     theta, low, dphi = (x[:, 0] + 1j * x[:, 1] for x in (theta, low, dphi))
     phi_low = 0.5 * (low + np.swapaxes(low, -1, -2))
     phi = np.einsum("BX,...AX->...AB", EPS_UP, phi_low)
@@ -206,12 +204,13 @@ def _suite_gauge_invariance(rng: np.random.Generator) -> SuiteResult:
 def _suite_trace_free(rng: np.random.Generator) -> SuiteResult:
     worst = 0.0
     t = np.array([1.0, 0.0, 0.0, 0.0])
+    inverse_metric = np.linalg.inv(MINKOWSKI)
     for _ in range(100):
         raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         wf = PhotonWaveFunction.physical(0.5 * (raw + raw.T))
         T = stress_energy(wf)
         worst = _worse(worst, float(np.max(np.abs(T - T.T))))
-        worst = _worse(worst, abs(float(np.einsum("ab,ab->", np.linalg.inv(MINKOWSKI), T))))
+        worst = _worse(worst, abs(float(np.einsum("ab,ab->", inverse_metric, T))))
         density = float(t @ T @ t)
         if density < -1e-12:
             return SuiteResult("trace-free", False, abs(density), 1e-12,

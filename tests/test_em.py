@@ -514,3 +514,65 @@ class TestCsv:
         assert write_bivector_csv(pts, bivector_from_spinors(wf)) == BIVECTOR_HEADER + "\n"
         for header in (BIVECTOR_HEADER, WAVEFUNCTION_HEADER):
             assert csvio._read_rows(header + "\n", header).shape == (0, 10)
+
+
+def render_with_repr(header: str, table: np.ndarray) -> str:
+    """The writer's output as ``'%r'`` formats each cell: the reference the
+    block formatter must match byte for byte."""
+    line = ",".join(["%r"] * table.shape[1]) + "\n"
+    return header + "\n" + line * len(table) % tuple(table.ravel().tolist())
+
+
+def _with_ulps(values, ulps: int) -> np.ndarray:
+    """``values`` and their neighbours up to ``ulps`` steps away on either
+    side, both signs."""
+    values = np.asarray(values, dtype=float)
+    out = [values]
+    up, down = values, values
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    out = np.concatenate(out)
+    out = out[np.isfinite(out)]
+    return np.concatenate([out, -out])
+
+
+def _em_roundtrip_table() -> np.ndarray:
+    """The bivector input table of the benchmark's em round trip (seed 7)."""
+    rng = np.random.default_rng([7, 4])
+    return np.hstack([rng.uniform(-1.0, 1.0, (20000, 4)), rng.standard_normal((20000, 6))])
+
+
+CELL_FAMILIES = {
+    "signed zeros": lambda: np.array([0.0, -0.0]),
+    "powers of two": lambda: _with_ulps(np.ldexp(1.0, np.arange(-1074, 1024)), 1),
+    "powers of ten": lambda: _with_ulps([float(f"1e{k}") for k in range(-323, 309)], 3),
+    "form switches": lambda: _with_ulps([1e-4, 1e-5, 1e15, 1e16, 1e17, 9999999999999998.0], 20),
+    "integers": lambda: np.concatenate([np.arange(2.0 ** 20 + 1), _with_ulps([2.0 ** 53], 1)]),
+    "tenths and eighths": lambda: np.concatenate([np.arange(-4000, 4001) / 10,
+                                                  np.arange(-4000, 4001) / 8]),
+}
+
+
+class TestBlockFormatter:
+    """The block formatter's bytes against ``'%r'`` on every cell."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 12).flatmap(lambda width: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=width, max_size=width), min_size=1, max_size=6)))
+    def test_tables_match_repr(self, rows):
+        table = np.array(rows, dtype=float)
+        assert csvio._render(BIVECTOR_HEADER, table) == render_with_repr(BIVECTOR_HEADER, table)
+
+    @pytest.mark.parametrize("family", sorted(CELL_FAMILIES))
+    def test_cell_families_match_repr(self, family):
+        cells = CELL_FAMILIES[family]()
+        table = np.resize(cells, (-(-cells.size // 8), 8))
+        assert csvio._render(WAVEFUNCTION_HEADER, table) == render_with_repr(
+            WAVEFUNCTION_HEADER, table)
+
+    def test_em_roundtrip_table_matches_repr(self):
+        table = _em_roundtrip_table()
+        assert len(table) > csvio._CHUNK
+        assert csvio._render(BIVECTOR_HEADER, table) == render_with_repr(BIVECTOR_HEADER, table)
