@@ -56,12 +56,9 @@ class SpinAffinity:
         return float(np.max(np.abs(self.lowered() - recon)))
 
     @classmethod
-    def from_symmetric_part(cls, sym: np.ndarray, trace: np.ndarray | None = None) -> "SpinAffinity":
-        """Rebuild theta_{aA}^{C} from theta_{a(AC)} and an optional trace."""
-        low = np.array(sym, dtype=complex)
-        if trace is not None:
-            trace = np.asarray(trace, dtype=complex)
-            low = low + 0.5 * np.einsum("AC,...a->...aAC", EPS_LOW, trace)
+    def from_symmetric_part(cls, sym: np.ndarray) -> "SpinAffinity":
+        """Rebuild the trace-free theta_{aA}^{C} from theta_{a(AC)}."""
+        low = np.asarray(sym, dtype=complex)
         mixed = np.einsum("CX,...aAX->...aAC", EPS_UP, low)
         return cls(mixed)
 

@@ -129,9 +129,6 @@ class ComponentSpinor:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "ComponentSpinor":
-        return self * (-1.0)
-
     # -- diagnostics ---------------------------------------------------------------
 
     def max_abs(self) -> float:

@@ -8,7 +8,6 @@ from .. import _lazy_getattr
 
 # Each public name and the submodule that defines it.
 _SUBMODULES = {
-    "AnalyticPotential": "analytic",
     "AnalyticWaveFunction": "analytic",
     "field_from_potential": "analytic",
     "interior": "analytic",

@@ -1,8 +1,10 @@
-"""Analytic field closures: exact values and exact derivatives.
+"""Analytic field closures with exact derivatives.
 
 Plane waves and pure gauges are first-class inputs so the massless field
 equation can be checked to machine precision instead of discretization
-error.  Points are arrays of shape (..., 4) in (t, x, y, z).
+error.  A potential is given by its exact gradient, the one thing the field
+F_ab = d_a Phi_b - d_b Phi_a reads.  Points are arrays of shape (..., 4) in
+(t, x, y, z).
 """
 
 from __future__ import annotations
@@ -18,50 +20,41 @@ from ..errors import GridError
 from .fields import BivectorField
 
 
-@dataclass(frozen=True)
-class AnalyticPotential:
-    """Callable pair: Phi_b(x) of shape (..., 4) and exact d_a Phi_b (..., 4, 4)."""
-
-    value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-
-
 def _phase(x, k: np.ndarray) -> np.ndarray:
     """k.x = k_a x^a at points x of shape (..., 4), for a covector k."""
     return np.einsum("...a,a->...", np.asarray(x, dtype=float), k)
 
 
-def plane_wave_potential(amplitude: np.ndarray, wavevector: np.ndarray) -> AnalyticPotential:
-    """Phi_b(x) = p_b sin(k.x) with k.x = k_a x^a (covector k)."""
+def plane_wave_potential(amplitude: np.ndarray,
+                         wavevector: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The gradient of Phi_b(x) = p_b sin(k.x), k.x = k_a x^a (covector k)."""
     p = np.asarray(amplitude, dtype=float)
     k = np.asarray(wavevector, dtype=float)
-
-    def value(x):
-        return np.sin(_phase(x, k))[..., None] * p
 
     def grad(x):
         return np.cos(_phase(x, k))[..., None, None] * np.einsum("a,b->ab", k, p)
 
-    return AnalyticPotential(value, grad)
+    return grad
 
 
-def pure_gauge_potential(k: np.ndarray, scale: float = 1.0) -> AnalyticPotential:
-    """Phi = d(chi) for chi = scale * cos(k.x); F vanishes identically."""
+def pure_gauge_potential(k: np.ndarray,
+                         scale: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
+    """The gradient of Phi = d(chi), chi = scale * cos(k.x); F vanishes
+    identically."""
     k = np.asarray(k, dtype=float)
-
-    def value(x):
-        return -scale * np.sin(_phase(x, k))[..., None] * k
 
     def grad(x):
         return -scale * np.cos(_phase(x, k))[..., None, None] * np.einsum("a,b->ab", k, k)
 
-    return AnalyticPotential(value, grad)
+    return grad
 
 
-def field_from_potential(potential: AnalyticPotential, points: np.ndarray) -> BivectorField:
-    """F_ab = d_a Phi_b - d_b Phi_a from exact derivatives."""
-    grad = potential.grad(points)
-    return BivectorField(grad - np.swapaxes(grad, -1, -2))
+def field_from_potential(grad: Callable[[np.ndarray], np.ndarray],
+                         points: np.ndarray) -> BivectorField:
+    """F_ab = d_a Phi_b - d_b Phi_a from ``grad``, the exact d_a Phi_b of
+    shape (..., 4, 4) at points of shape (..., 4)."""
+    d = grad(points)
+    return BivectorField(d - np.swapaxes(d, -1, -2))
 
 
 def _central_gradient(values: np.ndarray, spacing: float) -> np.ndarray:

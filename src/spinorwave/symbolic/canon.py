@@ -11,26 +11,28 @@ symmetrization groups left in their slot order.
 Dimension-2 facts that relate differently wired epsilon products (the
 three-term epsilon shuffle) are not reachable by those local rewrites, so
 the zero decision is completed by an exact expansion over all component
-assignments with opaque kernel symbols.  Under one assignment every factor
-of a group-expanded term is +1, -1 or 0 (the integer components of the
-metric spinors and deltas, and kernel components sorted by their declared
-symmetries), so the expansion sums integer sign counts per symbol and
-weights them once by the term's rational coefficient.  An expression
-canonicalizes to literal zero precisely when that expansion vanishes
-identically.  ``canonicalize`` expands each collected term once
-(``component_map``), at its coefficient times the common denominator of the
-collected coefficients, an integer: the expansion is linear in the
-coefficient, so the maps hold integers, and the result is zero when every
-sum of them is.
+assignments with opaque kernel symbols.  The metric spinor is the only
+antisymmetric kernel, on its pair of slots (in two dimensions any skew pair
+is a metric spinor times a trace); a field kernel declares symmetric groups
+at most.  Under one assignment a constant factor is +1, -1 or 0 (the integer
+components of the metric spinors and deltas) and a field factor is one
+component sorted within its symmetric groups, so the expansion sums integer
+sign counts per symbol and weights them once by the term's rational
+coefficient.  An expression canonicalizes to literal zero precisely when
+that expansion vanishes identically.  ``canonicalize`` expands each
+collected term once (``component_map``), at its coefficient times the common
+denominator of the collected coefficients, an integer: the expansion is
+linear in the coefficient, so the maps hold integers, and the result is
+zero when every sum of them is.
 
 The expansion of a term factorizes over its clusters, the connected sets of
 factors that share labels: an assignment's sign is the product of its
 clusters' signs and its symbol is put together from theirs.  Each cluster
-is enumerated alone, with one component-and-sign table per field factor,
-and the clusters are combined by product.  A field table depends only on
-the kernel's name and symmetry groups, the operator scope and the slot
-shape, so each is built once per process; a cluster's counts depend only on
-its shape, so each is enumerated once per kernel table.  The counts stay
+is enumerated alone, with one component table per field factor, and the
+clusters are combined by product.  A field table depends only on the
+kernel's name and symmetric groups, the operator scope and the slot shape,
+so each is built once per process; a cluster's counts depend only on its
+shape, so each is enumerated once per kernel table.  The counts stay
 integers over the common denominator of the term's coefficients until the
 end, which builds one Fraction per distinct surviving value.
 
@@ -45,7 +47,7 @@ import math
 import operator
 from fractions import Fraction
 
-from ..core.indices import DELTA, DIMENSION, EPS, IndexKind, Variance, permutation_sign
+from ..core.indices import DELTA, DIMENSION, EPS, IndexKind, Variance
 from ..errors import UnsupportedExpressionError
 from .expr import Expr, Factor, Idx, Term, expand_groups, fresh_label
 from .kernels import Displacement, KernelTable
@@ -63,32 +65,21 @@ def _components(factor: Factor, table: KernelTable) -> tuple | None:
 
 def _sort_slots(items: list, sym, antisym, label) -> int:
     """Sort ``items`` (one per slot) in place, stably by ``label``, inside
-    each symmetric and antisymmetric slot group.  Returns the sign of the
-    antisymmetric sorts, or 0 when an antisymmetric group repeats a label."""
+    each symmetric slot group and each antisymmetric pair (the metric
+    spinor's two slots, the one antisymmetry a kernel declares).  Returns the
+    sign of the pair swaps, or 0 when a pair repeats a label."""
     sign = 1
     for group in sym:
         ordered = sorted((items[s] for s in group), key=label)
         for slot, item in zip(group, ordered):
             items[slot] = item
-    for group in antisym:
-        if len(group) == 2:
-            # the common two-slot group: a swap at most
-            a, b = group
-            first, second = label(items[a]), label(items[b])
-            if first == second:
-                return 0
-            if first > second:
-                items[a], items[b] = items[b], items[a]
-                sign = -sign
-            continue
-        labels = [label(items[s]) for s in group]
-        if len(set(labels)) != len(labels):
+    for a, b in antisym:
+        first, second = label(items[a]), label(items[b])
+        if first == second:
             return 0
-        order = sorted(range(len(group)), key=labels.__getitem__)
-        sign *= permutation_sign(order)
-        ordered = [items[group[i]] for i in order]
-        for slot, item in zip(group, ordered):
-            items[slot] = item
+        if first > second:
+            items[a], items[b] = items[b], items[a]
+            sign = -sign
     return sign
 
 
@@ -96,9 +87,9 @@ _IDX_NAME = operator.attrgetter("name")
 
 
 def sort_kernel_slots(term: Term, table: KernelTable, skip: set[int] | None = None) -> Term | None:
-    """Order indices inside declared symmetric/antisymmetric slot groups.
+    """Order indices inside declared symmetric groups and antisymmetric pairs.
 
-    Returns None when an antisymmetric group carries a repeated label.
+    Returns None when an antisymmetric pair carries a repeated label.
     """
     coeff, sorted_factors = term.coeff, None
     for fpos, factor in enumerate(term.factors):
@@ -154,8 +145,8 @@ def _substitute_label(term: Term, skip_pos: int, old: Idx, new: Idx) -> Term | N
 
 def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
     """Fixpoint of the kernel-symmetry slot sort, delta substitution and
-    epsilon-pair contraction; None when an antisymmetric slot group repeats
-    a label.  Factors in symmetrization groups keep their slot order."""
+    epsilon-pair contraction; None when a metric spinor repeats a label.
+    Factors in symmetrization groups keep their slot order."""
     current = term
     for _ in range(200):
         skip = {f for _, positions in current.groups for f, _ in positions} \
@@ -460,29 +451,23 @@ def _expand_operator_displacement(term: Term, table: KernelTable, fresh: list[in
     return Term(term.coeff, tuple(factors) + tuple(extra))
 
 
-def _canonical_component(kernel, values: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Sort component indices inside declared symmetry groups; None if killed."""
-    vals = list(values)
-    # component values are ints, which sort as themselves
-    sign = _sort_slots(vals, kernel.sym_groups, kernel.antisym_groups, int)
-    return (tuple(vals), sign) if sign else None
-
-
-# (kernel name, symmetric groups, antisymmetric groups, scope, shape) -> the
-# field table of that key, which depends on nothing else: built once
+# (kernel name, symmetric groups, scope, shape) -> the field table of that
+# key, which depends on nothing else: built once
 _FIELD_TABLES: dict[tuple, dict] = {}
 
 
 def _field_table(kernel, scope: int, shape: tuple[int, ...]) -> dict:
-    """Slot values -> ((scope, kernel name, sorted component), sign), or None
-    where an antisymmetric group kills the component."""
-    key = (kernel.name, kernel.sym_groups, kernel.antisym_groups, scope, shape)
+    """Slot values -> (scope, kernel name, component sorted within the
+    kernel's symmetric groups).  A field kernel declares no antisymmetry."""
+    key = (kernel.name, kernel.sym_groups, scope, shape)
     out = _FIELD_TABLES.get(key)
     if out is None:
         out = _FIELD_TABLES[key] = {}
         for v in itertools.product(*map(range, shape)):
-            canon = _canonical_component(kernel, v)
-            out[v] = None if canon is None else ((scope, kernel.name, canon[0]), canon[1])
+            component = list(v)
+            # component values are ints, which sort as themselves
+            _sort_slots(component, kernel.sym_groups, (), int)
+            out[v] = (scope, kernel.name, tuple(component))
     return out
 
 
@@ -503,18 +488,10 @@ def _cluster_counts(dims, free, constant_plan, op_plan, field_plan) -> dict[tupl
             sign *= numbers[value[i]][value[j]]
         if not sign:
             continue
-        fields = []
-        for table, getter in field_plan:
-            entry = table[getter(value)]
-            if entry is None:
-                break
-            sign *= entry[1]
-            fields.append(entry[0])
-        else:
-            fields.sort()
-            ops = tuple([(name, get(value)) for name, get in op_plan]) if op_plan else ()
-            key = (ops, tuple(fields), tuple(zip(free, value)))
-            counts[key] = counts.get(key, 0) + sign
+        fields = sorted([table[getter(value)] for table, getter in field_plan])
+        ops = tuple([(name, get(value)) for name, get in op_plan]) if op_plan else ()
+        key = (ops, tuple(fields), tuple(zip(free, value)))
+        counts[key] = counts.get(key, 0) + sign
     return {key: count for key, count in counts.items() if count}
 
 
@@ -622,11 +599,12 @@ def _add_sign_counts(term: Term, table: KernelTable, fresh: list[int], weight: i
     """Add ``weight`` times the sign count of every symbol of one group-free
     term into ``acc``.
 
-    Every factor is a metric spinor, a delta or a symmetry-sorted kernel
-    component, so each assignment adds +1, -1 or nothing to one symbol.
-    Factors that share a label form a cluster, and an assignment's sign is
-    the product of its clusters' signs: each cluster is enumerated alone,
-    and the clusters' partial symbols are combined by product.
+    Every factor is a metric spinor, a delta or a field component sorted
+    within its symmetric groups, so each assignment adds +1, -1 or nothing
+    to one symbol.  Factors that share a label form a cluster, and an
+    assignment's sign is the product of its clusters' signs: each cluster is
+    enumerated alone, and the clusters' partial symbols are combined by
+    product.
     """
     parts = _parts(_expand_operator_displacement(term, table, fresh), table)
     if parts is None:

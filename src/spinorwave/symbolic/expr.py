@@ -9,7 +9,6 @@ gymnastics the rewrite rules encode).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -34,10 +33,9 @@ def fresh_label(prefix: str, kind: IndexKind, n: int) -> str:
     return label + "'" if kind is IndexKind.PRIMED else label
 
 
-@functools.total_ordering
 class Idx:
-    """One index occurrence, never changed once made.  Equality, hash and
-    order read ``(name, up)`` only: the kind is stored, since generated
+    """One index occurrence, never changed once made.  Equality and hash
+    read ``(name, up)`` only: the kind is stored, since generated
     operator labels (``!op<n>``) carry a kind that ``kind_of_label`` would
     not give."""
 
@@ -53,9 +51,6 @@ class Idx:
 
     def __eq__(self, other):
         return self._key() == other._key() if isinstance(other, Idx) else NotImplemented
-
-    def __lt__(self, other):
-        return self._key() < other._key() if isinstance(other, Idx) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -169,9 +164,6 @@ class Expr(NamedTuple):
 
     def __sub__(self, other: "Expr") -> "Expr":
         return Expr(self.terms + tuple(t.with_coeff(-t.coeff) for t in other.terms))
-
-    def __neg__(self) -> "Expr":
-        return Expr(tuple(t.with_coeff(-t.coeff) for t in self.terms))
 
     def __repr__(self) -> str:
         if not self.terms:

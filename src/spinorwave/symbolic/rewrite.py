@@ -71,8 +71,6 @@ def _pattern_arrangements(factor: Factor, table: KernelTable):
     declared symmetries, with the associated sign."""
     kernel = table.get(factor.kernel)
     arrangements = [(factor.indices, 1)]
-    if kernel is None:
-        return arrangements
     for group, antisym in [(g, False) for g in kernel.sym_groups] + [
         (g, True) for g in kernel.antisym_groups
     ]:
@@ -265,7 +263,9 @@ def apply_rules(expr: Expr, rules: list[RewriteRule],
     trace: list[TraceStep] = []
     fresh = itertools.count(1)
     expr = light_fold(expr, table)
-    seen: set[tuple] = set()
+    # keyed on the terms, not their reprs: the rank-0 kernel ``T_a`` prints
+    # as ``T_{a}`` does
+    seen: set[tuple[Term, ...]] = set()
     for step in range(1, _MAX_STEPS + 1):
         hit = None
         for rule in rules:
@@ -283,10 +283,9 @@ def apply_rules(expr: Expr, rules: list[RewriteRule],
         expr = Expr(expr.terms[:ti] + tuple(new_terms) + expr.terms[ti + 1 :])
         expr = light_fold(expr, table)
         trace.append(TraceStep(step, rule.name, ti, len(expr.terms)))
-        key = tuple(repr(t) for t in expr.terms)
-        if key in seen:
+        if expr.terms in seen:
             break
-        seen.add(key)
+        seen.add(expr.terms)
     return expr, trace
 
 

@@ -267,6 +267,15 @@ class TestCheck:
             assert message in result.stderr
             assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--seed", "abc"],
+         "Invalid value for '--seed': 'abc' is not a non-negative integer"),
+        (["verify", "stray"], "Got unexpected extra argument (stray)"),
+    ])
+    def test_usage_error_is_one_exact_line(self, argv, message):
+        result = invoke(argv)
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
     def test_verbose_is_a_usage_error_for_verify_and_cosmo(self, tmp_path):
         # neither command has a --verbose flag, and cosmo has no --jobs
         config = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import pytest
 
 from spinorwave.errors import IdentityError, WeightError
 from spinorwave.symbolic import (
+    Expr,
     KernelTable,
     Parser,
     RewriteRule,
@@ -14,7 +15,7 @@ from spinorwave.symbolic import (
     verify_identity,
 )
 from spinorwave.symbolic.expr import Factor, Term
-from spinorwave.symbolic.rewrite import Match, match_term
+from spinorwave.symbolic.rewrite import Match, apply_rules, match_term
 
 
 def setup_engine():
@@ -120,6 +121,15 @@ class TestVerifyIdentity:
         assert not report.success
         assert not report.residual.is_zero
 
+    @pytest.mark.parametrize("sign, success", [("-", True), ("+", False)])
+    def test_lowering_bridge_of_a_kernel_first_written_up(self, sign, success):
+        # Ua and Vb take their first written slot, upper, as their template:
+        # each lowered slot is a bridge, and swapping the contraction's
+        # variance costs a sign
+        table, _, parser = setup_engine()
+        lhs, rhs = parser.parse_identity(f"Ua^{{A}} Vb_{{A}} == {sign} Ua_{{A}} Vb^{{A}}")
+        assert verify_identity(lhs, rhs, [], table).success is success
+
     def test_free_index_mismatch_is_ill_posed(self):
         table, rules, parser = setup_engine()
         lhs = parser.parse_expression("phi_{A}^{B}")
@@ -197,3 +207,17 @@ class TestMatchTerm:
         assert found.const_used == (2,)
         assert found.mapping["B"] == "C" and found.mapping["C"] == "B"
         assert found.sign == 1
+
+
+class TestApplyRules:
+    def test_repeat_check_tells_apart_terms_that_print_alike(self):
+        # the rank-0 kernel T_a prints as T_{a} does, and U_a as U_{a}: the
+        # expression first repeats after the third step, not the second
+        table, _, parser = setup_engine()
+        there = parser.parse_expression("T_{a} U_a").terms[0]
+        back = parser.parse_expression("T_a U_{a}").terms[0]
+        assert repr(there) == repr(back) and there != back
+        rules = [RewriteRule("there", there, Expr((back,))),
+                 RewriteRule("back", back, Expr((there,)))]
+        _, trace = apply_rules(Expr((there,)), rules, table)
+        assert [step.rule for step in trace] == ["there", "back", "there"]

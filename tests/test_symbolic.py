@@ -148,11 +148,45 @@ class TestParser:
         assert len(out.terms) == 1
         assert str(out.terms[0].coeff) == "1/2"
 
+    @pytest.mark.parametrize("coefficient", ["2", "1/2"])
+    def test_star_after_a_coefficient_is_optional(self, coefficient):
+        _, parser = fresh()
+        assert parser.parse_expression(f"{coefficient} * phi_{{A B}}") == \
+            parser.parse_expression(f"{coefficient} phi_{{A B}}")
+
     def test_parenthesized_operator_sum(self):
         table, parser = fresh()
         a = parser.parse_expression("(Box + 1/3 R) phi_{A}^{B}")
         b = parser.parse_expression("Box phi_{A}^{B} + 1/3 R phi_{A}^{B}")
         assert canonicalize(a - b, table).is_zero
+
+
+def antisymmetry_faults(table):
+    """The kernels of ``table`` that break what the exact expansion relies
+    on: the metric spinors declare the antisymmetric pair (0, 1), and no
+    other kernel declares antisymmetry."""
+    return [kernel.name for kernel in table.kernels.values()
+            if kernel.antisym_groups != (((0, 1),) if kernel.components == EPS_TABLE else ())]
+
+
+class TestKernelTable:
+    def test_only_the_metric_spinors_are_antisymmetric(self):
+        table = KernelTable()
+        assert {name for name, kernel in table.kernels.items() if kernel.antisym_groups} == \
+            {"eps_lo", "eps_up", "eps_lo_p", "eps_up_p"}
+        assert antisymmetry_faults(table) == []
+
+    def test_auto_registered_kernels_have_no_slot_groups(self):
+        table = KernelTable()
+        kernel = table.auto_register("Gx", spinor_signature("uUpw").slots)
+        assert (kernel.sym_groups, kernel.antisym_groups) == ((), ())
+        assert antisymmetry_faults(table) == []
+
+    def test_an_antisymmetric_field_kernel_is_a_fault(self):
+        table = KernelTable()
+        skew = table.kernels["phi"]._replace(name="skew", sym_groups=(), antisym_groups=((0, 1),))
+        table.kernels["skew"] = skew
+        assert antisymmetry_faults(table) == ["skew"]
 
 
 class TestWeights:
@@ -530,6 +564,24 @@ CONSTANT_TABLES = {"eps_lo": EPS_TABLE, "eps_up": EPS_TABLE, "eps_lo_p": EPS_TAB
                    "eps_up_p": EPS_TABLE, "delta": DELTA_TABLE, "delta_p": DELTA_TABLE}
 
 
+def reference_component(kernel, values):
+    """A field component sorted within each of the kernel's symmetric and
+    antisymmetric slot groups, whatever their size, and the sign of the
+    antisymmetric sorts; None where an antisymmetric group repeats a value."""
+    values, sign = list(values), 1
+    for groups, antisym in ((kernel.sym_groups, False), (kernel.antisym_groups, True)):
+        for group in groups:
+            order = sorted(range(len(group)), key=lambda i: values[group[i]])
+            moved = [values[group[i]] for i in order]
+            if antisym:
+                if len(set(moved)) < len(moved):
+                    return None
+                sign *= permutation_sign(order)
+            for slot, value in zip(group, moved):
+                values[slot] = value
+    return tuple(values), sign
+
+
 def reference_component_map(expr, table):
     acc = {}
     fresh = [0]
@@ -559,7 +611,7 @@ def reference_component_map(expr, table):
                     continue
                 fields = []
                 for scope, kernel, where in field_plan:
-                    canonical = canon._canonical_component(kernel, tuple(value[s] for s in where))
+                    canonical = reference_component(kernel, tuple(value[s] for s in where))
                     if canonical is None:
                         break
                     sign *= canonical[1]
