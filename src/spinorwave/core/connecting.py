@@ -85,9 +85,9 @@ class ConnectingObjects:
 
 
 # PAULI gives the metric 2 eta and the inverse symbols sigma_a eta / 2 exactly
-_unit = ConnectingObjects.from_matrices(PAULI)
-FLAT = ConnectingObjects(FLAT_SYMBOLS, _unit.s_inv * np.sqrt(2.0), _unit.metric / 2,
-                         _unit.metric_inv * 2)
+PAULI_OBJECTS = ConnectingObjects.from_matrices(PAULI)
+FLAT = ConnectingObjects(FLAT_SYMBOLS, PAULI_OBJECTS.s_inv * np.sqrt(2.0),
+                         PAULI_OBJECTS.metric / 2, PAULI_OBJECTS.metric_inv * 2)
 
 
 def levi_civita4() -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.connecting import FLAT, MINKOWSKI, PAULI, ConnectingObjects, levi_civita4
+from ..core.connecting import FLAT, MINKOWSKI, PAULI_OBJECTS, levi_civita4
 from ..core.convention import EPS_LOW, EPS_UP
 from ..errors import BivectorError, SpinorSymmetryError
 
@@ -118,14 +118,13 @@ def _flat_maps() -> tuple[np.ndarray, np.ndarray]:
     inverts exactly, so no step rounds; the flat symbols are
     ``PAULI / sqrt(2)``, which scales the two maps by 2 and by 1/2.  Every
     entry is 0, +-1/2 or +-1, times 1 or i."""
-    unit = ConnectingObjects.from_matrices(PAULI)
-    phi, conj = _extract(bivector_from_pairs(np.eye(6)), unit.s_inv)
+    phi, conj = _extract(bivector_from_pairs(np.eye(6)), PAULI_OBJECTS.s_inv)
     to_spinor = 2.0 * np.concatenate(
         [symmetric_components(phi), symmetric_components(conj)], axis=-1)
     basis = symmetric_from_components(np.eye(3))
-    zero = np.zeros_like(basis)
+    zero, s = np.zeros_like(basis), PAULI_OBJECTS.s
     to_bivector = 0.5 * bivector_pairs(np.concatenate(
-        [_reconstruct(basis, zero, unit.s), _reconstruct(zero, basis, unit.s)]))
+        [_reconstruct(basis, zero, s), _reconstruct(zero, basis, s)]))
     for m in (to_spinor, to_bivector):
         m.setflags(write=False)
     return to_spinor, to_bivector

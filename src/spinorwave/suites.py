@@ -50,11 +50,7 @@ def _worse(worst: float, error) -> float:
     return max(worst, error) if math.isfinite(error) else math.inf
 
 
-def _result(name: str, max_error: float, tol: float, detail: str = "") -> SuiteResult:
-    return SuiteResult(name, bool(max_error < tol), float(max_error), tol, detail)
-
-
-def _suite_eps_algebra(rng: np.random.Generator) -> SuiteResult:
+def _suite_eps_algebra(rng: np.random.Generator) -> tuple[float, float, str]:
     worst = 0.0
     delta = np.einsum("ab,cb->ac", EPS_UP, EPS_LOW)
     worst = _worse(worst, float(np.max(np.abs(delta - np.eye(2)))))
@@ -65,10 +61,10 @@ def _suite_eps_algebra(rng: np.random.Generator) -> SuiteResult:
         worst = _worse(worst, float(np.max(np.abs((EPS_UP @ xi) @ EPS_LOW - xi))))
     s = random_spinor(spinor_signature("uuu"), rng)
     worst = _worse(worst, s.symmetrize((0, 1, 2), antisym=True).max_abs())
-    return _result("eps-algebra", worst, 1e-14)
+    return worst, 1e-14, ""
 
 
-def _suite_decomposition(rng: np.random.Generator) -> SuiteResult:
+def _suite_decomposition(rng: np.random.Generator) -> tuple[float, float, str]:
     worst = 0.0
     for _ in range(100):
         theta = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -76,10 +72,10 @@ def _suite_decomposition(rng: np.random.Generator) -> SuiteResult:
         trace = np.einsum("CB,CB->", EPS_UP, theta)
         recon = sym + 0.5 * EPS_LOW * trace
         worst = _worse(worst, float(np.max(np.abs(theta - recon))))
-    return _result("decomposition", worst, 1e-14)
+    return worst, 1e-14, ""
 
 
-def _suite_conjugation(rng: np.random.Generator) -> SuiteResult:
+def _suite_conjugation(rng: np.random.Generator) -> tuple[float, float, str]:
     worst = 0.0
     for _ in range(25):
         s = random_spinor(spinor_signature("uUpP"), rng)
@@ -87,13 +83,13 @@ def _suite_conjugation(rng: np.random.Generator) -> SuiteResult:
         c1 = s.contract(0, 1).conjugate()
         c2 = s.conjugate().contract(0, 1)
         worst = _worse(worst, (c1 - c2).max_abs())
-    return _result("conjugation", worst, 1e-14)
+    return worst, 1e-14, ""
 
 
 _INDEX_DISPLACEMENT_DRAWS = 1000
 
 
-def _suite_index_displacement(rng: np.random.Generator) -> SuiteResult:
+def _suite_index_displacement(rng: np.random.Generator) -> tuple[float, float, str]:
     # one row of 72 normals per draw, in the order a loop of single draws
     # takes them: theta, phi_{AB} and its derivative, each real then
     # imaginary part; the forms are then compared once over the batch
@@ -107,7 +103,7 @@ def _suite_index_displacement(rng: np.random.Generator) -> SuiteResult:
     phi = np.einsum("BX,...AX->...AB", EPS_UP, phi_low)
     direct, rearranged = aff.covariant_derivative_forms(phi, aff.SpinAffinity(theta), dphi)
     worst = _worse(0.0, np.max(np.abs(direct - rearranged)))
-    return _result("index-displacement", worst, 1e-12, f"{draws} draws")
+    return worst, 1e-12, f"{draws} draws"
 
 
 def _conformal_family(a0: float, a1: float, eta: float):
@@ -120,7 +116,7 @@ def _conformal_family(a0: float, a1: float, eta: float):
     return ConnectingObjects.conformal(a), dg, ds
 
 
-def _suite_affinity_metric(rng: np.random.Generator) -> SuiteResult:
+def _suite_affinity_metric(rng: np.random.Generator) -> tuple[float, float, str]:
     worst = 0.0
     zero_sym = aff.affinity_from_metric(FLAT, np.zeros((4, 4, 4)), np.zeros((4, 4, 2, 2)))
     worst = _worse(worst, float(np.max(np.abs(zero_sym))))
@@ -130,10 +126,10 @@ def _suite_affinity_metric(rng: np.random.Generator) -> SuiteResult:
     affinity = aff.SpinAffinity.from_symmetric_part(sym)
     worst = _worse(worst, affinity.split_residual())
     worst = _worse(worst, aff.metric_compatibility_residual(objects, dg, ds, affinity))
-    return _result("affinity-metric", worst, 1e-12)
+    return worst, 1e-12, ""
 
 
-def _suite_connecting(rng: np.random.Generator) -> SuiteResult:
+def _suite_connecting(rng: np.random.Generator) -> tuple[float, float, str]:
     worst = 0.0
     worst = _worse(worst, float(np.max(np.abs(FLAT.metric - MINKOWSKI))))
     for _ in range(50):
@@ -142,10 +138,10 @@ def _suite_connecting(rng: np.random.Generator) -> SuiteResult:
         worst = _worse(worst, float(np.max(np.abs(FLAT.spinor_to_vector(m) - v))))
     cc = ConnectingObjects.conformal(2.5)
     worst = _worse(worst, float(np.max(np.abs(cc.metric - 6.25 * MINKOWSKI))))
-    return _result("connecting-objects", worst, 1e-12)
+    return worst, 1e-12, ""
 
 
-def _suite_bivector_roundtrip(rng: np.random.Generator) -> SuiteResult:
+def _suite_bivector_roundtrip(rng: np.random.Generator) -> tuple[float, float, str]:
     worst = 0.0
     raw = rng.standard_normal((100, 4, 4))
     F = BivectorField(raw - np.swapaxes(raw, -1, -2))
@@ -153,10 +149,10 @@ def _suite_bivector_roundtrip(rng: np.random.Generator) -> SuiteResult:
     worst = _worse(worst, float(np.max(np.abs(wf.phi_conj - np.conj(wf.phi)))))
     back = bivector_from_spinors(wf)
     worst = _worse(worst, float(np.max(np.abs(back.values - F.values))))
-    return _result("bivector-roundtrip", worst, 1e-12, "100 draws")
+    return worst, 1e-12, "100 draws"
 
 
-def _suite_duality(rng: np.random.Generator) -> SuiteResult:
+def _suite_duality(rng: np.random.Generator) -> tuple[float, float, str]:
     raw = rng.standard_normal((20, 4, 4))
     F = BivectorField(raw - np.swapaxes(raw, -1, -2))
     wf = spinors_from_bivector(F)
@@ -166,10 +162,10 @@ def _suite_duality(rng: np.random.Generator) -> SuiteResult:
     wf_rot = spinors_from_bivector(rotated)
     expected = np.exp(-1j * math.pi / 2) * wf.phi
     worst = _worse(0.0, np.max(np.abs(wf_rot.phi - expected)))
-    return _result("duality-rotation", worst, 1e-12, "theta = pi/2")
+    return worst, 1e-12, "theta = pi/2"
 
 
-def _suite_massless(rng: np.random.Generator) -> SuiteResult:
+def _suite_massless(rng: np.random.Generator) -> tuple[float, float, str]:
     alpha = np.array([0.8 + 0.3j, -0.2 + 0.5j])
     k = null_wavevector(alpha)
     wf = plane_wave_wavefunction(alpha, k)
@@ -180,12 +176,11 @@ def _suite_massless(rng: np.random.Generator) -> SuiteResult:
     wf_bad = plane_wave_wavefunction(alpha, k_bad)
     bound = 0.1 * float(np.linalg.norm(k_bad)) * float(np.max(np.abs(wf_bad.phi(pts))))
     if massless_residual(wf_bad, pts) <= bound:
-        return SuiteResult("massless-null-wave", False, math.inf, 1e-12,
-                           "non-null wave not rejected")
-    return _result("massless-null-wave", worst, 1e-12)
+        return math.inf, 1e-12, "non-null wave not rejected"
+    return worst, 1e-12, ""
 
 
-def _suite_gauge_invariance(rng: np.random.Generator) -> SuiteResult:
+def _suite_gauge_invariance(rng: np.random.Generator) -> tuple[float, float, str]:
     k = np.array([0.9, 0.4, -0.2, 0.1])
     gauge = pure_gauge_potential(k, scale=1.3)
     pts = rng.standard_normal((40, 4))
@@ -195,10 +190,10 @@ def _suite_gauge_invariance(rng: np.random.Generator) -> SuiteResult:
     F1 = field_from_potential(wave, pts)
     F2 = field_from_potential(lambda x: wave(x) + gauge(x), pts)
     worst = _worse(worst, float(np.max(np.abs(F1.values - F2.values))))
-    return _result("gauge-invariance", worst, 1e-12)
+    return worst, 1e-12, ""
 
 
-def _suite_trace_free(rng: np.random.Generator) -> SuiteResult:
+def _suite_trace_free(rng: np.random.Generator) -> tuple[float, float, str]:
     worst = 0.0
     t = np.array([1.0, 0.0, 0.0, 0.0])
     inverse_metric = np.linalg.inv(MINKOWSKI)
@@ -210,12 +205,11 @@ def _suite_trace_free(rng: np.random.Generator) -> SuiteResult:
         worst = _worse(worst, abs(float(np.einsum("ab,ab->", inverse_metric, T))))
         density = float(t @ T @ t)
         if density < -1e-12:
-            return SuiteResult("trace-free", False, abs(density), 1e-12,
-                               "negative energy density")
-    return _result("trace-free", worst, 1e-12, "100 draws")
+            return abs(density), 1e-12, "negative energy density"
+    return worst, 1e-12, "100 draws"
 
 
-def _suite_symbolic_numeric(rng: np.random.Generator) -> SuiteResult:
+def _suite_symbolic_numeric(rng: np.random.Generator) -> tuple[float, float, str]:
     table = KernelTable()
     parser = Parser(table)
     worst = 0.0
@@ -253,10 +247,11 @@ def _suite_symbolic_numeric(rng: np.random.Generator) -> SuiteResult:
                         acc += 2.0 * psi_mixed * phi_mixed
                 want[A, B] = acc
         worst = _worse(worst, float(np.max(np.abs(got - want))))
-    return _result("symbolic-numeric", worst, 1e-10, "nested-loop oracle")
+    return worst, 1e-10, "nested-loop oracle"
 
 
-SUITES: dict[str, Callable[[np.random.Generator], SuiteResult]] = {
+# name -> suite; a suite returns its worst error, its tolerance and a detail
+SUITES: dict[str, Callable[[np.random.Generator], tuple[float, float, str]]] = {
     "eps-algebra": _suite_eps_algebra,
     "decomposition": _suite_decomposition,
     "conjugation": _suite_conjugation,
@@ -278,9 +273,11 @@ def run_suites(seed: int, names: list[str] | None = None) -> list[SuiteResult]:
     for name in selected:
         rng = np.random.default_rng([seed, _stable_hash(name)])
         try:
-            results.append(SUITES[name](rng))
+            max_error, tolerance, detail = SUITES[name](rng)
         except Exception as exc:  # a crash is a failed suite, not a crash of the run
-            results.append(SuiteResult(name, False, math.inf, 0.0, f"{type(exc).__name__}: {exc}"))
+            max_error, tolerance, detail = math.inf, 0.0, f"{type(exc).__name__}: {exc}"
+        results.append(SuiteResult(name, bool(max_error < tolerance), float(max_error),
+                                   tolerance, detail))
     return results
 
 

@@ -13,17 +13,17 @@ three-term epsilon shuffle) are not reachable by those local rewrites, so
 the zero decision is completed by an exact expansion over all component
 assignments with opaque kernel symbols.  The metric spinor is the only
 antisymmetric kernel, on its pair of slots (in two dimensions any skew pair
-is a metric spinor times a trace); a field kernel declares symmetric groups
-at most.  Under one assignment a constant factor is +1, -1 or 0 (the integer
+is a metric spinor times a trace): a kernel's pair is skew exactly when its
+components are ``EPS``, and a field kernel declares symmetric groups at
+most.  Under one assignment a constant factor is +1, -1 or 0 (the integer
 components of the metric spinors and deltas) and a field factor is one
-component sorted within its symmetric groups, so the expansion sums integer
-sign counts per symbol and weights them once by the term's rational
-coefficient.  An expression canonicalizes to literal zero precisely when
-that expansion vanishes identically.  ``canonicalize`` expands each
-collected term once (``component_map``), at its coefficient times the common
-denominator of the collected coefficients, an integer: the expansion is
-linear in the coefficient, so the maps hold integers, and the result is
-zero when every sum of them is.
+component sorted within its symmetric groups, so each assignment adds an
+integer sign to one symbol.  An expression canonicalizes to literal zero
+precisely when that expansion vanishes identically.  ``canonicalize``
+expands each collected term once (``component_map``), at its coefficient
+times the common denominator of the collected coefficients, an integer:
+the expansion is linear in the coefficient, so the maps hold integers, and
+the result is zero when every sum of them is.
 
 The expansion of a term factorizes over its clusters, the connected sets of
 factors that share labels: an assignment's sign is the product of its
@@ -32,9 +32,7 @@ is enumerated alone, with one component table per field factor, and the
 clusters are combined by product.  A field table depends only on the
 kernel's name and symmetric groups, the operator scope and the slot shape,
 so each is built once per process; a cluster's counts depend only on its
-shape, so each is enumerated once per kernel table.  The counts stay
-integers over the common denominator of the term's coefficients until the
-end, which builds one Fraction per distinct surviving value.
+shape, so each is enumerated once per kernel table.
 
 Dummies are named, however many there are, by one exact search for the
 least first-occurrence numbering over the arrangements of the term.
@@ -63,43 +61,45 @@ def _components(factor: Factor, table: KernelTable) -> tuple | None:
 # -- kernel symmetries ----------------------------------------------------------
 
 
-def _sort_slots(items: list, sym, antisym, label) -> int:
+def _sort_slots(items: list, sym, skew: bool, label) -> int:
     """Sort ``items`` (one per slot) in place, stably by ``label``, inside
-    each symmetric slot group and each antisymmetric pair (the metric
-    spinor's two slots, the one antisymmetry a kernel declares).  Returns the
-    sign of the pair swaps, or 0 when a pair repeats a label."""
-    sign = 1
+    each symmetric slot group and, when ``skew``, inside the metric spinor's
+    antisymmetric pair of slots.  Returns the sign of the pair swap, or 0
+    when the pair repeats a label."""
     for group in sym:
         ordered = sorted((items[s] for s in group), key=label)
         for slot, item in zip(group, ordered):
             items[slot] = item
-    for a, b in antisym:
-        first, second = label(items[a]), label(items[b])
+    if skew:
+        first, second = label(items[0]), label(items[1])
         if first == second:
             return 0
         if first > second:
-            items[a], items[b] = items[b], items[a]
-            sign = -sign
-    return sign
+            items[0], items[1] = items[1], items[0]
+            return -1
+    return 1
 
 
 _IDX_NAME = operator.attrgetter("name")
 
 
 def sort_kernel_slots(term: Term, table: KernelTable, skip: set[int] | None = None) -> Term | None:
-    """Order indices inside declared symmetric groups and antisymmetric pairs.
+    """Order indices inside declared symmetric groups and metric-spinor pairs.
 
-    Returns None when an antisymmetric pair carries a repeated label.
+    Returns None when a metric spinor carries a repeated label.
     """
     coeff, sorted_factors = term.coeff, None
     for fpos, factor in enumerate(term.factors):
         if skip and fpos in skip:
             continue
         kernel = table.get(factor.kernel)
-        if kernel is None or not (kernel.sym_groups or kernel.antisym_groups):
+        if kernel is None:
+            continue
+        skew = kernel.components == EPS
+        if not (kernel.sym_groups or skew):
             continue
         indices = list(factor.indices)
-        sign = _sort_slots(indices, kernel.sym_groups, kernel.antisym_groups, _IDX_NAME)
+        sign = _sort_slots(indices, kernel.sym_groups, skew, _IDX_NAME)
         if not sign:
             return None
         if sign < 0:
@@ -290,21 +290,21 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
     constant_dummies = []
     for position, factor in enumerate(term.factors):
         kernel = table.get(factor.kernel)
-        sym, antisym = (kernel.sym_groups, kernel.antisym_groups) if kernel else ((), ())
+        sym, skew = (kernel.sym_groups, kernel.components == EPS) if kernel else ((), False)
         items = tuple([(idx.up, idx.name) for idx in factor.indices])
         labels = [name for _, name in items]
-        sign = _sort_slots(labels, sym, antisym, str) if sym or antisym else 1
-        if not sign:  # an antisymmetric group repeats a label under every relabeling
+        sign = _sort_slots(labels, sym, skew, str) if sym or skew else 1
+        if not sign:  # a metric spinor repeats a label under every relabeling
             return Term(Fraction(0), ())
         if dummies.isdisjoint(labels):  # one key, whatever the labels so far
-            key = tuple(zip([up for up, _ in items], labels)) if sym or antisym else items
+            key = tuple(zip([up for up, _ in items], labels)) if sym or skew else items
             fixed[position] = ((factor.kernel, key), sign)
-        plans.append((factor.kernel, items, sym, antisym))
+        plans.append((factor.kernel, items, sym, skew))
         if kernel and kernel.components is not None:
             blocks[0].append(position)
             constant_dummies += dummies.intersection(labels)
             if len(items) == 2 and dummies.issuperset(labels):
-                assert antisym == ((0, 1),), "a bridge is a metric spinor"
+                assert skew, "a bridge is a metric spinor"
                 (_, a), (_, b) = items
                 bridges[a], bridges[b] = (factor.kernel, b, 0), (factor.kernel, a, 1)
                 bridged.add(position)
@@ -338,12 +338,12 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
     def arrangements(p, names, counter, pairs):
         """Each least slot order of factor p after the labels so far, as
         (key, names, sign, counter, unbound label pairs by kernel)."""
-        kernel, items, sym, antisym = plans[p]
+        kernel, items, sym, skew = plans[p]
         if p in bridged:
             pair = tuple(_dummy_label(kinds[x], counter + n) for n, (_, x) in enumerate(items))
             return [((kernel, ((items[0][0], pair[0]), (items[1][0], pair[1]))), names, 1,
                      counter + 2, {**pairs, kernel: pairs.get(kernel, ()) + (pair,)})]
-        if not (sym or antisym):  # one slot order
+        if not (sym or skew):  # one slot order
             key, sign, copied = [], 1, False
             for up, name in items:
                 low = label_of(name, names, counter, pairs)
@@ -356,7 +356,7 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
         done = [((), names, 1, counter, pairs, ())]
         for slot in range(len(items)):
             # the slots that may take this slot's place: its symmetry group
-            pool = next((group for group in sym + antisym if slot in group), (slot,))
+            pool = (0, 1) if skew else next((group for group in sym if slot in group), (slot,))
             grown = []
             for key, names, sign, counter, pairs, placed in done:
                 free = [s for s in pool if s not in placed]
@@ -366,7 +366,7 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
                     if labels[j] != low:
                         continue
                     up, name = items[s]
-                    state = (names, -sign if j % 2 and pool in antisym else sign, counter, pairs)
+                    state = (names, -sign if j % 2 and skew else sign, counter, pairs)
                     if name not in names and name in dummies:
                         bound = dict(names)
                         state = (bound, *bind(name, low, bound, *state[1:]))
@@ -378,12 +378,12 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
         """The sign and the factors with dummies left, renamed and slot-sorted."""
         keys = []
         for p in rest + tuple(p for block in blocks[index + 1:] for p in block if p not in fixed):
-            kernel, items, sym, antisym = plans[p]
+            kernel, items, sym, skew = plans[p]
             if p in bridged:  # interchangeable until their ends are met
                 keys.append((kernel,))
                 continue
             labels = [names.get(name, name) for _, name in items]
-            sign *= _sort_slots(labels, sym, antisym, str)
+            sign *= _sort_slots(labels, sym, skew, str)
             keys.append((kernel, tuple(labels)))
         return sign, tuple(sorted(keys[:len(rest)])), tuple(keys[len(rest):])
 
@@ -441,10 +441,8 @@ def _expand_operator_displacement(term: Term, table: KernelTable, fresh: list[in
             if idx.variance is Variance.DOWN:
                 continue
             fresh[0] += 1
-            name = fresh_label("!op", idx.kind, fresh[0])
-            eps = table.resolve_eps(idx.kind, Variance.UP)
-            extra.append(Factor(eps.name, (idx, Idx(name, idx.kind, True))))
-            indices[spos] = Idx(name, idx.kind, False)
+            bridge, indices[spos] = table.eps_bridge(idx, fresh_label("!op", idx.kind, fresh[0]))
+            extra.append(bridge)
         factors[fpos] = Factor(factor.kernel, tuple(indices))
     if not extra:
         return term
@@ -466,7 +464,7 @@ def _field_table(kernel, scope: int, shape: tuple[int, ...]) -> dict:
         for v in itertools.product(*map(range, shape)):
             component = list(v)
             # component values are ints, which sort as themselves
-            _sort_slots(component, kernel.sym_groups, (), int)
+            _sort_slots(component, kernel.sym_groups, False, int)
             out[v] = (scope, kernel.name, tuple(component))
     return out
 

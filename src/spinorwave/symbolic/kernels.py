@@ -1,13 +1,15 @@
 """Kernel table for the abstract-index expression engine.
 
-Every kernel has a fixed template of slots; writing an index against the
-template variance is sugar for contraction with an explicit metric-spinor
-factor, so weights, symmetries and component evaluation always see kernels
-in template position.  Derivative operators are the exception: their index
-displacement is free (no inserted factor) and carries the declared
-per-slot weight contributions instead.  The metric spinors and deltas are
-the constant kernels: their written variance must match the template, and
-their components are the integer tables of :mod:`spinorwave.core.indices`.
+Every kernel has a fixed template of slots; writing a spinor index against
+the template variance is sugar for contraction with an explicit
+metric-spinor factor (``KernelTable.eps_bridge``), so weights, symmetries
+and component evaluation always see kernels in template position.  A world
+index has no metric spinor and is written in its template variance.
+Derivative operators are the exception: their index displacement is free
+(no inserted factor) and carries the declared per-slot weight contributions
+instead.  The metric spinors and deltas are the constant kernels: their
+written variance must match the template, and their components are the
+integer tables of :mod:`spinorwave.core.indices`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from ..core.indices import DELTA, EPS, IndexKind, Slot, Variance, spinor_signature
-from ..errors import ParseError
+from .expr import Factor, Idx
 
 
 class Displacement(Enum):
@@ -28,8 +30,9 @@ class Kernel(NamedTuple):
     name: str
     slots: tuple[Slot, ...]
     weight: tuple[int, int] = (0, 0)
-    sym_groups: tuple[tuple[int, ...], ...] = ()       # totally symmetric sets
-    antisym_groups: tuple[tuple[int, ...], ...] = ()   # antisymmetric pairs
+    # totally symmetric sets; a kernel whose components are EPS, a metric
+    # spinor, is antisymmetric on its pair of slots instead
+    sym_groups: tuple[tuple[int, ...], ...] = ()
     operator: bool = False
     displacement: Displacement = Displacement.EPSILON
     # the integer components of a constant kernel (transparent to operators),
@@ -47,10 +50,10 @@ _U, _UU, _P, _PU, _W = spinor_signature("uUpPw").slots
 # The builtin kernels by name, built once; each table starts from a copy.
 _BUILTIN = {k.name: k for k in (
     # constant kernels: fixed variance; the metric spinors carry the weights
-    Kernel("eps_lo", (_U, _U), (-1, 0), antisym_groups=((0, 1),), components=EPS),
-    Kernel("eps_up", (_UU, _UU), (1, 0), antisym_groups=((0, 1),), components=EPS),
-    Kernel("eps_lo_p", (_P, _P), (0, -1), antisym_groups=((0, 1),), components=EPS),
-    Kernel("eps_up_p", (_PU, _PU), (0, 1), antisym_groups=((0, 1),), components=EPS),
+    Kernel("eps_lo", (_U, _U), (-1, 0), components=EPS),
+    Kernel("eps_up", (_UU, _UU), (1, 0), components=EPS),
+    Kernel("eps_lo_p", (_P, _P), (0, -1), components=EPS),
+    Kernel("eps_up_p", (_PU, _PU), (0, 1), components=EPS),
     Kernel("delta", (_UU, _U), (0, 0), components=DELTA),
     Kernel("delta_p", (_PU, _P), (0, 0), components=DELTA),
     # wave functions and curvature objects
@@ -99,13 +102,24 @@ class KernelTable:
         self.expansions: dict[tuple, tuple] = {}
 
     def resolve_eps(self, kind: IndexKind, variance: Variance) -> Kernel:
-        """The metric spinor whose two slots have this kind and variance."""
-        if kind is IndexKind.WORLD:
-            raise ParseError("metric spinor takes spinor indices only")
+        """The metric spinor whose two slots have this (spinor) kind and
+        variance."""
         primed = kind is IndexKind.PRIMED
         up = variance is Variance.UP
         name = f"eps_{'up' if up else 'lo'}{'_p' if primed else ''}"
         return self.kernels[name]
+
+    def eps_bridge(self, idx: Idx, fresh: str) -> tuple[Factor, Idx]:
+        """The metric-spinor factor that displaces the written spinor index
+        ``idx`` through the fresh label ``fresh``, and the index its kernel
+        slot takes: an up ``idx`` is raised, xi^L = eps^{L X} xi_X, a down
+        one lowered, xi_L = xi^X eps_{X L}."""
+        kind = idx.kind
+        if idx.up:
+            eps = self.resolve_eps(kind, Variance.UP)
+            return Factor(eps.name, (idx, Idx(fresh, kind, True))), Idx(fresh, kind, False)
+        eps = self.resolve_eps(kind, Variance.DOWN)
+        return Factor(eps.name, (Idx(fresh, kind, False), idx)), Idx(fresh, kind, True)
 
     def resolve_delta(self, kind: IndexKind) -> Kernel:
         """The delta whose two slots have this (spinor) kind."""

@@ -247,6 +247,8 @@ class Parser:
             if len(indices) != 2 or indices[0].kind is not indices[1].kind or \
                     indices[0].up != indices[1].up:
                 raise ParseError("metric spinor needs two indices of equal kind and variance", pos)
+            if indices[0].kind is IndexKind.WORLD:
+                raise ParseError("metric spinor takes spinor indices only", pos)
             kernel = table.resolve_eps(indices[0].kind, indices[0].variance)
             factors.append(Factor(kernel.name, indices))
             return
@@ -277,21 +279,13 @@ class Parser:
                 )
             if free or idx.up == (want.variance is Variance.UP):
                 continue
-            if kernel.components is not None:
+            # a constant kernel has no displaced form, and a world index no
+            # metric spinor to displace it
+            if kernel.components is not None or idx.kind is IndexKind.WORLD:
                 raise ParseError(
                     f"kernel {name!r} slot {slot} must be written {want.variance.value}", pos
                 )
-            fresh = self.fresh_label(want.kind)
-            if want.variance is Variance.DOWN:
-                # raising: xi^L = eps^{L X} xi_X
-                eps = table.resolve_eps(want.kind, Variance.UP)
-                bridge = Factor(eps.name, (idx, Idx(fresh, want.kind, True)))
-                new_indices[slot] = Idx(fresh, want.kind, False)
-            else:
-                # lowering: xi_L = xi^X eps_{X L}
-                eps = table.resolve_eps(want.kind, Variance.DOWN)
-                bridge = Factor(eps.name, (Idx(fresh, want.kind, False), idx))
-                new_indices[slot] = Idx(fresh, want.kind, True)
+            bridge, new_indices[slot] = table.eps_bridge(idx, self.fresh_label(idx.kind))
             inserted.append((slot, bridge))
         factors.append(Factor(kernel.name, tuple(new_indices)))
         if not inserted and not groups:
@@ -299,10 +293,9 @@ class Parser:
         # displaced labels now live on the bridges; retarget group positions
         bridge_of_slot: dict[int, tuple[int, int]] = {}
         for slot, bridge in inserted:
-            bridge_pos = len(factors)
+            # the written label sits first on a raising bridge, last on a lowering one
+            bridge_of_slot[slot] = (len(factors), 0 if indices[slot].up else 1)
             factors.append(bridge)
-            bridge_slot = 0 if bridge.indices[0].name != new_indices[slot].name else 1
-            bridge_of_slot[slot] = (bridge_pos, bridge_slot)
         if bridge_of_slot:
             _remap(groups, open_groups, fpos, bridge_of_slot)
         _pullback_and_prune_groups(groups, factors, table)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple
 
-from ..core.indices import permutation_sign
+from ..core.indices import EPS, permutation_sign
 from ..errors import IdentityError, WeightError
 from .canon import canonicalize, light_fold
 from .expr import Expr, Factor, Idx, Term, fresh_label
@@ -68,12 +68,15 @@ def _split(term: Term, table: KernelTable) -> tuple[list[int], list[int]]:
 
 def _pattern_arrangements(factor: Factor, table: KernelTable):
     """All index arrangements of a pattern factor allowed by the kernel's
-    declared symmetries, with the associated sign."""
+    slot symmetries, with the associated sign.  The slots of a group share
+    one variance and no label repeats with equal variance, so the
+    arrangements are distinct."""
     kernel = table.get(factor.kernel)
+    groups = [(group, False) for group in kernel.sym_groups]
+    if kernel.components == EPS:  # the metric spinor's antisymmetric pair
+        groups.append(((0, 1), True))
     arrangements = [(factor.indices, 1)]
-    for group, antisym in [(g, False) for g in kernel.sym_groups] + [
-        (g, True) for g in kernel.antisym_groups
-    ]:
+    for group, antisym in groups:
         new = []
         for indices, sign in arrangements:
             for perm in itertools.permutations(range(len(group))):
@@ -83,15 +86,7 @@ def _pattern_arrangements(factor: Factor, table: KernelTable):
                 s = permutation_sign(perm) if antisym else 1
                 new.append((tuple(out), sign * s))
         arrangements = new
-    # deterministic, unique
-    seen = set()
-    unique = []
-    for indices, sign in arrangements:
-        key = tuple((i.name, i.up) for i in indices)
-        if key not in seen:
-            seen.add(key)
-            unique.append((indices, sign))
-    return unique
+    return arrangements
 
 
 def _unify_options(pat: Factor, host: Factor, mapping: dict[str, str],

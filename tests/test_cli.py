@@ -174,6 +174,23 @@ class TestVerify:
             else:
                 assert result.stdout == "line1: ok\n"
 
+    @pytest.mark.parametrize("identity, message", [
+        ("Phi^{a} == Phi^{a}", "kernel 'Phi' slot 0 must be written down (at position 0)"),
+        ("Ka_{a b} Kb^{b} == Ka_{a}^{b} Kb_{b}",
+         "kernel 'Ka' slot 1 must be written down (at position 19)"),
+        ("eps_{a b} == eps_{a b}", "metric spinor takes spinor indices only (at position 0)"),
+    ])
+    def test_world_index_against_its_template_is_one_exact_line(self, tmp_path, identity,
+                                                                message):
+        # no metric spinor displaces a world index: the line names the
+        # kernel and its position, not a metric spinor the text never wrote
+        corpus = tmp_path / "world.txt"
+        corpus.write_text(identity + "\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"identities": str(corpus)}))
+        result = invoke(["verify", "--config", str(config)])
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
     def test_missing_file_is_usage_error(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"identities": str(tmp_path / "nope.txt")}))
@@ -962,28 +979,39 @@ class TestDeterminism:
         assert a.stdout == b.stdout
 
     def test_verify_matches_golden_outputs(self, tmp_path):
-        """``verify --out`` on both shipped corpora and on the derivative-free
+        """``verify --out`` on both shipped corpora, on the derivative-free
         kernel sums in ``golden/kernel_sums.txt`` (decided by the exact
         component expansion, three of them mutants with printed residuals)
-        reproduces the saved report and trace files byte for byte (the
-        rewrite engine works in exact rational arithmetic, so the bytes are
-        platform independent)."""
+        and on the generated corpora ``golden/generated_<seed>.txt`` (the
+        shipped entries relabelled and rescaled, plus random kernel sums, as
+        ``perfbench.workloads.generate_identity_corpus`` writes them for
+        seeds 4242 and 77) reproduces the saved report and trace files byte
+        for byte, its exit code, and one ``name: status`` stdout line per
+        report entry (the rewrite engine works in exact rational
+        arithmetic, so the bytes are platform independent)."""
         from spinorwave.symbolic import shipped_corpus_text
 
         corpus = tmp_path / "negative.txt"
         corpus.write_text(shipped_corpus_text("identities_negative"))
-        config = tmp_path / "negative.json"
-        config.write_text(json.dumps({"identities": str(corpus)}))
-        sums = tmp_path / "kernel_sums.json"
-        sums.write_text(json.dumps({"identities": str(GOLDEN / "kernel_sums.txt")}))
-        for name, args, code in (("shipped", [], 0), ("negative", ["--config", str(config)], 1),
-                                 ("kernel_sums", ["--config", str(sums)], 1)):
+        runs = [("shipped", None, 0), ("negative", corpus, 1),
+                ("kernel_sums", GOLDEN / "kernel_sums.txt", 1),
+                ("generated_4242", GOLDEN / "generated_4242.txt", 1),
+                ("generated_77", GOLDEN / "generated_77.txt", 1)]
+        for name, identities, code in runs:
+            args = []
+            if identities is not None:
+                config = tmp_path / f"{name}.json"
+                config.write_text(json.dumps({"identities": str(identities)}))
+                args = ["--config", str(config)]
             out = tmp_path / name
-            assert run_cli("verify", *args, "--out", str(out)).returncode == code
+            result = run_cli("verify", *args, "--out", str(out))
+            assert (result.returncode, result.stderr) == (code, ""), name
             golden = GOLDEN / name
             assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
             for expected in golden.iterdir():
                 assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name
+            entries = json.loads((golden / "report.json").read_text())["identities"]
+            assert result.stdout == "".join(f"{e['name']}: {e['status']}\n" for e in entries)
 
     def test_em_matches_golden_outputs(self, tmp_path):
         """``em`` reproduces ``golden/em/`` byte for byte in both directions:

@@ -1,5 +1,7 @@
 """Rewrite rules, the identity verifier, traces, and negative controls."""
 
+import math
+
 import pytest
 
 from spinorwave.errors import IdentityError, WeightError
@@ -15,7 +17,7 @@ from spinorwave.symbolic import (
     verify_identity,
 )
 from spinorwave.symbolic.expr import Factor, Term
-from spinorwave.symbolic.rewrite import Match, apply_rules, match_term
+from spinorwave.symbolic.rewrite import Match, _pattern_arrangements, apply_rules, match_term
 
 
 def setup_engine():
@@ -207,6 +209,23 @@ class TestMatchTerm:
         assert found.const_used == (2,)
         assert found.mapping["B"] == "C" and found.mapping["C"] == "B"
         assert found.sign == 1
+
+    def test_pattern_arrangements_are_distinct(self):
+        # the matcher tries each arrangement of a pattern factor once, with
+        # no pass to remove repeats: a factor of every builtin pattern has
+        # as many distinct arrangements as its slot groups have orders, two
+        # of them with opposite signs for a metric spinor
+        table, rules, _ = setup_engine()
+        for rule in rules.values():
+            for factor in rule.pattern.factors:
+                kernel = table.get(factor.kernel)
+                skew = factor.kernel in ("eps_lo", "eps_up", "eps_lo_p", "eps_up_p")
+                order = math.prod(math.factorial(len(g)) for g in kernel.sym_groups)
+                arrangements = _pattern_arrangements(factor, table)
+                assert len({indices for indices, _ in arrangements}) == len(arrangements) \
+                    == order * (2 if skew else 1), (rule.name, factor.kernel)
+                if skew:
+                    assert sorted(sign for _, sign in arrangements) == [-1, 1]
 
 
 class TestApplyRules:

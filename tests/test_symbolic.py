@@ -43,7 +43,7 @@ from spinorwave.symbolic import (
     shipped_corpus_text,
 )
 from spinorwave.symbolic import parse as parse_module
-from spinorwave.symbolic.expr import Factor, Idx, Term, kind_of_label
+from spinorwave.symbolic.expr import Factor, Idx, Term, fresh_label, kind_of_label
 
 RNG = np.random.default_rng(99)
 
@@ -108,6 +108,10 @@ class TestParser:
         ("expression", "phi_{A}", "kernel 'phi' takes 2 indices, got 1", 0),
         ("expression", "phi_{a b}", "index 'a' has kind world, slot 0 of 'phi' wants unprimed", 0),
         ("expression", "delta_{A B}", "kernel 'delta' slot 0 must be written up", 0),
+        ("identity", "Phi^{a} == Phi^{a}", "kernel 'Phi' slot 0 must be written down", 0),
+        ("identity", "Ka_{a b} Kb^{b} == Ka_{a}^{b} Kb_{b}",
+         "kernel 'Ka' slot 1 must be written down", 19),
+        ("expression", "eps_{a b}", "metric spinor takes spinor indices only", 0),
     ]
 
     @pytest.mark.parametrize("entry, text, message, position", PARSE_ERRORS)
@@ -161,32 +165,37 @@ class TestParser:
         assert canonicalize(a - b, table).is_zero
 
 
-def antisymmetry_faults(table):
-    """The kernels of ``table`` that break what the exact expansion relies
-    on: the metric spinors declare the antisymmetric pair (0, 1), and no
-    other kernel declares antisymmetry."""
-    return [kernel.name for kernel in table.kernels.values()
-            if kernel.antisym_groups != (((0, 1),) if kernel.components == EPS_TABLE else ())]
-
-
 class TestKernelTable:
-    def test_only_the_metric_spinors_are_antisymmetric(self):
+    def test_the_kernels_with_eps_components_are_the_skew_ones(self):
+        """``sort_kernel_slots`` swaps a reversed pair with a sign on exactly
+        the kernels whose components are the metric spinor's, drops such a
+        factor whose pair repeats a label, and sorts a symmetric pair
+        without a sign; every other two-slot kernel keeps its order."""
         table = KernelTable()
-        assert {name for name, kernel in table.kernels.items() if kernel.antisym_groups} == \
-            {"eps_lo", "eps_up", "eps_lo_p", "eps_up_p"}
-        assert antisymmetry_faults(table) == []
+        skew = set()
+        for name, kernel in table.kernels.items():
+            if kernel.rank != 2 or kernel.slots[0] != kernel.slots[1]:
+                continue
+            slot = kernel.slots[0]
+            a, b = (Idx(fresh_label(n, slot.kind, 1), slot.kind, slot.variance is Variance.UP)
+                    for n in ("A", "B"))
+            term = Term(Fraction(1), (Factor(name, (b, a)),))
+            got = canon.sort_kernel_slots(term, table)
+            if CONSTANT_TABLES.get(name) == EPS_TABLE:
+                skew.add(name)
+                assert (got.coeff, got.factors) == (-1, (Factor(name, (a, b)),)), name
+                assert canon.sort_kernel_slots(
+                    Term(Fraction(1), (Factor(name, (a, a)),)), table) is None, name
+            elif (0, 1) in kernel.sym_groups:
+                assert (got.coeff, got.factors) == (1, (Factor(name, (a, b)),)), name
+            else:
+                assert got == term, name
+        assert skew == {"eps_lo", "eps_up", "eps_lo_p", "eps_up_p"}
 
     def test_auto_registered_kernels_have_no_slot_groups(self):
         table = KernelTable()
         kernel = table.auto_register("Gx", spinor_signature("uUpw").slots)
-        assert (kernel.sym_groups, kernel.antisym_groups) == ((), ())
-        assert antisymmetry_faults(table) == []
-
-    def test_an_antisymmetric_field_kernel_is_a_fault(self):
-        table = KernelTable()
-        skew = table.kernels["phi"]._replace(name="skew", sym_groups=(), antisym_groups=((0, 1),))
-        table.kernels["skew"] = skew
-        assert antisymmetry_faults(table) == ["skew"]
+        assert (kernel.sym_groups, kernel.components) == ((), None)
 
 
 class TestWeights:
@@ -564,21 +573,27 @@ CONSTANT_TABLES = {"eps_lo": EPS_TABLE, "eps_up": EPS_TABLE, "eps_lo_p": EPS_TAB
                    "eps_up_p": EPS_TABLE, "delta": DELTA_TABLE, "delta_p": DELTA_TABLE}
 
 
+def reference_slot_groups(kernel):
+    """(group, antisymmetric) per slot group of ``kernel``: its symmetric
+    groups, and the pair of slots of a metric spinor."""
+    skew = [((0, 1), True)] if CONSTANT_TABLES.get(kernel.name) == EPS_TABLE else []
+    return [(group, False) for group in kernel.sym_groups] + skew
+
+
 def reference_component(kernel, values):
     """A field component sorted within each of the kernel's symmetric and
     antisymmetric slot groups, whatever their size, and the sign of the
     antisymmetric sorts; None where an antisymmetric group repeats a value."""
     values, sign = list(values), 1
-    for groups, antisym in ((kernel.sym_groups, False), (kernel.antisym_groups, True)):
-        for group in groups:
-            order = sorted(range(len(group)), key=lambda i: values[group[i]])
-            moved = [values[group[i]] for i in order]
-            if antisym:
-                if len(set(moved)) < len(moved):
-                    return None
-                sign *= permutation_sign(order)
-            for slot, value in zip(group, moved):
-                values[slot] = value
+    for group, antisym in reference_slot_groups(kernel):
+        order = sorted(range(len(group)), key=lambda i: values[group[i]])
+        moved = [values[group[i]] for i in order]
+        if antisym:
+            if len(set(moved)) < len(moved):
+                return None
+            sign *= permutation_sign(order)
+        for slot, value in zip(group, moved):
+            values[slot] = value
     return tuple(values), sign
 
 
@@ -972,14 +987,13 @@ def shuffled_variant(term, table, rng):
     for factor in rename_with(term, mapping).factors:
         kernel = table.get(factor.kernel)
         indices = list(factor.indices)
-        for groups, antisym in ((kernel.sym_groups, False), (kernel.antisym_groups, True)):
-            for group in groups:
-                order = rng.sample(range(len(group)), len(group))
-                moved = [indices[group[i]] for i in order]
-                for slot, idx in zip(group, moved):
-                    indices[slot] = idx
-                if antisym:
-                    coeff *= permutation_sign(order)
+        for group, antisym in reference_slot_groups(kernel):
+            order = rng.sample(range(len(group)), len(group))
+            moved = [indices[group[i]] for i in order]
+            for slot, idx in zip(group, moved):
+                indices[slot] = idx
+            if antisym:
+                coeff *= permutation_sign(order)
         factors.append(Factor(factor.kernel, tuple(indices)))
     if not any(table.get(f.kernel).operator for f in factors):
         rng.shuffle(factors)
