@@ -33,11 +33,11 @@ WAVEFUNCTION_HEADER = "t,x,y,z,re_phi00,im_phi00,re_phi01,im_phi01,re_phi11,im_p
 BIVECTOR_HEADER = "t,x,y,z,F01,F02,F03,F12,F13,F23"
 
 # Rows rendered per block.  A block's ``uint64`` temporaries (a few dozen
-# values per cell) and the intp index of each layout gather (``_WIDTH`` per
-# cell, ``_GATHER`` cells at a time) bound the writer's extra memory; larger
-# blocks pay numpy's per-call cost less often but raise the peak.
+# values per cell) and the intp index of its layout gather (``_WIDTH`` per
+# cell, about 1 MiB for a block of ten-cell rows) bound the writer's extra
+# memory; larger blocks pay numpy's per-call cost less often but raise the
+# peak.
 _CHUNK = 512
-_GATHER = 1024
 
 
 class NonFiniteRowError(ConfigError):
@@ -315,14 +315,9 @@ def _render_block(block: np.ndarray) -> str:
     source.reshape(rows, cols, _SOURCE)[:, :, _SEP] = np.frombuffer(
         b"," * (cols - 1) + b"\n", dtype=np.uint8)
     source[:, _DOT:] = np.frombuffer(b".0e\0\0\0", dtype=np.uint8)
-    flat = source.ravel()
-    text = np.empty((n, _WIDTH), dtype=np.uint8)
-    for start in range(0, n, _GATHER):
-        stop = min(n, start + _GATHER)
-        index = _LAYOUTS.take(key[start:stop], axis=0)
-        index += np.arange(start * _SOURCE, stop * _SOURCE, _SOURCE)[:, None]
-        text[start:stop] = flat.take(index)
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    index = _LAYOUTS.take(key, axis=0)
+    index += np.arange(0, n * _SOURCE, _SOURCE)[:, None]
+    return source.ravel().take(index).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _read_rows(text: str, header: str) -> np.ndarray:

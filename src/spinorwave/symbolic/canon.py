@@ -5,8 +5,9 @@ sums, passes each term once through ``eliminate_constants`` (the fixpoint of
 the declared kernel-symmetry slot sort, delta substitution and epsilon-pair
 contraction), orders factors (constants first; fields sorted within operator
 scopes), renames dummies canonically and collects like terms.  Between
-rewrite steps ``light_fold`` runs the same elimination with the factors of
-symmetrization groups left in their slot order.
+rewrite steps ``light_fold`` runs the same elimination on group-free terms
+only: a term with symmetrization groups waits, unchanged, for
+``expand_groups``.
 
 Dimension-2 facts that relate differently wired epsilon products (the
 three-term epsilon shuffle) are not reachable by those local rewrites, so
@@ -46,7 +47,6 @@ import operator
 from fractions import Fraction
 
 from ..core.indices import DELTA, DIMENSION, EPS, IndexKind, Variance
-from ..errors import UnsupportedExpressionError
 from .expr import Expr, Factor, Idx, Term, expand_groups, fresh_label
 from .kernels import Displacement, KernelTable
 
@@ -83,15 +83,14 @@ def _sort_slots(items: list, sym, skew: bool, label) -> int:
 _IDX_NAME = operator.attrgetter("name")
 
 
-def sort_kernel_slots(term: Term, table: KernelTable, skip: set[int] | None = None) -> Term | None:
-    """Order indices inside declared symmetric groups and metric-spinor pairs.
+def sort_kernel_slots(term: Term, table: KernelTable) -> Term | None:
+    """Order the indices of a group-free term inside declared symmetric
+    groups and metric-spinor pairs.
 
     Returns None when a metric spinor carries a repeated label.
     """
     coeff, sorted_factors = term.coeff, None
     for fpos, factor in enumerate(term.factors):
-        if skip and fpos in skip:
-            continue
         kernel = table.get(factor.kernel)
         if kernel is None:
             continue
@@ -109,25 +108,20 @@ def sort_kernel_slots(term: Term, table: KernelTable, skip: set[int] | None = No
             sorted_factors[fpos] = Factor(factor.kernel, tuple(indices))
     if sorted_factors is None:
         return term if coeff is term.coeff else term.with_coeff(coeff)
-    return Term(coeff, tuple(sorted_factors), term.groups)
+    return Term(coeff, tuple(sorted_factors))
 
 
 # -- delta / epsilon elimination ---------------------------------------------------
 
 
 def _remove_factor(term: Term, pos: int) -> Term:
-    factors = term.factors[:pos] + term.factors[pos + 1 :]
-    groups = tuple(
-        (mode, tuple((f - 1 if f > pos else f, s) for f, s in positions))
-        for mode, positions in term.groups
-    )
-    return Term(term.coeff, factors, groups)
+    return Term(term.coeff, term.factors[:pos] + term.factors[pos + 1 :])
 
 
 def _replace_factor(term: Term, pos: int, factor: Factor) -> Term:
     factors = list(term.factors)
     factors[pos] = factor
-    return Term(term.coeff, tuple(factors), term.groups)
+    return Term(term.coeff, tuple(factors))
 
 
 def _substitute_label(term: Term, skip_pos: int, old: Idx, new: Idx) -> Term | None:
@@ -145,13 +139,12 @@ def _substitute_label(term: Term, skip_pos: int, old: Idx, new: Idx) -> Term | N
 
 def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
     """Fixpoint of the kernel-symmetry slot sort, delta substitution and
-    epsilon-pair contraction; None when a metric spinor repeats a label.
-    Factors in symmetrization groups keep their slot order."""
+    epsilon-pair contraction on a group-free term; None when a metric
+    spinor repeats a label.  Each pass that does not return removes a
+    factor, so the loop ends."""
     current = term
-    for _ in range(200):
-        skip = {f for _, positions in current.groups for f, _ in positions} \
-            if current.groups else None
-        current = sort_kernel_slots(current, table, skip=skip)
+    while True:
+        current = sort_kernel_slots(current, table)
         if current is None:
             return None
         components = [_components(factor, table) for factor in current.factors]
@@ -179,7 +172,6 @@ def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
         if pair is None:
             return current
         current = _contract_eps_pair(current, table, *pair)
-    raise UnsupportedExpressionError("constant elimination did not terminate")
 
 
 def _find_eps_pair(term: Term, components: list):
@@ -252,7 +244,8 @@ def _dummy_label(kind: IndexKind, number: int) -> str:
 
 
 def rename_dummies(term: Term) -> Term:
-    """The dummies named ``!U1``, ``!U2``, ... in order of first appearance."""
+    """A group-free term with its dummies named ``!U1``, ``!U2``, ... in
+    order of first appearance."""
     names, number = {}, 0
     for name, occs in term.index_census().items():
         if len(occs) == 2:
@@ -264,7 +257,7 @@ def rename_dummies(term: Term) -> Term:
         return term
     factors = tuple([Factor(f.kernel, tuple([Idx(names[i.name], i.kind, i.up) if i.name in names
                                              else i for i in f.indices])) for f in term.factors])
-    return Term(term.coeff, factors, term.groups)
+    return Term(term.coeff, factors)
 
 
 def _normalize_term(term: Term, table: KernelTable) -> Term:
@@ -294,8 +287,7 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
         items = tuple([(idx.up, idx.name) for idx in factor.indices])
         labels = [name for _, name in items]
         sign = _sort_slots(labels, sym, skew, str) if sym or skew else 1
-        if not sign:  # a metric spinor repeats a label under every relabeling
-            return Term(Fraction(0), ())
+        assert sign, "eliminate_constants drops a metric spinor that repeats a label"
         if dummies.isdisjoint(labels):  # one key, whatever the labels so far
             key = tuple(zip([up for up, _ in items], labels)) if sym or skew else items
             fixed[position] = ((factor.kernel, key), sign)
@@ -692,17 +684,17 @@ def canonicalize(expr: Expr, table: KernelTable) -> Expr:
 
 
 def light_fold(expr: Expr, table: KernelTable) -> Expr:
-    """Group-preserving cleanup between rewrite steps: constant elimination
-    on every term and like-term collection for groupless terms."""
+    """Cleanup between rewrite steps: constant elimination and like-term
+    collection on group-free terms.  A term with symmetrization groups is
+    passed through unchanged; every reader of it expands its groups first."""
     grouped: list[Term] = []
     plain: list[Term] = []
     for term in expr.terms:
-        term = eliminate_constants(term, table)
-        if term is None:
-            continue
         if term.groups:
             grouped.append(term)
-        else:
+            continue
+        term = eliminate_constants(term, table)
+        if term is not None:
             plain.append(rename_dummies(term))
     collected = _collect_like_terms(plain).values()
     return Expr(tuple(grouped) + tuple(

@@ -33,27 +33,14 @@ def fresh_label(prefix: str, kind: IndexKind, n: int) -> str:
     return label + "'" if kind is IndexKind.PRIMED else label
 
 
-class Idx:
-    """One index occurrence, never changed once made.  Equality and hash
-    read ``(name, up)`` only: the kind is stored, since generated
-    operator labels (``!op<n>``) carry a kind that ``kind_of_label`` would
-    not give."""
+class Idx(NamedTuple):
+    """One index occurrence.  The kind is stored, since generated operator
+    labels (``!op<n>``) carry a kind that ``kind_of_label`` would not give;
+    every label has one kind wherever it occurs."""
 
-    __slots__ = ("name", "kind", "up")
-
-    def __init__(self, name: str, kind: IndexKind, up: bool):
-        self.name = name
-        self.kind = kind
-        self.up = up
-
-    def _key(self) -> tuple[str, bool]:
-        return (self.name, self.up)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, Idx) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    name: str
+    kind: IndexKind
+    up: bool
 
     @classmethod
     def from_label(cls, label: str, up: bool) -> "Idx":

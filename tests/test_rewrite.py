@@ -20,6 +20,11 @@ from spinorwave.symbolic.expr import Factor, Term
 from spinorwave.symbolic.rewrite import Match, _pattern_arrangements, apply_rules, match_term
 
 
+GROUP_OVER_BRIDGE = ("Ua^{(A} phi^{B)}_{C} M_{B D} Wz_{E} == 1/2 Ua^{A} phi^{B}_{C} M_{B D} Wz_{E}"
+                     " + 1/2 Ua^{B} phi^{A}_{C} M_{B D} Wz_{E}")
+DELTA_CHAIN_250 = " ".join(f"delta^{{A{n}}}_{{A{n + 1}}}" for n in range(250)) + " == delta^{A0}_{A250}"
+
+
 def setup_engine():
     table = KernelTable()
     rules = builtin_rules(table)
@@ -130,6 +135,22 @@ class TestVerifyIdentity:
         # variance costs a sign
         table, _, parser = setup_engine()
         lhs, rhs = parser.parse_identity(f"Ua^{{A}} Vb_{{A}} == {sign} Ua_{{A}} Vb^{{A}}")
+        assert verify_identity(lhs, rhs, [], table).success is success
+
+    @pytest.mark.parametrize("identity, success", [
+        # the group's second slot is displaced: its bridge and M contract to
+        # a delta between rewrite steps, unless the fold leaves the grouped
+        # term alone until expand_groups
+        pytest.param(GROUP_OVER_BRIDGE, True, id="group_over_bridge"),
+        pytest.param(GROUP_OVER_BRIDGE.replace(" Wz_{E}", ""), True, id="group_over_bridge_last"),
+        pytest.param(GROUP_OVER_BRIDGE.replace("(", "").replace(")", ""), False,
+                     id="group_over_bridge_unbracketed_mutant"),
+        # constant elimination removes one delta per pass, with no step bound
+        pytest.param(DELTA_CHAIN_250, True, id="delta_chain_250"),
+    ])
+    def test_constant_elimination_cases(self, identity, success):
+        table, _, parser = setup_engine()
+        lhs, rhs = parser.parse_identity(identity)
         assert verify_identity(lhs, rhs, [], table).success is success
 
     def test_free_index_mismatch_is_ill_posed(self):

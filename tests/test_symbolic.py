@@ -33,6 +33,7 @@ from spinorwave.symbolic import (
     Expr,
     KernelTable,
     Parser,
+    apply_rules,
     canon,
     canonicalize,
     component_eval,
@@ -423,8 +424,9 @@ class TestComponentEval:
 # rewrite below turns X into terms that sum to zero in dimension 2; a case
 # adds one or two of them with random rational weights, and a mutant then
 # perturbs one coefficient.  The test does not trust that construction: it
-# asserts that canonicalize returns zero exactly when the expression
-# evaluates to about zero on random complex components.
+# asserts that canonicalize returns zero, on the expression and on what
+# apply_rules leaves of it, exactly when the expression evaluates to about
+# zero on random complex components.
 
 
 def _render_term(coeff, factors, groups=()):
@@ -467,7 +469,12 @@ def _vanishing_terms(draw, factors):
     # runs of two or three consecutive down occurrences, for groups
     runs = [(a, b) for a in range(len(occurrences)) for b in (a + 2, a + 3)
             if b <= len(occurrences) and all(n in down for n in range(a, b))]
-    choices = ["lower", "delta"] + ["swap"] * (len(down) >= 2) + ["group"] * bool(runs)
+    # consecutive occurrences of opposite variance, for a group over a
+    # displaced slot and an undisplaced one
+    mixed = [n for n in range(len(occurrences) - 1)
+             if occurrences[n][1] != occurrences[n + 1][1]]
+    choices = ["lower", "delta"] + ["swap"] * (len(down) >= 2) + ["group"] * bool(runs) \
+        + ["displaced_group"] * bool(mixed)
     kind = draw(st.sampled_from(choices))
     one = Fraction(1)
     if kind == "lower":
@@ -492,12 +499,37 @@ def _vanishing_terms(draw, factors):
                 (-one, _with_labels(factors, {i: (q, False), j: (p, False)}), ()),
                 (-one, [("eps", [(p, False), (q, False)])]
                  + _with_labels(factors, {i: ("R", False), j: ("R", True)}), ())]
+    mode = draw(st.sampled_from(["sym", "antisym"]))
+    if kind == "displaced_group":
+        # X = X' c, where X' writes one of the pair n, n + 1 against its
+        # variance in X, as T, and c contracts T back through M or eps, by
+        # way of a delta or not: xi_P = xi^T eps_{T P} = xi^T eps_{T S}
+        # delta^S_P, and xi^P = eps^{P T} xi_T = delta^P_S eps^{S T} xi_T.
+        # Then a group over the pair in X' c, both of one variance there
+        n = draw(st.sampled_from(mixed))
+        d = n + draw(st.integers(0, 1))
+        label, up = occurrences[d]
+        outer, constants = label, []
+        if draw(st.booleans()):
+            outer = "S"
+            constants = [("delta", [(label, True), ("S", False)] if up
+                          else [("S", True), (label, False)])]
+        metric = draw(st.sampled_from(["eps", "M"]))
+        constants.append((metric, [(outer, True), ("T", True)] if up
+                          else [("T", False), (outer, False)]))
+        displaced = _with_labels(factors, {d: ("T", not up)}) + constants
+        return [(one, factors, ()), (-one, displaced, ())] + _group_average(displaced, mode, n, n + 2)
     # a (anti)symmetrization group over consecutive down occurrences equals
     # its signed permutation average written out
-    first, stop = draw(st.sampled_from(runs))
-    mode = draw(st.sampled_from(["sym", "antisym"]))
+    return _group_average(factors, mode, *draw(st.sampled_from(runs)))
+
+
+def _group_average(factors, mode, first, stop):
+    """``factors`` with a ``mode`` group over occurrences first..stop - 1,
+    less its signed permutation average written out: terms that sum to zero."""
+    occurrences = [occ for _, indices in factors for occ in indices]
     size = stop - first
-    terms = [(one, factors, ((mode, first, stop),))]
+    terms = [(Fraction(1), factors, ((mode, first, stop),))]
     for perm in itertools.permutations(range(size)):
         sign = permutation_sign(perm) if mode == "antisym" else 1
         changes = {first + m: occurrences[first + src] for m, src in enumerate(perm)}
@@ -551,7 +583,10 @@ class TestOracleAgreement:
             value = max(value, component_eval(expr, bindings, table).max_abs())
             for term in expr.terms:
                 scale = max(scale, component_eval(Expr((term,)), bindings, table).max_abs())
-        assert canonicalize(expr, table).is_zero == (value <= 1e-9 * scale), text
+        zero = value <= 1e-9 * scale
+        assert canonicalize(expr, table).is_zero == zero, text
+        # verify's route: the fold between rewrite steps meets the groups first
+        assert canonicalize(apply_rules(expr, [], table)[0], table).is_zero == zero, text
 
 
 # -- references for the fast expansion, relabeling and contraction -------------
