@@ -5,9 +5,10 @@ sums, passes each term once through ``eliminate_constants`` (the fixpoint of
 the declared kernel-symmetry slot sort, delta substitution and epsilon-pair
 contraction), orders factors (constants first; fields sorted within operator
 scopes), renames dummies canonically and collects like terms.  Between
-rewrite steps ``light_fold`` runs the same elimination on group-free terms
-only: a term with symmetrization groups waits, unchanged, for
-``expand_groups``.
+rewrite steps ``light_fold`` runs the same elimination on terms that keep
+their symmetrization groups: the factors a group names keep their slot
+order, and a metric spinor or delta among them (the bridge of a displaced
+grouped index) waits for ``expand_groups``.
 
 Dimension-2 facts that relate differently wired epsilon products (the
 three-term epsilon shuffle) are not reachable by those local rewrites, so
@@ -83,14 +84,21 @@ def _sort_slots(items: list, sym, skew: bool, label) -> int:
 _IDX_NAME = operator.attrgetter("name")
 
 
+def _named_factors(term: Term) -> set[int]:
+    """The positions of the factors that a symmetrization group names."""
+    return {f for _, positions in term.groups for f, _ in positions}
+
+
 def sort_kernel_slots(term: Term, table: KernelTable) -> Term | None:
-    """Order the indices of a group-free term inside declared symmetric
-    groups and metric-spinor pairs.
+    """Order indices inside declared symmetric groups and metric-spinor
+    pairs, except in the factors a symmetrization group names.
 
     Returns None when a metric spinor carries a repeated label.
     """
-    coeff, sorted_factors = term.coeff, None
+    coeff, sorted_factors, named = term.coeff, None, _named_factors(term)
     for fpos, factor in enumerate(term.factors):
+        if fpos in named:
+            continue
         kernel = table.get(factor.kernel)
         if kernel is None:
             continue
@@ -108,20 +116,26 @@ def sort_kernel_slots(term: Term, table: KernelTable) -> Term | None:
             sorted_factors[fpos] = Factor(factor.kernel, tuple(indices))
     if sorted_factors is None:
         return term if coeff is term.coeff else term.with_coeff(coeff)
-    return Term(coeff, tuple(sorted_factors))
+    return Term(coeff, tuple(sorted_factors), term.groups)
 
 
 # -- delta / epsilon elimination ---------------------------------------------------
 
 
 def _remove_factor(term: Term, pos: int) -> Term:
-    return Term(term.coeff, term.factors[:pos] + term.factors[pos + 1 :])
+    """``term`` without the factor at ``pos``, which no group names."""
+    factors = term.factors[:pos] + term.factors[pos + 1 :]
+    groups = tuple(
+        (mode, tuple((f - 1 if f > pos else f, s) for f, s in positions))
+        for mode, positions in term.groups
+    )
+    return Term(term.coeff, factors, groups)
 
 
 def _replace_factor(term: Term, pos: int, factor: Factor) -> Term:
     factors = list(term.factors)
     factors[pos] = factor
-    return Term(term.coeff, tuple(factors))
+    return Term(term.coeff, tuple(factors), term.groups)
 
 
 def _substitute_label(term: Term, skip_pos: int, old: Idx, new: Idx) -> Term | None:
@@ -139,15 +153,18 @@ def _substitute_label(term: Term, skip_pos: int, old: Idx, new: Idx) -> Term | N
 
 def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
     """Fixpoint of the kernel-symmetry slot sort, delta substitution and
-    epsilon-pair contraction on a group-free term; None when a metric
-    spinor repeats a label.  Each pass that does not return removes a
-    factor, so the loop ends."""
+    epsilon-pair contraction; None when a metric spinor repeats a label.
+    A metric spinor or delta that a group names is left in place: removing
+    it would leave the group naming another factor.  Each pass that does
+    not return removes a factor, so the loop ends."""
     current = term
     while True:
         current = sort_kernel_slots(current, table)
         if current is None:
             return None
-        components = [_components(factor, table) for factor in current.factors]
+        named = _named_factors(current)
+        components = [None if fpos in named else _components(factor, table)
+                      for fpos, factor in enumerate(current.factors)]
         changed = False
         for fpos, factor in enumerate(current.factors):
             if components[fpos] == DELTA:
@@ -684,17 +701,17 @@ def canonicalize(expr: Expr, table: KernelTable) -> Expr:
 
 
 def light_fold(expr: Expr, table: KernelTable) -> Expr:
-    """Cleanup between rewrite steps: constant elimination and like-term
-    collection on group-free terms.  A term with symmetrization groups is
-    passed through unchanged; every reader of it expands its groups first."""
+    """Group-preserving cleanup between rewrite steps: constant elimination
+    on every term and like-term collection for groupless terms."""
     grouped: list[Term] = []
     plain: list[Term] = []
     for term in expr.terms:
+        term = eliminate_constants(term, table)
+        if term is None:
+            continue
         if term.groups:
             grouped.append(term)
-            continue
-        term = eliminate_constants(term, table)
-        if term is not None:
+        else:
             plain.append(rename_dummies(term))
     collected = _collect_like_terms(plain).values()
     return Expr(tuple(grouped) + tuple(

@@ -191,23 +191,6 @@ class TestVerify:
         result = invoke(["verify", "--config", str(config)])
         assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
-    def test_groups_over_bridges_and_a_long_delta_chain_verify(self, tmp_path):
-        """A group whose displaced slot is contracted through ``M``, with and
-        without a factor after it, and a chain of 250 deltas verify, in a
-        child process that writes nothing to stderr (no traceback)."""
-        bracket = ("Ua^{(A} phi^{B)}_{C} M_{B D} Wz_{E} == 1/2 Ua^{A} phi^{B}_{C} M_{B D} Wz_{E}"
-                   " + 1/2 Ua^{B} phi^{A}_{C} M_{B D} Wz_{E}")
-        chain = " ".join(f"delta^{{A{n}}}_{{A{n + 1}}}" for n in range(250))
-        corpus = tmp_path / "groups.txt"
-        corpus.write_text(f"#@ name=bracket\n{bracket}\n"
-                          f"#@ name=bracket_last\n{bracket.replace(' Wz_{E}', '')}\n"
-                          f"#@ name=delta_chain\n{chain} == delta^{{A0}}_{{A250}}\n")
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"identities": str(corpus)}))
-        result = run_cli("verify", "--config", str(config))
-        assert (result.returncode, result.stderr) == (0, "")
-        assert result.stdout == "bracket: ok\nbracket_last: ok\ndelta_chain: ok\n"
-
     def test_missing_file_is_usage_error(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"identities": str(tmp_path / "nope.txt")}))

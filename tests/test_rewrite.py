@@ -22,6 +22,7 @@ from spinorwave.symbolic.rewrite import Match, _pattern_arrangements, apply_rule
 
 GROUP_OVER_BRIDGE = ("Ua^{(A} phi^{B)}_{C} M_{B D} Wz_{E} == 1/2 Ua^{A} phi^{B}_{C} M_{B D} Wz_{E}"
                      " + 1/2 Ua^{B} phi^{A}_{C} M_{B D} Wz_{E}")
+FIELD_EQUATION_GROUPED = "nabla^{C A'} delta^{A}_{C} phi_{A}^{B} chi_{(D} psi_{E)} == 0"
 DELTA_CHAIN_250 = " ".join(f"delta^{{A{n}}}_{{A{n + 1}}}" for n in range(250)) + " == delta^{A0}_{A250}"
 
 
@@ -137,21 +138,30 @@ class TestVerifyIdentity:
         lhs, rhs = parser.parse_identity(f"Ua^{{A}} Vb_{{A}} == {sign} Ua_{{A}} Vb^{{A}}")
         assert verify_identity(lhs, rhs, [], table).success is success
 
-    @pytest.mark.parametrize("identity, success", [
-        # the group's second slot is displaced: its bridge and M contract to
-        # a delta between rewrite steps, unless the fold leaves the grouped
-        # term alone until expand_groups
-        pytest.param(GROUP_OVER_BRIDGE, True, id="group_over_bridge"),
-        pytest.param(GROUP_OVER_BRIDGE.replace(" Wz_{E}", ""), True, id="group_over_bridge_last"),
-        pytest.param(GROUP_OVER_BRIDGE.replace("(", "").replace(")", ""), False,
+    @pytest.mark.parametrize("identity, rule_names, success", [
+        # the group's second slot is displaced: its bridge and M are a
+        # contractible eps pair, which must wait for expand_groups
+        pytest.param(GROUP_OVER_BRIDGE, (), True, id="group_over_bridge"),
+        pytest.param(GROUP_OVER_BRIDGE.replace(" Wz_{E}", ""), (), True,
+                     id="group_over_bridge_last"),
+        pytest.param(GROUP_OVER_BRIDGE.replace("(", "").replace(")", ""), (), False,
                      id="group_over_bridge_unbracketed_mutant"),
+        # a delta that no group names is substituted in a grouped term, so
+        # the rule matches; without the rule the term stays
+        pytest.param(FIELD_EQUATION_GROUPED, ("field_equation",), True,
+                     id="group_on_untouched_fields"),
+        pytest.param(FIELD_EQUATION_GROUPED.replace("chi_{(D} psi_{E)}",
+                                                    "Ua^{(D} phi^{E)}_{F} M_{E G}"),
+                     ("field_equation",), True, id="group_over_bridge_beside_a_delta"),
+        pytest.param(FIELD_EQUATION_GROUPED, (), False, id="group_on_untouched_fields_no_rule"),
         # constant elimination removes one delta per pass, with no step bound
-        pytest.param(DELTA_CHAIN_250, True, id="delta_chain_250"),
+        pytest.param(DELTA_CHAIN_250, (), True, id="delta_chain_250"),
     ])
-    def test_constant_elimination_cases(self, identity, success):
-        table, _, parser = setup_engine()
+    def test_constant_elimination_cases(self, identity, rule_names, success):
+        table, rules, parser = setup_engine()
         lhs, rhs = parser.parse_identity(identity)
-        assert verify_identity(lhs, rhs, [], table).success is success
+        chain = [rules[name] for name in rule_names]
+        assert verify_identity(lhs, rhs, chain, table).success is success
 
     def test_free_index_mismatch_is_ill_posed(self):
         table, rules, parser = setup_engine()
