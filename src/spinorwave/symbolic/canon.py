@@ -3,8 +3,9 @@
 The syntactic pipeline expands symmetrization groups into signed permutation
 sums, passes each term once through ``eliminate_constants`` (the fixpoint of
 the declared kernel-symmetry slot sort, delta substitution and epsilon-pair
-contraction), orders factors (constants first; fields sorted within operator
-scopes), renames dummies canonically and collects like terms.  Between
+contraction, worked on one list of factors in time linear in the deltas),
+orders factors (constants first; fields sorted within operator scopes),
+renames dummies canonically and collects like terms.  Between
 rewrite steps ``light_fold`` runs the same elimination on terms that keep
 their symmetrization groups: the factors a group names keep their slot
 order, and a metric spinor or delta among them (the bridge of a displaced
@@ -52,13 +53,6 @@ from .expr import Expr, Factor, Idx, Term, expand_groups, fresh_label
 from .kernels import Displacement, KernelTable
 
 
-def _components(factor: Factor, table: KernelTable) -> tuple | None:
-    """The integer components of a constant factor's kernel; None for any
-    other factor."""
-    k = table.get(factor.kernel)
-    return k.components if k else None
-
-
 # -- kernel symmetries ----------------------------------------------------------
 
 
@@ -89,6 +83,23 @@ def _named_factors(term: Term) -> set[int]:
     return {f for _, positions in term.groups for f, _ in positions}
 
 
+def _sort_factor(factor: Factor, table: KernelTable) -> tuple[Factor, int]:
+    """``factor`` with its indices ordered inside its kernel's symmetric
+    groups and metric-spinor pair (``factor`` itself when they already
+    are), and the sign of the pair swap: 0 when the pair repeats a label."""
+    kernel = table.get(factor.kernel)
+    if kernel is None:
+        return factor, 1
+    skew = kernel.components == EPS
+    if not (kernel.sym_groups or skew):
+        return factor, 1
+    indices = list(factor.indices)
+    sign = _sort_slots(indices, kernel.sym_groups, skew, _IDX_NAME)
+    if tuple(indices) == factor.indices:
+        return factor, sign
+    return Factor(factor.kernel, tuple(indices)), sign
+
+
 def sort_kernel_slots(term: Term, table: KernelTable) -> Term | None:
     """Order indices inside declared symmetric groups and metric-spinor
     pairs, except in the factors a symmetrization group names.
@@ -99,21 +110,14 @@ def sort_kernel_slots(term: Term, table: KernelTable) -> Term | None:
     for fpos, factor in enumerate(term.factors):
         if fpos in named:
             continue
-        kernel = table.get(factor.kernel)
-        if kernel is None:
-            continue
-        skew = kernel.components == EPS
-        if not (kernel.sym_groups or skew):
-            continue
-        indices = list(factor.indices)
-        sign = _sort_slots(indices, kernel.sym_groups, skew, _IDX_NAME)
+        ordered, sign = _sort_factor(factor, table)
         if not sign:
             return None
         if sign < 0:
             coeff = -coeff
-        if tuple(indices) != factor.indices:
+        if ordered is not factor:
             sorted_factors = sorted_factors or list(term.factors)
-            sorted_factors[fpos] = Factor(factor.kernel, tuple(indices))
+            sorted_factors[fpos] = ordered
     if sorted_factors is None:
         return term if coeff is term.coeff else term.with_coeff(coeff)
     return Term(coeff, tuple(sorted_factors), term.groups)
@@ -122,112 +126,94 @@ def sort_kernel_slots(term: Term, table: KernelTable) -> Term | None:
 # -- delta / epsilon elimination ---------------------------------------------------
 
 
-def _remove_factor(term: Term, pos: int) -> Term:
-    """``term`` without the factor at ``pos``, which no group names."""
-    factors = term.factors[:pos] + term.factors[pos + 1 :]
-    groups = tuple(
-        (mode, tuple((f - 1 if f > pos else f, s) for f, s in positions))
-        for mode, positions in term.groups
-    )
-    return Term(term.coeff, factors, groups)
-
-
-def _replace_factor(term: Term, pos: int, factor: Factor) -> Term:
-    factors = list(term.factors)
-    factors[pos] = factor
-    return Term(term.coeff, tuple(factors), term.groups)
-
-
-def _substitute_label(term: Term, skip_pos: int, old: Idx, new: Idx) -> Term | None:
-    """Rename the single other occurrence of ``old`` (same variance) to ``new``."""
-    for fpos, factor in enumerate(term.factors):
-        if fpos == skip_pos:
-            continue
-        for spos, idx in enumerate(factor.indices):
-            if idx.name == old.name and idx.up == old.up:
-                indices = list(factor.indices)
-                indices[spos] = Idx(new.name, new.kind, old.up)
-                return _replace_factor(term, fpos, Factor(factor.kernel, tuple(indices)))
-    return None
-
-
 def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
     """Fixpoint of the kernel-symmetry slot sort, delta substitution and
     epsilon-pair contraction; None when a metric spinor repeats a label.
     A metric spinor or delta that a group names is left in place: removing
-    it would leave the group naming another factor.  Each pass that does
-    not return removes a factor, so the loop ends."""
-    current = term
+    it would leave the group naming another factor.
+
+    Each step removes the first delta that can go (a trace, or a label
+    substituted into its partner) or, when none can, contracts the first
+    two metric spinors of opposite variance that share a label.  The steps
+    edit one list of factors: a removed factor leaves a hole, a partner is
+    found through a (label, up) index, only the factor it is in is sorted
+    again, and the term is rebuilt once.  A step only moves or deletes
+    label occurrences, so no earlier delta can go after it: the delta scan
+    resumes at the step, and a chain of n deltas costs time linear in n."""
+    term = sort_kernel_slots(term, table)
+    if term is None:
+        return None
+    named = _named_factors(term)
+    factors: list[Factor | None] = list(term.factors)
+    # the integer components of each factor that may go: None for a hole,
+    # for a factor that a group names and for a field
+    components = [None if fpos in named else (kernel := table.get(f.kernel)) and kernel.components
+                  for fpos, f in enumerate(factors)]
+    if DELTA not in components and components.count(EPS) < 2:  # nothing can go
+        return term
+    # (label, up) -> the position of the factor that carries it.  Only a
+    # substitution enters a label again, where it moved: a removed label
+    # occurs nowhere else, and no other delta looks up a contraction's delta
+    # (one that shared a label with it shared it with a metric spinor, so it
+    # would have gone before the contraction).
+    where = {(idx.name, idx.up): fpos for fpos, f in enumerate(factors) for idx in f.indices}
+    coeff, start = term.coeff, 0
     while True:
-        current = sort_kernel_slots(current, table)
-        if current is None:
-            return None
-        named = _named_factors(current)
-        components = [None if fpos in named else _components(factor, table)
-                      for fpos, factor in enumerate(current.factors)]
-        changed = False
-        for fpos, factor in enumerate(current.factors):
-            if components[fpos] == DELTA:
-                up, down = factor.indices
-                if up.name == down.name:
-                    current = _remove_factor(current, fpos).with_coeff(current.coeff * 2)
-                    changed = True
-                    break
-                swapped = _substitute_label(current, fpos, Idx(up.name, up.kind, False), down)
-                if swapped is not None:
-                    current = _remove_factor(swapped, fpos)
-                    changed = True
-                    break
-                swapped = _substitute_label(current, fpos, Idx(down.name, down.kind, True), up)
-                if swapped is not None:
-                    current = _remove_factor(swapped, fpos)
-                    changed = True
-                    break
-        if changed:
-            continue
-        pair = _find_eps_pair(current, components)
-        if pair is None:
-            return current
-        current = _contract_eps_pair(current, table, *pair)
-
-
-def _find_eps_pair(term: Term, components: list):
-    """The first two metric spinors of one kind and opposite variance that
-    share a label, and that label; None if there are none.  ``components``
-    holds each factor's constant components (None for other kernels)."""
-    eps_positions = [
-        (fpos, f) for fpos, f in enumerate(term.factors) if components[fpos] == EPS
-    ]
-    for i, (p1, f1) in enumerate(eps_positions):
-        first = f1.indices[0]
-        for p2, f2 in eps_positions[i + 1 :]:
-            second = f2.indices[0]
-            if first.kind is not second.kind or first.up == second.up:
+        for fpos in range(start, len(factors)):
+            if components[fpos] != DELTA:
                 continue
-            shared = {x.name for x in f1.indices} & {x.name for x in f2.indices}
-            if shared:
-                return p1, f1, p2, f2, sorted(shared)[0]
-    return None
-
-
-def _contract_eps_pair(term: Term, table: KernelTable, p1: int, f1: Factor, p2: int, f2: Factor,
-                       name: str) -> Term:
-    """eps^{AB} eps_{CB} = delta^A_C, with antisymmetry signs for other wirings."""
-    up_pos, up = (p1, f1) if f1.indices[0].up else (p2, f2)
-    lo_pos, lo = (p2, f2) if f1.indices[0].up else (p1, f1)
-    sign = 1
-    if up.indices[0].name == name:
-        sign, up_rem = -sign, up.indices[1]
-    else:
-        up_rem = up.indices[0]
-    if lo.indices[0].name == name:
-        sign, lo_rem = -sign, lo.indices[1]
-    else:
-        lo_rem = lo.indices[0]
-    delta = Factor(table.resolve_delta(up_rem.kind).name, (up_rem, lo_rem))
-    new = _replace_factor(term, up_pos, delta)
-    new = _remove_factor(new, lo_pos)
-    return new.with_coeff(new.coeff * sign)
+            up, down = factors[fpos].indices
+            if up.name == down.name:
+                factors[fpos] = components[fpos] = None
+                coeff *= 2
+                continue
+            # delta^A_B X_A = X_B, else delta^A_B X^B = X^A
+            old, new = (up.name, False), down
+            partner = where.get(old)
+            if partner is None:
+                old, new = (down.name, True), up
+                partner = where.get(old)
+                if partner is None:
+                    continue
+            factors[fpos] = components[fpos] = None
+            where[new.name, new.up] = partner
+            factor = factors[partner]
+            factor = Factor(factor.kernel, tuple([new if (idx.name, idx.up) == old else idx
+                                                  for idx in factor.indices]))
+            if partner not in named:
+                factor, sign = _sort_factor(factor, table)
+                if not sign:
+                    return None
+                if sign < 0:
+                    coeff = -coeff
+            factors[partner] = factor
+        # the first two metric spinors of opposite variance that share a
+        # label, and the least label they share
+        eps = [fpos for fpos, numbers in enumerate(components) if numbers == EPS]
+        pair = next(((p1, p2, min(shared)) for n, p1 in enumerate(eps) for p2 in eps[n + 1:]
+                     if factors[p1].indices[0].up != factors[p2].indices[0].up
+                     and (shared := {x.name for x in factors[p1].indices}
+                          & {x.name for x in factors[p2].indices})), None)
+        if pair is None:
+            break
+        p1, p2, name = pair
+        start, lo_pos = (p1, p2) if factors[p1].indices[0].up else (p2, p1)
+        # eps^{AB} eps_{CB} = delta^A_C, with a sign where the shared label comes first
+        (a, b), (c, d) = factors[start].indices, factors[lo_pos].indices
+        if a.name == name:
+            a, coeff = b, -coeff
+        if c.name == name:
+            c, coeff = d, -coeff
+        factors[lo_pos] = components[lo_pos] = None
+        components[start] = DELTA
+        factors[start] = Factor(table.resolve_delta(a.kind).name, (a, c))
+    kept = [fpos for fpos, factor in enumerate(factors) if factor is not None]
+    if len(kept) == len(factors):
+        return term
+    moved = {fpos: n for n, fpos in enumerate(kept)}
+    groups = tuple((mode, tuple([(moved[f], s) for f, s in positions]))
+                   for mode, positions in term.groups)
+    return Term(coeff, tuple([factors[fpos] for fpos in kept]), groups)
 
 
 # -- ordering and renaming ------------------------------------------------------------

@@ -264,6 +264,29 @@ class TestCheck:
         assert report["all_passed"] is True
         assert all(s["max_error"] < 1e-10 for s in report["suites"])
 
+    def test_check_loads_a_fixed_module_set(self):
+        """A ``check`` run loads ``cli`` and these modules of the package and
+        no other: never the rewrite engine, the CSV layer or ``frw``."""
+        script = (
+            "import sys\n"
+            "from spinorwave.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "finally:\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'spinorwave'))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script, "check", "--seed", "12345"],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == str(
+            ["spinorwave", "spinorwave.cli", "spinorwave.core", "spinorwave.core.affinity",
+             "spinorwave.core.connecting", "spinorwave.core.convention",
+             "spinorwave.core.indices", "spinorwave.core.spinor", "spinorwave.em",
+             "spinorwave.em.analytic", "spinorwave.em.fields", "spinorwave.errors",
+             "spinorwave.suites", "spinorwave.symbolic", "spinorwave.symbolic.evaluate",
+             "spinorwave.symbolic.expr", "spinorwave.symbolic.kernels",
+             "spinorwave.symbolic.parse", "spinorwave.symbolic.weights"])
+
     def test_suite_filter(self):
         result = run_cli("check", "--suite", "trace-free")
         report = json.loads(result.stdout)

@@ -23,7 +23,18 @@ from spinorwave.symbolic.rewrite import Match, _pattern_arrangements, apply_rule
 GROUP_OVER_BRIDGE = ("Ua^{(A} phi^{B)}_{C} M_{B D} Wz_{E} == 1/2 Ua^{A} phi^{B}_{C} M_{B D} Wz_{E}"
                      " + 1/2 Ua^{B} phi^{A}_{C} M_{B D} Wz_{E}")
 FIELD_EQUATION_GROUPED = "nabla^{C A'} delta^{A}_{C} phi_{A}^{B} chi_{(D} psi_{E)} == 0"
-DELTA_CHAIN_250 = " ".join(f"delta^{{A{n}}}_{{A{n + 1}}}" for n in range(250)) + " == delta^{A0}_{A250}"
+
+
+def delta_chain(n):
+    """delta^{A0}_{A1} delta^{A1}_{A2} ... delta^{A(n-1)}_{An} == delta^{A0}_{An}."""
+    return " ".join(f"delta^{{A{k}}}_{{A{k + 1}}}" for k in range(n)) + f" == delta^{{A0}}_{{A{n}}}"
+
+
+def eps_chain(n):
+    """eps^{A0 A1} eps_{A1 A2} eps^{A2 A3} ... over an even number n of
+    metric spinors: each pair eps^{X Y} eps_{Y Z} is -delta^{X}_{Z}."""
+    factors = [f"eps{'^' if k % 2 == 0 else '_'}{{A{k} A{k + 1}}}" for k in range(n)]
+    return " ".join(factors) + f" == {(-1) ** (n // 2)} delta^{{A0}}_{{A{n}}}"
 
 
 def setup_engine():
@@ -154,8 +165,13 @@ class TestVerifyIdentity:
                                                     "Ua^{(D} phi^{E)}_{F} M_{E G}"),
                      ("field_equation",), True, id="group_over_bridge_beside_a_delta"),
         pytest.param(FIELD_EQUATION_GROUPED, (), False, id="group_on_untouched_fields_no_rule"),
-        # constant elimination removes one delta per pass, with no step bound
-        pytest.param(DELTA_CHAIN_250, (), True, id="delta_chain_250"),
+        # constant elimination has no step bound, and each removed delta
+        # costs bounded work: a long chain verifies in well under a second
+        pytest.param(delta_chain(250), (), True, id="delta_chain_250"),
+        pytest.param(delta_chain(2000), (), True, id="delta_chain_2000"),
+        pytest.param(eps_chain(1000), (), True, id="eps_chain_1000"),
+        pytest.param(eps_chain(1000).replace("== 1", "== -1"), (), False,
+                     id="eps_chain_1000_sign_mutant"),
     ])
     def test_constant_elimination_cases(self, identity, rule_names, success):
         table, rules, parser = setup_engine()

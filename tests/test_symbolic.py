@@ -1145,6 +1145,191 @@ class TestCanonicalLabeling:
         assert calls["relabeled"] == 3
 
 
+def reference_eliminate_constants(term, table):
+    """Constant elimination by whole-term rebuilds: each pass sorts every
+    factor's slots, removes the first delta that can go (a trace, or a label
+    substituted into the first other occurrence of its partner) or else
+    contracts the first two metric spinors of opposite variance that share a
+    label, on the least shared label, and rebuilds the term without the
+    removed factor, shifting the group positions past it."""
+
+    def remove(term, pos):
+        groups = tuple((mode, tuple((f - 1 if f > pos else f, s) for f, s in positions))
+                       for mode, positions in term.groups)
+        return Term(term.coeff, term.factors[:pos] + term.factors[pos + 1:], groups)
+
+    def replace(term, pos, factor):
+        factors = list(term.factors)
+        factors[pos] = factor
+        return Term(term.coeff, tuple(factors), term.groups)
+
+    def substitute(term, skip, name, up, new):
+        for fpos, factor in enumerate(term.factors):
+            for spos, idx in enumerate(factor.indices):
+                if fpos != skip and (idx.name, idx.up) == (name, up):
+                    indices = list(factor.indices)
+                    indices[spos] = Idx(new.name, new.kind, up)
+                    return replace(term, fpos, Factor(factor.kernel, tuple(indices)))
+        return None
+
+    current = term
+    while True:
+        current = canon.sort_kernel_slots(current, table)
+        if current is None:
+            return None
+        named = {f for _, positions in current.groups for f, _ in positions}
+        components = [None if fpos in named or table.get(f.kernel) is None
+                      else table.get(f.kernel).components
+                      for fpos, f in enumerate(current.factors)]
+        step = None
+        for fpos, factor in enumerate(current.factors):
+            if components[fpos] != DELTA_TABLE:
+                continue
+            up, down = factor.indices
+            if up.name == down.name:
+                step = remove(current, fpos).with_coeff(current.coeff * 2)
+                break
+            swapped = (substitute(current, fpos, up.name, False, down)
+                       or substitute(current, fpos, down.name, True, up))
+            if swapped is not None:
+                step = remove(swapped, fpos)
+                break
+        if step is not None:
+            current = step
+            continue
+        eps = [(fpos, f) for fpos, f in enumerate(current.factors)
+               if components[fpos] == EPS_TABLE]
+        pair = next(((p1, f1, p2, f2, sorted(shared)[0])
+                     for n, (p1, f1) in enumerate(eps) for p2, f2 in eps[n + 1:]
+                     if f1.indices[0].kind is f2.indices[0].kind
+                     and f1.indices[0].up != f2.indices[0].up
+                     and (shared := {x.name for x in f1.indices} & {x.name for x in f2.indices})),
+                    None)
+        if pair is None:
+            return current
+        p1, f1, p2, f2, name = pair
+        (up_pos, up), (lo_pos, lo) = ((p1, f1), (p2, f2)) if f1.indices[0].up else ((p2, f2),
+                                                                                   (p1, f1))
+        sign = 1
+        if up.indices[0].name == name:
+            sign, up_rem = -sign, up.indices[1]
+        else:
+            up_rem = up.indices[0]
+        if lo.indices[0].name == name:
+            sign, lo_rem = -sign, lo.indices[1]
+        else:
+            lo_rem = lo.indices[0]
+        delta = Factor(table.resolve_delta(up_rem.kind).name, (up_rem, lo_rem))
+        current = remove(replace(current, up_pos, delta), lo_pos)
+        current = current.with_coeff(current.coeff * sign)
+
+
+CONSTANT_PRODUCT_KERNELS = ["delta", "delta_p", "eps_up", "eps_lo", "eps_up_p", "eps_lo_p",
+                            "phi", "phi_p", *GENERIC_TEMPLATES]
+
+
+def random_constant_product(rng, table):
+    """A product of deltas, metric spinors and fields of both kinds, its
+    slots of one kind and opposite variance paired at random (a delta may
+    pair with itself, a trace), the rest free.  Half of them carry a ``( )``
+    group over two slots of one kind and variance, one of them on a metric
+    spinor or delta where there is one: a group over a bridge."""
+    kernels = rng.choices(CONSTANT_PRODUCT_KERNELS, [3, 2, 3, 3, 2, 2, 1, 1, 1, 1, 1, 1],
+                          k=rng.randint(1, 12))
+    slots = [(f, slot.kind, slot.variance is Variance.UP)
+             for f, name in enumerate(kernels) for slot in table.get(name).slots]
+    labels = {}
+    for i in rng.sample(range(len(slots)), len(slots)):
+        if i in labels:
+            continue
+        labels[i] = relabeled_name(slots[i][1], i)
+        partners = [j for j in range(len(slots)) if j not in labels
+                    and slots[j][1:] == (slots[i][1], not slots[i][2])]
+        if partners and rng.random() < 0.8:
+            labels[rng.choice(partners)] = labels[i]
+    factors, where = [], []
+    for position, name in enumerate(kernels):
+        indices = [n for n, slot in enumerate(slots) if slot[0] == position]
+        where += [(position, s) for s in range(len(indices))]
+        factors.append(Factor(name, tuple(Idx(labels[n], *slots[n][1:]) for n in indices)))
+    groups = ()
+    constant = [n for n, (f, _, _) in enumerate(slots)
+                if table.get(kernels[f]).components is not None]
+    if rng.random() < 0.5 and constant:
+        first = rng.choice(constant)
+        others = [n for n, slot in enumerate(slots)
+                  if slot[0] != slots[first][0] and slot[1:] == slots[first][1:]]
+        if others:
+            groups = (("sym", tuple(sorted([where[first], where[rng.choice(others)]]))),)
+    coeff = Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5]))
+    return Term(coeff, tuple(factors), groups)
+
+
+def parsed_delta_chain(n):
+    """delta^{A0}_{A1} delta^{A1}_{A2} ... delta^{A(n-1)}_{An}, parsed."""
+    table, parser = fresh()
+    (term,) = parser.parse_expression(
+        " ".join(f"delta^{{A{k}}}_{{A{k + 1}}}" for k in range(n))).terms
+    return term, table
+
+
+class TestConstantElimination:
+    def test_corpus_inputs_match_the_reference(self, monkeypatch):
+        """Every term that ``verify`` passes to ``eliminate_constants`` on
+        the shipped, negative, kernel-sum and seed-4242 generated corpora
+        gives the reference's result."""
+        real, seen = canon.eliminate_constants, []
+
+        def checked(term, table):
+            result = real(term, table)
+            assert result == reference_eliminate_constants(term, table), term
+            seen.append(term)
+            return result
+
+        monkeypatch.setattr(canon, "eliminate_constants", checked)
+        for text in (shipped_corpus_text("identities"),
+                     shipped_corpus_text("identities_negative"),
+                     (GOLDEN / "kernel_sums.txt").read_text(encoding="utf-8"),
+                     (GOLDEN / "generated_4242.txt").read_text(encoding="utf-8")):
+            run_identity_cases(parse_identity_file(text))
+        assert len(seen) > 1000
+        assert any(term.groups for term in seen)
+
+    def test_random_products_match_the_reference(self):
+        table = property_table()
+        results = []
+        for seed in range(3000):
+            term = random_constant_product(random.Random(seed), table)
+            result = canon.eliminate_constants(term, table)
+            assert result == reference_eliminate_constants(term, table), (seed, term)
+            results.append((term, result))
+        # the draws reach traces, groups shifted past removed factors and
+        # terms left as they are
+        assert any(result.coeff == 2 * term.coeff for term, result in results)
+        assert any(result.groups and result.groups != term.groups for term, result in results)
+        assert any(result == term for term, result in results)
+
+    def test_lookups_grow_linearly_along_a_delta_chain(self):
+        """Each removed delta costs a bounded number of kernel lookups, so
+        doubling the chain at most about doubles them (a whole-term rebuild
+        per removed delta quadruples them)."""
+        lookups = []
+        for n in (200, 400):
+            term, table = parsed_delta_chain(n)
+            real, count = table.get, [0]
+
+            def counted(name, real=real, count=count):
+                count[0] += 1
+                return real(name)
+
+            table.get = counted
+            result = canon.eliminate_constants(term, table)
+            assert [f.indices for f in result.factors] == [
+                (Idx("A0", IndexKind.UNPRIMED, True), Idx(f"A{n}", IndexKind.UNPRIMED, False))]
+            lookups.append(count[0])
+        assert lookups[1] <= 2.5 * lookups[0]
+
+
 class TestCanonicalizeSeam:
     def test_calls_component_map_through_the_module_global(self, monkeypatch):
         """The benchmark times ``canon.component_map`` by replacing the module
