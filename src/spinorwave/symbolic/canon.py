@@ -48,9 +48,9 @@ import math
 import operator
 from fractions import Fraction
 
-from ..core.indices import DELTA, DIMENSION, EPS, IndexKind, Variance
+from ..core.indices import DELTA, DIMENSION, EPS, IndexKind
 from .expr import Expr, Factor, Idx, Term, expand_groups, fresh_label
-from .kernels import Displacement, KernelTable
+from .kernels import KernelTable
 
 
 # -- kernel symmetries ----------------------------------------------------------
@@ -138,8 +138,10 @@ def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
     edit one list of factors: a removed factor leaves a hole, a partner is
     found through a (label, up) index, only the factor it is in is sorted
     again, and the term is rebuilt once.  A step only moves or deletes
-    label occurrences, so no earlier delta can go after it: the delta scan
-    resumes at the step, and a chain of n deltas costs time linear in n."""
+    label occurrences, so no earlier delta can go after it, and after a
+    contraction only its new delta can go and no metric spinor before the
+    contracted pair can find a partner: both searches resume there, and a
+    chain of n deltas or of n metric spinors costs time linear in n."""
     term = sort_kernel_slots(term, table)
     if term is None:
         return None
@@ -157,9 +159,9 @@ def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
     # (one that shared a label with it shared it with a metric spinor, so it
     # would have gone before the contraction).
     where = {(idx.name, idx.up): fpos for fpos, f in enumerate(factors) for idx in f.indices}
-    coeff, start = term.coeff, 0
+    coeff, deltas, search = term.coeff, range(len(factors)), 0
     while True:
-        for fpos in range(start, len(factors)):
+        for fpos in deltas:
             if components[fpos] != DELTA:
                 continue
             up, down = factors[fpos].indices
@@ -188,12 +190,21 @@ def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
                     coeff = -coeff
             factors[partner] = factor
         # the first two metric spinors of opposite variance that share a
-        # label, and the least label they share
-        eps = [fpos for fpos, numbers in enumerate(components) if numbers == EPS]
-        pair = next(((p1, p2, min(shared)) for n, p1 in enumerate(eps) for p2 in eps[n + 1:]
-                     if factors[p1].indices[0].up != factors[p2].indices[0].up
-                     and (shared := {x.name for x in factors[p1].indices}
-                          & {x.name for x in factors[p2].indices})), None)
+        # label, and the least label they share; a metric spinor's partners
+        # are where its labels occur with the other variance
+        pair = None
+        for p1 in range(search, len(factors)):
+            if components[p1] != EPS:
+                continue
+            first = factors[p1].indices
+            flip = not first[0].up
+            p2 = min([q for idx in first if (q := where.get((idx.name, flip))) is not None
+                      and q > p1 and components[q] == EPS
+                      and idx._replace(up=flip) in factors[q].indices], default=None)
+            if p2 is not None:
+                shared = {idx.name for idx in first} & {idx.name for idx in factors[p2].indices}
+                pair = p1, p2, min(shared)
+                break
         if pair is None:
             break
         p1, p2, name = pair
@@ -207,6 +218,9 @@ def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
         factors[lo_pos] = components[lo_pos] = None
         components[start] = DELTA
         factors[start] = Factor(table.resolve_delta(a.kind).name, (a, c))
+        # only the new delta can go now, and only a metric spinor after p1
+        # can have a partner (neither gives one to a metric spinor before)
+        deltas, search = (start,), p1 + 1
     kept = [fpos for fpos, factor in enumerate(factors) if factor is not None]
     if len(kept) == len(factors):
         return term
@@ -423,27 +437,6 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
 # -- exact component expansion ------------------------------------------------------
 
 
-def _expand_operator_displacement(term: Term, table: KernelTable, fresh: list[int]) -> Term:
-    """Turn freely displaced (up) operator indices into epsilon bridges."""
-    factors = list(term.factors)
-    extra: list[Factor] = []
-    for fpos, factor in enumerate(factors):
-        kernel = table.get(factor.kernel)
-        if kernel is None or kernel.displacement is not Displacement.FREE:
-            continue
-        indices = list(factor.indices)
-        for spos, idx in enumerate(indices):
-            if idx.variance is Variance.DOWN:
-                continue
-            fresh[0] += 1
-            bridge, indices[spos] = table.eps_bridge(idx, fresh_label("!op", idx.kind, fresh[0]))
-            extra.append(bridge)
-        factors[fpos] = Factor(factor.kernel, tuple(indices))
-    if not extra:
-        return term
-    return Term(term.coeff, tuple(factors) + tuple(extra))
-
-
 # (kernel name, symmetric groups, scope, shape) -> the field table of that
 # key, which depends on nothing else: built once
 _FIELD_TABLES: dict[tuple, dict] = {}
@@ -587,7 +580,7 @@ def _product(left: dict[tuple, int], right: dict[tuple, int], sort_fields: bool,
     return out
 
 
-def _add_sign_counts(term: Term, table: KernelTable, fresh: list[int], weight: int,
+def _add_sign_counts(term: Term, table: KernelTable, weight: int,
                      acc: dict[tuple, int]) -> None:
     """Add ``weight`` times the sign count of every symbol of one group-free
     term into ``acc``.
@@ -599,7 +592,7 @@ def _add_sign_counts(term: Term, table: KernelTable, fresh: list[int], weight: i
     enumerated alone, and the clusters' partial symbols are combined by
     product.
     """
-    parts = _parts(_expand_operator_displacement(term, table, fresh), table)
+    parts = _parts(term, table)
     if parts is None:
         return
     # a term without factors is the one empty symbol
@@ -642,10 +635,9 @@ def component_map(expr: Expr, table: KernelTable) -> dict[tuple, Fraction]:
     terms = [term for raw in expr.terms for term in expand_groups(raw)]
     denominator = math.lcm(*(term.coeff.denominator for term in terms))
     acc: dict[tuple, int] = {}
-    fresh = [0]
     for term in terms:
         weight = term.coeff.numerator * (denominator // term.coeff.denominator)
-        _add_sign_counts(term, table, fresh, weight, acc)
+        _add_sign_counts(term, table, weight, acc)
     # the sums are small multiples of a few weights: one Fraction per value
     values = {n: Fraction(n, denominator) for n in set(acc.values()) if n}
     return {symbol: values[n] for symbol, n in acc.items() if n}

@@ -34,9 +34,9 @@ def fresh_label(prefix: str, kind: IndexKind, n: int) -> str:
 
 
 class Idx(NamedTuple):
-    """One index occurrence.  The kind is stored, since generated operator
-    labels (``!op<n>``) carry a kind that ``kind_of_label`` would not give;
-    every label has one kind wherever it occurs."""
+    """One index occurrence.  The kind is stored, since generated labels
+    (the rewrite's ``~r<n>``) carry a kind that ``kind_of_label`` would not
+    give; every label has one kind wherever it occurs."""
 
     name: str
     kind: IndexKind

@@ -3,38 +3,42 @@
 Every kernel has a fixed template of slots; writing a spinor index against
 the template variance is sugar for contraction with an explicit
 metric-spinor factor (``KernelTable.eps_bridge``), so weights, symmetries
-and component evaluation always see kernels in template position.  A world
-index has no metric spinor and is written in its template variance.
-Derivative operators are the exception: their index displacement is free
-(no inserted factor) and carries the declared per-slot weight contributions
-instead.  The metric spinors and deltas are the constant kernels: their
-written variance must match the template, and their components are the
-integer tables of :mod:`spinorwave.core.indices`.
+and component evaluation always see kernels in template position.  The
+derivative operators are no exception: ``nabla^{A A'}`` is
+``nabla_{X X'}`` contracted with ``eps^{A X}`` and ``eps^{A' X'}``.  A
+world index has no metric spinor and is written in its template variance.
+The metric spinors and deltas are the constant kernels: their written
+variance must match the template, and their components are the integer
+tables of :mod:`spinorwave.core.indices`.
+
+A kernel declares its (weight, antiweight) under the generalized Weyl
+gauge group in template position, and a displaced index adds its metric
+spinor's declared weight.  ``nabla`` and ``partial`` weigh (-1/2, -1/2),
+the weight of the connecting object in nabla_{AA'} = Sigma^a_{AA'} nabla_a
+that keeps g^{ab} = Sigma^a_{AA'} Sigma^{bAA'} invariant (Penrose &
+Rindler Vol. 1, section 4.12).
 """
 
 from __future__ import annotations
 
-from enum import Enum
+from fractions import Fraction
 from typing import NamedTuple
 
 from ..core.indices import DELTA, EPS, IndexKind, Slot, Variance, spinor_signature
 from .expr import Factor, Idx
 
-
-class Displacement(Enum):
-    EPSILON = "epsilon"   # displaced indices insert eps factors
-    FREE = "free"         # operator indices displace freely
+# the connecting object's share of the weight of each spinor index pair
+_MINUS_HALF = Fraction(-1, 2)
 
 
 class Kernel(NamedTuple):
     name: str
     slots: tuple[Slot, ...]
-    weight: tuple[int, int] = (0, 0)
+    weight: tuple[int | Fraction, int | Fraction] = (0, 0)
     # totally symmetric sets; a kernel whose components are EPS, a metric
     # spinor, is antisymmetric on its pair of slots instead
     sym_groups: tuple[tuple[int, ...], ...] = ()
     operator: bool = False
-    displacement: Displacement = Displacement.EPSILON
     # the integer components of a constant kernel (transparent to operators),
     # None for every other kernel
     components: tuple[tuple[int, ...], ...] | None = None
@@ -67,25 +71,11 @@ _BUILTIN = {k.name: k for k in (
     Kernel("R", (), (0, 0)),
     Kernel("vartheta_sym", (_W, _U, _U), (-1, 0), sym_groups=((1, 2),)),
     # derivative operators
-    Kernel("nabla", (_U, _P), (0, 0), operator=True, displacement=Displacement.FREE),
-    Kernel("partial", (_U, _P), (0, 0), operator=True, displacement=Displacement.FREE),
+    Kernel("nabla", (_U, _P), (_MINUS_HALF, _MINUS_HALF), operator=True),
+    Kernel("partial", (_U, _P), (_MINUS_HALF, _MINUS_HALF), operator=True),
     Kernel("Box", (), (0, 0), operator=True),
     Kernel("Delta", (_UU, _UU), (1, 0), sym_groups=((0, 1),), operator=True),
 )}
-
-
-# Per-slot weight contributions of freely displaced operator indices, chosen
-# so that Box is weight (0,0), Delta matches its declared (+1,0), and the
-# splitting relation is weight-homogeneous: an up unprimed index adds +1 to
-# the weight, an up primed index adds -1 to the weight, down indices nothing.
-def operator_displacement_weight(kind: IndexKind, variance: Variance) -> tuple[int, int]:
-    if variance is Variance.DOWN:
-        return (0, 0)
-    if kind is IndexKind.UNPRIMED:
-        return (1, 0)
-    if kind is IndexKind.PRIMED:
-        return (-1, 0)
-    return (0, 0)
 
 
 class KernelTable:

@@ -15,8 +15,9 @@ labels are unprimed-spinor indices, lowercase labels are world indices.
 Round/square brackets inside index blocks open and close symmetrization /
 antisymmetrization groups; a group may span several factors of one product
 but must not nest.  ``M`` is the abstract metric spinor and parses to the
-same concrete kernel as ``eps``.  Writing a field index against its
-template variance inserts the corresponding metric-spinor factor.
+same concrete kernel as ``eps``.  Writing a spinor index of a field or an
+operator against its template variance inserts the corresponding
+metric-spinor factor.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 from ..core.indices import EPS, IndexKind, Slot, Variance
 from ..errors import ParseError
 from .expr import Expr, Factor, Idx, Term, fresh_label
-from .kernels import Displacement, KernelTable
+from .kernels import KernelTable
 from .weights import validate_expr
 
 # whitespace matches no alternative, so finditer skips it; any other
@@ -261,13 +262,12 @@ class Parser:
                 f"kernel {name!r} takes {kernel.rank} indices, got {len(indices)}", pos
             )
         fpos = len(factors)
-        free = kernel.displacement is Displacement.FREE
-        if free and len(indices) == 2:
+        if kernel.operator and len(indices) == 2 and indices[0].kind is IndexKind.PRIMED \
+                and indices[1].kind is IndexKind.UNPRIMED:
             # the unprimed/primed pair of a derivative operator is one world
             # index; written order is free, storage order is (unprimed, primed)
-            if indices[0].kind is IndexKind.PRIMED and indices[1].kind is IndexKind.UNPRIMED:
-                indices = (indices[1], indices[0])
-                _remap(groups, open_groups, fpos, {0: (fpos, 1), 1: (fpos, 0)})
+            indices = (indices[1], indices[0])
+            _remap(groups, open_groups, fpos, {0: (fpos, 1), 1: (fpos, 0)})
         new_indices = list(indices)
         inserted: list[tuple[int, Factor]] = []  # (host slot, eps factor)
         for slot, idx in enumerate(indices):
@@ -277,7 +277,7 @@ class Parser:
                     f"index {idx.name!r} has kind {idx.kind.value}, "
                     f"slot {slot} of {name!r} wants {want.kind.value}", pos
                 )
-            if free or idx.up == (want.variance is Variance.UP):
+            if idx.up == (want.variance is Variance.UP):
                 continue
             # a constant kernel has no displaced form, and a world index no
             # metric spinor to displace it

@@ -22,7 +22,7 @@ import itertools
 from typing import Iterator, NamedTuple
 
 from ..core.indices import EPS, permutation_sign
-from ..errors import IdentityError, WeightError
+from ..errors import IdentityError, UnsupportedExpressionError, WeightError
 from .canon import canonicalize, light_fold
 from .expr import Expr, Factor, Idx, Term, fresh_label
 from .kernels import KernelTable
@@ -249,19 +249,23 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-# rewrite steps per identity before apply_rules gives up
+# rewrite steps per identity: termination of a rule set is undecidable, so
+# a rewrite that still matches after this many steps is refused
 _MAX_STEPS = 200
 
 
 def apply_rules(expr: Expr, rules: list[RewriteRule],
                 table: KernelTable) -> tuple[Expr, list[TraceStep]]:
+    """Fire the first rule that matches, on the first term it matches, until
+    none matches or the terms repeat; UnsupportedExpressionError when a rule
+    still matches after ``_MAX_STEPS`` steps."""
     trace: list[TraceStep] = []
     fresh = itertools.count(1)
     expr = light_fold(expr, table)
     # keyed on the terms, not their reprs: the rank-0 kernel ``T_a`` prints
     # as ``T_{a}`` does
     seen: set[tuple[Term, ...]] = set()
-    for step in range(1, _MAX_STEPS + 1):
+    for step in itertools.count(1):
         hit = None
         for rule in rules:
             for ti, term in enumerate(expr.terms):
@@ -273,6 +277,9 @@ def apply_rules(expr: Expr, rules: list[RewriteRule],
                 break
         if hit is None:
             break
+        if step > _MAX_STEPS:
+            raise UnsupportedExpressionError(
+                f"rewriting did not finish within {_MAX_STEPS} steps")
         rule, ti, term, match = hit
         new_terms = apply_match(term, rule, match, table, fresh)
         expr = Expr(expr.terms[:ti] + tuple(new_terms) + expr.terms[ti + 1 :])
@@ -292,7 +299,9 @@ def verify_identity(lhs: Expr, rhs: Expr, rules: list[RewriteRule],
             raise IdentityError(f"{name}: free indices differ between sides")
         if expr_weight(lhs, table) != expr_weight(rhs, table):
             raise WeightError(f"{name}: weights differ between sides")
-    diff = lhs - rhs
-    rewritten, trace = apply_rules(diff, rules, table)
+    try:
+        rewritten, trace = apply_rules(lhs - rhs, rules, table)
+    except UnsupportedExpressionError as exc:
+        raise UnsupportedExpressionError(f"{name}: {exc}") from None
     residual = canonicalize(rewritten, table)
     return VerificationReport(name, residual.is_zero, trace, residual)

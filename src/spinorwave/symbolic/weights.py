@@ -1,37 +1,31 @@
 """Gauge-weight bookkeeping and well-formedness checks for expressions.
 
-Weights are declared per kernel in template position; explicit metric-spinor
-factors carry their own weights, so displaced field indices are accounted
-for automatically.  Freely displaced operator indices contribute the
-per-slot amounts from :func:`kernels.operator_displacement_weight`.
+Weights are declared per kernel in template position, and the parser
+writes every displaced spinor index, of a field or of an operator, as the
+kernel in template position times a metric spinor, which carries its own
+weight.  So a term's weight is the sum of its factors' declared weights.
+The operators ``nabla`` and ``partial`` weigh (-1/2, -1/2) (see
+:mod:`.kernels`), so weights are ``int`` or ``Fraction``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from ..errors import ParseError, WeightError
-from .expr import Expr, Factor, Term
-from .kernels import Displacement, KernelTable, operator_displacement_weight
+from .expr import Expr, Term
+from .kernels import KernelTable
 
-Weight = tuple[int, int]
-
-
-def factor_weight(factor: Factor, table: KernelTable) -> Weight:
-    kernel = table.get(factor.kernel)
-    if kernel is None:
-        raise ParseError(f"unknown kernel {factor.kernel!r}")
-    w, aw = kernel.weight
-    if kernel.displacement is Displacement.FREE:
-        for idx in factor.indices:
-            dw, daw = operator_displacement_weight(idx.kind, idx.variance)
-            w += dw
-            aw += daw
-    return (w, aw)
+Weight = tuple[int | Fraction, int | Fraction]
 
 
 def term_weight(term: Term, table: KernelTable) -> Weight:
     w, aw = 0, 0
-    for f in term.factors:
-        fw, faw = factor_weight(f, table)
+    for factor in term.factors:
+        kernel = table.get(factor.kernel)
+        if kernel is None:
+            raise ParseError(f"unknown kernel {factor.kernel!r}")
+        fw, faw = kernel.weight
         w += fw
         aw += faw
     return (w, aw)
@@ -43,7 +37,9 @@ def expr_weight(expr: Expr, table: KernelTable) -> Weight:
         return (0, 0)
     weights = {term_weight(t, table) for t in expr.terms}
     if len(weights) > 1:
-        raise WeightError(f"weight-inhomogeneous sum: {sorted(weights)}")
+        # str prints a half weight as -1/2 and an integral one as an int does
+        listed = ", ".join(f"({w}, {aw})" for w, aw in sorted(weights))
+        raise WeightError(f"weight-inhomogeneous sum: [{listed}]")
     return weights.pop()
 
 

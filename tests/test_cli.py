@@ -174,6 +174,53 @@ class TestVerify:
             else:
                 assert result.stdout == "line1: ok\n"
 
+    def test_rewrite_step_bound_is_a_usage_error(self, tmp_path):
+        """n ``Box`` terms under ``box_definition`` take n rewrite steps: 200
+        verify, and at 201 a rule still matches after the bound of 200
+        steps, which exits 2 with one line, never a ``failed`` status."""
+        for n, code in ((200, 0), (201, 2)):
+            lhs = " + ".join(f"Box U{k}_{{A}}" for k in range(n))
+            rhs = " + ".join(f"nabla_{{X X'}} nabla^{{X X'}} U{k}_{{A}}" for k in range(n))
+            corpus = tmp_path / f"box{n}.txt"
+            corpus.write_text(f"#@ name=box{n} rules=box_definition\n{lhs} == {rhs}\n")
+            config = tmp_path / f"box{n}.json"
+            config.write_text(json.dumps({"identities": str(corpus)}))
+            result = invoke(["verify", "--config", str(config)])
+            assert (result.exit_code, result.stdout, result.stderr) == (code, *(
+                ("box200: ok\n", "") if code == 0 else
+                ("", "error: box201: rewriting did not finish within 200 steps\n")))
+
+    def test_displaced_operator_indices_weigh_as_their_metric_spinors(self, tmp_path):
+        """A raised operator index is the lowered one times a metric spinor,
+        weight and all: these identities verify and their sign-flipped forms
+        fail, while sides whose weights differ, in w - aw or only as a pair,
+        are still refused."""
+        identities = [
+            ("nabla_{A}^{A'} phi^{A B}", "eps^{A' C'} nabla_{A C'} phi^{A B}"),
+            ("nabla^{A A'} phi_{A}^{B}", "eps^{A C} eps^{A' C'} nabla_{C C'} phi_{A}^{B}"),
+            ("nabla_{A A'} nabla^{A A'} phi_{C}^{B}",
+             "eps^{A D} eps^{A' D'} nabla_{A A'} nabla_{D D'} phi_{C}^{B}"),
+        ]
+        corpus = tmp_path / "operators.txt"
+        corpus.write_text("".join(f"#@ name=ok{n}\n{lhs} == {rhs}\n#@ name=flipped{n}\n"
+                                  f"{lhs} == - {rhs}\n" for n, (lhs, rhs) in enumerate(identities)))
+        config = tmp_path / "operators.json"
+        config.write_text(json.dumps({"identities": str(corpus)}))
+        result = invoke(["verify", "--config", str(config)])
+        assert (result.exit_code, result.stderr) == (1, "")
+        assert result.stdout == "".join(f"ok{n}: ok\nflipped{n}: failed\n" for n in range(3))
+        for n, identity in enumerate((
+            "nabla_{A A'} Ua^{A'} == phi_{A B} Ub^{B}",  # w - aw: 0 against -1
+            "nabla_{A A'} Ua^{A A'} == R",  # (-1/2, -1/2) against (0, 0)
+        )):
+            corpus = tmp_path / f"unequal{n}.txt"
+            corpus.write_text(identity + "\n")
+            config = tmp_path / f"unequal{n}.json"
+            config.write_text(json.dumps({"identities": str(corpus)}))
+            result = invoke(["verify", "--config", str(config)])
+            assert (result.exit_code, result.stdout, result.stderr) == (
+                2, "", "error: line1: weights differ between sides\n"), identity
+
     @pytest.mark.parametrize("identity, message", [
         ("Phi^{a} == Phi^{a}", "kernel 'Phi' slot 0 must be written down (at position 0)"),
         ("Ka_{a b} Kb^{b} == Ka_{a}^{b} Kb_{b}",

@@ -198,7 +198,7 @@ class TestMatchTerm:
     """``match_term`` on parsed host terms: the first match found, or None.
 
     The builtin rules are parsed first, so their own dummies are ``~U<n>``
-    from the rule parser (``~U8`` in ``box_extraction``)."""
+    from the rule parser (``~U16`` in ``box_extraction``)."""
 
     def match(self, host: str, rule: str):
         table, rules, parser = setup_engine()
@@ -213,7 +213,7 @@ class TestMatchTerm:
 
     def test_constant_binds_to_second_metric_spinor_with_sign(self):
         # host factors: Box phi_E_X eps_up^C^D eps_up^X^B; the first metric
-        # spinor cannot take the pattern's eps_up^B^~U8 once ~U8 is bound to X,
+        # spinor cannot take the pattern's eps_up^B^~U16 once ~U16 is bound to X,
         # the second takes it swapped, an odd arrangement
         found = self.match("Box phi_{E X} M^{C D} M^{X B}", "box_extraction")
         assert found.const_used == (3,)
@@ -222,7 +222,7 @@ class TestMatchTerm:
     def test_full_match(self):
         found = self.match("Box phi_{E X} M^{X B} M^{C D}", "box_extraction")
         assert found == Match(word_slice=(0, 2), const_used=(2,),
-                              mapping={"E": "E", "~U8": "X", "B": "B"}, sign=-1)
+                              mapping={"E": "E", "~U16": "X", "B": "B"}, sign=-1)
 
     def test_host_group_straddling_the_match(self):
         assert self.match("Box phi_{(E}^{B} theta_{F) G}", "box_extraction") is None
@@ -238,7 +238,7 @@ class TestMatchTerm:
         assert found.word_slice == (0, 1)
 
     def test_pattern_dummy_used_outside_the_match(self):
-        # the image X of the pattern dummy ~U8 is used again outside the
+        # the image X of the pattern dummy ~U16 is used again outside the
         # matched factors, so it is not contracted inside them
         table, rules, parser = setup_engine()
         (term,) = parser.parse_expression("Box phi_{E X} M^{X B} theta_{F G}").terms

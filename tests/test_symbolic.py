@@ -6,6 +6,7 @@ import math
 import pathlib
 import random
 import re
+import sys
 import types
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from spinorwave.symbolic import (
     parse_identity_file,
     run_identity_cases,
     shipped_corpus_text,
+    verify_identity,
 )
 from spinorwave.symbolic import parse as parse_module
 from spinorwave.symbolic.expr import Factor, Idx, Term, fresh_label, kind_of_label
@@ -199,6 +201,47 @@ class TestKernelTable:
         assert (kernel.sym_groups, kernel.components) == ((), None)
 
 
+def displaced_operator_line(rng):
+    """(displaced, explicit): one or two derivative operators on a generic
+    field, their indices written up or down and contracted with each other,
+    with the field or not, and the same product with one operator index L
+    moved through an explicit metric spinor: nabla^{L} as eps^{L X}
+    nabla_{X}, nabla_{L} as eps_{X L} nabla^{X}."""
+    count = rng.randint(1, 2)
+    ops = [[None, None] for _ in range(count)]  # (label, up) per spinor kind
+    field = [("F", False)]
+    letters = iter("ABCDEGH")
+    for o in range(count):
+        for k, prime in enumerate(("", "'")):
+            if ops[o][k] is not None:
+                continue
+            label, up, r = next(letters) + prime, rng.random() < 0.5, rng.random()
+            ops[o][k] = (label, up)
+            if o + 1 < count and r < 0.3:
+                ops[o + 1][k] = (label, not up)
+            elif r < 0.6:
+                field.append((label, not up))
+    rng.shuffle(field)
+    o, k = rng.randrange(count), rng.randrange(2)
+    label, up = ops[o][k]
+    moved = "X" + ("'" if k else "")
+    eps = f"eps^{{{label} {moved}}}" if up else f"eps_{{{moved} {label}}}"
+
+    names = rng.choices(["nabla", "partial"], k=count)
+    # the written order of an operator's pair is free
+    orders = [rng.choice((slice(None), slice(None, None, -1))) for _ in range(count)]
+
+    def product(slots):
+        def block(indices):
+            return "".join(f"{'^' if up else '_'}{{{name}}}" for name, up in indices)
+        words = [name + block(pair[order]) for name, pair, order in zip(names, slots, orders)]
+        return " ".join(words + ["Ua" + block(field)])
+
+    displaced = product(ops)
+    ops[o][k] = (moved, not up)
+    return displaced, f"{eps} {product(ops)}"
+
+
 class TestWeights:
     def test_declared_weights(self):
         table, parser = fresh()
@@ -219,6 +262,47 @@ class TestWeights:
         table, parser = fresh()
         assert expr_weight(parser.parse_expression("phi_p_{A' B'}"), table) == (0, -1)
         assert expr_weight(parser.parse_expression("eps^{A' B'}"), table) == (0, 1)
+
+    def test_operator_indices_weigh_as_their_metric_spinors(self):
+        """nabla and partial weigh (-1/2, -1/2), and a displaced index adds
+        its metric spinor's weight: (+1, 0) unprimed, (0, +1) primed."""
+        table, parser = fresh()
+        half = Fraction(1, 2)
+        cases = {
+            "nabla_{A A'}": (-half, -half),
+            "partial_{A' A}": (-half, -half),
+            "nabla^{A}_{A'}": (half, -half),
+            "nabla_{A}^{A'}": (-half, half),
+            "nabla^{A A'}": (half, half),
+            "nabla_{A A'} nabla^{A A'}": (0, 0),
+            "Box": (0, 0),
+            "Delta^{A B}": (1, 0),
+        }
+        for text, weight in cases.items():
+            assert expr_weight(parser.parse_expression(text), table) == weight, text
+
+    def test_inhomogeneous_sum_prints_half_weights_as_fractions(self):
+        table, parser = fresh()
+        for text, message in (
+            ("Box phi_{A B} + nabla_{A A'} Ua_{B}^{A'}",
+             "weight-inhomogeneous sum: [(-1, 0), (-1/2, -1/2)]"),
+            # a sum of half weights that is whole prints as an integer
+            ("Box theta_{A B} + nabla_{A A'} nabla_{B}^{A'}",
+             "weight-inhomogeneous sum: [(-1, 0), (0, 0)]"),
+            ("Box phi_{A B} + theta_{A B}", "weight-inhomogeneous sum: [(-1, 0), (0, 0)]"),
+        ):
+            with pytest.raises(WeightError) as info:
+                parser.parse_expression(text)
+            assert str(info.value) == message, text
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_displaced_operator_index_weighs_as_an_explicit_metric_spinor(self, seed):
+        displaced, explicit = displaced_operator_line(random.Random(seed))
+        table, parser = fresh()
+        lhs, rhs = parser.parse_identity(f"{displaced} == {explicit}")
+        assert expr_weight(lhs, table) == expr_weight(rhs, table), (displaced, explicit)
+        assert verify_identity(lhs, rhs, [], table).success, (displaced, explicit)
 
 
 class TestCanonicalize:
@@ -634,10 +718,8 @@ def reference_component(kernel, values):
 
 def reference_component_map(expr, table):
     acc = {}
-    fresh = [0]
     for raw in expr.terms:
         for term in canon.expand_groups(raw):
-            term = canon._expand_operator_displacement(term, table, fresh)
             kinds = {idx.name: idx.kind for _, idx in term.all_indices()}
             labels = sorted(kinds)
             position = {label: n for n, label in enumerate(labels)}
@@ -1328,6 +1410,34 @@ class TestConstantElimination:
                 (Idx("A0", IndexKind.UNPRIMED, True), Idx(f"A{n}", IndexKind.UNPRIMED, False))]
             lookups.append(count[0])
         assert lookups[1] <= 2.5 * lookups[0]
+
+    def test_lines_grow_linearly_along_a_metric_spinor_chain(self):
+        """eps^{A0 A1} eps_{A1 A2} eps^{A2 A3} ... contracts to one delta, and
+        doubling the chain at most about doubles the lines that ``canon``
+        runs (a search of every metric spinor per contraction quadruples
+        them).  Lines, not seconds: a count does not depend on the host."""
+        lines = []
+        for n in (1000, 2000):
+            table, parser = fresh()
+            (term,) = parser.parse_expression(" ".join(
+                f"eps^{{A{k} A{k + 1}}}" if k % 2 == 0 else f"eps_{{A{k} A{k + 1}}}"
+                for k in range(n))).terms
+            count = [0]
+
+            def local(frame, event, arg, count=count):
+                count[0] += event == "line"
+                return local
+
+            sys.settrace(lambda frame, event, arg: local
+                         if frame.f_code.co_filename == canon.__file__ else None)
+            try:
+                result = canon.eliminate_constants(term, table)
+            finally:
+                sys.settrace(None)
+            assert (result.coeff, [f.indices for f in result.factors]) == (1, [
+                (Idx("A0", IndexKind.UNPRIMED, True), Idx(f"A{n}", IndexKind.UNPRIMED, False))])
+            lines.append(count[0])
+        assert lines[1] <= 2.5 * lines[0]
 
 
 class TestCanonicalizeSeam:
