@@ -27,7 +27,7 @@ from typing import NamedTuple
 from ..core.indices import DELTA, EPS, IndexKind, Slot, Variance, spinor_signature
 from .expr import Factor, Idx
 
-# the connecting object's share of the weight of each spinor index pair
+# the weight and the antiweight of the connecting object Sigma^a_{AA'}
 _MINUS_HALF = Fraction(-1, 2)
 
 
