@@ -115,28 +115,24 @@ def _ryu_tables() -> tuple[np.ndarray, ...]:
     that must be zero in 4 m2 for vr to be exact (all of them where no such
     test applies), the case where the bounds can be exact in another way
     (1: e2 >= 0 and q <= 21, 2: e2 in [-4, -1]) and, for case 1, 5**q."""
-    rows = []
-    for biased in range(2047):
-        e2 = max(biased, 1) - 1077
-        if e2 >= 0:
-            q = ((e2 * 78913) >> 18) - (e2 > 3)  # floor(e2 log10 2), less one past 3
-            pow5 = 5 ** q
-            mul = (1 << (pow5.bit_length() + 124)) // pow5 + 1
-            shift = pow5.bit_length() + 124 + q - e2
-            e10, case = q, 1 if q <= 21 else 0
-        else:
-            q = ((-e2 * 732923) >> 20) - (-e2 > 1)  # floor(-e2 log10 5), less one past 1
-            pow5 = 5 ** (-e2 - q)
-            mul = (pow5 << 125) >> pow5.bit_length()
-            shift = q + 125 - pow5.bit_length()
-            e10, case = q + e2, 2 if q <= 1 else 0
-        mask = (1 << q) - 1 if case == 0 and e2 < 0 and q < 63 else (1 << 64) - 1
-        rows.append(([mul >> k & 0xFFFFFFFF for k in (0, 32, 64, 96)], shift - 96, e10, mask,
-                     case, 5 ** q if case == 1 else 1))
-    mul, shift, e10, mask, case, pow5 = zip(*rows)
-    return (np.array(mul, dtype=np.uint64).T.copy(), np.array(shift, dtype=np.uint64),
-            np.array(e10, dtype=np.int64), np.array(mask, dtype=np.uint64),
-            np.array(case, dtype=np.int8), np.array(pow5, dtype=np.uint64))
+    e2 = np.maximum(np.arange(2047), 1) - 1077
+    up = e2 >= 0
+    # floor(e2 log10 2), less one past 3; floor(-e2 log10 5), less one past 1
+    q = np.where(up, ((e2 * 78913) >> 18) - (e2 > 3), ((-e2 * 732923) >> 20) - (-e2 > 1))
+    k = np.where(up, q, -e2 - q)  # the scaling power is 5**k
+    pow5 = [5 ** n for n in range(k.max() + 1)]
+    bits = np.array([p.bit_length() for p in pow5])[k]
+    # per power: 2**(bits + 124) // 5**k + 1 for e2 >= 0, 5**k >> (bits - 125) below
+    muls = [(1 << (p.bit_length() + 124)) // p + 1 for p in pow5] \
+        + [(p << 125) >> p.bit_length() for p in pow5]
+    limbs = np.frombuffer(b"".join(m.to_bytes(16, "little") for m in muls), dtype="<u4")
+    mul = limbs.reshape(-1, 4).astype(np.uint64)[np.where(up, k, len(pow5) + k)].T.copy()
+    shift = np.where(up, bits + 124 + q - e2, q + 125 - bits) - 96
+    case = np.where(up, q <= 21, 2 * (q <= 1))
+    mask = np.where(~up & (case == 0) & (q < 63), (1 << np.minimum(q, 62)) - 1, -1)
+    return (mul, shift.astype(np.uint64), np.where(up, q, q + e2).astype(np.int64),
+            mask.astype(np.uint64), case.astype(np.int8),
+            np.where(case == 1, 5 ** np.minimum(q, 21), 1).astype(np.uint64))
 
 
 _MUL, _SHIFT, _E10, _MASK, _CASE, _POW5 = _ryu_tables()
@@ -256,8 +252,8 @@ _WIDTH = 25  # sign, 17 digits, '.', 'e', sign and 3 exponent digits, separator
 _FIXED_MIN, _FIXED_MAX = -3, 16
 _FIXED_KEYS = (_FIXED_MAX - _FIXED_MIN + 1) * 17
 # four ASCII digits per integer below 10**4, as one native uint32 each
-_QUADS = np.frombuffer("".join(f"{k:04d}" for k in range(10 ** 4)).encode("ascii"),
-                       dtype=np.uint32)
+_QUADS = (np.arange(10 ** 4)[:, None] // np.array([1000, 100, 10, 1]) % 10
+          + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 
 
 def _layouts() -> np.ndarray:

@@ -7,9 +7,11 @@ contraction, worked on one list of factors in time linear in the deltas),
 orders factors (constants first; fields sorted within operator scopes),
 renames dummies canonically and collects like terms.  Between
 rewrite steps ``light_fold`` runs the same elimination on terms that keep
-their symmetrization groups: the factors a group names keep their slot
-order, and a metric spinor or delta among them (the bridge of a displaced
-grouped index) waits for ``expand_groups``.
+their symmetrization groups.  A group names index occurrences, so it follows
+its labels as factors go and is renamed with a label that a delta
+substitutes; the factors it names are left unsorted, and a metric spinor or
+delta among them (the bridge of a displaced grouped index) waits for
+``expand_groups``.
 
 Dimension-2 facts that relate differently wired epsilon products (the
 three-term epsilon shuffle) are not reachable by those local rewrites, so
@@ -49,7 +51,7 @@ import operator
 from fractions import Fraction
 
 from ..core.indices import DELTA, DIMENSION, EPS, IndexKind
-from .expr import Expr, Factor, Idx, Term, expand_groups, fresh_label
+from .expr import Expr, Factor, Idx, Term, expand_groups, fresh_label, slot_map
 from .kernels import KernelTable
 
 
@@ -80,7 +82,10 @@ _IDX_NAME = operator.attrgetter("name")
 
 def _named_factors(term: Term) -> set[int]:
     """The positions of the factors that a symmetrization group names."""
-    return {f for _, positions in term.groups for f, _ in positions}
+    if not term.groups:
+        return set()
+    where = slot_map(term.factors)
+    return {where[idx][0] for _, members in term.groups for idx in members}
 
 
 def _sort_factor(factor: Factor, table: KernelTable) -> tuple[Factor, int]:
@@ -159,7 +164,7 @@ def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
     # (one that shared a label with it shared it with a metric spinor, so it
     # would have gone before the contraction).
     where = {(idx.name, idx.up): fpos for fpos, f in enumerate(factors) for idx in f.indices}
-    coeff, deltas, search = term.coeff, range(len(factors)), 0
+    coeff, groups, deltas, search = term.coeff, term.groups, range(len(factors)), 0
     while True:
         for fpos in deltas:
             if components[fpos] != DELTA:
@@ -182,7 +187,10 @@ def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
             factor = factors[partner]
             factor = Factor(factor.kernel, tuple([new if (idx.name, idx.up) == old else idx
                                                   for idx in factor.indices]))
-            if partner not in named:
+            if partner in named:
+                groups = tuple((mode, tuple([new if (idx.name, idx.up) == old else idx
+                                             for idx in members])) for mode, members in groups)
+            else:
                 factor, sign = _sort_factor(factor, table)
                 if not sign:
                     return None
@@ -221,13 +229,10 @@ def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
         # only the new delta can go now, and only a metric spinor after p1
         # can have a partner (neither gives one to a metric spinor before)
         deltas, search = (start,), p1 + 1
-    kept = [fpos for fpos, factor in enumerate(factors) if factor is not None]
+    kept = tuple([factor for factor in factors if factor is not None])
     if len(kept) == len(factors):
         return term
-    moved = {fpos: n for n, fpos in enumerate(kept)}
-    groups = tuple((mode, tuple([(moved[f], s) for f, s in positions]))
-                   for mode, positions in term.groups)
-    return Term(coeff, tuple([factors[fpos] for fpos in kept]), groups)
+    return Term(coeff, kept, groups)
 
 
 # -- ordering and renaming ------------------------------------------------------------

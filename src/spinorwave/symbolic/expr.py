@@ -62,8 +62,11 @@ class Factor(NamedTuple):
         return self.kernel + "".join(repr(i) for i in self.indices)
 
 
-# ("sym" | "antisym", ((factor_position, slot_position), ...))
-SymGroup = tuple[str, tuple[tuple[int, int], ...]]
+# ("sym" | "antisym", (index occurrence, ...)).  A label occurs at most
+# once with each variance in a term, so a member names one slot, and the
+# group follows its labels however the factors move.  The members share one
+# kind and one variance.
+SymGroup = tuple[str, tuple[Idx, ...]]
 
 
 class Term(NamedTuple):
@@ -109,20 +112,29 @@ class Term(NamedTuple):
         return f"{head} * {body}{tail}"
 
 
+def slot_map(factors, start: int = 0) -> dict[Idx, tuple[int, int]]:
+    """Each index occurrence of ``factors`` -> its (factor, slot) position,
+    factors numbered from ``start``: the slot that a symmetrization group
+    member names."""
+    return {idx: (fpos, spos) for fpos, f in enumerate(factors, start)
+            for spos, idx in enumerate(f.indices)}
+
+
 def expand_groups(term: Term) -> list[Term]:
     """Replace every symmetrization group by its signed permutation average."""
     if not term.groups:
         return [term]
-    (mode, positions), rest = term.groups[0], term.groups[1:]
-    n = len(positions)
-    labels = [term.factors[f].indices[s] for f, s in positions]
+    (mode, members), rest = term.groups[0], term.groups[1:]
+    where = slot_map(term.factors)
+    positions = [where[idx] for idx in members]
+    n = len(members)
     out = []
     for perm in itertools.permutations(range(n)):
         sign = permutation_sign(perm) if mode == "antisym" else 1
         factors = list(term.factors)
         for (f, s), src in zip(positions, perm):
             indices = list(factors[f].indices)
-            indices[s] = labels[src]
+            indices[s] = members[src]
             factors[f] = Factor(factors[f].kernel, tuple(indices))
         out.extend(
             expand_groups(

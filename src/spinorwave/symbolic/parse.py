@@ -14,10 +14,10 @@ Labels ending in a prime are primed-spinor indices, other capitalised
 labels are unprimed-spinor indices, lowercase labels are world indices.
 Round/square brackets inside index blocks open and close symmetrization /
 antisymmetrization groups; a group may span several factors of one product
-but must not nest.  ``M`` is the abstract metric spinor and parses to the
-same concrete kernel as ``eps``.  Writing a spinor index of a field or an
-operator against its template variance inserts the corresponding
-metric-spinor factor.
+but must not nest, and its indices share one kind and one variance.  ``M``
+is the abstract metric spinor and parses to the same concrete kernel as
+``eps``.  Writing a spinor index of a field or an operator against its
+template variance inserts the corresponding metric-spinor factor.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from ..core.indices import EPS, IndexKind, Slot, Variance
 from ..errors import ParseError
-from .expr import Expr, Factor, Idx, Term, fresh_label
+from .expr import Expr, Factor, Idx, Term, fresh_label, slot_map
 from .kernels import KernelTable
 from .weights import validate_expr
 
@@ -64,7 +64,7 @@ _FRESH_PREFIX = {IndexKind.UNPRIMED: "~U", IndexKind.PRIMED: "~P", IndexKind.WOR
 
 class _PendingGroup(NamedTuple):
     mode: str
-    positions: list[tuple[int, int]]
+    members: list[Idx]
 
 
 class Parser:
@@ -134,10 +134,11 @@ class Parser:
         open_groups: list[_PendingGroup] = []
         factors: list[Factor] = []
         groups: list = []
+        where: dict = {}  # each index occurrence of ``factors`` -> its (factor, slot)
         while True:
             kind, value, pos = tokens[at]
             if kind == "name":
-                at = self._parse_factor(tokens, at, factors, groups, open_groups)
+                at = self._parse_factor(tokens, at, factors, groups, open_groups, where)
             elif value == "(":
                 # parenthesized sum, e.g. (Box + 1/3 R) phi
                 if open_groups:
@@ -146,7 +147,7 @@ class Parser:
                     )
                 if factors:
                     parts.append(Expr((Term(_ONE, tuple(factors), tuple(groups)),)))
-                    factors, groups = [], []
+                    factors, groups, where = [], [], {}
                 sub, at = self._parse_paren(tokens, at, depth)
                 parts.append(sub)
             else:
@@ -200,7 +201,7 @@ class Parser:
 
     # -- factors -------------------------------------------------------------------
 
-    def _parse_factor(self, tokens, at, factors, groups, open_groups) -> int:
+    def _parse_factor(self, tokens, at, factors, groups, open_groups, where) -> int:
         _, name, name_pos = tokens[at]
         at += 1
         indices: list[Idx] = []
@@ -220,7 +221,7 @@ class Parser:
                     if idx is None:
                         idx = known[value, up] = Idx.from_label(value, up)
                     if open_groups:
-                        open_groups[-1].positions.append((len(factors), len(indices)))
+                        open_groups[-1].members.append(idx)
                     indices.append(idx)
                 elif value == "}":
                     break
@@ -231,18 +232,26 @@ class Parser:
                 elif value == ")" or value == "]":
                     if not open_groups:
                         raise ParseError("unmatched closing bracket", pos)
-                    mode = open_groups[-1].mode
+                    mode, members = open_groups.pop()
                     if mode != ("sym" if value == ")" else "antisym"):
                         raise ParseError("mismatched bracket kind", pos)
-                    groups.append((mode, tuple(open_groups.pop().positions)))
+                    if len({(idx.kind, idx.up) for idx in members}) > 1:
+                        raise ParseError(
+                            "symmetrization group mixes index kinds or variances", pos)
+                    groups.append((mode, tuple(members)))
                 else:
                     raise ParseError(f"unexpected token {value!r} in index block", pos)
                 at += 1
             at += 1
-        self._assemble_factor(name, name_pos, tuple(indices), factors, groups, open_groups)
+        start = len(factors)
+        self._assemble_factor(name, name_pos, tuple(indices), factors)
+        where.update(slot_map(factors[start:], start))
+        # groups are pulled back after a kernel factor, whose bridges they may name
+        if groups and name not in ("eps", "M"):
+            _pullback_and_prune_groups(groups, factors, where, self.table)
         return at
 
-    def _assemble_factor(self, name, pos, indices, factors, groups, open_groups) -> None:
+    def _assemble_factor(self, name, pos, indices, factors) -> None:
         table = self.table
         if name in ("eps", "M"):
             if len(indices) != 2 or indices[0].kind is not indices[1].kind or \
@@ -261,15 +270,13 @@ class Parser:
             raise ParseError(
                 f"kernel {name!r} takes {kernel.rank} indices, got {len(indices)}", pos
             )
-        fpos = len(factors)
         if kernel.operator and len(indices) == 2 and indices[0].kind is IndexKind.PRIMED \
                 and indices[1].kind is IndexKind.UNPRIMED:
             # the unprimed/primed pair of a derivative operator is one world
             # index; written order is free, storage order is (unprimed, primed)
             indices = (indices[1], indices[0])
-            _remap(groups, open_groups, fpos, {0: (fpos, 1), 1: (fpos, 0)})
         new_indices = list(indices)
-        inserted: list[tuple[int, Factor]] = []  # (host slot, eps factor)
+        bridges: list[Factor] = []
         for slot, idx in enumerate(indices):
             want = kernel.slots[slot]
             if idx.kind is not want.kind:
@@ -286,87 +293,47 @@ class Parser:
                     f"kernel {name!r} slot {slot} must be written {want.variance.value}", pos
                 )
             bridge, new_indices[slot] = table.eps_bridge(idx, self.fresh_label(idx.kind))
-            inserted.append((slot, bridge))
+            bridges.append(bridge)
+        # a group that names a displaced label names its occurrence on the bridge
         factors.append(Factor(kernel.name, tuple(new_indices)))
-        if not inserted and not groups:
-            return
-        # displaced labels now live on the bridges; retarget group positions
-        bridge_of_slot: dict[int, tuple[int, int]] = {}
-        for slot, bridge in inserted:
-            # the written label sits first on a raising bridge, last on a lowering one
-            bridge_of_slot[slot] = (len(factors), 0 if indices[slot].up else 1)
-            factors.append(bridge)
-        if bridge_of_slot:
-            _remap(groups, open_groups, fpos, bridge_of_slot)
-        _pullback_and_prune_groups(groups, factors, table)
+        factors += bridges
 
 
-def _remap(groups: list, open_groups: list[_PendingGroup], fpos: int,
-           slot_map: dict[int, tuple[int, int]]) -> None:
-    """Move the group positions on the slots of factor ``fpos`` that
-    ``slot_map`` names to the positions it gives."""
-    def move(f: int, s: int) -> tuple[int, int]:
-        if f == fpos and s in slot_map:
-            return slot_map[s]
-        return (f, s)
-
-    for g, (mode, positions) in enumerate(groups):
-        groups[g] = (mode, tuple(move(f, s) for f, s in positions))
-    for pending in open_groups:
-        pending.positions[:] = [move(f, s) for f, s in pending.positions]
-
-
-def _pullback_and_prune_groups(groups: list, factors: list[Factor], table: KernelTable) -> None:
+def _pullback_and_prune_groups(groups: list, factors: list[Factor], where: dict,
+                               table: KernelTable) -> None:
     """Move groups living on displacement bridges onto the bridged kernel,
-    then drop groups matching a declared kernel symmetry."""
-    # map: (factor containing dummy partner) for eps bridge factors
-    for g, (mode, positions) in enumerate(groups):
-        retarget = []
-        for f, s in positions:
+    then drop groups matching a declared kernel symmetry; ``where`` maps
+    each index occurrence of ``factors`` to its (factor, slot)."""
+    for g, (mode, members) in enumerate(groups):
+        # a member on a metric spinor moves to where the bridge's other
+        # label occurs with the other variance
+        moved = []
+        for idx in members:
+            f, s = where[idx]
             factor = factors[f]
             kernel = table.get(factor.kernel)
             if not (kernel and kernel.components == EPS):
-                retarget = None
                 break
             partner = factor.indices[1 - s]
-            hit = None
-            for f2, other in enumerate(factors):
-                if f2 == f:
-                    continue
-                for s2, idx in enumerate(other.indices):
-                    if idx.name == partner.name:
-                        hit = (f2, s2)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                retarget = None
+            partner = partner._replace(up=not partner.up)
+            if partner not in where:
                 break
-            retarget.append(hit)
-        if retarget and len({f for f, _ in retarget}) == 1:
-            groups[g] = (mode, tuple(retarget))
+            moved.append(partner)
+        else:
+            if moved and len({where[idx][0] for idx in moved}) == 1:
+                groups[g] = (mode, tuple(moved))
     keep = []
-    for mode, positions in groups:
+    for mode, members in groups:
+        positions = [where[idx] for idx in members]
         if mode == "sym" and len({f for f, _ in positions}) == 1:
-            f = positions[0][0]
-            kernel = table.get(factors[f].kernel)
+            kernel = table.get(factors[positions[0][0]].kernel)
             slots = {s for _, s in positions}
             if kernel and any(slots <= set(gr) for gr in kernel.sym_groups):
                 continue
-        keep.append((mode, positions))
+        keep.append((mode, members))
     groups[:] = keep
 
 
 def _expr_product(a: Expr, b: Expr) -> Expr:
-    terms = []
-    for ta in a.terms:
-        offset = len(ta.factors)
-        for tb in b.terms:
-            shifted = tuple(
-                (mode, tuple((f + offset, s) for f, s in positions))
-                for mode, positions in tb.groups
-            )
-            terms.append(
-                Term(ta.coeff * tb.coeff, ta.factors + tb.factors, ta.groups + shifted)
-            )
-    return Expr(tuple(terms))
+    return Expr(tuple(Term(ta.coeff * tb.coeff, ta.factors + tb.factors, ta.groups + tb.groups)
+                      for ta in a.terms for tb in b.terms))

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 from ..core.indices import EPS, permutation_sign
 from ..errors import IdentityError, UnsupportedExpressionError, WeightError
 from .canon import canonicalize, light_fold
-from .expr import Expr, Factor, Idx, Term, fresh_label
+from .expr import Expr, Factor, Idx, Term, fresh_label, slot_map
 from .kernels import KernelTable
 from .weights import expr_weight, free_signature
 
@@ -128,21 +128,22 @@ def _unify(pairs: list, term: Term, table: KernelTable, used: tuple[int, ...],
             yield from _unify(pairs, term, table, used + (pos,), new_map, sign * s)
 
 
-def _groups_fit(pattern: Term, term: Term, factor_map: dict[int, int]) -> bool:
-    """Host groups touching the matched factors lie inside them and are
-    exactly the images of the pattern's groups."""
-    matched = set(factor_map.values())
+def _groups_fit(pattern: Term, term: Term, used: tuple[int, ...],
+                mapping: dict[str, str]) -> bool:
+    """Host groups touching the matched factors ``used`` lie inside them and
+    are exactly the pattern's groups with their labels mapped."""
+    if not (term.groups or pattern.groups):
+        return True
+    where = slot_map(term.factors)
     inside = set()
-    for mode, positions in term.groups:
-        touched = {f for f, _ in positions}
-        if touched <= matched:
-            inside.add((mode, tuple(sorted(positions))))
-        elif touched & matched:
+    for mode, members in term.groups:
+        touched = {where[idx][0] for idx in members}
+        if touched.issubset(used):
+            inside.add((mode, frozenset(members)))
+        elif not touched.isdisjoint(used):
             return False
-    images = {
-        (mode, tuple(sorted((factor_map[f], s) for f, s in positions)))
-        for mode, positions in pattern.groups
-    }
+    images = {(mode, frozenset([idx._replace(name=mapping[idx.name]) for idx in members]))
+              for mode, members in pattern.groups}
     return images == inside
 
 
@@ -155,7 +156,6 @@ def match_term(term: Term, rule: RewriteRule, table: KernelTable) -> Match | Non
     pattern = rule.pattern
     host_word, host_consts = _split(term, table)
     pat_word, pat_consts = _split(pattern, table)
-    order = pat_word + pat_consts
     census = term.index_census()
     dummies = [name for name, occs in pattern.index_census().items() if len(occs) == 2]
     pw = len(pat_word)
@@ -163,8 +163,7 @@ def match_term(term: Term, rule: RewriteRule, table: KernelTable) -> Match | Non
         pairs = [(pattern.factors[p], (h,)) for p, h in zip(pat_word, host_word[start:])]
         pairs += [(pattern.factors[p], host_consts) for p in pat_consts]
         for used, mapping, sign in _unify(pairs, term, table, (), {}, 1):
-            factor_map = dict(zip(order, used))
-            if not _groups_fit(pattern, term, factor_map):
+            if not _groups_fit(pattern, term, used, mapping):
                 continue
             # a pattern dummy maps onto a host dummy contracted inside the match
             if all(
@@ -191,6 +190,10 @@ def apply_match(term: Term, rule: RewriteRule, match: Match, table: KernelTable,
     prefix = [p for p in range(len(term.factors)) if p < anchor and p not in removed]
     suffix = [p for p in range(len(term.factors)) if p >= anchor and p not in removed]
 
+    # a host group on a matched factor lies inside the match (_groups_fit)
+    # and goes with it
+    gone = {idx for p in removed for idx in term.factors[p].indices}
+    kept = tuple(group for group in term.groups if gone.isdisjoint(group[1]))
     mapping = dict(match.mapping)
     out: list[Term] = []
     for repl in rule.replacement.terms:
@@ -210,17 +213,10 @@ def apply_match(term: Term, rule: RewriteRule, match: Match, table: KernelTable,
             + new_factors
             + [term.factors[p] for p in suffix]
         )
-        offset = len(prefix)
-        position_of = {p: n for n, p in enumerate(prefix)}
-        position_of.update({p: offset + len(new_factors) + n for n, p in enumerate(suffix)})
-        groups = []
-        for mode, positions in term.groups:
-            if all(f in position_of for f, _ in positions):
-                groups.append((mode, tuple((position_of[f], s) for f, s in positions)))
-        for mode, positions in repl.groups:
-            groups.append((mode, tuple((offset + f, s) for f, s in positions)))
+        groups = kept + tuple((mode, tuple([idx._replace(name=local[idx.name]) for idx in members]))
+                              for mode, members in repl.groups)
         coeff = term.coeff * repl.coeff * match.sign / rule.pattern.coeff
-        out.append(Term(coeff, tuple(factors), tuple(groups)))
+        out.append(Term(coeff, tuple(factors), groups))
     return out
 
 

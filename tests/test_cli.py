@@ -238,6 +238,24 @@ class TestVerify:
         result = invoke(["verify", "--config", str(config)])
         assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("identity, position", [
+        ("Ua_{(A B')} == Ua_{A B'}", 9),
+        ("Ua_{(A}^{B)} == Ua_{A}^{B}", 10),
+        ("theta^{(A}_{C} Ua^{B)C} == theta^{A}_{C} Ua^{B C}", 20),
+        ("nabla_{(A A'} Ub_{B)} == nabla_{A A'} Ub_{B}", 19),
+    ])
+    def test_mixed_group_is_one_exact_line(self, tmp_path, identity, position):
+        # a group over indices of two kinds or two variances has no
+        # permutation average: it exits 2 where it closes
+        corpus = tmp_path / "mixed.txt"
+        corpus.write_text(identity + "\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"identities": str(corpus)}))
+        result = invoke(["verify", "--config", str(config)])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            2, "", "error: symmetrization group mixes index kinds or variances "
+                   f"(at position {position})\n")
+
     def test_missing_file_is_usage_error(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"identities": str(tmp_path / "nope.txt")}))

@@ -554,8 +554,45 @@ CELL_FAMILIES = {
 }
 
 
+def reference_ryu_tables() -> tuple[np.ndarray, ...]:
+    """``csvio._ryu_tables`` one biased exponent at a time, in Python
+    integers."""
+    rows = []
+    for biased in range(2047):
+        e2 = max(biased, 1) - 1077
+        if e2 >= 0:
+            q = ((e2 * 78913) >> 18) - (e2 > 3)
+            pow5 = 5 ** q
+            mul = (1 << (pow5.bit_length() + 124)) // pow5 + 1
+            shift = pow5.bit_length() + 124 + q - e2
+            e10, case = q, 1 if q <= 21 else 0
+        else:
+            q = ((-e2 * 732923) >> 20) - (-e2 > 1)
+            pow5 = 5 ** (-e2 - q)
+            mul = (pow5 << 125) >> pow5.bit_length()
+            shift = q + 125 - pow5.bit_length()
+            e10, case = q + e2, 2 if q <= 1 else 0
+        mask = (1 << q) - 1 if case == 0 and e2 < 0 and q < 63 else (1 << 64) - 1
+        rows.append(([mul >> k & 0xFFFFFFFF for k in (0, 32, 64, 96)], shift - 96, e10, mask,
+                     case, 5 ** q if case == 1 else 1))
+    mul, shift, e10, mask, case, pow5 = zip(*rows)
+    return (np.array(mul, dtype=np.uint64).T.copy(), np.array(shift, dtype=np.uint64),
+            np.array(e10, dtype=np.int64), np.array(mask, dtype=np.uint64),
+            np.array(case, dtype=np.int8), np.array(pow5, dtype=np.uint64))
+
+
 class TestBlockFormatter:
     """The block formatter's bytes against ``'%r'`` on every cell."""
+
+    def test_tables_match_the_reference(self):
+        """Every row of the Ryu tables, and the digit quads, equal the
+        per-exponent and per-integer builds."""
+        for got, want in zip(csvio._ryu_tables(), reference_ryu_tables()):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        quads = np.frombuffer("".join(f"{k:04d}" for k in range(10 ** 4)).encode("ascii"),
+                              dtype=np.uint32)
+        assert csvio._QUADS.dtype == quads.dtype and np.array_equal(csvio._QUADS, quads)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(1, 12).flatmap(lambda width: st.lists(

@@ -225,8 +225,10 @@ class TestMatchTerm:
                               mapping={"E": "E", "~U16": "X", "B": "B"}, sign=-1)
 
     def test_host_group_straddling_the_match(self):
-        assert self.match("Box phi_{(E}^{B} theta_{F) G}", "box_extraction") is None
-        assert self.match("Box phi_{E}^{B} theta_{F G}", "box_extraction") is not None
+        # the group names the bridge of phi's B, which the pattern's metric
+        # spinor takes, and the bridge of theta's F, which it does not
+        assert self.match("Box phi_{E}^{(B} theta^{F)}_{G}", "box_extraction") is None
+        assert self.match("Box phi_{E}^{B} theta^{F}_{G}", "box_extraction") is not None
 
     def test_host_group_inside_the_match_must_be_a_pattern_image(self):
         # box_extraction has no groups; graviton_symbol has one on all four slots

@@ -46,6 +46,7 @@ from spinorwave.symbolic import (
     verify_identity,
 )
 from spinorwave.symbolic import parse as parse_module
+from spinorwave.symbolic import rewrite as rewrite_module
 from spinorwave.symbolic.expr import Factor, Idx, Term, fresh_label, kind_of_label
 
 RNG = np.random.default_rng(99)
@@ -1224,12 +1225,11 @@ def reference_eliminate_constants(term, table):
     substituted into the first other occurrence of its partner) or else
     contracts the first two metric spinors of opposite variance that share a
     label, on the least shared label, and rebuilds the term without the
-    removed factor, shifting the group positions past it."""
+    removed factor.  A group member that a substitution renames is renamed
+    in the group too."""
 
     def remove(term, pos):
-        groups = tuple((mode, tuple((f - 1 if f > pos else f, s) for f, s in positions))
-                       for mode, positions in term.groups)
-        return Term(term.coeff, term.factors[:pos] + term.factors[pos + 1:], groups)
+        return Term(term.coeff, term.factors[:pos] + term.factors[pos + 1:], term.groups)
 
     def replace(term, pos, factor):
         factors = list(term.factors)
@@ -1241,8 +1241,12 @@ def reference_eliminate_constants(term, table):
             for spos, idx in enumerate(factor.indices):
                 if fpos != skip and (idx.name, idx.up) == (name, up):
                     indices = list(factor.indices)
-                    indices[spos] = Idx(new.name, new.kind, up)
-                    return replace(term, fpos, Factor(factor.kernel, tuple(indices)))
+                    indices[spos] = renamed = Idx(new.name, new.kind, up)
+                    groups = tuple((mode, tuple(renamed if member == idx else member
+                                                for member in members))
+                                   for mode, members in term.groups)
+                    return replace(term, fpos, Factor(factor.kernel, tuple(indices)))._replace(
+                        groups=groups)
         return None
 
     current = term
@@ -1250,7 +1254,8 @@ def reference_eliminate_constants(term, table):
         current = canon.sort_kernel_slots(current, table)
         if current is None:
             return None
-        named = {f for _, positions in current.groups for f, _ in positions}
+        named = {fpos for fpos, f in enumerate(current.factors)
+                 for _, members in current.groups if set(f.indices) & set(members)}
         components = [None if fpos in named or table.get(f.kernel) is None
                       else table.get(f.kernel).components
                       for fpos, f in enumerate(current.factors)]
@@ -1320,11 +1325,10 @@ def random_constant_product(rng, table):
                     and slots[j][1:] == (slots[i][1], not slots[i][2])]
         if partners and rng.random() < 0.8:
             labels[rng.choice(partners)] = labels[i]
-    factors, where = [], []
-    for position, name in enumerate(kernels):
-        indices = [n for n, slot in enumerate(slots) if slot[0] == position]
-        where += [(position, s) for s in range(len(indices))]
-        factors.append(Factor(name, tuple(Idx(labels[n], *slots[n][1:]) for n in indices)))
+    occurrences = [Idx(labels[n], *slot[1:]) for n, slot in enumerate(slots)]
+    factors = [Factor(name, tuple(occurrences[n] for n, slot in enumerate(slots)
+                                  if slot[0] == position))
+               for position, name in enumerate(kernels)]
     groups = ()
     constant = [n for n, (f, _, _) in enumerate(slots)
                 if table.get(kernels[f]).components is not None]
@@ -1333,7 +1337,8 @@ def random_constant_product(rng, table):
         others = [n for n, slot in enumerate(slots)
                   if slot[0] != slots[first][0] and slot[1:] == slots[first][1:]]
         if others:
-            groups = (("sym", tuple(sorted([where[first], where[rng.choice(others)]]))),)
+            pair = sorted([first, rng.choice(others)])
+            groups = (("sym", tuple(occurrences[n] for n in pair)),)
     coeff = Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5]))
     return Term(coeff, tuple(factors), groups)
 
@@ -1344,6 +1349,25 @@ def parsed_delta_chain(n):
     (term,) = parser.parse_expression(
         " ".join(f"delta^{{A{k}}}_{{A{k + 1}}}" for k in range(n))).terms
     return term, table
+
+
+def verify_corpora():
+    """Run ``verify``'s cases on the shipped, negative, kernel-sum and
+    seed-4242 generated corpora."""
+    for text in (shipped_corpus_text("identities"),
+                 shipped_corpus_text("identities_negative"),
+                 (GOLDEN / "kernel_sums.txt").read_text(encoding="utf-8"),
+                 (GOLDEN / "generated_4242.txt").read_text(encoding="utf-8")):
+        run_identity_cases(parse_identity_file(text))
+
+
+def assert_groups_well_formed(term):
+    """Each member of each group of ``term`` occurs in it exactly once, and
+    the members of a group share one kind and one variance."""
+    occurrences = [idx for factor in term.factors for idx in factor.indices]
+    for _, members in term.groups:
+        assert all(occurrences.count(idx) == 1 for idx in members), term
+        assert len({(idx.kind, idx.up) for idx in members}) <= 1, term
 
 
 class TestConstantElimination:
@@ -1360,13 +1384,32 @@ class TestConstantElimination:
             return result
 
         monkeypatch.setattr(canon, "eliminate_constants", checked)
-        for text in (shipped_corpus_text("identities"),
-                     shipped_corpus_text("identities_negative"),
-                     (GOLDEN / "kernel_sums.txt").read_text(encoding="utf-8"),
-                     (GOLDEN / "generated_4242.txt").read_text(encoding="utf-8")):
-            run_identity_cases(parse_identity_file(text))
+        verify_corpora()
         assert len(seen) > 1000
         assert any(term.groups for term in seen)
+
+    def test_corpus_groups_name_present_occurrences(self, monkeypatch):
+        """Every group on a term that ``verify`` parses, rewrites or
+        eliminates constants from, on the same corpora, names occurrences
+        of that term, each once, of one kind and one variance."""
+        real_fold, real_expand, seen = rewrite_module.light_fold, canon.expand_groups, []
+
+        def checked_fold(expr, table):
+            result = real_fold(expr, table)
+            for term in expr.terms + result.terms:
+                assert_groups_well_formed(term)
+                seen.append(term)
+            return result
+
+        def checked_expand(term):
+            assert_groups_well_formed(term)
+            seen.append(term)
+            return real_expand(term)
+
+        monkeypatch.setattr(rewrite_module, "light_fold", checked_fold)
+        monkeypatch.setattr(canon, "expand_groups", checked_expand)
+        verify_corpora()
+        assert sum(len(term.groups) for term in seen) > 500
 
     def test_random_products_match_the_reference(self):
         table = property_table()
@@ -1376,8 +1419,8 @@ class TestConstantElimination:
             result = canon.eliminate_constants(term, table)
             assert result == reference_eliminate_constants(term, table), (seed, term)
             results.append((term, result))
-        # the draws reach traces, groups shifted past removed factors and
-        # terms left as they are
+        # the draws reach traces, group members renamed by a substitution
+        # and terms left as they are
         assert any(result.coeff == 2 * term.coeff for term, result in results)
         assert any(result.groups and result.groups != term.groups for term, result in results)
         assert any(result == term for term, result in results)
