@@ -93,8 +93,6 @@ def _sort_factor(factor: Factor, table: KernelTable) -> tuple[Factor, int]:
     groups and metric-spinor pair (``factor`` itself when they already
     are), and the sign of the pair swap: 0 when the pair repeats a label."""
     kernel = table.get(factor.kernel)
-    if kernel is None:
-        return factor, 1
     skew = kernel.components == EPS
     if not (kernel.sym_groups or skew):
         return factor, 1
@@ -154,7 +152,7 @@ def eliminate_constants(term: Term, table: KernelTable) -> Term | None:
     factors: list[Factor | None] = list(term.factors)
     # the integer components of each factor that may go: None for a hole,
     # for a factor that a group names and for a field
-    components = [None if fpos in named else (kernel := table.get(f.kernel)) and kernel.components
+    components = [None if fpos in named else table.get(f.kernel).components
                   for fpos, f in enumerate(factors)]
     if DELTA not in components and components.count(EPS) < 2:  # nothing can go
         return term
@@ -305,7 +303,7 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
     constant_dummies = []
     for position, factor in enumerate(term.factors):
         kernel = table.get(factor.kernel)
-        sym, skew = (kernel.sym_groups, kernel.components == EPS) if kernel else ((), False)
+        sym, skew = kernel.sym_groups, kernel.components == EPS
         items = tuple([(idx.up, idx.name) for idx in factor.indices])
         labels = [name for _, name in items]
         sign = _sort_slots(labels, sym, skew, str) if sym or skew else 1
@@ -314,7 +312,7 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
             key = tuple(zip([up for up, _ in items], labels)) if sym or skew else items
             fixed[position] = ((factor.kernel, key), sign)
         plans.append((factor.kernel, items, sym, skew))
-        if kernel and kernel.components is not None:
+        if kernel.components is not None:
             blocks[0].append(position)
             constant_dummies += dummies.intersection(labels)
             if len(items) == 2 and dummies.issuperset(labels):
@@ -322,7 +320,7 @@ def _normalize_term(term: Term, table: KernelTable) -> Term:
                 (_, a), (_, b) = items
                 bridges[a], bridges[b] = (factor.kernel, b, 0), (factor.kernel, a, 1)
                 bridged.add(position)
-        elif kernel and kernel.operator:
+        elif kernel.operator:
             blocks += [[position], []]
         else:
             blocks[-1].append(position)

@@ -32,18 +32,17 @@ def _constant(components: tuple[tuple[int, ...], ...]) -> np.ndarray:
 
 def _operand(factor: Factor, bindings: dict[str, ComponentSpinor | complex],
              table: KernelTable) -> np.ndarray:
-    """The components of a factor's kernel, checked against its template (the
-    written slots, for a kernel the table does not know)."""
+    """The components of a factor's kernel, a kernel of ``table``: the
+    constant's own, or the binding's, checked against the template."""
     name, kernel = factor.kernel, table.get(factor.kernel)
-    if kernel is not None and kernel.operator:
+    if kernel.operator:
         raise UnsupportedExpressionError(f"derivative operator {name!r} cannot be evaluated")
-    if kernel is not None and kernel.components is not None:
+    if kernel.components is not None:
         return _constant(kernel.components)
     if name not in bindings:
         raise UnsupportedExpressionError(f"unbound kernel {name!r}")
     bound = bindings[name]
-    template = IndexSignature(kernel.slots if kernel is not None else
-                              tuple(Slot(i.kind, i.variance) for i in factor.indices))
+    template = IndexSignature(kernel.slots)
     if isinstance(bound, ComponentSpinor) and bound.signature == template:
         return bound.data
     if not isinstance(bound, ComponentSpinor) and not template.slots:
@@ -53,12 +52,12 @@ def _operand(factor: Factor, bindings: dict[str, ComponentSpinor | complex],
 
 
 def component_eval(expr: Expr, bindings: dict[str, ComponentSpinor | complex],
-                   table: KernelTable | None = None) -> ComponentSpinor:
-    """Evaluate a derivative-free expression against concrete components.
+                   table: KernelTable) -> ComponentSpinor:
+    """Evaluate a derivative-free expression against concrete components,
+    ``table`` holding the kernel of every factor (the parser's table).
 
     Returns a spinor over the free indices, slots ordered by label name.
     """
-    table = table or KernelTable()
     arrays: dict[str, np.ndarray] = {}
     for term in expr.terms:
         for f in term.factors:

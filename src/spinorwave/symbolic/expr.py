@@ -112,11 +112,10 @@ class Term(NamedTuple):
         return f"{head} * {body}{tail}"
 
 
-def slot_map(factors, start: int = 0) -> dict[Idx, tuple[int, int]]:
-    """Each index occurrence of ``factors`` -> its (factor, slot) position,
-    factors numbered from ``start``: the slot that a symmetrization group
-    member names."""
-    return {idx: (fpos, spos) for fpos, f in enumerate(factors, start)
+def slot_map(factors) -> dict[Idx, tuple[int, int]]:
+    """Each index occurrence of ``factors`` -> its (factor, slot) position:
+    the slot that a symmetrization group member names."""
+    return {idx: (fpos, spos) for fpos, f in enumerate(factors)
             for spos, idx in enumerate(f.indices)}
 
 

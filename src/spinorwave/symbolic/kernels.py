@@ -83,8 +83,10 @@ class KernelTable:
 
     def __init__(self):
         self.kernels: dict[str, Kernel] = dict(_BUILTIN)
-        # name -> kernel, or None for an unknown name: the dict's own lookup,
-        # since every factor of every term is looked up
+        # name -> kernel, or None for a name not yet registered: the dict's
+        # own lookup, since every factor of every term is looked up.  The
+        # parser registers each name it meets, so every factor of a parsed
+        # term names a kernel of its table.
         self.get = self.kernels.get
         # the exact expansion's sign counts per cluster shape (canon._parts):
         # a shape names kernels of this table, whose names keep their kernels

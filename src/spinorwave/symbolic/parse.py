@@ -17,7 +17,11 @@ antisymmetrization groups; a group may span several factors of one product
 but must not nest, and its indices share one kind and one variance.  ``M``
 is the abstract metric spinor and parses to the same concrete kernel as
 ``eps``.  Writing a spinor index of a field or an operator against its
-template variance inserts the corresponding metric-spinor factor.
+template variance inserts the corresponding metric-spinor factor.  A
+product's groups are settled once its last factor is written, so the order of
+its factors, metric spinors included, does not change the result.  Every
+factor made here names a kernel of the table, each slot in the template's
+kind and variance.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import NamedTuple
 
 from ..core.indices import EPS, IndexKind, Slot, Variance
 from ..errors import ParseError
-from .expr import Expr, Factor, Idx, Term, fresh_label, slot_map
+from .expr import Expr, Factor, Idx, SymGroup, Term, fresh_label, slot_map
 from .kernels import KernelTable
 from .weights import validate_expr
 
@@ -133,12 +137,11 @@ class Parser:
         parts: list[Expr] = []
         open_groups: list[_PendingGroup] = []
         factors: list[Factor] = []
-        groups: list = []
-        where: dict = {}  # each index occurrence of ``factors`` -> its (factor, slot)
+        groups: list[SymGroup] = []
         while True:
             kind, value, pos = tokens[at]
             if kind == "name":
-                at = self._parse_factor(tokens, at, factors, groups, open_groups, where)
+                at = self._parse_factor(tokens, at, factors, groups, open_groups)
             elif value == "(":
                 # parenthesized sum, e.g. (Box + 1/3 R) phi
                 if open_groups:
@@ -146,8 +149,8 @@ class Parser:
                         "symmetrization bracket may not span a parenthesized sum", pos
                     )
                 if factors:
-                    parts.append(Expr((Term(_ONE, tuple(factors), tuple(groups)),)))
-                    factors, groups, where = [], [], {}
+                    parts.append(Expr((_term(_ONE, factors, groups, self.table),)))
+                    factors, groups = [], []
                 sub, at = self._parse_paren(tokens, at, depth)
                 parts.append(sub)
             else:
@@ -163,10 +166,10 @@ class Parser:
         if negative:
             coeff = -coeff
         if not parts:
-            out.append(Term(coeff, tuple(factors), tuple(groups)))
+            out.append(_term(coeff, factors, groups, self.table))
             return at
         if factors:
-            parts.append(Expr((Term(_ONE, tuple(factors), tuple(groups)),)))
+            parts.append(Expr((_term(_ONE, factors, groups, self.table),)))
         result = parts[0]
         for nxt in parts[1:]:
             result = _expr_product(result, nxt)
@@ -201,7 +204,7 @@ class Parser:
 
     # -- factors -------------------------------------------------------------------
 
-    def _parse_factor(self, tokens, at, factors, groups, open_groups, where) -> int:
+    def _parse_factor(self, tokens, at, factors, groups, open_groups) -> int:
         _, name, name_pos = tokens[at]
         at += 1
         indices: list[Idx] = []
@@ -243,12 +246,7 @@ class Parser:
                     raise ParseError(f"unexpected token {value!r} in index block", pos)
                 at += 1
             at += 1
-        start = len(factors)
         self._assemble_factor(name, name_pos, tuple(indices), factors)
-        where.update(slot_map(factors[start:], start))
-        # groups are pulled back after a kernel factor, whose bridges they may name
-        if groups and name not in ("eps", "M"):
-            _pullback_and_prune_groups(groups, factors, where, self.table)
         return at
 
     def _assemble_factor(self, name, pos, indices, factors) -> None:
@@ -299,20 +297,24 @@ class Parser:
         factors += bridges
 
 
-def _pullback_and_prune_groups(groups: list, factors: list[Factor], where: dict,
-                               table: KernelTable) -> None:
-    """Move groups living on displacement bridges onto the bridged kernel,
-    then drop groups matching a declared kernel symmetry; ``where`` maps
-    each index occurrence of ``factors`` to its (factor, slot)."""
-    for g, (mode, members) in enumerate(groups):
+def _term(coeff: Fraction, factors: list[Factor], groups: list[SymGroup],
+          table: KernelTable) -> Term:
+    """The term of a run of factors, its groups settled over the whole run
+    (no bracket spans a parenthesized sum): a group living on displacement
+    bridges moves onto the bridged kernel, and a group that a declared
+    kernel symmetry already covers goes."""
+    if not groups:
+        return Term(coeff, tuple(factors))
+    where = slot_map(factors)
+    settled = []
+    for mode, members in groups:
         # a member on a metric spinor moves to where the bridge's other
         # label occurs with the other variance
         moved = []
         for idx in members:
             f, s = where[idx]
             factor = factors[f]
-            kernel = table.get(factor.kernel)
-            if not (kernel and kernel.components == EPS):
+            if table.get(factor.kernel).components != EPS:
                 break
             partner = factor.indices[1 - s]
             partner = partner._replace(up=not partner.up)
@@ -320,18 +322,17 @@ def _pullback_and_prune_groups(groups: list, factors: list[Factor], where: dict,
                 break
             moved.append(partner)
         else:
-            if moved and len({where[idx][0] for idx in moved}) == 1:
-                groups[g] = (mode, tuple(moved))
-    keep = []
-    for mode, members in groups:
-        positions = [where[idx] for idx in members]
-        if mode == "sym" and len({f for f, _ in positions}) == 1:
-            kernel = table.get(factors[positions[0][0]].kernel)
-            slots = {s for _, s in positions}
-            if kernel and any(slots <= set(gr) for gr in kernel.sym_groups):
-                continue
-        keep.append((mode, members))
-    groups[:] = keep
+            if len({where[idx][0] for idx in moved}) == 1:
+                members = tuple(moved)
+        if mode == "sym":
+            positions = [where[idx] for idx in members]
+            if len({f for f, _ in positions}) == 1:
+                slots = {s for _, s in positions}
+                kernel = table.get(factors[positions[0][0]].kernel)
+                if any(slots <= set(group) for group in kernel.sym_groups):
+                    continue
+        settled.append((mode, members))
+    return Term(coeff, tuple(factors), tuple(settled))
 
 
 def _expr_product(a: Expr, b: Expr) -> Expr:

@@ -58,8 +58,7 @@ class Match(NamedTuple):
 def _split(term: Term, table: KernelTable) -> tuple[list[int], list[int]]:
     word, consts = [], []
     for pos, factor in enumerate(term.factors):
-        kernel = table.get(factor.kernel)
-        if kernel is not None and kernel.components is not None:
+        if table.get(factor.kernel).components is not None:
             consts.append(pos)
         else:
             word.append(pos)
@@ -92,16 +91,14 @@ def _pattern_arrangements(factor: Factor, table: KernelTable):
 def _unify_options(pat: Factor, host: Factor, mapping: dict[str, str],
                    table: KernelTable):
     """Yield (mapping, sign) for every way the pattern factor unifies with the
-    host factor modulo the kernel's declared symmetries."""
-    if pat.kernel != host.kernel or len(pat.indices) != len(host.indices):
+    host factor modulo the kernel's declared symmetries.  Each slot of both
+    holds the kernel template's kind and variance, so only labels bind."""
+    if pat.kernel != host.kernel:
         return
     for indices, sign in _pattern_arrangements(pat, table):
         new_map = dict(mapping)
         ok = True
         for p, h in zip(indices, host.indices):
-            if p.up != h.up or p.kind is not h.kind:
-                ok = False
-                break
             bound = new_map.get(p.name)
             if bound is None:
                 new_map[p.name] = h.name
@@ -179,13 +176,12 @@ def apply_match(term: Term, rule: RewriteRule, match: Match, table: KernelTable,
                 fresh: Iterator[int]) -> list[Term]:
     """Replace the matched factors by the rule's replacement; replacement
     dummies get labels ``~r<n>`` numbered from ``fresh``."""
-    host_word, host_consts = _split(term, table)
+    host_word, _ = _split(term, table)
     i, j = match.word_slice
-    seg_positions = [host_word[k] for k in range(i, j)]
-    removed = set(seg_positions) | set(match.const_used)
-    anchor = seg_positions[0] if seg_positions else (
-        host_word[i] if i < len(host_word) else len(term.factors)
-    )
+    # every rule's pattern holds a word factor: the replacement goes where
+    # the first matched one was
+    anchor = host_word[i]
+    removed = set(host_word[i:j]) | set(match.const_used)
 
     prefix = [p for p in range(len(term.factors)) if p < anchor and p not in removed]
     suffix = [p for p in range(len(term.factors)) if p >= anchor and p not in removed]

@@ -22,10 +22,7 @@ Weight = tuple[int | Fraction, int | Fraction]
 def term_weight(term: Term, table: KernelTable) -> Weight:
     w, aw = 0, 0
     for factor in term.factors:
-        kernel = table.get(factor.kernel)
-        if kernel is None:
-            raise ParseError(f"unknown kernel {factor.kernel!r}")
-        fw, faw = kernel.weight
+        fw, faw = table.get(factor.kernel).weight
         w += fw
         aw += faw
     return (w, aw)

@@ -256,6 +256,23 @@ class TestVerify:
             2, "", "error: symmetrization group mixes index kinds or variances "
                    f"(at position {position})\n")
 
+    def test_group_on_trailing_metric_spinors_is_settled(self, tmp_path):
+        # a group that closes in a product's trailing metric spinors moves
+        # onto the bridged kernel as one written before it does, so the
+        # order of the factors does not change what the rules see
+        trailing = "Box phi_{X Y} M^{X (A} M^{B) Y}"
+        leading = "M^{X (A} M^{B) Y} Box phi_{X Y}"
+        corpus = tmp_path / "order.txt"
+        corpus.write_text("".join(
+            f"#@ name={name} rules=box_extraction,curvature_action,graviton_symbol\n"
+            f"{lhs} == {rhs}\n"
+            for name, lhs, rhs in (("order", trailing, leading), ("mirror", leading, trailing))))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"identities": str(corpus)}))
+        result = invoke(["verify", "--config", str(config)])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            0, "order: ok\nmirror: ok\n", "")
+
     def test_missing_file_is_usage_error(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"identities": str(tmp_path / "nope.txt")}))

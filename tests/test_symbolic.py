@@ -35,6 +35,7 @@ from spinorwave.symbolic import (
     KernelTable,
     Parser,
     apply_rules,
+    builtin_rules,
     canon,
     canonicalize,
     component_eval,
@@ -1370,6 +1371,24 @@ def assert_groups_well_formed(term):
         assert len({(idx.kind, idx.up) for idx in members}) <= 1, term
 
 
+def traced_lines(path, call):
+    """The lines that code in ``path`` runs during ``call()``, and what it
+    returns.  Lines, not seconds: a count does not depend on the host."""
+    count = [0]
+
+    def local(frame, event, arg):
+        count[0] += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == path else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return count[0], result
+
+
 class TestConstantElimination:
     def test_corpus_inputs_match_the_reference(self, monkeypatch):
         """Every term that ``verify`` passes to ``eliminate_constants`` on
@@ -1456,23 +1475,77 @@ class TestConstantElimination:
             (term,) = parser.parse_expression(" ".join(
                 f"eps^{{A{k} A{k + 1}}}" if k % 2 == 0 else f"eps_{{A{k} A{k + 1}}}"
                 for k in range(n))).terms
-            count = [0]
-
-            def local(frame, event, arg, count=count):
-                count[0] += event == "line"
-                return local
-
-            previous = sys.gettrace()
-            sys.settrace(lambda frame, event, arg: local
-                         if frame.f_code.co_filename == canon.__file__ else None)
-            try:
-                result = canon.eliminate_constants(term, table)
-            finally:
-                sys.settrace(previous)
+            count, result = traced_lines(
+                canon.__file__, lambda: canon.eliminate_constants(term, table))
             assert (result.coeff, [f.indices for f in result.factors]) == (1, [
                 (Idx("A0", IndexKind.UNPRIMED, True), Idx(f"A{n}", IndexKind.UNPRIMED, False))])
-            lines.append(count[0])
+            lines.append(count)
         assert lines[1] <= 2.5 * lines[0]
+
+
+class TestGroupSettlement:
+    def test_lines_grow_linearly_along_grouped_factors(self):
+        """``Ga_{(A0 B0)} M^{C0 D0} Ga_{(A1 B1)} ...`` keeps all n groups,
+        and doubling n at most about doubles the lines that ``parse`` runs
+        (settling every closed group after each factor quadruples them)."""
+        lines = []
+        for n in (250, 500):
+            text = " ".join(f"Ga_{{(A{k} B{k})}} M^{{C{k} D{k}}}" for k in range(n))
+            count, expr = traced_lines(
+                parse_module.__file__, lambda: Parser(KernelTable()).parse_expression(text))
+            (term,) = expr.terms
+            assert len(term.groups) == n
+            lines.append(count)
+        assert lines[1] <= 2.5 * lines[0]
+
+
+class TestParsedFactors:
+    def test_corpus_factors_are_registered_and_in_template_position(self, monkeypatch):
+        """Every factor that ``light_fold``, ``match_term`` and
+        ``canonicalize`` receive on the shipped, negative, kernel-sum and
+        seed-4242 generated corpora, rule patterns included, names a kernel
+        of its table, each slot in the template's kind and variance."""
+        seen = []
+
+        def check(terms, table):
+            for term in terms:
+                for factor in term.factors:
+                    kernel = table.kernels.get(factor.kernel)
+                    assert kernel is not None, factor
+                    assert [(idx.kind, idx.variance)
+                            for idx in factor.indices] == list(kernel.slots), factor
+                    seen.append(factor)
+
+        real_fold, real_match, real_canon = (
+            rewrite_module.light_fold, rewrite_module.match_term, rewrite_module.canonicalize)
+
+        def checked_fold(expr, table):
+            check(expr.terms, table)
+            return real_fold(expr, table)
+
+        def checked_match(term, rule, table):
+            check((term, rule.pattern), table)
+            return real_match(term, rule, table)
+
+        def checked_canon(expr, table):
+            check(expr.terms, table)
+            return real_canon(expr, table)
+
+        monkeypatch.setattr(rewrite_module, "light_fold", checked_fold)
+        monkeypatch.setattr(rewrite_module, "match_term", checked_match)
+        monkeypatch.setattr(rewrite_module, "canonicalize", checked_canon)
+        verify_corpora()
+        assert len(seen) > 4000
+        # the corpora displace field and operator indices, so bridges are checked too
+        assert {factor.kernel for factor in seen} >= {"eps_up", "eps_lo", "eps_up_p", "nabla"}
+
+    def test_every_rule_pattern_holds_a_word_factor(self):
+        """``apply_match`` puts a replacement where the first matched
+        non-constant factor was: every builtin pattern has one."""
+        table = KernelTable()
+        for name, rule in builtin_rules(table).items():
+            assert any(table.get(factor.kernel).components is None
+                       for factor in rule.pattern.factors), name
 
 
 class TestCanonicalizeSeam:
