@@ -6,8 +6,10 @@ the declared kernel-symmetry slot sort, delta substitution and epsilon-pair
 contraction, worked on one list of factors in time linear in the deltas),
 orders factors (constants first; fields sorted within operator scopes),
 renames dummies canonically and collects like terms.  Between
-rewrite steps ``light_fold`` runs the same elimination on terms that keep
-their symmetrization groups.  A group names index occurrences, so it follows
+rewrite steps ``light_fold`` runs the same per-term step, ``_fold_term``,
+without the group expansion: a term that keeps its symmetrization groups is
+only eliminated.  That fold is a projection, so a rewrite step folds only
+the terms it adds.  A group names index occurrences, so it follows
 its labels as factors go and is renamed with a label that a delta
 substitutes; the factors it names are left unsorted, and a metric spinor or
 delta among them (the bridge of a displaced grouped index) waits for
@@ -261,23 +263,6 @@ _LABEL_TAG = {IndexKind.UNPRIMED: "!U", IndexKind.PRIMED: "!P", IndexKind.WORLD:
 def _dummy_label(kind: IndexKind, number: int) -> str:
     """Canonical dummy label: ``!U<n>``, ``!P<n>'`` or ``!w<n>``."""
     return fresh_label(_LABEL_TAG[kind], kind, number)
-
-
-def rename_dummies(term: Term) -> Term:
-    """A group-free term with its dummies named ``!U1``, ``!U2``, ... in
-    order of first appearance."""
-    names, number = {}, 0
-    for name, occs in term.index_census().items():
-        if len(occs) == 2:
-            number += 1
-            label = _dummy_label(occs[0][1].kind, number)
-            if label != name:
-                names[name] = label
-    if not names:  # already named so, as between rewrite steps
-        return term
-    factors = tuple([Factor(f.kernel, tuple([Idx(names[i.name], i.kind, i.up) if i.name in names
-                                             else i for i in f.indices])) for f in term.factors])
-    return Term(term.coeff, factors)
 
 
 def _normalize_term(term: Term, table: KernelTable) -> Term:
@@ -649,14 +634,24 @@ def component_map(expr: Expr, table: KernelTable) -> dict[tuple, Fraction]:
 # -- public pipeline ------------------------------------------------------------------
 
 
+def _fold_term(term: Term, table: KernelTable) -> Term | None:
+    """``eliminate_constants``, then, on a group-free term, ``_normalize_term``:
+    a projection, so a folded term folds to itself.  A grouped term keeps its
+    groups and is only eliminated."""
+    term = eliminate_constants(term, table)
+    if term is None or term.groups:
+        return term
+    return _normalize_term(term, table)
+
+
 def canonicalize(expr: Expr, table: KernelTable) -> Expr:
     """Deterministic normal form; literal zero iff the expression vanishes."""
     cleaned: list[Term] = []
     for raw in expr.terms:
         for term in expand_groups(raw):
-            term = eliminate_constants(term, table)
+            term = _fold_term(term, table)
             if term is not None:
-                cleaned.append(_normalize_term(term, table))
+                cleaned.append(term)
     collected = _collect_like_terms(cleaned)
     denominator = math.lcm(*(coeff.denominator for coeff, _ in collected.values()))
     result = []
@@ -681,20 +676,17 @@ def canonicalize(expr: Expr, table: KernelTable) -> Expr:
     return Expr(tuple(result))
 
 
+def collect_folded(terms) -> Expr:
+    """Folded ``terms`` as an expression: the grouped ones as they are, then
+    the group-free ones with like terms collected, in order of first
+    appearance."""
+    collected = _collect_like_terms([term for term in terms if not term.groups]).values()
+    return Expr(tuple([term for term in terms if term.groups]) + tuple(
+        term.with_coeff(coeff) for coeff, term in collected if coeff))
+
+
 def light_fold(expr: Expr, table: KernelTable) -> Expr:
-    """Group-preserving cleanup between rewrite steps: constant elimination
-    on every term and like-term collection for groupless terms."""
-    grouped: list[Term] = []
-    plain: list[Term] = []
-    for term in expr.terms:
-        term = eliminate_constants(term, table)
-        if term is None:
-            continue
-        if term.groups:
-            grouped.append(term)
-        else:
-            plain.append(rename_dummies(term))
-    collected = _collect_like_terms(plain).values()
-    return Expr(tuple(grouped) + tuple(
-        term.with_coeff(coeff) for coeff, term in collected if coeff != 0
-    ))
+    """The fold between rewrite steps: ``_fold_term`` on every term, then
+    ``collect_folded``.  A projection: a folded expression folds to itself."""
+    folded = [_fold_term(term, table) for term in expr.terms]
+    return collect_folded([term for term in folded if term is not None])

@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple
 
 from ..core.indices import EPS, permutation_sign
 from ..errors import IdentityError, UnsupportedExpressionError, WeightError
-from .canon import canonicalize, light_fold
+from .canon import canonicalize, collect_folded, light_fold
 from .expr import Expr, Factor, Idx, Term, fresh_label, slot_map
 from .kernels import KernelTable
 from .weights import expr_weight, free_signature
@@ -249,14 +249,15 @@ _MAX_STEPS = 200
 def apply_rules(expr: Expr, rules: list[RewriteRule],
                 table: KernelTable) -> tuple[Expr, list[TraceStep]]:
     """Fire the first rule that matches, on the first term it matches, until
-    none matches or the terms repeat; UnsupportedExpressionError when a rule
-    still matches after ``_MAX_STEPS`` steps."""
+    none matches; UnsupportedExpressionError when a rule still matches after
+    ``_MAX_STEPS`` steps, a cycle included.  The expression is folded once
+    and then only the terms each step adds are: the fold is a projection.
+    Without rules the input comes back as it is, for ``canonicalize``."""
     trace: list[TraceStep] = []
+    if not rules:
+        return expr, trace
     fresh = itertools.count(1)
     expr = light_fold(expr, table)
-    # keyed on the terms, not their reprs: the rank-0 kernel ``T_a`` prints
-    # as ``T_{a}`` does
-    seen: set[tuple[Term, ...]] = set()
     for step in itertools.count(1):
         hit = None
         for rule in rules:
@@ -273,13 +274,9 @@ def apply_rules(expr: Expr, rules: list[RewriteRule],
             raise UnsupportedExpressionError(
                 f"rewriting did not finish within {_MAX_STEPS} steps")
         rule, ti, term, match = hit
-        new_terms = apply_match(term, rule, match, table, fresh)
-        expr = Expr(expr.terms[:ti] + tuple(new_terms) + expr.terms[ti + 1 :])
-        expr = light_fold(expr, table)
+        added = light_fold(Expr(tuple(apply_match(term, rule, match, table, fresh))), table)
+        expr = collect_folded(expr.terms[:ti] + added.terms + expr.terms[ti + 1 :])
         trace.append(TraceStep(step, rule.name, ti, len(expr.terms)))
-        if expr.terms in seen:
-            break
-        seen.add(expr.terms)
     return expr, trace
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from spinorwave.errors import IdentityError, WeightError
+from spinorwave.errors import IdentityError, UnsupportedExpressionError, WeightError
 from spinorwave.symbolic import (
     Expr,
     KernelTable,
@@ -16,6 +16,7 @@ from spinorwave.symbolic import (
     shipped_corpus_text,
     verify_identity,
 )
+from spinorwave.symbolic import canon
 from spinorwave.symbolic.expr import Factor, Term
 from spinorwave.symbolic.rewrite import Match, _pattern_arrangements, apply_rules, match_term
 
@@ -110,6 +111,29 @@ class TestShippedCorpus:
             after_corpus = run_identity_cases(cases)
             assert alone == after_corpus
             assert [r.render() for r in alone] == [r.render() for r in after_corpus]
+
+    def test_rule_sets_that_undo_each_other(self):
+        """Shipped lines under rule sets whose rules undo each other: a line
+        reads ok where one firing leaves lhs - rhs folded to nothing, a
+        cycle is refused at the step bound, and a true line that the rules
+        cannot finish reads failed with the derivatives left over."""
+        cases = {case.name: case for case in
+                 parse_identity_file(shipped_corpus_text("identities"))}
+
+        def run(name, *rules):
+            return run_identity_cases([cases[name]._replace(rule_names=rules)])[0]
+
+        for rules in (("splitting", "splitting_reversed"),
+                      ("splitting_reversed", "box_extraction")):
+            report = run("splitting", *rules)
+            assert (report.success, len(report.trace)) == (True, 1), rules
+        report = run("box_extraction", "box_extraction", "splitting_reversed")
+        assert (report.success, len(report.trace)) == (True, 1)
+        report = run("box_extraction", "splitting_reversed", "box_extraction")
+        assert not report.success and "nabla" in repr(report.residual)
+        with pytest.raises(UnsupportedExpressionError,
+                           match="wave_equation: rewriting did not finish within 200 steps"):
+            run("wave_equation", "splitting_reversed", "box_extraction")
 
     def test_wave_equation_uses_the_full_chain(self):
         reports = run_identity_cases(parse_identity_file(shipped_corpus_text("identities")))
@@ -278,14 +302,38 @@ class TestMatchTerm:
 
 
 class TestApplyRules:
-    def test_repeat_check_tells_apart_terms_that_print_alike(self):
+    def test_a_cycle_is_refused_at_the_step_bound(self):
         # the rank-0 kernel T_a prints as T_{a} does, and U_a as U_{a}: the
-        # expression first repeats after the third step, not the second
+        # two rules turn the terms into each other for ever, and a cycle is
+        # no verdict
         table, _, parser = setup_engine()
         there = parser.parse_expression("T_{a} U_a").terms[0]
         back = parser.parse_expression("T_a U_{a}").terms[0]
         assert repr(there) == repr(back) and there != back
         rules = [RewriteRule("there", there, Expr((back,))),
                  RewriteRule("back", back, Expr((there,)))]
-        _, trace = apply_rules(Expr((there,)), rules, table)
-        assert [step.rule for step in trace] == ["there", "back", "there"]
+        with pytest.raises(UnsupportedExpressionError, match="within 200 steps"):
+            apply_rules(Expr((there,)), rules, table)
+
+    def test_eliminations_grow_linearly_along_box_terms(self, monkeypatch):
+        """n ``Box`` terms under ``box_definition`` take n steps, and each
+        step folds only the term it adds: doubling n at most about doubles
+        the ``eliminate_constants`` calls (refolding every term at every
+        step quadruples them)."""
+        real, calls = canon.eliminate_constants, []
+
+        def counted(term, table):
+            calls.append(term)
+            return real(term, table)
+
+        monkeypatch.setattr(canon, "eliminate_constants", counted)
+        counts = []
+        for n in (100, 200):
+            lhs = " + ".join(f"Box K{k}_{{A}}" for k in range(n))
+            rhs = " + ".join(f"nabla_{{X X'}} nabla^{{X X'}} K{k}_{{A}}" for k in range(n))
+            calls.clear()
+            [report] = run_identity_cases(parse_identity_file(
+                f"#@ name=box{n} rules=box_definition\n{lhs} == {rhs}\n"))
+            assert report.success and len(report.trace) == n
+            counts.append(len(calls))
+        assert counts[1] <= 2.5 * counts[0]

@@ -1352,13 +1352,17 @@ def parsed_delta_chain(n):
     return term, table
 
 
+def corpus_texts():
+    """The shipped, negative, kernel-sum and seed-4242 and seed-77 generated
+    corpora."""
+    return [shipped_corpus_text("identities"), shipped_corpus_text("identities_negative")] + [
+        (GOLDEN / name).read_text(encoding="utf-8")
+        for name in ("kernel_sums.txt", "generated_4242.txt", "generated_77.txt")]
+
+
 def verify_corpora():
-    """Run ``verify``'s cases on the shipped, negative, kernel-sum and
-    seed-4242 generated corpora."""
-    for text in (shipped_corpus_text("identities"),
-                 shipped_corpus_text("identities_negative"),
-                 (GOLDEN / "kernel_sums.txt").read_text(encoding="utf-8"),
-                 (GOLDEN / "generated_4242.txt").read_text(encoding="utf-8")):
+    """Run ``verify``'s cases on the corpora of ``corpus_texts``."""
+    for text in corpus_texts():
         run_identity_cases(parse_identity_file(text))
 
 
@@ -1392,8 +1396,8 @@ def traced_lines(path, call):
 class TestConstantElimination:
     def test_corpus_inputs_match_the_reference(self, monkeypatch):
         """Every term that ``verify`` passes to ``eliminate_constants`` on
-        the shipped, negative, kernel-sum and seed-4242 generated corpora
-        gives the reference's result."""
+        the shipped, negative, kernel-sum and seed-4242 and seed-77
+        generated corpora gives the reference's result."""
         real, seen = canon.eliminate_constants, []
 
         def checked(term, table):
@@ -1408,24 +1412,33 @@ class TestConstantElimination:
         assert any(term.groups for term in seen)
 
     def test_corpus_groups_name_present_occurrences(self, monkeypatch):
-        """Every group on a term that ``verify`` parses, rewrites or
-        eliminates constants from, on the same corpora, names occurrences
-        of that term, each once, of one kind and one variance."""
-        real_fold, real_expand, seen = rewrite_module.light_fold, canon.expand_groups, []
+        """Every group on a term that ``verify`` parses, rewrites,
+        canonicalizes or eliminates constants from, on the same corpora,
+        names occurrences of that term, each once, of one kind and one
+        variance."""
+        real_fold, real_canon, real_expand, seen = (
+            rewrite_module.light_fold, rewrite_module.canonicalize, canon.expand_groups, [])
+
+        def check(terms):
+            for term in terms:
+                assert_groups_well_formed(term)
+                seen.append(term)
 
         def checked_fold(expr, table):
             result = real_fold(expr, table)
-            for term in expr.terms + result.terms:
-                assert_groups_well_formed(term)
-                seen.append(term)
+            check(expr.terms + result.terms)
             return result
 
+        def checked_canon(expr, table):
+            check(expr.terms)
+            return real_canon(expr, table)
+
         def checked_expand(term):
-            assert_groups_well_formed(term)
-            seen.append(term)
+            check((term,))
             return real_expand(term)
 
         monkeypatch.setattr(rewrite_module, "light_fold", checked_fold)
+        monkeypatch.setattr(rewrite_module, "canonicalize", checked_canon)
         monkeypatch.setattr(canon, "expand_groups", checked_expand)
         verify_corpora()
         assert sum(len(term.groups) for term in seen) > 500
@@ -1483,6 +1496,25 @@ class TestConstantElimination:
         assert lines[1] <= 2.5 * lines[0]
 
 
+class TestLightFold:
+    def test_folding_twice_folds_once_on_corpus_terms(self):
+        """``light_fold`` is a projection on every term of lhs - rhs of every
+        line of the corpora of ``corpus_texts`` and on every term that
+        ``expand_groups`` makes from one, so a rewrite step need fold only
+        the terms it adds."""
+        checked = 0
+        for text in corpus_texts():
+            for case in parse_identity_file(text):
+                table, parser = fresh()
+                lhs, rhs = parser.parse_identity(case.text)
+                for raw in (lhs - rhs).terms:
+                    for term in [raw] + (canon.expand_groups(raw) if raw.groups else []):
+                        once = canon.light_fold(Expr((term,)), table)
+                        assert canon.light_fold(once, table) == once, term
+                        checked += 1
+        assert checked > 1800
+
+
 class TestGroupSettlement:
     def test_lines_grow_linearly_along_grouped_factors(self):
         """``Ga_{(A0 B0)} M^{C0 D0} Ga_{(A1 B1)} ...`` keeps all n groups,
@@ -1503,8 +1535,9 @@ class TestParsedFactors:
     def test_corpus_factors_are_registered_and_in_template_position(self, monkeypatch):
         """Every factor that ``light_fold``, ``match_term`` and
         ``canonicalize`` receive on the shipped, negative, kernel-sum and
-        seed-4242 generated corpora, rule patterns included, names a kernel
-        of its table, each slot in the template's kind and variance."""
+        seed-4242 and seed-77 generated corpora, rule patterns included,
+        names a kernel of its table, each slot in the template's kind and
+        variance."""
         seen = []
 
         def check(terms, table):
