@@ -9,11 +9,11 @@ renames dummies canonically and collects like terms.  Between
 rewrite steps ``light_fold`` runs the same per-term step, ``_fold_term``,
 without the group expansion: a term that keeps its symmetrization groups is
 only eliminated.  That fold is a projection, so a rewrite step folds only
-the terms it adds.  A group names index occurrences, so it follows
-its labels as factors go and is renamed with a label that a delta
-substitutes; the factors it names are left unsorted, and a metric spinor or
-delta among them (the bridge of a displaced grouped index) waits for
-``expand_groups``.
+the terms it adds, and ``collect_folded`` collects them into the rest.  A
+group names index occurrences, so it follows its labels as factors go and
+is renamed with a label that a delta substitutes; the factors it names are
+left unsorted, and a metric spinor or delta among them (the bridge of a
+displaced grouped index) waits for ``expand_groups``.
 
 Dimension-2 facts that relate differently wired epsilon products (the
 three-term epsilon shuffle) are not reachable by those local rewrites, so
@@ -686,7 +686,8 @@ def collect_folded(terms) -> Expr:
 
 
 def light_fold(expr: Expr, table: KernelTable) -> Expr:
-    """The fold between rewrite steps: ``_fold_term`` on every term, then
-    ``collect_folded``.  A projection: a folded expression folds to itself."""
+    """The fold between rewrite steps: ``_fold_term`` on every term, the
+    terms that vanish dropped; ``collect_folded`` then makes like terms
+    meet.  A projection: a folded term folds to itself."""
     folded = [_fold_term(term, table) for term in expr.terms]
-    return collect_folded([term for term in folded if term is not None])
+    return Expr(tuple([term for term in folded if term is not None]))

@@ -251,13 +251,14 @@ def apply_rules(expr: Expr, rules: list[RewriteRule],
     """Fire the first rule that matches, on the first term it matches, until
     none matches; UnsupportedExpressionError when a rule still matches after
     ``_MAX_STEPS`` steps, a cycle included.  The expression is folded once
-    and then only the terms each step adds are: the fold is a projection.
+    and then only the terms each step adds are, the fold being a
+    projection; like terms are collected once per step.
     Without rules the input comes back as it is, for ``canonicalize``."""
     trace: list[TraceStep] = []
     if not rules:
         return expr, trace
     fresh = itertools.count(1)
-    expr = light_fold(expr, table)
+    expr = collect_folded(light_fold(expr, table).terms)
     for step in itertools.count(1):
         hit = None
         for rule in rules:

@@ -131,6 +131,15 @@ class TestShippedCorpus:
         assert (report.success, len(report.trace)) == (True, 1)
         report = run("box_extraction", "splitting_reversed", "box_extraction")
         assert not report.success and "nabla" in repr(report.residual)
+        # box_extraction reads Box phi through the other slot of the
+        # symmetric phi, which the field equation alone makes equal; which
+        # slot it reads follows the folded term's arrangement (the
+        # match_term FOUND in CHANGES.md), so a move here is a changed match
+        for rules in (("field_equation", "box_extraction"),
+                      ("box_extraction", "field_equation")):
+            report = run("splitting", *rules)
+            assert (report.success, len(report.trace)) == (False, 2), rules
+            assert "Delta" in repr(report.residual), rules
         with pytest.raises(UnsupportedExpressionError,
                            match="wave_equation: rewriting did not finish within 200 steps"):
             run("wave_equation", "splitting_reversed", "box_extraction")

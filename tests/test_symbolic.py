@@ -34,7 +34,6 @@ from spinorwave.symbolic import (
     Expr,
     KernelTable,
     Parser,
-    apply_rules,
     builtin_rules,
     canon,
     canonicalize,
@@ -501,9 +500,9 @@ class TestComponentEval:
 # rewrite below turns X into terms that sum to zero in dimension 2; a case
 # adds one or two of them with random rational weights, and a mutant then
 # perturbs one coefficient.  The test does not trust that construction: it
-# asserts that canonicalize returns zero, on the expression and on what
-# apply_rules leaves of it, exactly when the expression evaluates to about
-# zero on random complex components.
+# asserts that canonicalize returns zero, on the expression and on its fold
+# between rewrite steps, exactly when the expression evaluates to about zero
+# on random complex components.
 
 
 def _render_term(coeff, factors, groups=()):
@@ -663,7 +662,8 @@ class TestOracleAgreement:
         zero = value <= 1e-9 * scale
         assert canonicalize(expr, table).is_zero == zero, text
         # verify's route: the fold between rewrite steps meets the groups first
-        assert canonicalize(apply_rules(expr, [], table)[0], table).is_zero == zero, text
+        folded = canon.collect_folded(canon.light_fold(expr, table).terms)
+        assert canonicalize(folded, table).is_zero == zero, text
 
 
 # -- references for the fast expansion, relabeling and contraction -------------
