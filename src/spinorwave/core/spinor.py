@@ -20,7 +20,6 @@ from .indices import (
     Slot,
     Variance,
     permutation_sign,
-    spinor_signature,
 )
 
 
@@ -42,10 +41,6 @@ class ComponentSpinor:
         object.__setattr__(self, "data", arr)
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_spec(cls, spec: str, data: np.ndarray) -> "ComponentSpinor":
-        return cls(spinor_signature(spec), data)
 
     @classmethod
     def zeros(cls, signature: IndexSignature) -> "ComponentSpinor":

@@ -37,8 +37,11 @@ _FACTORIES = {
 }
 
 # Largest k grid a config may ask for.  The grid and one spec per mode are
-# built before the first mode runs, and at about 1 ms per mode this many
-# modes already take about a minute.
+# built before the first mode runs.  A mode that succeeds takes 0.5, 1.9 and
+# 2.9 ms on radiation, matter and de Sitter (64 modes, k 0.1-100, eta 1 to
+# 10 or -10 to -0.1, default tol and samples, one pinned core of a 2-vCPU
+# Xeon), so this many modes take 0.5 to 3.2 minutes; a mode that fails at
+# the substep budget costs 0.3-1.2 s, and the run has no time bound.
 MAX_K_COUNT = 2**16
 
 

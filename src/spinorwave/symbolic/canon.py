@@ -38,8 +38,9 @@ clusters' signs and its symbol is put together from theirs.  Each cluster
 is enumerated alone, with one component table per field factor, and the
 clusters are combined by product.  A field table depends only on the
 kernel's name and symmetric groups, the operator scope and the slot shape,
-so each is built once per process; a cluster's counts depend only on its
-shape, so each is enumerated once per kernel table.
+so each is built once per process.  A cluster's counts are enumerated for
+each term and dropped with it, so a symmetrization group of n slots costs
+n! expanded terms in time, but only one term's counts in memory.
 
 Dummies are named, however many there are, by one exact search for the
 least first-occurrence numbering over the arrangements of the term.
@@ -469,12 +470,14 @@ def _cluster_counts(dims, free, constant_plan, op_plan, field_plan) -> dict[tupl
     return {key: count for key, count in counts.items() if count}
 
 
-def _clusters(term: Term, table: KernelTable):
-    """Label uses, label dimensions and the connected sets of factors that
-    share labels, as [labels, [(position, operators to the left, kernel,
-    factor), ...]] in factor order."""
+def _parts(term: Term, table: KernelTable) -> list[tuple] | None:
+    """(counts, field keys, free labels, operator positions) per cluster, the
+    connected sets of factors that share labels, in factor order; None when
+    a cluster's counts all vanish.  Each cluster is enumerated alone, its
+    labels numbered free first, and nothing is kept once the term is done."""
     uses: dict[str, int] = {}
     dimension: dict[str, int] = {}
+    # [labels, [(position, operators to the left, kernel, factor), ...]]
     clusters: list[list] = []
     n_ops = 0
     for position, factor in enumerate(term.factors):
@@ -498,50 +501,29 @@ def _clusters(term: Term, table: KernelTable):
                 own[1] = sorted(cluster[1] + own[1])
         clusters = rest + [own]
         n_ops += kernel.operator
-    return uses, dimension, clusters
-
-
-def _parts(term: Term, table: KernelTable) -> list[tuple] | None:
-    """(counts, field keys, free labels, operator positions) per cluster;
-    None when a cluster's counts all vanish.
-
-    A cluster's counts and field keys depend only on its shape: its free
-    labels, the dimensions of its labels and, per factor, the kernel, the
-    scope and the labels' numbers.  They are worked out once per shape and
-    kept in ``table.expansions``, since canonical terms repeat clusters."""
-    uses, dimension, clusters = _clusters(term, table)
-    memo = table.expansions
     parts = []
     for labels, factors in clusters:
         free = sorted([label for label in labels if uses[label] == 1])
         order = free + sorted(labels.difference(free)) if len(free) < len(labels) else free
         local = {label: n for n, label in enumerate(order)}
         dims = tuple([dimension[label] for label in order])
-        shape = (tuple(free), dims, *[
-            (factor.kernel, scope, *[local[idx.name] for idx in factor.indices])
-            for _, scope, _, factor in factors])
-        found = memo.get(shape)
-        if found is None:
-            constant_plan, op_plan, field_plan, field_keys, ops = [], [], [], [], []
-            for n, ((_, scope, kernel, factor), entry) in enumerate(zip(factors, shape[2:])):
-                where = entry[2:]
-                if kernel.components is not None:
-                    constant_plan.append((kernel.components, *where))
-                elif kernel.operator:
-                    op_plan.append((factor.kernel, _values_getter(where)))
-                    ops.append(n)
-                else:
-                    # a field component is told apart by the operators acting on it
-                    table_of = _field_table(kernel, scope, tuple([dims[s] for s in where]))
-                    field_plan.append((table_of, _values_getter(where)))
-                    field_keys.append((scope, factor.kernel))
-            found = memo[shape] = (
-                _cluster_counts(dims, free, constant_plan, op_plan, field_plan),
-                tuple(field_keys), ops)
-        counts, field_keys, ops = found
+        constant_plan, op_plan, field_plan, field_keys, ops = [], [], [], [], []
+        for position, scope, kernel, factor in factors:
+            where = tuple([local[idx.name] for idx in factor.indices])
+            if kernel.components is not None:
+                constant_plan.append((kernel.components, *where))
+            elif kernel.operator:
+                op_plan.append((factor.kernel, _values_getter(where)))
+                ops.append(position)
+            else:
+                # a field component is told apart by the operators acting on it
+                table_of = _field_table(kernel, scope, tuple([dims[s] for s in where]))
+                field_plan.append((table_of, _values_getter(where)))
+                field_keys.append((scope, factor.kernel))
+        counts = _cluster_counts(dims, free, constant_plan, op_plan, field_plan)
         if not counts:
             return None
-        parts.append((counts, field_keys, free, [factors[n][0] for n in ops]))
+        parts.append((counts, tuple(field_keys), free, ops))
     return parts
 
 

@@ -88,10 +88,6 @@ class KernelTable:
         # parser registers each name it meets, so every factor of a parsed
         # term names a kernel of its table.
         self.get = self.kernels.get
-        # the exact expansion's sign counts per cluster shape (canon._parts):
-        # a shape names kernels of this table, whose names keep their kernels
-        # once registered, so the counts are kept with the table
-        self.expansions: dict[tuple, tuple] = {}
 
     def resolve_eps(self, kind: IndexKind, variance: Variance) -> Kernel:
         """The metric spinor whose two slots have this (spinor) kind and

@@ -44,43 +44,43 @@ def sym_phi_mixed(rng):
 
 class TestEpsilonAlgebra:
     def test_eps_contraction_gives_delta(self):
-        eps_up = ComponentSpinor.from_spec("UU", EPS_UP)
-        eps_lo = ComponentSpinor.from_spec("uu", EPS_LOW)
+        eps_up = ComponentSpinor(spinor_signature("UU"), EPS_UP)
+        eps_lo = ComponentSpinor(spinor_signature("uu"), EPS_LOW)
         prod = eps_up.tensor(eps_lo)          # eps^{AB} eps_{CD}
         delta = prod.contract(1, 3)           # over B: -> delta^A_C
         assert np.array_equal(delta.data, np.eye(2))
 
     def test_full_eps_contraction_is_two(self):
-        eps_up = ComponentSpinor.from_spec("UU", EPS_UP)
-        eps_lo = ComponentSpinor.from_spec("uu", EPS_LOW)
+        eps_up = ComponentSpinor(spinor_signature("UU"), EPS_UP)
+        eps_lo = ComponentSpinor(spinor_signature("uu"), EPS_LOW)
         total = eps_up.tensor(eps_lo).contract(1, 3).contract(0, 1)
         assert total.data == pytest.approx(2.0)
 
     def test_spinor_square_vanishes(self):
         # zeta^A zeta_A = 0 is forced by antisymmetry
-        zeta = ComponentSpinor.from_spec("U", np.array([1.0, 1.0j]))
+        zeta = ComponentSpinor(spinor_signature("U"), np.array([1.0, 1.0j]))
         lowered = zeta.raise_lower(0, Variance.DOWN)
         assert zeta.tensor(lowered).contract(0, 1).data == pytest.approx(0.0)
 
     def test_symmetric_times_eps_vanishes(self):
         phi = random_spinor(spinor_signature("uu"), RNG).symmetrize((0, 1))
-        eps = ComponentSpinor.from_spec("UU", EPS_UP)
+        eps = ComponentSpinor(spinor_signature("UU"), EPS_UP)
         out = phi.tensor(eps).contract(0, 2).contract(0, 1)
         assert abs(out.data) < 1e-14
 
     def test_lowering_basis_vector(self):
         # zeta^A = (1, 0): zeta_B = zeta^A eps_{AB} = (eps_00, eps_01) = (0, 1)
-        zeta = ComponentSpinor.from_spec("U", np.array([1.0, 0.0]))
+        zeta = ComponentSpinor(spinor_signature("U"), np.array([1.0, 0.0]))
         lowered = zeta.raise_lower(0, Variance.DOWN)
         assert np.array_equal(lowered.data, np.array([0.0, 1.0]))
 
     def test_raise_lower_roundtrip(self):
-        zeta = ComponentSpinor.from_spec("U", np.array([3.0, 2.0 - 1.0j]))
+        zeta = ComponentSpinor(spinor_signature("U"), np.array([3.0, 2.0 - 1.0j]))
         back = zeta.raise_lower(0, Variance.DOWN).raise_lower(0, Variance.UP)
         assert back.allclose(zeta, atol=0.0)
 
     def test_raising_both_eps_slots(self):
-        eps_lo = ComponentSpinor.from_spec("uu", EPS_LOW)
+        eps_lo = ComponentSpinor(spinor_signature("uu"), EPS_LOW)
         raised = eps_lo.raise_lower(0, Variance.UP).raise_lower(1, Variance.UP)
         assert np.array_equal(raised.data, EPS_UP)
 

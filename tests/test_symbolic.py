@@ -7,6 +7,7 @@ import pathlib
 import random
 import re
 import sys
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -1016,6 +1017,25 @@ class TestSharedFieldTables:
             monkeypatch.setattr(canon, "_FIELD_TABLES", {})
             alone.append(run_identity_cases([case])[0].success)
         assert alone[::-1] == together
+
+
+class TestExpansionMemory:
+    """The exact expansion keeps no cluster counts past their term: a
+    symmetrization group of n slots costs n! expanded terms in time, and
+    one term's counts in memory."""
+
+    def test_five_slot_group_holds_one_term_at_a_time(self):
+        cases = parse_identity_file("Ua_{(A0 A1 A2 A3 A4)} == Ua_{A0 A1 A2 A3 A4}\n")
+        tracemalloc.start()
+        try:
+            [report] = run_identity_cases(cases)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a generic kernel is not symmetric
+        assert report.render().splitlines()[1] == "status: FAILED"
+        # a cache of the counts of all 120 expanded cluster shapes takes 2 MiB
+        assert peak < 2**20
 
 
 class TestDummyLabels:
