@@ -27,10 +27,9 @@ components of the metric spinors and deltas) and a field factor is one
 component sorted within its symmetric groups, so each assignment adds an
 integer sign to one symbol.  An expression canonicalizes to literal zero
 precisely when that expansion vanishes identically.  ``canonicalize``
-expands each collected term once (``component_map``), at its coefficient
-times the common denominator of the collected coefficients, an integer:
-the expansion is linear in the coefficient, so the maps hold integers, and
-the result is zero when every sum of them is.
+expands once per call: one ``component_map`` of its collected terms decides
+zero, and a nonzero result drops the terms whose clusters' counts vanish,
+which only a metric spinor can make them do.
 
 The expansion of a term factorizes over its clusters, the connected sets of
 factors that share labels: an assignment's sign is the product of its
@@ -246,16 +245,6 @@ def _factor_key(factor: Factor) -> tuple:
 def _term_key(term: Term) -> tuple:
     """Like-term key: the ordered factors with their labels, coefficient aside."""
     return tuple([_factor_key(f) for f in term.factors])
-
-
-def _collect_like_terms(terms) -> dict[tuple, tuple[Fraction, Term]]:
-    """Term key -> (summed coefficient, first term with that key)."""
-    collected: dict[tuple, tuple[Fraction, Term]] = {}
-    for term in terms:
-        key = _term_key(term)
-        found = collected.get(key)
-        collected[key] = (term.coeff, term) if found is None else (found[0] + term.coeff, found[1])
-    return collected
 
 
 _LABEL_TAG = {IndexKind.UNPRIMED: "!U", IndexKind.PRIMED: "!P", IndexKind.WORLD: "!w"}
@@ -601,6 +590,7 @@ def component_map(expr: Expr, table: KernelTable) -> dict[tuple, Fraction]:
     Integer sign counts of each group-expanded term are weighted by the
     term's coefficient over the common denominator of all coefficients, so
     the sums are integer; one Fraction is built per distinct surviving value.
+    ``canonicalize`` makes one call, on its collected terms, to decide zero.
     """
     terms = [term for raw in expr.terms for term in expand_groups(raw)]
     denominator = math.lcm(*(term.coeff.denominator for term in terms))
@@ -627,44 +617,38 @@ def _fold_term(term: Term, table: KernelTable) -> Term | None:
 
 
 def canonicalize(expr: Expr, table: KernelTable) -> Expr:
-    """Deterministic normal form; literal zero iff the expression vanishes."""
-    cleaned: list[Term] = []
-    for raw in expr.terms:
-        for term in expand_groups(raw):
-            term = _fold_term(term, table)
-            if term is not None:
-                cleaned.append(term)
-    collected = _collect_like_terms(cleaned)
-    denominator = math.lcm(*(coeff.denominator for coeff, _ in collected.values()))
-    result = []
-    total: dict[tuple, int] = {}
-    for key in sorted(collected):
-        coeff, term = collected[key]
-        if not coeff:
-            continue
-        # the expansion is additive and linear in the coefficient: each
-        # term is expanded at its coefficient times the common denominator,
-        # an integer, so its map's values are integers and their sums over
-        # the surviving terms decide whether the whole result vanishes
-        weight = Fraction(coeff.numerator * (denominator // coeff.denominator))
-        components = component_map(Expr((term.with_coeff(weight),)), table)
-        if not components:
-            continue
-        result.append(term.with_coeff(coeff))
-        for symbol, value in components.items():
-            total[symbol] = total.get(symbol, 0) + value.numerator
-    if not any(total.values()):
+    """Deterministic normal form; literal zero iff the expression vanishes.
+
+    The group-expanded terms are folded and collected as between rewrite
+    steps and ordered by ``_term_key``; one ``component_map`` of them
+    decides zero.  A nonzero result drops the terms whose own expansion
+    vanishes.  A term's expansion is the product of its clusters' counts,
+    nonzero integer polynomials over disjoint symbols, so it vanishes
+    exactly when a cluster's counts do (``_parts`` is None).  Only a metric
+    spinor can make them cancel: without one every sign is 0 or +1, and a
+    delta that ``eliminate_constants`` leaves carries two free labels."""
+    expanded = Expr(tuple([term for raw in expr.terms for term in expand_groups(raw)]))
+    terms = sorted(collect_folded(light_fold(expanded, table).terms).terms, key=_term_key)
+    if not component_map(Expr(tuple(terms)), table):
         return Expr.zero()
-    return Expr(tuple(result))
+    return Expr(tuple([term for term in terms
+                       if not any(table.get(f.kernel).components == EPS for f in term.factors)
+                       or _parts(term, table) is not None]))
 
 
 def collect_folded(terms) -> Expr:
     """Folded ``terms`` as an expression: the grouped ones as they are, then
-    the group-free ones with like terms collected, in order of first
-    appearance."""
-    collected = _collect_like_terms([term for term in terms if not term.groups]).values()
+    the group-free ones with like terms collected (the first term of each
+    ``_term_key`` at the summed coefficient), in order of first appearance;
+    a collected term whose coefficient sums to zero is dropped."""
+    collected: dict[tuple, tuple[Fraction, Term]] = {}
+    for term in terms:
+        if not term.groups:
+            key = _term_key(term)
+            found = collected.get(key)
+            collected[key] = (term.coeff, term) if found is None else (found[0] + term.coeff, found[1])
     return Expr(tuple([term for term in terms if term.groups]) + tuple(
-        term.with_coeff(coeff) for coeff, term in collected if coeff))
+        term.with_coeff(coeff) for coeff, term in collected.values() if coeff))
 
 
 def light_fold(expr: Expr, table: KernelTable) -> Expr:

@@ -878,13 +878,14 @@ def labels_and_kinds(term):
 
 def checked_against_references(mp, calls):
     """Make every canon.component_map and canon._normalize_term call check
-    its result against the reference, counting the calls."""
+    its result against the reference, counting the terms mapped and the
+    terms normalized."""
     real_map, real_normalize = canon.component_map, canon._normalize_term
 
     def component_map_checked(expr, table):
         result = real_map(expr, table)
         assert result == reference_component_map(expr, table), expr
-        calls["component_map"] += 1
+        calls["mapped_terms"] += len(expr.terms)
         return result
 
     def normalize_checked(term, table):
@@ -926,14 +927,16 @@ OPERATOR_CASES = [
 
 class TestFastExpansionMatchesReference:
     def test_shipped_negative_and_kernel_sum_corpora(self):
-        calls = {"component_map": 0, "normalize": 0}
+        calls = {"mapped_terms": 0, "normalize": 0}
         with pytest.MonkeyPatch.context() as mp:
             checked_against_references(mp, calls)
             for text in (shipped_corpus_text("identities"),
                          shipped_corpus_text("identities_negative"),
                          (GOLDEN / "kernel_sums.txt").read_text(encoding="utf-8")):
                 run_identity_cases(parse_identity_file(text))
-        assert calls["component_map"] > 50 and calls["normalize"] > 50
+        # canonicalize maps all its collected terms in one call: every
+        # term's expansion is still checked against the reference
+        assert calls["mapped_terms"] > 50 and calls["normalize"] > 50
 
     @settings(max_examples=60, deadline=None)
     @given(text=differential_cases())
@@ -941,7 +944,7 @@ class TestFastExpansionMatchesReference:
         table, parser = fresh()
         expr = parser.parse_expression(text)
         assert component_map(expr, table) == reference_component_map(expr, table)
-        calls = {"component_map": 0, "normalize": 0}
+        calls = {"mapped_terms": 0, "normalize": 0}
         with pytest.MonkeyPatch.context() as mp:
             checked_against_references(mp, calls)
             canon.canonicalize(expr, table)
@@ -951,7 +954,7 @@ class TestFastExpansionMatchesReference:
         table, parser = fresh()
         expr = parser.parse_expression(text)
         assert component_map(expr, table) == reference_component_map(expr, table)
-        calls = {"component_map": 0, "normalize": 0}
+        calls = {"mapped_terms": 0, "normalize": 0}
         with pytest.MonkeyPatch.context() as mp:
             checked_against_references(mp, calls)
             canon.canonicalize(expr, table)
@@ -963,8 +966,20 @@ class TestFastExpansionMatchesReference:
         assert component_map(expr, table) == reference_component_map(expr, table)
 
 
+def with_coefficient_mutant(expr, data):
+    """``expr`` and, unless it is zero, a mutant: one coefficient moved by a
+    rational with a new denominator."""
+    if not expr.terms:
+        return [expr]
+    k = data.draw(st.integers(0, len(expr.terms) - 1))
+    shift = data.draw(st.sampled_from([Fraction(1, 7), Fraction(-2, 5), Fraction(3, 4)]))
+    terms = list(expr.terms)
+    terms[k] = terms[k].with_coeff(terms[k].coeff + shift)
+    return [expr, Expr(tuple(terms))]
+
+
 class TestIntegerZeroDecision:
-    """canonicalize sums the collected terms' maps in integers over the
+    """canonicalize sums the collected terms' expansions in integers over the
     common denominator of their coefficients; that sum vanishes exactly
     when the reference map of the whole expression does."""
 
@@ -972,17 +987,73 @@ class TestIntegerZeroDecision:
     @given(text=differential_cases(), data=st.data())
     def test_zero_iff_reference_map_vanishes(self, text, data):
         table, parser = fresh()
-        expr = parser.parse_expression(text)
-        cases = [expr]
-        if expr.terms:
-            # a mutant: one coefficient moved by a rational with a new denominator
-            k = data.draw(st.integers(0, len(expr.terms) - 1))
-            shift = data.draw(st.sampled_from([Fraction(1, 7), Fraction(-2, 5), Fraction(3, 4)]))
-            terms = list(expr.terms)
-            terms[k] = terms[k].with_coeff(terms[k].coeff + shift)
-            cases.append(Expr(tuple(terms)))
-        for case in cases:
+        for case in with_coefficient_mutant(parser.parse_expression(text), data):
             assert canonicalize(case, table).is_zero == (reference_component_map(case, table) == {})
+
+
+def canonicalize_with_collected(expr, table):
+    """canonicalize(expr) and the collected terms its one component_map call
+    was given."""
+    seen, real = [], canon.component_map
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canon, "component_map", lambda e, t: seen.append(e) or real(e, t))
+        out = canonicalize(expr, table)
+    (collected,) = seen
+    return out, collected.terms
+
+
+class TestResidualFilter:
+    """A nonzero canonical form keeps exactly the collected terms whose own
+    expansion does not vanish."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=differential_cases(), data=st.data())
+    def test_kept_terms_are_the_terms_with_a_reference_map(self, text, data):
+        table, parser = fresh()
+        expr = parser.parse_expression(text)
+        # spectators with a metric spinor, one vanishing (a skew pair on a
+        # symmetric field) and one not, on the free labels of the case
+        spectators = [parser.parse_expression(spectator).terms[0]
+                      for spectator in ("eps^{X Y} phi_{X Y}", "eps^{X Y} Ua_{X} Vb_{Y}")]
+        first = expr.terms[0] if expr.terms else Term(Fraction(1), ())
+        expr = Expr(expr.terms + tuple(Term(Fraction(c), s.factors + first.factors, first.groups)
+                                       for c, s in zip((2, -1), spectators)))
+        for case in with_coefficient_mutant(expr, data):
+            out, collected = canonicalize_with_collected(case, table)
+            if out.is_zero:
+                continue
+            assert set(out.terms) <= set(collected)
+            for term in collected:
+                assert (term in out.terms) == (reference_component_map(Expr((term,)), table) != {}), term
+
+    @pytest.mark.parametrize("line, residual", [
+        ("Ua_{C} == 2 Ua_{C} + eps^{A B} phi_{A B} Ua_{C}", "-1 * Ua_C"),
+        # the vanishing term has two clusters
+        ("Ua_{C} Vb_{D} == 3 Ua_{C} Vb_{D} + eps^{A B} phi_{A B} Ua_{C} Vb_{D}"
+         " + eps^{A B} phi_{A B} eps^{E F} phi_{E F} Vb_{D} Ua_{C}", "-2 * Ua_C Vb_D"),
+    ])
+    def test_vanishing_terms_leave_the_residual(self, line, residual):
+        (report,) = run_identity_cases(parse_identity_file(f"#@ name=filter\n{line}\n"))
+        assert report.render().splitlines()[1:] == ["status: FAILED", f"residual: {residual}"]
+        table, parser = fresh()
+        lhs, rhs = parser.parse_identity(line)
+        out, collected = canonicalize_with_collected(lhs - rhs, table)
+        assert len(out.terms) == 1 and len(collected) > 1
+        assert all(reference_component_map(Expr((term,)), table) == {}
+                   for term in collected if term not in out.terms)
+
+
+class TestGeneratedCorpora:
+    @pytest.mark.parametrize("seed", [5, 301, 7, 1, 2, 3])
+    def test_verdicts_match_the_generator(self, seed, monkeypatch):
+        """The benchmark's generated corpora beyond the golden seeds: each
+        verdict is the status the generator expects."""
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1]))
+        workloads = importlib.import_module("perfbench.workloads")
+        text, expected = workloads.generate_identity_corpus(
+            seed, shipped_corpus_text("identities"), shipped_corpus_text("identities_negative"))
+        reports = run_identity_cases(parse_identity_file(text))
+        assert {r.name: "ok" if r.success else "failed" for r in reports} == expected
 
 
 # One auto-registered kernel name at several ranks and slot kinds, one
@@ -1230,7 +1301,7 @@ class TestCanonicalLabeling:
         assert_canonical(term, table, random.Random(dummies), variants=8)
 
     def test_terms_beyond_the_reference_are_checked_by_relabeling(self):
-        calls = {"component_map": 0, "normalize": 0}
+        calls = {"mapped_terms": 0, "normalize": 0}
         with pytest.MonkeyPatch.context() as mp:
             checked_against_references(mp, calls)
             for text in ("Psi_{A B C D} Psi^{A B C D} - omega_{A B C D} omega^{A B C D}",
@@ -1602,22 +1673,15 @@ class TestParsedFactors:
 
 
 class TestCanonicalizeSeam:
-    def test_calls_component_map_through_the_module_global(self, monkeypatch):
+    def test_calls_component_map_through_the_module_global(self):
         """The benchmark times ``canon.component_map`` by replacing the module
-        attribute; canonicalize must call it once per collected term."""
+        attribute; canonicalize must call it once, on the collected terms."""
         table, parser = fresh()
-        expr = parser.parse_expression("2 Ua_{A B} Vb_{C} + eps_{A B} Ua_{D}^{D} Vb_{C}")
-        seen = []
-        real = canon.component_map
-
-        def spy(expr, table):
-            seen.append(expr)
-            return real(expr, table)
-
-        monkeypatch.setattr(canon, "component_map", spy)
-        out = canonicalize(expr, table)
-        assert len(seen) == len(out.terms) == 2
-        assert all(len(e.terms) == 1 for e in seen)
+        expr = parser.parse_expression("2 Ua_{A B} Vb_{C} + eps_{A B} Ua_{D}^{D} Vb_{C}"
+                                       " + Ua_{A B} Vb_{C}")
+        out, collected = canonicalize_with_collected(expr, table)
+        assert collected == out.terms and len(out.terms) == 2
+        assert Fraction(3) in [term.coeff for term in out.terms]
 
 
 @pytest.mark.parametrize("package", ["spinorwave.core", "spinorwave.symbolic"])
