@@ -15,6 +15,7 @@ step-doubling estimate reported as ``ModeSolution.error_estimate``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,10 @@ _ROUNDOFF = 1e-14
 # most CHUNK substeps at a time, which bounds memory whatever the count.
 _MAX_SUBSTEPS = 2**20
 _CHUNK = 2**15
+# Sample intervals per block of the propagation's prefix products.  Blocks
+# of 16 to 128 propagate 200, 2000 and 2^17 intervals within 10% of each
+# other; 32 was the fastest or level with the fastest at each length.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -97,12 +102,42 @@ def validate_settings(model: ScaleFactorModel, eta0: float, eta1: float, ic_kind
 
 
 @dataclass(frozen=True)
+class Grid:
+    """The data of one eta grid that do not depend on k, shared by every
+    mode on it: the samples, a, a' and a''/a on them, and the first pass's
+    substeps (one coarse and two fine per sample interval, whatever k is)
+    as ``_substeps`` chunks, with a''/a at their Gauss points."""
+
+    eta: np.ndarray
+    a: np.ndarray
+    a_prime: np.ndarray
+    q: np.ndarray
+    first_pass: tuple
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def sample_grid(model: ScaleFactorModel, eta0: float, eta1: float, samples: int) -> Grid:
+    """The grid of ``samples`` equally spaced points on [eta0, eta1], for
+    settings that ``validate_settings`` accepts."""
+    eta = np.linspace(eta0, eta1, samples)
+    a = _evaluate(model.a, eta)
+    ones = np.ones(samples - 1, dtype=np.int64)
+    first_pass = tuple(_substeps(model, eta[:-1], np.diff(eta), ones))
+    grid = Grid(eta, a, _evaluate(model.a_prime, eta), _evaluate(model.a_second, eta) / a,
+                first_pass)
+    for array in (grid.eta, grid.a, grid.a_prime, grid.q):
+        array.flags.writeable = False   # every mode's solution holds grid.eta
+    return grid
+
+
+@dataclass(frozen=True)
 class ModeSolution:
     """Sampled mode.  ``steps`` counts the Magnus substeps of the returned
     solution.  ``error_estimate`` bounds its relative error in
     (u, u'/omega), with u = a f and omega^2 = max(|k^2 + a''/a|,
     (eta1 - eta0)^-2): the sum over the sample intervals of the undivided
-    step-doubling difference, each against half as many substeps."""
+    step-doubling difference, each against half as many substeps.  ``eta``
+    is the grid's strictly increasing samples, checked once per grid."""
 
     k: float
     eta: np.ndarray
@@ -111,10 +146,6 @@ class ModeSolution:
     wronskian_drift: float
     steps: int
     error_estimate: float = 0.0
-
-    def __post_init__(self):
-        if np.any(np.diff(self.eta) <= 0):
-            raise GridError("eta samples must be strictly increasing")
 
 
 def mode_residual(model: ScaleFactorModel, k: float, f: complex, fp: complex,
@@ -139,9 +170,15 @@ def positive_frequency_data(model: ScaleFactorModel, k: float, eta0: float) -> t
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def integrate_mode(model: ScaleFactorModel, spec: ModeSpec) -> ModeSolution:
+def integrate_mode(model: ScaleFactorModel, spec: ModeSpec,
+                   grid: Grid | None = None) -> ModeSolution:
     """Integrate the mode over [eta0, eta1] and sample f, f' at ``samples``
     equally spaced points.
+
+    ``grid`` is ``sample_grid(model, spec.eta0, spec.eta1, spec.samples)``
+    for settings already validated, as ``spectrum`` builds it once for all
+    its modes; without it the spec is validated in full and the grid built.
+    A grid of other samples or endpoints raises :class:`GridError`.
 
     The relative error of (u, u'/omega) is held to about rtol + atol/|state
     at eta0|, shared out over the sample intervals in proportion to their
@@ -151,25 +188,29 @@ def integrate_mode(model: ScaleFactorModel, spec: ModeSpec) -> ModeSolution:
     warns of no float overflow here: an inf or NaN fails the error test (a
     singular a''/a overflows cosh) or the finiteness test of the solution.
     """
-    spec.validate(model)
+    if grid is None:
+        spec.validate(model)
+        grid = sample_grid(model, spec.eta0, spec.eta1, spec.samples)
+    else:
+        validate_k(spec.k)
+        if (grid.eta.size != spec.samples or grid.eta[0] != spec.eta0
+                or grid.eta[-1] != spec.eta1):
+            raise GridError("grid does not match the spec's eta range and samples")
     if spec.ic_kind == "positive_frequency":
         f0, df0 = positive_frequency_data(model, spec.k, spec.eta0)
     else:
         f0, df0 = complex(spec.f0), complex(spec.df0)
 
-    eta = np.linspace(spec.eta0, spec.eta1, spec.samples)
+    eta, a, ap = grid.eta, grid.a, grid.a_prime
     k2 = spec.k * spec.k
-    a = _evaluate(model.a, eta)
-    ap = _evaluate(model.a_prime, eta)
-    omega = np.sqrt(np.maximum(np.abs(k2 + _evaluate(model.a_second, eta) / a),
-                               (spec.eta1 - spec.eta0) ** -2))
+    omega = np.sqrt(np.maximum(np.abs(k2 + grid.q), (spec.eta1 - spec.eta0) ** -2))
     u0 = a[0] * f0
     du0 = ap[0] * f0 + a[0] * df0
     size0 = math.hypot(abs(u0), abs(du0) / omega[0])
     tol = spec.rtol + spec.atol / size0 if size0 > 0 else math.inf
 
     propagators, error, steps = _interval_propagators(
-        model, k2, eta, np.maximum(omega[:-1], omega[1:]), tol)
+        model, k2, grid, np.maximum(omega[:-1], omega[1:]), tol)
     u, du = _propagate(propagators, u0, du0, eta)
     f = u / a
     fp = (du - ap * f) / a
@@ -185,7 +226,7 @@ def _evaluate(fn, eta: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(eta), dtype=float), eta.shape)
 
 
-def _interval_propagators(model: ScaleFactorModel, k2: float, eta: np.ndarray,
+def _interval_propagators(model: ScaleFactorModel, k2: float, grid: Grid,
                           omega: np.ndarray, tol: float):
     """Propagator of every sample interval, as rows (m00, m01, m10, m11) of
     shape (4, n); the sum of the local error estimates; the substep count.
@@ -194,19 +235,20 @@ def _interval_propagators(model: ScaleFactorModel, k2: float, eta: np.ndarray,
     product is its propagator.  Its local error estimate is the infinity
     norm of the fine-minus-coarse product in the (u, u'/omega_i) scaling,
     a bound on the relative change it makes to any state; n_i grows until
-    the estimate is within the interval's share of ``tol``.
+    the estimate is within the interval's share of ``tol``.  The first
+    pass (every n_i = 1) takes its substeps from the grid.
     """
+    eta = grid.eta
     widths = np.diff(eta)
     share = np.maximum(tol * widths / (eta[-1] - eta[0]), _ROUNDOFF)
     counts = np.ones(widths.size, dtype=np.int64)
     fine = np.empty((4, widths.size))
     local = np.empty(widths.size)
     todo = np.arange(widths.size)
+    substeps = grid.first_pass
     while todo.size:
         n = counts[todo]
-        starts = np.tile(eta[todo], 2)
-        products = _products(model, k2, starts, np.tile(widths[todo], 2),
-                             np.concatenate([n, 2 * n]))
+        products = _products(k2, substeps)
         fine[:, todo] = products[:, todo.size:]
         diff = np.abs(products[:, todo.size:] - products[:, :todo.size])
         scale = omega[todo]
@@ -220,29 +262,43 @@ def _interval_propagators(model: ScaleFactorModel, k2: float, eta: np.ndarray,
             raise IntegrationError(
                 f"tolerance not met within {_MAX_SUBSTEPS} substeps",
                 last_eta=float(eta[todo[0]]))
+        substeps = _substeps(model, eta[todo], widths[todo], counts[todo])
     return fine, float(local.sum()), 2 * int(counts.sum())
 
 
-def _products(model: ScaleFactorModel, k2: float, starts: np.ndarray,
-              widths: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Product of counts[i] equal Magnus steps across [starts[i],
-    starts[i] + widths[i]] for every i, evaluated CHUNK substeps at a time."""
+def _substeps(model: ScaleFactorModel, starts: np.ndarray, widths: np.ndarray,
+              n: np.ndarray):
+    """n[i] coarse and 2 n[i] fine equal substeps across [starts[i],
+    starts[i] + widths[i]] for every i, CHUNK substeps at a time: per chunk
+    the owner of each substep (i for the coarse ones, i + len(widths) for
+    the fine), its width h and a''/a at its two Gauss points."""
+    counts = np.concatenate([n, 2 * n])
+    starts, widths = np.tile(starts, 2), np.tile(widths, 2)
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    parts, owners = [], []
-    for lo in range(0, int(offsets[-1]), _CHUNK):
-        index = np.arange(lo, min(lo + _CHUNK, int(offsets[-1])))
+    total = int(offsets[-1])
+    for lo in range(0, total, _CHUNK):
+        index = np.arange(lo, min(lo + _CHUNK, total))
         owner = np.searchsorted(offsets, index, side="right") - 1
         h = widths[owner] / counts[owner]
         t = starts[owner] + (index - offsets[owner]) * h
-        product, owner = _run_products(_magnus_steps(model, k2, t, h), owner)
+        x1, x2 = t + _GAUSS[0] * h, t + _GAUSS[1] * h
+        yield (owner, h, _evaluate(model.a_second, x1) / _evaluate(model.a, x1),
+               _evaluate(model.a_second, x2) / _evaluate(model.a, x2))
+
+
+def _products(k2: float, substeps) -> np.ndarray:
+    """Product of the Magnus steps of each owner among the ``_substeps``
+    chunks, as rows (m00, m01, m10, m11)."""
+    parts, owners = [], []
+    for owner, h, q1, q2 in substeps:
+        product, owner = _run_products(_magnus_steps(k2, h, q1, q2), owner)
         parts.append(product)
         owners.append(owner)
     return _run_products(np.concatenate(parts, axis=1), np.concatenate(owners))[0]
 
 
-def _magnus_steps(model: ScaleFactorModel, k2: float, t: np.ndarray,
-                  h: np.ndarray) -> np.ndarray:
-    """exp(Omega) for the steps [t, t + h], as rows (m00, m01, m10, m11).
+def _magnus_steps(k2: float, h: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """exp(Omega) for steps of width h, as rows (m00, m01, m10, m11).
 
     Omega = [[alpha, h], [-beta, -alpha]] with beta = h (k^2 + (q1 + q2)/2),
     alpha = (sqrt 3 / 12) h^2 (q2 - q1) and q = a''/a at the Gauss points.
@@ -250,16 +306,15 @@ def _magnus_steps(model: ScaleFactorModel, k2: float, t: np.ndarray,
     with C = cos, S = sin(r)/r (r = sqrt(-d)), or cosh and sinh(r)/r when
     d > 0.
     """
-    x1, x2 = t + _GAUSS[0] * h, t + _GAUSS[1] * h
-    q1 = _evaluate(model.a_second, x1) / _evaluate(model.a, x1)
-    q2 = _evaluate(model.a_second, x2) / _evaluate(model.a, x2)
     alpha = _COMMUTATOR * h * h * (q2 - q1)
     beta = h * (k2 + 0.5 * (q1 + q2))
     d = alpha * alpha - h * beta
     r = np.sqrt(np.abs(d))
+    c, s = np.empty_like(r), np.empty_like(r)
     oscillating = d <= 0.0
-    c = np.where(oscillating, np.cos(r), np.cosh(r))
-    s = np.where(oscillating, np.sinc(r / np.pi), np.sinh(r) / np.where(oscillating, 1.0, r))
+    growing = ~oscillating                      # NaN too
+    c[oscillating], s[oscillating] = np.cos(r[oscillating]), np.sinc(r[oscillating] / np.pi)
+    c[growing], s[growing] = np.cosh(r[growing]), np.sinh(r[growing]) / r[growing]
     return np.stack([c + s * alpha, s * h, -s * beta, c - s * alpha])
 
 
@@ -293,18 +348,50 @@ def _multiply(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _propagate(propagators: np.ndarray, u0: complex, du0: complex,
                eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, u') at every sample, one pass through the interval propagators."""
+    """(u, u') at every sample.  The intervals are cut into blocks of
+    ``_BLOCK``; log2 _BLOCK doubling passes form the inclusive products of
+    the propagators within each block, the state is carried across the
+    blocks in order by their full products, and each block's start state
+    is broadcast through its products (a blocked prefix scan, Blelloch,
+    *Prefix sums and their applications*, 1990)."""
+    n = propagators.shape[1]
+    blocks = -(-n // _BLOCK)
+    # p[:, j, b] is the product of block b's first j + 1 propagators
+    p = np.zeros((4, blocks * _BLOCK))
+    p[[0, 3], n:] = 1.0
+    p[:, :n] = propagators
+    p = np.ascontiguousarray(p.reshape(4, blocks, _BLOCK).transpose(0, 2, 1))
+    span = 1
+    while span < _BLOCK:
+        p[:, span:] = _multiply(p[:, span:], p[:, :-span])
+        span *= 2
+    starts = np.empty((2, blocks), dtype=complex)
     u, du = u0, du0
-    us, dus = [u], [du]
-    for a, b, c, d in zip(*propagators.tolist()):
-        u, du = a * u + b * du, c * u + d * du
-        us.append(u)
-        dus.append(du)
-    us, dus = np.array(us, dtype=complex), np.array(dus, dtype=complex)
+    for b, (m00, m01, m10, m11) in enumerate(p[:, -1].T.tolist()):
+        starts[:, b] = u, du
+        u, du = m00 * u + m01 * du, m10 * u + m11 * du
+    us, dus = np.empty(n + 1, dtype=complex), np.empty(n + 1, dtype=complex)
+    us[0], dus[0] = u0, du0
+    u, du = starts
+    us[1:] = (p[0] * u + p[1] * du).T.ravel()[:n]
+    dus[1:] = (p[2] * u + p[3] * du).T.ravel()[:n]
     finite = np.isfinite(us) & np.isfinite(dus)
     if not finite.all():
-        raise IntegrationError("solution overflowed",
-                               last_eta=float(eta[max(np.argmin(finite) - 1, 0)]))
+        # A block's products can overflow where the state does not, so the
+        # state steps through from the start of the first block that has a
+        # non-finite value, to the first sample that overflows.
+        i = int(np.argmin(finite))
+        if i > 0:
+            first = (i - 1) // _BLOCK * _BLOCK
+            u, du = map(complex, starts[:, first // _BLOCK])
+            for i, (a, b, c, d) in enumerate(propagators[:, first:].T.tolist(), first + 1):
+                u, du = a * u + b * du, c * u + d * du
+                if not (cmath.isfinite(u) and cmath.isfinite(du)):
+                    break
+                us[i], dus[i] = u, du
+            else:
+                return us, dus
+        raise IntegrationError("solution overflowed", last_eta=float(eta[max(i - 1, 0)]))
     return us, dus
 
 

@@ -720,7 +720,7 @@ class TestCosmo:
 
         spectrum_mod = importlib.import_module("spinorwave.frw.spectrum")
 
-        def failing(model, spec):
+        def failing(model, spec, grid):
             raise IntegrationError("tolerance not met", last_eta=2.5)
 
         monkeypatch.setattr(spectrum_mod, "integrate_mode", failing)

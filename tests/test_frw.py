@@ -1,5 +1,7 @@
 """Scale-factor models, the mode equation, the integrator, and spectra."""
 
+import collections
+import dataclasses
 import math
 import re
 import time
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 import sympy
 
-from spinorwave.errors import ConfigError, DomainError, GridError
+from spinorwave.errors import ConfigError, DomainError, GridError, IntegrationError
 from spinorwave.frw import (
     ModeSpec,
     de_sitter,
@@ -25,7 +27,13 @@ from spinorwave.frw import (
     tabulated,
     wronskian_drift,
 )
-from spinorwave.frw.modes import _MAX_SUBSTEPS
+from spinorwave.frw.modes import (
+    _BLOCK,
+    _MAX_SUBSTEPS,
+    _magnus_steps,
+    _propagate,
+    sample_grid,
+)
 
 RNG = np.random.default_rng(11)
 
@@ -43,6 +51,46 @@ def _reference_u(model, k, eta, rtol):
     sol = solve_ivp(rhs, (eta[0], eta[-1]), [u0, -1j * k * u0], method="DOP853",
                     t_eval=eta, rtol=rtol, atol=1e-16)
     return sol.y[0], sol.y[1]
+
+
+def reference_propagate(propagators, u0, du0, eta):
+    """(u, u') at every sample by one step per sample interval: the loop
+    that the blocked prefix products of ``_propagate`` replaced."""
+    u, du = u0, du0
+    us, dus = [u], [du]
+    for a, b, c, d in zip(*propagators.tolist()):
+        u, du = a * u + b * du, c * u + d * du
+        us.append(u)
+        dus.append(du)
+    us, dus = np.array(us, dtype=complex), np.array(dus, dtype=complex)
+    finite = np.isfinite(us) & np.isfinite(dus)
+    if not finite.all():
+        raise IntegrationError("solution overflowed",
+                               last_eta=float(eta[max(np.argmin(finite) - 1, 0)]))
+    return us, dus
+
+
+def _exact_f_end(model, k, eta0, eta1):
+    """f(eta1) of the positive-frequency mode on matter or de Sitter, where
+    a''/a = 2/eta^2 and u = a f is a combination of sqrt|eta| J_{+-nu}(k |eta|),
+    nu = i sqrt(7)/2, fitted to (u, u') at eta0 with mpmath's Bessel J."""
+    import mpmath
+
+    sign = 1 if eta0 > 0 else -1
+
+    def basis(order, eta):
+        x = abs(mpmath.mpf(eta))
+        j = mpmath.besselj(order, k * x)
+        dj = mpmath.besselj(order, k * x, derivative=1)
+        return mpmath.sqrt(x) * j, sign * (j / (2 * mpmath.sqrt(x)) + mpmath.sqrt(x) * k * dj)
+
+    with mpmath.workdps(30):
+        nu = 1j * mpmath.sqrt(7) / 2
+        u0 = mpmath.exp(-1j * k * eta0) / mpmath.sqrt(2 * k)
+        (p, dp), (m, dm) = basis(nu, eta0), basis(-nu, eta0)
+        c = mpmath.lu_solve(mpmath.matrix([[p, m], [dp, dm]]), mpmath.matrix([u0, -1j * k * u0]))
+        u1 = c[0] * basis(nu, eta1)[0] + c[1] * basis(-nu, eta1)[0]
+    return complex(u1) / model.a(eta1)
 
 
 class TestRicciScalar:
@@ -309,7 +357,6 @@ class TestIntegrateMode:
             ModeSpec(k=1.0, eta0=1.0, eta1=math.nextafter(1.0, 2.0), samples=50).validate(m)
 
     def test_blowup_raises_with_last_good_point(self):
-        from spinorwave.errors import IntegrationError
         from spinorwave.frw import ScaleFactorModel
 
         # a = (pole - eta)^-2 has a''/a = 6/(pole - eta)^2, which is not
@@ -334,14 +381,12 @@ class TestIntegrateMode:
         import importlib
 
         spectrum_mod = importlib.import_module("spinorwave.frw.spectrum")
-        from spinorwave.errors import IntegrationError
-
         real = spectrum_mod.integrate_mode
 
-        def flaky(model, spec):
+        def flaky(model, spec, grid):
             if abs(spec.k - 2.0) < 1e-12:
                 raise IntegrationError("synthetic failure", last_eta=spec.eta0)
-            return real(model, spec)
+            return real(model, spec, grid)
 
         monkeypatch.setattr(spectrum_mod, "integrate_mode", flaky)
         rows = spectrum_mod.spectrum(radiation(), np.array([1.0, 2.0, 3.0]), 1.0, 4.0)
@@ -349,6 +394,135 @@ class TestIntegrateMode:
         csv_text = render_csv(rows)
         failed_line = csv_text.splitlines()[2]
         assert failed_line.endswith(",failed") and "nan" in failed_line
+
+
+    def test_matches_exact_bessel_modes(self):
+        # matter and de Sitter both have a''/a = 2/eta^2, so u = a f is exact in
+        # Bessel functions of imaginary order; the largest measured error at
+        # eta_end is 0.029 rtol (de Sitter, eta -1e3 to -1, k 30, rtol 1e-9)
+        for model, eta0, eta1 in ((matter(1.0), 1.0, 10.0), (matter(1.0), 1.0, 1e3),
+                                  (de_sitter(1.0), -10.0, -0.1), (de_sitter(1.0), -1e3, -1.0)):
+            ks = np.array([0.3, 3.0, 30.0])
+            exact = [_exact_f_end(model, k, eta0, eta1) for k in ks]
+            for rtol in (1e-6, 1e-9):
+                rows = spectrum(model, ks, eta0, eta1, rtol=rtol)
+                assert [row.status for row in rows] == ["ok"] * 3
+                for row, f in zip(rows, exact):
+                    assert abs(row.f - f) <= rtol * abs(f), (model.kind, eta1, row.k, rtol)
+
+
+class TestPropagate:
+    """``_propagate`` against the per-sample loop it replaced, on random
+    determinant-1 propagators (Magnus steps of random width and a''/a)."""
+
+    LENGTHS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2000, 5 * _BLOCK + 3)
+
+    @staticmethod
+    def _steps(rng, n, q_range, k2, h_range):
+        h = rng.uniform(*h_range, n)
+        q1, q2 = rng.uniform(*q_range, (2, n))
+        return _magnus_steps(k2, h, q1, q2), np.cumsum(np.r_[1.0, h])
+
+    @staticmethod
+    def _data(rng, scale):
+        return ((scale + 0j, 0j), (0j, scale * 1j),
+                (scale * complex(*rng.normal(size=2)), scale * complex(*rng.normal(size=2))))
+
+    @staticmethod
+    def _agrees(m, u0, du0, eta, reference):
+        # Products within a block round differently from the loop.  Relative
+        # to the largest state so far they agree to 1e-12 (6e-14 measured,
+        # on mixed oscillating and growing steps at 2000 samples).
+        u, du = _propagate(m, u0, du0, eta)
+        u_ref, du_ref = reference
+        size = np.maximum.accumulate(np.hypot(abs(u_ref), abs(du_ref)))
+        return np.max(np.hypot(abs(u - u_ref), abs(du - du_ref)) / size) <= 1e-12
+
+    def test_blocked_matches_reference(self):
+        rng = np.random.default_rng(34)
+        for n in self.LENGTHS:
+            for q_range, k2 in (((0.0, 10.0), 100.0), ((-10.0, 0.0), 0.0), ((-10.0, 10.0), 5.0)):
+                m, eta = self._steps(rng, n, q_range, k2, (0.01, 0.2))
+                for u0, du0 in self._data(rng, 1.0):
+                    reference = reference_propagate(m, u0, du0, eta)
+                    assert self._agrees(m, u0, du0, eta, reference), (n, q_range)
+
+    def test_overflow_fails_where_the_reference_fails(self):
+        # Steps that grow by e^20 to e^32 overflow a block's products within
+        # 32 steps, before a state that starts at 1e-300 overflows; the
+        # blocked path must fail at the reference's sample, and agree with
+        # the reference wherever the reference stays finite.
+        rng = np.random.default_rng(35)
+        outcomes = collections.Counter()
+        for n in self.LENGTHS:
+            for scale in (1.0, 1e-300):
+                m, eta = self._steps(rng, n, (-4000.0, -2500.0), 0.0, (0.4, 0.5))
+                for u0, du0 in self._data(rng, scale):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        try:
+                            reference = reference_propagate(m, u0, du0, eta)
+                        except IntegrationError as exc:
+                            with pytest.raises(IntegrationError, match="overflowed") as info:
+                                _propagate(m, u0, du0, eta)
+                            assert info.value.last_eta == exc.last_eta, (n, scale)
+                            outcomes["overflowed"] += 1
+                        else:
+                            assert self._agrees(m, u0, du0, eta, reference), (n, scale)
+                            outcomes["finite"] += 1
+        assert outcomes["overflowed"] and outcomes["finite"]
+
+
+class TestSharedGrid:
+    def test_sharing_is_exact(self):
+        knots = np.linspace(0.9, 10.1, 24)
+        kinked = tabulated(knots, knots * (1.0 + 0.05 * np.sin(0.7 * knots)))
+        for model, eta0, eta1 in ((radiation(), 1.0, 10.0), (matter(1.0), 1.0, 10.0),
+                                  (de_sitter(1.0), -10.0, -0.1), (kinked, 1.0, 10.0)):
+            grid = sample_grid(model, eta0, eta1, 301)
+            for k in (0.3, 3.0, 30.0):
+                spec = ModeSpec(k, eta0, eta1, samples=301)
+                shared, alone = integrate_mode(model, spec, grid), integrate_mode(model, spec)
+                for name in ("eta", "f", "f_prime"):
+                    assert np.array_equal(getattr(shared, name), getattr(alone, name))
+                assert (shared.wronskian_drift, shared.steps, shared.error_estimate) == (
+                    alone.wronskian_drift, alone.steps, alone.error_estimate)
+
+    def test_grid_of_other_settings_rejected(self):
+        model = matter(1.0)
+        grid = sample_grid(model, 1.0, 10.0, 301)
+        for eta0, eta1, samples in ((1.0, 10.0, 300), (1.5, 10.0, 301), (1.0, 9.0, 301)):
+            with pytest.raises(GridError, match="does not match"):
+                integrate_mode(model, ModeSpec(0.5, eta0, eta1, samples=samples), grid)
+        assert integrate_mode(model, ModeSpec(0.5, 1.0, 10.0, samples=301), grid).eta is grid.eta
+
+    def test_modes_add_no_model_calls_on_the_first_pass(self):
+        # matter at 2000 samples and k <= 1: every interval passes with its
+        # first pass's one coarse and two fine substeps
+        base = matter(1.0)
+        calls = collections.Counter()
+
+        def counted(fn):
+            def call(eta):
+                calls[fn] += 1
+                return fn(eta)
+
+            return call
+
+        model = dataclasses.replace(base, a=counted(base.a), a_prime=counted(base.a_prime),
+                                    a_second=counted(base.a_second))
+        settings = {"ic_kind": "explicit", "f0": 0.3 + 0.1j, "df0": -0.2 + 0.5j,
+                    "samples": 2000}
+        for k in (0.05, 1.0):
+            assert integrate_mode(base, ModeSpec(k, 1.0, 10.0, **settings)).steps == 2 * 1999
+
+        def model_calls(count):
+            calls.clear()
+            rows = spectrum(model, np.linspace(0.05, 1.0, count), 1.0, 10.0, **settings)
+            assert all(row.status == "ok" for row in rows)
+            return sum(calls.values())
+
+        # each mode beyond the first adds its a(eta_end) call only
+        assert model_calls(12) == model_calls(1) + 11
 
 
 class TestConformalFlatness:
